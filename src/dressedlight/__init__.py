@@ -14,10 +14,8 @@ from .dissipation import (
     RateTable,
     bose_occupation,
     build_rate_table,
-    decay_constants,
     default_channels,
     lamb_shift_rate,
-    pauli_rates,
     thermal_rate,
 )
 from .dynamics import (

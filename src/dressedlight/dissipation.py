@@ -186,7 +186,9 @@ class RateTable:
     channels); generator is the matching Pauli generator with columns
     summing to zero, acting on population column vectors.  z[n] collects
     half the total loss rate of state n, the accumulated principal-value
-    shift and the state energy in its imaginary part.
+    shift and the state energy in its imaginary part.  collision_count is
+    the collision count of the frequency grouping the channels share,
+    counted once for the eigensystem.
     """
 
     energies: np.ndarray
@@ -212,7 +214,8 @@ def build_rate_table(eig, channel_sets, temperature):
     ----------
     eig : EigenSystem
     channel_sets : list of (ChannelSpec, TransitionSet)
-        One transition grouping per channel, all for the same eig.
+        One transition set per channel, all sharing the frequency
+        grouping of eig.
     temperature : float
 
     Returns
@@ -228,7 +231,9 @@ def build_rate_table(eig, channel_sets, temperature):
     gain = np.zeros((dim, dim))
     xi_sum = np.zeros((dim, dim))
     channel_rates = []
-    collisions = 0
+    groupings = {id(t.grouping): t.grouping for _, t in channel_sets}
+    if len(groupings) > 1:
+        raise ValueError("channel sets must share one transition grouping")
     for channel, transitions in channel_sets:
         chi_m = thermal_rate(pair_omega, temperature, channel)
         s2 = transitions.s_abs2.copy()
@@ -237,17 +242,17 @@ def build_rate_table(eig, channel_sets, temperature):
         gain += chi_m * s2
         if channel.lamb_cutoff is not None:
             xi_sum += lamb_shift_rate(pair_omega, temperature, channel) * s2
+        omegas = transitions.grouping.omegas
         channel_rates.append(
             ChannelRates(
                 channel=channel,
-                omegas=transitions.omegas.copy(),
-                chi=thermal_rate(transitions.omegas, temperature, channel),
-                xi=lamb_shift_rate(transitions.omegas, temperature, channel)
+                omegas=omegas.copy(),
+                chi=thermal_rate(omegas, temperature, channel),
+                xi=lamb_shift_rate(omegas, temperature, channel)
                 if channel.lamb_cutoff is not None
-                else np.zeros_like(transitions.omegas),
+                else np.zeros_like(omegas),
             )
         )
-        collisions += transitions.collision_count
 
     loss = gain.sum(axis=0)  # total rate out of each state
     generator = gain - np.diag(loss)
@@ -260,15 +265,5 @@ def build_rate_table(eig, channel_sets, temperature):
         gain=gain,
         generator=generator,
         channel_rates=channel_rates,
-        collision_count=collisions,
+        collision_count=sum(g.collision_count for g in groupings.values()),
     )
-
-
-def decay_constants(eig, channel_sets, temperature):
-    """Complex decay constants z_n of all eigenstates."""
-    return build_rate_table(eig, channel_sets, temperature).z
-
-
-def pauli_rates(eig, channel_sets, temperature):
-    """Population rate matrix W[n, k] (rate from k into n)."""
-    return build_rate_table(eig, channel_sets, temperature).gain

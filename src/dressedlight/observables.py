@@ -24,14 +24,15 @@ class DarkStateError(ValueError):
     """No stationary emission: photon statistics undefined."""
 
 
-def emission_operator(eig, x):
+def emission_operator(eig, x_eig):
     """Lowering part of the quadrature derivative, in the eigenbasis.
 
-    Strictly upper triangular in the energy ordering (rows below columns
-    in energy); elements inside a degenerate level group are excluded,
-    so the operator annihilates the ground level.
+    x_eig is the cavity quadrature already in the eigenbasis,
+    eig.to_eigenbasis(x).  The result is strictly upper triangular in the
+    energy ordering (rows below columns in energy); elements inside a
+    degenerate level group are excluded, so the operator annihilates the
+    ground level.
     """
-    x_eig = eig.to_eigenbasis(np.asarray(x))
     e = eig.energies
     factor = -1j * (e[None, :] - e[:, None])
     lower = eig.group_index[None, :] > eig.group_index[:, None]

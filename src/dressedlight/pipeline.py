@@ -7,7 +7,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import observables
-from .dissipation import build_rate_table, channel_operator, default_channels
+from .dissipation import (
+    CAVITY_TAG,
+    build_rate_table,
+    channel_operator,
+    default_channels,
+)
 from .dynamics import stationary_state
 from .model import DEFAULT_MAX_DIM, build_hamiltonian, build_operators
 from .spectral import diagonalize, group_transitions
@@ -87,7 +92,12 @@ def solve_system(params, delta_e=None, delta_omega=None, channels=None,
     ]
     rates = build_rate_table(eig, channel_sets, params.temperature)
     stat = stationary_state(eig, rates)
-    xdot = observables.emission_operator(eig, ops.x)
+    # The cavity channel already holds X in the eigenbasis.
+    x_eigen = next((t.s_eigen for ch, t in channel_sets
+                    if ch.operator_tag == CAVITY_TAG), None)
+    if x_eigen is None:
+        x_eigen = eig.to_eigenbasis(ops.x)
+    xdot = observables.emission_operator(eig, x_eigen)
     return SolvedSystem(
         params=params,
         ops=ops,

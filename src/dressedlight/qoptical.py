@@ -201,7 +201,7 @@ def qo_g2_zero(params, n_max=None, dressed=False, floor=1e-30,
         from .spectral import diagonalize
 
         eig = diagonalize(build_hamiltonian(qp, ops), 1e-9 * qp.omega0)
-        xdot_eig = emission_operator(eig, ops.x)
+        xdot_eig = emission_operator(eig, eig.to_eigenbasis(ops.x))
         lower = eig.vectors @ xdot_eig @ eig.vectors.conj().T
     else:
         lower = ops.a

@@ -5,7 +5,10 @@ into components S_w that connect eigenstates separated by a fixed energy
 w.  Levels are first clustered into degenerate groups (spacing below
 delta_e); transition frequencies are then built from group energies and
 clustered with tolerance delta_omega, so elements inside a degenerate
-level land exactly in the w = 0 group.
+level land exactly in the w = 0 group.  The frequency grouping depends
+only on the group energies, so it belongs to the eigensystem: it is
+computed once per tolerance and shared by the transition sets of every
+operator.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ class EigenSystem:
     group_index: np.ndarray
     group_energy: np.ndarray
     group_members: tuple
+    _groupings: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     @property
     def dim(self):
@@ -49,6 +54,14 @@ class EigenSystem:
     def to_eigenbasis(self, operator):
         """Matrix elements <m|S|n> of a lab-frame operator."""
         return self.vectors.conj().T @ operator @ self.vectors
+
+    def transition_grouping(self, delta_omega=DEFAULT_DELTA):
+        """Frequency grouping of the level pairs, computed once per tolerance."""
+        grouping = self._groupings.get(delta_omega)
+        if grouping is None:
+            grouping = _group_frequencies(self.group_energy, delta_omega)
+            self._groupings[delta_omega] = grouping
+        return grouping
 
 
 def diagonalize(h, delta_e=DEFAULT_DELTA):
@@ -105,22 +118,21 @@ def diagonalize(h, delta_e=DEFAULT_DELTA):
     )
 
 
-@dataclass
-class TransitionSet:
-    """Components S_w of one operator, grouped by transition frequency.
+@dataclass(frozen=True)
+class TransitionGrouping:
+    """Ordered level-group pairs of an eigensystem grouped by frequency.
 
-    A transition group collects all matrix elements <m|S|n> whose
-    frequency E_n - E_m falls within delta_omega of the group frequency.
-    Groups are stored as slices into the list of ordered level-group
-    pairs sorted by frequency; element blocks are materialized on demand
-    with block().  collision_count counts frequency groups (w >= 0) that
-    merge more than one distinct level pair, the situation in which the
-    secular equations of motion are not reliable.
+    Ordered pair (a, b) holds the elements <m in a|S|n in b> of any
+    operator S at frequency E_b - E_a of the group energies.  pair_a and
+    pair_b list the pairs sorted by frequency; group k is the slice
+    starts[k]:stops[k] of that list, at mean frequency omegas[k], and
+    zero_group is the group pinned at exactly 0.  collision_omegas holds
+    the frequencies (w >= 0) of groups that merge more than one distinct
+    level pair, the situation in which the secular equations of motion
+    are not reliable.  The arrays are read-only because every operator's
+    TransitionSet shares them.
     """
 
-    eig: EigenSystem
-    s_eigen: np.ndarray
-    s_abs2: np.ndarray
     delta_omega: float
     omegas: np.ndarray
     pair_a: np.ndarray
@@ -128,7 +140,6 @@ class TransitionSet:
     starts: np.ndarray
     stops: np.ndarray
     zero_group: int
-    collision_count: int
     collision_omegas: np.ndarray
 
     @property
@@ -136,17 +147,74 @@ class TransitionSet:
         return self.omegas.size
 
     @property
-    def has_collisions(self):
-        return self.collision_count > 0
+    def collision_count(self):
+        return self.collision_omegas.size
+
+
+def _group_frequencies(group_energy, delta_omega):
+    n_grp = group_energy.size
+    pair_omega = (group_energy[None, :] - group_energy[:, None]).ravel()
+    order = np.argsort(pair_omega, kind="stable")
+    sorted_omega = pair_omega[order]
+    pair_a, pair_b = np.divmod(order, n_grp)
+
+    # A new group starts wherever the sorted frequencies jump by delta_omega.
+    starts = np.flatnonzero(np.diff(sorted_omega, prepend=-np.inf) >= delta_omega)
+    sizes = np.diff(np.append(starts, sorted_omega.size))
+    omegas = np.add.reduceat(sorted_omega, starts) / sizes
+
+    # A group merging distinct level pairs means distinct transitions
+    # share a frequency within delta_omega.
+    collides = (sizes > 1) & (omegas > 0)
+    zero_group = 0
+    if omegas.size:
+        # The diagonal pairs (a, a) sit at exactly 0.0; pin their group
+        # there.  It naturally holds those n_grp pairs; anything beyond
+        # them collides.
+        zero_group = int(np.argmin(np.abs(omegas)))
+        omegas[zero_group] = 0.0
+        collides[zero_group] = sizes[zero_group] > n_grp
+
+    stops = starts + sizes
+    collision_omegas = omegas[collides]
+    for a in (omegas, pair_a, pair_b, starts, stops, collision_omegas):
+        a.flags.writeable = False
+    return TransitionGrouping(
+        delta_omega=delta_omega,
+        omegas=omegas,
+        pair_a=pair_a,
+        pair_b=pair_b,
+        starts=starts,
+        stops=stops,
+        zero_group=zero_group,
+        collision_omegas=collision_omegas,
+    )
+
+
+@dataclass
+class TransitionSet:
+    """Components S_w of one operator, grouped by transition frequency.
+
+    s_eigen holds the operator in the eigenbasis and s_abs2 its squared
+    moduli.  The frequency grouping belongs to the eigensystem and is
+    shared by the transition sets of all operators; element blocks of a
+    group are materialized on demand with block().
+    """
+
+    eig: EigenSystem
+    s_eigen: np.ndarray
+    s_abs2: np.ndarray
+    grouping: TransitionGrouping
 
     def block(self, k):
         """Elements of group k as (rows, cols, values) index triples."""
         rows = []
         cols = []
         members = self.eig.group_members
+        g = self.grouping
         for a, b in zip(
-            self.pair_a[self.starts[k] : self.stops[k]],
-            self.pair_b[self.starts[k] : self.stops[k]],
+            g.pair_a[g.starts[k] : g.stops[k]],
+            g.pair_b[g.starts[k] : g.stops[k]],
         ):
             r, c = np.meshgrid(members[a], members[b], indexing="ij")
             rows.append(r.ravel())
@@ -165,7 +233,7 @@ class TransitionSet:
     def reconstruct(self):
         """Sum of all components; equals the full operator."""
         out = np.zeros_like(self.s_eigen)
-        for k in range(self.n_groups):
+        for k in range(self.grouping.n_groups):
             rows, cols, vals = self.block(k)
             out[rows, cols] = vals
         return out
@@ -185,56 +253,13 @@ def group_transitions(eig, s, delta_omega=DEFAULT_DELTA):
     Returns
     -------
     TransitionSet
+        Its grouping is eig.transition_grouping(delta_omega), shared with
+        every other operator grouped on the same eigensystem.
     """
     s_eigen = eig.to_eigenbasis(np.asarray(s))
-    s_abs2 = np.abs(s_eigen) ** 2
-
-    ge = eig.group_energy
-    n_grp = ge.size
-    # Ordered level pair (a, b) holds elements <m in a|S|n in b> at
-    # frequency E_b - E_a.
-    pair_omega = (ge[None, :] - ge[:, None]).ravel()
-    order = np.argsort(pair_omega, kind="stable")
-    sorted_omega = pair_omega[order]
-    pair_a = order // n_grp
-    pair_b = order % n_grp
-
-    if sorted_omega.size:
-        breaks = np.nonzero(np.diff(sorted_omega) >= delta_omega)[0]
-        starts = np.concatenate(([0], breaks + 1))
-        stops = np.concatenate((breaks + 1, [sorted_omega.size]))
-    else:
-        starts = stops = np.array([], dtype=int)
-
-    omegas = np.array([sorted_omega[b:e].mean() for b, e in zip(starts, stops)])
-    # The diagonal pairs (a, a) sit at exactly 0.0; pin their group there.
-    zero_group = int(np.argmin(np.abs(omegas))) if omegas.size else 0
-    if omegas.size:
-        omegas[zero_group] = 0.0
-
-    # A group merging distinct level pairs means distinct transitions
-    # share a frequency within delta_omega.  The zero group naturally
-    # holds the n_grp diagonal pairs; anything beyond those collides.
-    collisions = []
-    for k, (b, e) in enumerate(zip(starts, stops)):
-        size = e - b
-        if k == zero_group:
-            if size > n_grp:
-                collisions.append(0.0)
-        elif size > 1 and omegas[k] > 0:
-            collisions.append(omegas[k])
-
     return TransitionSet(
         eig=eig,
         s_eigen=s_eigen,
-        s_abs2=s_abs2,
-        delta_omega=delta_omega,
-        omegas=omegas,
-        pair_a=pair_a,
-        pair_b=pair_b,
-        starts=starts,
-        stops=stops,
-        zero_group=zero_group,
-        collision_count=len(collisions),
-        collision_omegas=np.asarray(collisions),
+        s_abs2=np.abs(s_eigen) ** 2,
+        grouping=eig.transition_grouping(delta_omega),
     )

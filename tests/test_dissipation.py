@@ -16,7 +16,6 @@ from dressedlight import (
     build_hamiltonian,
     build_operators,
     build_rate_table,
-    decay_constants,
     default_channels,
     diagonalize,
     group_transitions,
@@ -191,7 +190,7 @@ def test_decay_constants_structure():
     T = 0.15
     p = ModelParams(1, 0.28, 0.0, T, n_max=4)
     system = solve_system(p)
-    z = decay_constants(system.eig, system.channel_sets, T)
+    z = build_rate_table(system.eig, system.channel_sets, T).z
     np.testing.assert_allclose(z, system.rates.z, atol=0)
     # real part is half the total escape rate out of each level
     np.testing.assert_allclose(2.0 * z.real, system.rates.gain.sum(axis=0),
@@ -227,3 +226,24 @@ def test_zero_frequency_rate_inside_degenerate_group():
             for b in members:
                 if a != b:
                     assert cold.gain[a, b] == 0.0
+
+
+def test_collision_count_is_counted_once_per_eigensystem():
+    # the channels share one grouping, so its collisions are not
+    # multiplied by the number of channels
+    system = solve_system(ModelParams(2, 0.0, 0.0, 0.1, n_max=5))
+    one_channel = system.channel_sets[0][1].grouping.collision_count
+    assert one_channel > 0
+    assert len(system.channel_sets) == 3
+    assert system.collision_count == one_channel
+
+
+def test_rate_table_rejects_channels_grouped_differently():
+    p = ModelParams(1, 0.3, 0.0, 0.1, n_max=4)
+    ops = build_operators(p)
+    eig = diagonalize(build_hamiltonian(p, ops))
+    cavity, emitter = default_channels(p)
+    sets = [(cavity, group_transitions(eig, ops.x, 1e-9)),
+            (emitter, group_transitions(eig, ops.sigma_y[0], 1e-6))]
+    with pytest.raises(ValueError, match="share one transition grouping"):
+        build_rate_table(eig, sets, p.temperature)

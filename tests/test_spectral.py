@@ -9,6 +9,8 @@ from dressedlight import (
     build_operators,
     diagonalize,
     group_transitions,
+    solve_system,
+    spectral,
 )
 
 
@@ -82,18 +84,18 @@ def test_transition_frequencies_and_zero_group():
     p = ModelParams(1, 0.3, 0.0, 0.1, n_max=4)
     ops = build_operators(p)
     eig = diagonalize(build_hamiltonian(p, ops))
-    trans = group_transitions(eig, ops.x)
+    grp = group_transitions(eig, ops.x).grouping
     # the pinned zero-frequency group sits exactly at 0
-    assert trans.omegas[trans.zero_group] == 0.0
+    assert grp.omegas[grp.zero_group] == 0.0
     # every advertised group frequency is realized by its member pairs
-    for k in range(trans.omegas.size):
-        for a, b in zip(trans.pair_a[trans.starts[k]:trans.stops[k]],
-                        trans.pair_b[trans.starts[k]:trans.stops[k]]):
+    for k in range(grp.n_groups):
+        for a, b in zip(grp.pair_a[grp.starts[k]:grp.stops[k]],
+                        grp.pair_b[grp.starts[k]:grp.stops[k]]):
             omega_ab = eig.group_energy[b] - eig.group_energy[a]
-            assert abs(omega_ab - trans.omegas[k]) < 1e-8
+            assert abs(omega_ab - grp.omegas[k]) < 1e-8
     # frequencies come out sorted and unique at this coupling
-    assert np.all(np.diff(trans.omegas) > 0)
-    assert trans.collision_count == 0
+    assert np.all(np.diff(grp.omegas) > 0)
+    assert grp.collision_count == 0
 
 
 def test_reconstruct_roundtrip():
@@ -105,7 +107,7 @@ def test_reconstruct_roundtrip():
     np.testing.assert_allclose(trans.reconstruct(), s, atol=1e-13)
     # components are disjoint: their squared weights add up
     total = sum(np.abs(trans.component(k)) ** 2
-                for k in range(trans.omegas.size))
+                for k in range(trans.grouping.n_groups))
     np.testing.assert_allclose(total, np.abs(s) ** 2, atol=1e-13)
 
 
@@ -114,9 +116,9 @@ def test_harmonic_ladder_collisions_flagged():
     p = ModelParams(1, 0.0, 0.0, 0.1, n_max=5)
     ops = build_operators(p)
     eig = diagonalize(build_hamiltonian(p, ops))
-    trans = group_transitions(eig, ops.x)
-    assert trans.collision_count > 0
-    assert 1.0 in np.round(trans.collision_omegas, 12)
+    grp = group_transitions(eig, ops.x).grouping
+    assert grp.collision_count > 0
+    assert 1.0 in np.round(grp.collision_omegas, 12)
 
 
 def test_squared_elements_match():
@@ -128,3 +130,67 @@ def test_squared_elements_match():
                                atol=1e-14)
     np.testing.assert_allclose(trans.s_abs2, np.abs(trans.s_eigen) ** 2,
                                atol=1e-14)
+
+
+def _loop_grouping(eig, delta_omega):
+    """Reference grouping: one mean per group and a loop over collisions."""
+    ge = eig.group_energy
+    n_grp = ge.size
+    pair_omega = (ge[None, :] - ge[:, None]).ravel()
+    order = np.argsort(pair_omega, kind="stable")
+    sorted_omega = pair_omega[order]
+    breaks = np.nonzero(np.diff(sorted_omega) >= delta_omega)[0]
+    starts = np.concatenate(([0], breaks + 1))
+    stops = np.concatenate((breaks + 1, [sorted_omega.size]))
+    omegas = np.array([sorted_omega[b:e].mean() for b, e in zip(starts, stops)])
+    zero_group = int(np.argmin(np.abs(omegas)))
+    omegas[zero_group] = 0.0
+    collisions = []
+    for k, (b, e) in enumerate(zip(starts, stops)):
+        size = e - b
+        if k == zero_group:
+            if size > n_grp:
+                collisions.append(0.0)
+        elif size > 1 and omegas[k] > 0:
+            collisions.append(omegas[k])
+    return dict(omegas=omegas, pair_a=order // n_grp, pair_b=order % n_grp,
+                starts=starts, stops=stops, zero_group=zero_group,
+                collision_omegas=np.asarray(collisions))
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams(2, 0.4, 0.4, 0.1, n_max=6),  # Dicke limit, g' = g
+    ModelParams(2, 0.3, 0.0, 0.1, n_max=6),  # TC limit: degenerate levels
+    ModelParams(1, 0.0, 0.0, 0.1, n_max=5),  # harmonic ladder, collisions
+], ids=["dicke-n2", "tc-n2-degenerate", "harmonic-ladder"])
+def test_vectorized_grouping_matches_loop_reference(params):
+    ops = build_operators(params)
+    eig = diagonalize(build_hamiltonian(params, ops))
+    grp = eig.transition_grouping(1e-9)
+    ref = _loop_grouping(eig, 1e-9)
+    for name in ("pair_a", "pair_b", "starts", "stops"):
+        np.testing.assert_array_equal(getattr(grp, name), ref[name])
+    assert grp.zero_group == ref["zero_group"]
+    assert grp.collision_count == ref["collision_omegas"].size
+    np.testing.assert_allclose(grp.omegas, ref["omegas"], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(grp.collision_omegas, ref["collision_omegas"],
+                               rtol=1e-12, atol=0)
+
+
+def test_channel_sets_share_one_grouping(monkeypatch):
+    calls = []
+    original = spectral._group_frequencies
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(spectral, "_group_frequencies", counted)
+    system = solve_system(ModelParams(2, 0.3, 0.3, 0.1, n_max=4))
+    assert len(system.channel_sets) == 3
+    assert len(calls) == 1
+    shared = system.eig.transition_grouping(1e-9)
+    assert all(t.grouping is shared for _, t in system.channel_sets)
+    # the shared arrays cannot be changed through one channel's set
+    with pytest.raises(ValueError):
+        system.channel_sets[0][1].grouping.omegas[0] = 1.0
