@@ -23,9 +23,6 @@ from .dynamics import (
     DegenerateGroundError,
     DiagonalPropagator,
     StationaryState,
-    offdiagonal_factor,
-    propagate_diagonal,
-    regression_g2_kernel,
     stationary_state,
 )
 from .model import (

@@ -565,6 +565,8 @@ def run_g2time(resolved, out_dir):
         "g2_final": float(result.values[-1]),
         "t_max": tg["t_max"],
         "max_imag": float(result.max_imag),
+        "relaxation_gap": result.relaxation_gap,
+        "stationary_residual": system.stationary.residual,
         "collision_count": system.collision_count,
     }
     return metrics, 0

@@ -188,7 +188,8 @@ class RateTable:
     half the total loss rate of state n, the accumulated principal-value
     shift and the state energy in its imaginary part.  collision_count is
     the collision count of the frequency grouping the channels share,
-    counted once for the eigensystem.
+    counted once for the eigensystem.  The rate-equation propagator is
+    built on the first g2(t) evaluation and cached on the table.
     """
 
     energies: np.ndarray

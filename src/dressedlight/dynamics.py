@@ -4,7 +4,10 @@ Populations follow the Pauli rate equation dp/dt = G p; every
 off-diagonal element (m, n) decouples and decays with the factor
 exp(-(z_m + conj(z_n)) t), whose imaginary part carries the transition
 phase.  The stationary state of the rate equation is the Boltzmann
-distribution over the dressed levels.
+distribution over the dressed levels, and the rates obey detailed
+balance with respect to it, so the rate equation is propagated through
+one symmetric eigendecomposition (van Kampen, Stochastic Processes in
+Physics and Chemistry).
 """
 
 from __future__ import annotations
@@ -13,6 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+
+# Allowed detailed-balance violation max|G_nk p_k - G_kn p_n|, relative to
+# max|G_nk p_k|.  Rates use group energies and weights level energies, so
+# levels merged within the clustering tolerance delta_e break the balance
+# by up to delta_e / T; 1e-6 admits the default delta_e = 1e-9 omega0 down
+# to T = 1e-3 omega0.  A generator without detailed balance is off by O(1).
+BALANCE_TOL = 1e-6
+# Eigenvalues of K within this fraction of the largest |lambda| count as
+# stationary modes, not relaxation.
+GAP_ZERO_TOL = 1e-12
 
 
 class DegenerateGroundError(ValueError):
@@ -63,68 +76,70 @@ def stationary_state(eig, rates, residual_tol=1e-9):
 
 
 class DiagonalPropagator:
-    """exp(G t) applied to population vectors.
+    """exp(G t) applied to population vectors, from one symmetric eigh.
 
-    Uses the eigendecomposition of the (real, nonsymmetric) generator;
-    falls back to scaling-and-squaring when the eigenvector matrix is
-    ill-conditioned.
+    The Pauli generator G obeys detailed balance with respect to the
+    stationary populations p: G_nk p_k = G_kn p_n.  With D = diag(p) the
+    matrix K = D^(-1/2) G D^(1/2) is therefore symmetric, with
+    K_nk = sqrt(G_nk G_kn) off the diagonal and K_nn = G_nn, and one
+    eigh of K gives exp(G t) = D^(1/2) U exp(Lambda t) U^T D^(-1/2) for
+    every t.
+
+    Levels whose Boltzmann weight underflows to zero are left out of K;
+    the couplings dropped with them carry weight ~exp(-700).  Start
+    vectors with weight on such levels are rejected.  At T = 0 the
+    generator is triangular and has no symmetrization, so it is rejected
+    too.
     """
 
-    def __init__(self, generator, cond_limit=1e12):
-        self.generator = np.asarray(generator, dtype=float)
-        self._eig = None
-        try:
-            w, r = np.linalg.eig(self.generator)
-            r_inv = np.linalg.inv(r)
-            cond = np.linalg.norm(r, 1) * np.linalg.norm(r_inv, 1)
-            if np.isfinite(cond) and cond < cond_limit:
-                self._eig = (w, r, r_inv)
-        except np.linalg.LinAlgError:
-            pass
+    def __init__(self, generator, stationary):
+        if stationary.temperature == 0:
+            raise ValueError(
+                "T = 0 rates have no detailed-balance symmetrization"
+            )
+        g = np.asarray(generator, dtype=float)
+        p = stationary.populations
+        flux = g * p[None, :]
+        violation = np.abs(flux - flux.T).max()
+        if violation > BALANCE_TOL * np.abs(flux).max():
+            raise ValueError(
+                f"generator violates detailed balance by {violation:.3e}"
+            )
+        self._dropped = p == 0
+        self.levels = np.flatnonzero(~self._dropped)
+        sub = g[np.ix_(self.levels, self.levels)]
+        k = np.sqrt(sub * sub.T)
+        np.fill_diagonal(k, np.diag(sub))
+        self.eigenvalues, u = scipy.linalg.eigh(k)
+        root = np.sqrt(p[self.levels])
+        self._left = root[:, None] * u  # D^(1/2) U
+        self._right = u.T / root[None, :]  # U^T D^(-1/2)
 
     @property
-    def uses_eigendecomposition(self):
-        return self._eig is not None
-
-    def propagate(self, p0, t):
-        """Populations after time t >= 0."""
-        p0 = np.asarray(p0)
-        if self._eig is None:
-            return scipy.linalg.expm(self.generator * t) @ p0
-        w, r, r_inv = self._eig
-        out = r @ (np.exp(w * t) * (r_inv @ p0))
-        return out.real if np.isrealobj(p0) else out
+    def relaxation_gap(self):
+        """Slowest nonzero relaxation rate, the smallest nonzero -lambda."""
+        decay = -self.eigenvalues
+        nonzero = decay[decay > GAP_ZERO_TOL * np.abs(decay).max()]
+        return float(nonzero.min()) if nonzero.size else 0.0
 
     def weighted_curve(self, weights, p0, times):
         """sum_n weights[n] * (exp(G t) p0)[n] for every t, vectorized."""
-        times = np.asarray(times, dtype=float)
-        if self._eig is None:
-            return np.array(
-                [np.dot(weights, self.propagate(p0, t)) for t in times]
+        p0 = np.asarray(p0)
+        if np.any(p0[self._dropped] != 0):
+            raise ValueError(
+                "start vector has weight on levels with zero Boltzmann weight"
             )
-        w, r, r_inv = self._eig
-        u = (weights @ r) * (r_inv @ p0)  # length-D mode amplitudes
-        return np.exp(np.multiply.outer(times, w)) @ u
+        times = np.asarray(times, dtype=float)
+        levels = self.levels
+        # one amplitude per mode of K
+        u = (np.asarray(weights)[levels] @ self._left) * (self._right @ p0[levels])
+        return np.exp(np.multiply.outer(times, self.eigenvalues)) @ u
 
 
-def _propagator_for(rates):
-    if getattr(rates, "_propagator", None) is None:
-        rates._propagator = DiagonalPropagator(rates.generator)
+def _propagator_for(rates, stationary):
+    if rates._propagator is None:
+        rates._propagator = DiagonalPropagator(rates.generator, stationary)
     return rates._propagator
-
-
-def propagate_diagonal(p0, t, rates):
-    """Populations exp(G t) p0 after time t."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    return _propagator_for(rates).propagate(p0, t)
-
-
-def offdiagonal_factor(m, n, t, rates):
-    """Decay factor exp(-(z_m + conj(z_n)) t) of element (m, n)."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    return np.exp(-(rates.z[m] + np.conj(rates.z[n])) * t)
 
 
 @dataclass
@@ -162,16 +177,17 @@ class RegressionEvolver:
     Precomputes everything needed to evaluate
     Tr[observable * Lambda_t(rho)] for a batch of times, where Lambda_t
     propagates the diagonal through the rate equation and the
-    off-diagonals through their decay factors.
+    off-diagonals through their decay factors.  The rate-equation
+    propagator is built on first use and cached on the rate table.
     """
 
-    def __init__(self, rates, rho, observable):
+    def __init__(self, rates, stationary, rho, observable):
         if not isinstance(rho, ConditionalMatrix):
             rho = ConditionalMatrix.from_matrix(rho)
         self.rates = rates
         self.rho = rho
         observable = np.asarray(observable)
-        self._propagator = _propagator_for(rates)
+        self.propagator = _propagator_for(rates, stationary)
         self._obs_diag = np.diag(observable).copy()
         # Off-diagonal contribution sum_k obs[n_k, m_k] rho[m_k, n_k]
         # exp(-(z_m + conj(z_n)) t), dropping exact zero coefficients.
@@ -184,7 +200,7 @@ class RegressionEvolver:
         """Expectation value at every time, as a complex array."""
         times = np.asarray(times, dtype=float)
         out = np.asarray(
-            self._propagator.weighted_curve(self._obs_diag, self.rho.diagonal, times),
+            self.propagator.weighted_curve(self._obs_diag, self.rho.diagonal, times),
             dtype=complex,
         )
         if self._coeff.size:
@@ -197,10 +213,3 @@ class RegressionEvolver:
                 ) @ self._coeff
         return out
 
-
-def regression_g2_kernel(rho_cond, tau, observable, rates):
-    """Tr[observable * Lambda_tau(rho_cond)] for a single delay."""
-    if tau < 0:
-        raise ValueError("tau must be non-negative")
-    evolver = RegressionEvolver(rates, rho_cond, observable)
-    return complex(evolver.curve(np.array([tau]))[0])

@@ -189,13 +189,19 @@ def g2_zero(eig, stat, xdot, floor=DENOMINATOR_FLOOR):
 
 @dataclass
 class G2Result:
-    """Delay dependence of the degree-two coherence."""
+    """Delay dependence of the degree-two coherence.
+
+    relaxation_gap is the slowest nonzero relaxation rate of the
+    population rate equation; g2(t) reaches its late-time value on the
+    scale 1 / relaxation_gap.
+    """
 
     times: np.ndarray
     values: np.ndarray
     zero_value: float
     denominator: float
     max_imag: float
+    relaxation_gap: float
 
 
 def g2_time(eig, rates, stat, t_grid, xdot, floor=DENOMINATOR_FLOOR):
@@ -216,7 +222,8 @@ def g2_time(eig, rates, stat, t_grid, xdot, floor=DENOMINATOR_FLOOR):
         )
     rho_cond = (xdot * stat.populations[None, :]) @ xdot.conj().T
     observable = xdot.conj().T @ xdot
-    evolver = RegressionEvolver(rates, ConditionalMatrix.from_matrix(rho_cond),
+    evolver = RegressionEvolver(rates, stat,
+                                ConditionalMatrix.from_matrix(rho_cond),
                                 observable)
     raw = evolver.curve(t_grid) / denominator**2
     values = raw.real
@@ -228,4 +235,5 @@ def g2_time(eig, rates, stat, t_grid, xdot, floor=DENOMINATOR_FLOOR):
         zero_value=zero,
         denominator=denominator,
         max_imag=float(np.max(np.abs(raw.imag))) if raw.size else 0.0,
+        relaxation_gap=evolver.propagator.relaxation_gap,
     )

@@ -6,19 +6,19 @@ from scipy.linalg import expm
 
 from dressedlight import (
     ConditionalMatrix,
+    DarkStateError,
     DegenerateGroundError,
     DiagonalPropagator,
     ModelParams,
+    StationaryState,
     build_rate_table,
     diagonalize,
     group_transitions,
-    offdiagonal_factor,
-    propagate_diagonal,
-    regression_g2_kernel,
     solve_system,
     stationary_state,
 )
 from dressedlight.dissipation import ChannelSpec, CAVITY_TAG
+from dressedlight.dynamics import RegressionEvolver
 
 
 def _random_distribution(rng, n):
@@ -37,6 +37,39 @@ def _synthetic_system(energies, temperature, seed=0):
                      emitter_index=None, lamb_cutoff=None)
     sets = [(ch, group_transitions(eig, s))]
     return eig, build_rate_table(eig, sets, temperature)
+
+
+def _propagate(system, p0, t):
+    """Populations exp(G t) p0, one weighted curve per level."""
+    prop = DiagonalPropagator(system.rates.generator, system.stationary)
+    return np.array([prop.weighted_curve(row, p0, [t])[0]
+                     for row in np.eye(p0.size)])
+
+
+def _regression(system, rho, observable, times):
+    """Tr[observable Lambda_t(rho)] at every delay, as a complex array."""
+    return RegressionEvolver(system.rates, system.stationary, rho,
+                             observable).curve(np.asarray(times, dtype=float))
+
+
+def _dense_g2_reference(system, times):
+    """g2(t) with the diagonal propagated by dense expm of the generator
+    and every off-diagonal element by its decay factor."""
+    xdot = system.xdot
+    pop = system.stationary.populations
+    rho_c = (xdot * pop[None, :]) @ xdot.conj().T
+    observable = xdot.conj().T @ xdot
+    cond = ConditionalMatrix.from_matrix(rho_c)
+    coeff = observable[cond.cols, cond.rows] * cond.values
+    z = system.rates.z
+    zsum = z[cond.rows] + np.conj(z[cond.cols])
+    denominator = pop @ (np.abs(xdot) ** 2).sum(axis=0)
+    out = []
+    for t in times:
+        diag = np.diag(observable) @ (
+            expm(system.rates.generator * t) @ cond.diagonal)
+        out.append((diag + np.exp(-zsum * t) @ coeff).real / denominator**2)
+    return np.array(out)
 
 
 def test_stationary_is_boltzmann():
@@ -78,7 +111,7 @@ def test_propagate_matches_expm():
     gen = system.rates.generator
     for t in (0.0, 3.0, 40.0, 700.0):
         direct = expm(gen * t) @ p0
-        np.testing.assert_allclose(propagate_diagonal(p0, t, system.rates),
+        np.testing.assert_allclose(_propagate(system, p0, t),
                                    direct, atol=1e-11)
 
 
@@ -88,7 +121,7 @@ def test_propagate_conserves_and_stays_positive():
     rng = np.random.default_rng(9)
     p0 = _random_distribution(rng, p.dim)
     for t in np.geomspace(0.01, 2e4, 12):
-        pt = propagate_diagonal(p0, t, system.rates)
+        pt = _propagate(system, p0, t)
         assert pt.sum() == pytest.approx(1.0, abs=1e-10)
         assert pt.min() >= -1e-12
 
@@ -98,9 +131,8 @@ def test_propagate_semigroup():
     system = solve_system(p)
     rng = np.random.default_rng(11)
     p0 = _random_distribution(rng, p.dim)
-    one_step = propagate_diagonal(p0, 130.0, system.rates)
-    two_step = propagate_diagonal(
-        propagate_diagonal(p0, 50.0, system.rates), 80.0, system.rates)
+    one_step = _propagate(system, p0, 130.0)
+    two_step = _propagate(system, _propagate(system, p0, 50.0), 80.0)
     np.testing.assert_allclose(one_step, two_step, atol=1e-9)
 
 
@@ -109,7 +141,7 @@ def test_long_time_limit_is_thermal():
     system = solve_system(p)
     rng = np.random.default_rng(2)
     p0 = _random_distribution(rng, p.dim)
-    late = propagate_diagonal(p0, 50.0 / p.gamma, system.rates)
+    late = _propagate(system, p0, 50.0 / p.gamma)
     np.testing.assert_allclose(late, system.stationary.populations, atol=1e-8)
 
 
@@ -118,41 +150,40 @@ def test_fixed_point_independent_of_start():
         p = ModelParams(1, 0.3, gp, 0.1, n_max=5)
         system = solve_system(p)
         rng = np.random.default_rng(21)
-        a = propagate_diagonal(_random_distribution(rng, p.dim),
-                               50.0 / p.gamma, system.rates)
-        b = propagate_diagonal(_random_distribution(rng, p.dim),
-                               50.0 / p.gamma, system.rates)
+        a = _propagate(system, _random_distribution(rng, p.dim),
+                       50.0 / p.gamma)
+        b = _propagate(system, _random_distribution(rng, p.dim),
+                       50.0 / p.gamma)
         assert np.abs(a - b).max() < 1e-7
 
 
 def test_two_level_closed_form_decay():
-    # directed decay at T=0: upper population is a pure exponential with the
-    # rate read off the generator
-    eig, rates = _synthetic_system([0.0, 1.0], temperature=0.0, seed=3)
-    rate = rates.generator[0, 1]
-    assert rate > 0
+    # two levels at T > 0: the upper population relaxes exponentially to
+    # its thermal value with the summed down and up rates
+    eig, rates = _synthetic_system([0.0, 1.0], temperature=0.4, seed=3)
+    down, up = rates.generator[0, 1], rates.generator[1, 0]
+    assert down > up > 0
+    stat = stationary_state(eig, rates)
+    prop = DiagonalPropagator(rates.generator, stat)
+    p1_eq = up / (down + up)
+    assert stat.populations[1] == pytest.approx(p1_eq, rel=1e-12)
     p0 = np.array([0.0, 1.0])
     for t in (0.5, 5.0, 50.0):
-        pt = propagate_diagonal(p0, t, rates)
-        assert pt[1] == pytest.approx(np.exp(-rate * t), rel=1e-12)
-        assert pt[0] == pytest.approx(1.0 - np.exp(-rate * t), rel=1e-12)
+        upper = prop.weighted_curve(np.array([0.0, 1.0]), p0, [t])[0]
+        expect = p1_eq + (1.0 - p1_eq) * np.exp(-(down + up) * t)
+        assert upper == pytest.approx(expect, rel=1e-12)
 
 
-def test_defective_generator_falls_back_to_expm():
+def test_generator_without_detailed_balance_rejected():
     # directed 3-level chain with equal rates: the generator has a Jordan
-    # block, so the eigendecomposition route must refuse and the fallback
-    # must reproduce the textbook cascade solution
+    # block and no detailed balance with respect to any weights
     gen = np.array([[-1.0, 0.0, 0.0],
                     [1.0, -1.0, 0.0],
                     [0.0, 1.0, 0.0]])
-    prop = DiagonalPropagator(gen)
-    assert not prop.uses_eigendecomposition
-    p0 = np.array([1.0, 0.0, 0.0])
-    for t in (0.3, 2.0, 9.0):
-        pt = prop.propagate(p0, t)
-        expect = np.array([np.exp(-t), t * np.exp(-t),
-                           1.0 - (1.0 + t) * np.exp(-t)])
-        np.testing.assert_allclose(pt, expect, atol=1e-12)
+    stat = StationaryState(populations=np.array([0.5, 0.3, 0.2]),
+                           temperature=0.5, residual=0.0)
+    with pytest.raises(ValueError, match="detailed balance"):
+        DiagonalPropagator(gen, stat)
 
 
 def test_weighted_curve_matches_pointwise_propagation():
@@ -162,9 +193,9 @@ def test_weighted_curve_matches_pointwise_propagation():
     p0 = _random_distribution(rng, p.dim)
     weights = rng.standard_normal(p.dim)
     times = np.array([0.0, 1.7, 12.0, 300.0])
-    prop = DiagonalPropagator(system.rates.generator)
+    prop = DiagonalPropagator(system.rates.generator, system.stationary)
     curve = prop.weighted_curve(weights, p0, times)
-    expect = [weights @ prop.propagate(p0, t) for t in times]
+    expect = [weights @ expm(system.rates.generator * t) @ p0 for t in times]
     np.testing.assert_allclose(curve, expect, atol=1e-11)
 
 
@@ -173,9 +204,16 @@ def test_offdiagonal_factor_decay_and_phase():
     system = solve_system(p)
     z = system.rates.z
     m, n = 1, 3
-    assert offdiagonal_factor(m, n, 0.0, system.rates) == pytest.approx(1.0)
-    for t in (0.7, 8.0):
-        factor = offdiagonal_factor(m, n, t, system.rates)
+    # a lone (m, n) element, read back through the (n, m) observable entry,
+    # evolves with its own decay factor exp(-(z_m + conj(z_n)) t)
+    rho = np.zeros((p.dim, p.dim), dtype=complex)
+    rho[m, n] = 1.0
+    observable = np.zeros((p.dim, p.dim))
+    observable[n, m] = 1.0
+    times = np.array([0.0, 0.7, 8.0])
+    factors = _regression(system, rho, observable, times)
+    assert factors[0] == pytest.approx(1.0)
+    for t, factor in zip(times[1:], factors[1:]):
         assert abs(factor) == pytest.approx(
             np.exp(-(z[m].real + z[n].real) * t), rel=1e-12)
         phase = np.exp(-1j * (z[m].imag - z[n].imag) * t)
@@ -205,12 +243,11 @@ def test_regression_kernel_limits():
     rho_c = (xdot * stat[None, :]) @ xdot.conj().T
     observable = xdot.conj().T @ xdot
     cond = ConditionalMatrix.from_matrix(rho_c)
+    at_zero, late = _regression(system, cond, observable,
+                                [0.0, 50.0 / p.gamma])
     # tau = 0: plain trace
-    at_zero = regression_g2_kernel(cond, 0.0, observable, system.rates)
     assert at_zero == pytest.approx(np.trace(observable @ rho_c))
     # late times factorize into stationary expectation times total weight
-    late = regression_g2_kernel(cond, 50.0 / p.gamma, observable,
-                                system.rates)
     factorized = (np.diag(observable).real @ stat) * np.trace(rho_c).real
     assert late.real == pytest.approx(factorized, rel=1e-6)
     assert abs(late.imag) < 1e-10
@@ -238,5 +275,43 @@ def test_regression_kernel_matches_brute_force():
                     off_part += (observable[n, m] * rho_c[m, n]
                                  * np.exp(-(z[m] + np.conj(z[n])) * tau))
         expect = diag_part + off_part
-        got = regression_g2_kernel(cond, tau, observable, system.rates)
+        got = _regression(system, cond, observable, [tau])[0]
         assert got == pytest.approx(expect, rel=1e-10)
+
+
+def test_relaxation_gap_matches_generator_spectrum():
+    system = solve_system(ModelParams(2, 0.45, 0.45, 0.12, n_max=6))
+    gap = system.g2_time(np.array([0.0])).relaxation_gap
+    decay = -np.linalg.eigvals(system.rates.generator).real
+    assert gap == pytest.approx(decay[decay > 1e-10].min(), rel=1e-9)
+
+
+@pytest.mark.parametrize("g_prime", [0.4, 0.0])
+def test_g2_time_matches_dense_expm_with_underflowing_weights(g_prime):
+    # N = 1, T = 0.02: most Boltzmann weights underflow to exactly zero and
+    # the propagator works on the populated levels only; g' = 0 (tc) adds
+    # degenerate levels
+    system = solve_system(ModelParams(1, 0.4, g_prime, 0.02, n_max=100))
+    assert np.count_nonzero(system.stationary.populations == 0) > 100
+    times = np.array([0.0, 3.0, 60.0, 900.0, 5000.0])
+    got = system.g2_time(times).values
+    np.testing.assert_allclose(got, _dense_g2_reference(system, times),
+                               rtol=1e-9)
+
+
+def test_zero_temperature_has_no_propagator():
+    system = solve_system(ModelParams(2, 0.5, 0.5, 0.0, n_max=20))
+    with pytest.raises(DarkStateError):
+        system.g2_time(np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="T = 0"):
+        DiagonalPropagator(system.rates.generator, system.stationary)
+
+
+def test_start_weight_on_unpopulated_levels_rejected():
+    system = solve_system(ModelParams(1, 0.4, 0.4, 0.02, n_max=100))
+    pop = system.stationary.populations
+    prop = DiagonalPropagator(system.rates.generator, system.stationary)
+    p0 = pop.copy()
+    p0[np.flatnonzero(pop == 0)[0]] = 1e-3
+    with pytest.raises(ValueError, match="zero Boltzmann weight"):
+        prop.weighted_curve(np.ones(pop.size), p0, [1.0])
