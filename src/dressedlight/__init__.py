@@ -48,7 +48,6 @@ from .pipeline import SolvedSystem, solve_system
 from .qoptical import (
     qo_g2_zero,
     qo_liouvillian,
-    qo_propagate,
     qo_stationary_state,
     trace_distance,
 )

@@ -22,6 +22,10 @@ resonance frequency; times in its inverse.  Exit codes: 0 success, 2 config
 error, 3 when at least one grid point failed (remaining rows are still
 written, failed rows carry status=1 and nan values).
 
+The three (g, T) grid tasks share one runner, ``run_grid``; the table
+``GRID_TASKS`` gives each its value function, value columns, failed-row
+values and extra summary metrics.  Every grid point, eigen's included, is
+evaluated by ``_point``, which records an exception as a failed point.
 Grid rows are emitted in fixed (g outer, T inner) order regardless of the
 worker count, so repeated runs produce byte-identical CSV files.
 """
@@ -57,9 +61,6 @@ TASKS = (
     "analytic-compare",
     "converge",
 )
-
-# tasks whose (g, T) come from the grid block rather than the model block
-GRID_TASKS = ("g2chart", "qo-chart", "analytic-compare")
 
 OUTPUT_ENV_VAR = "DRESSEDLIGHT_OUTDIR"
 
@@ -337,6 +338,8 @@ def parse_config(path, task, workers_override=None, out_override=None):
 
 
 def _fmt(value):
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return "%d" % value
     return "%.12e" % value
@@ -367,159 +370,111 @@ def _map_points(worker, jobs, n_workers):
 
 
 # ---------------------------------------------------------------------------
-# grid point workers (top level so they pickle)
+# grid points and their runners
 
 
-def _point_g2(job):
-    kwargs, g, temperature, dicke = job
-    kwargs = dict(kwargs, g=g, g_prime=(g if dicke else 0.0),
-                  temperature=temperature)
+def _point(job):
+    """Evaluate one grid point; top level so it pickles for the pool.
+
+    Returns (values, None) on success and (None, "Type: message") when the
+    point raised, so one bad point does not stop the sweep.
+    """
+    value, resolved, g, temperature = job
+    kwargs = dict(resolved["model"], g=g, temperature=temperature,
+                  g_prime=(g if resolved["limit"] == "dicke" else 0.0))
     try:
-        system = solve_system(ModelParams(**kwargs))
-        return (float(system.g2_zero()), system.collision_count,
-                int(system.degenerate_levels), 0, "")
+        return value(ModelParams(**kwargs), resolved), None
     except Exception as exc:  # recorded per point, sweep continues
-        return (float("nan"), 0, 0, 1, "%s: %s" % (type(exc).__name__, exc))
+        return None, "%s: %s" % (type(exc).__name__, exc)
 
 
-def _point_qo(job):
-    kwargs, g, temperature, dicke, qo_n_max = job
-    kwargs = dict(kwargs, g=g, g_prime=(g if dicke else 0.0),
-                  temperature=temperature)
-    try:
-        value = qo_g2_zero(ModelParams(**kwargs), n_max=qo_n_max)
-        return (float(value), 0, 0, 0, "")
-    except Exception as exc:
-        return (float("nan"), 0, 0, 1, "%s: %s" % (type(exc).__name__, exc))
+def _g2_values(params, _resolved):
+    system = solve_system(params)
+    return (float(system.g2_zero()), system.collision_count,
+            int(system.degenerate_levels))
 
 
-def _point_compare(job):
-    kwargs, g, temperature, _dicke = job
-    kwargs = dict(kwargs, g=g, g_prime=0.0, temperature=temperature)
-    try:
-        system = solve_system(ModelParams(**kwargs))
-        numeric = float(system.g2_zero())
-        basic = tc_g2_approximation(g, temperature)
-        refined = tc_g2_approximation(g, temperature, refined=True)
-        rel = abs(float(refined) - numeric) / numeric
-        return (numeric, float(basic), float(refined), int(refined.trusted),
-                rel, 0, "")
-    except Exception as exc:
-        nan = float("nan")
-        return (nan, nan, nan, 0, nan, 1, "%s: %s" % (type(exc).__name__, exc))
+def _qo_values(params, resolved):
+    return (float(qo_g2_zero(params, n_max=resolved["qo_n_max"])),)
 
 
-def _point_eigen(job):
+def _compare_values(params, _resolved):
+    numeric = float(solve_system(params).g2_zero())
+    basic = tc_g2_approximation(params.g, params.temperature)
+    refined = tc_g2_approximation(params.g, params.temperature, refined=True)
+    rel = abs(float(refined) - numeric) / numeric
+    return (numeric, float(basic), float(refined), int(refined.trusted), rel)
+
+
+def _eigen_rows(params, resolved):
     # energies only; skips the dissipative half of the pipeline
-    kwargs, g, levels, dicke = job
-    kwargs = dict(kwargs, g=g, g_prime=(g if dicke else 0.0))
-    try:
-        params = ModelParams(**kwargs)
-        eig = diagonalize(build_hamiltonian(params))
-        keep = min(levels, eig.energies.size)
-        rows = [(g, k, float(eig.energies[k]), int(eig.group_index[k]))
-                for k in range(keep)]
-        return (rows, 0, "")
-    except Exception as exc:
-        return ([], 1, "%s: %s" % (type(exc).__name__, exc))
+    eig = diagonalize(build_hamiltonian(params))
+    keep = min(resolved["levels"], eig.energies.size)
+    return [(params.g, k, float(eig.energies[k]), int(eig.group_index[k]))
+            for k in range(keep)]
 
 
-# ---------------------------------------------------------------------------
-# task runners
+def _g2_metrics(_resolved, ok):
+    return {"degenerate_points": int(sum(v[2] for v in ok)),
+            "collision_points": int(sum(1 for v in ok if v[1] > 0))}
 
 
-def _run_chart(resolved, out_dir, worker, header, jobs, points, value_slots):
-    results = _map_points(worker, jobs, resolved["workers"])
-    rows = []
-    for (g, temperature), result in zip(points, results):
-        rows.append((g, temperature) + tuple(result[i] for i in value_slots)
-                    + (result[-2],))
-    csv_path = os.path.join(out_dir, "%s.csv" % resolved["task"])
-    _write_csv(csv_path, header, rows)
-    failures = [{"g": g, "T": temperature, "error": res[-1]}
-                for (g, temperature), res in zip(points, results) if res[-2]]
-    return rows, results, failures, csv_path
+def _qo_metrics(resolved, _ok):
+    return {"qo_n_max": resolved["qo_n_max"]}
 
 
-def run_g2chart(resolved, out_dir):
+def _compare_metrics(_resolved, ok):
+    trusted_err = [v[4] for v in ok if v[3]]
+    return {"max_rel_err_trusted": max(trusted_err) if trusted_err else None}
+
+
+# (g, T) grid tasks: value function, its CSV columns, the values written
+# for a failed point, and the summary metrics computed from the good points
+GRID_TASKS = {
+    "g2chart": (_g2_values, ("g2_zero", "collision_count", "degenerate"),
+                (math.nan, 0, 0), _g2_metrics),
+    "qo-chart": (_qo_values, ("g2_zero",), (math.nan,), _qo_metrics),
+    "analytic-compare": (
+        _compare_values,
+        ("g2_numeric", "g2_basic", "g2_refined", "trusted", "rel_err_refined"),
+        (math.nan, math.nan, math.nan, 0, math.nan), _compare_metrics),
+}
+
+
+def run_grid(resolved, out_dir):
+    """Run a (g, T) grid task; rows in (g outer, T inner) order."""
+    task = resolved["task"]
+    value, columns, failed_fill, task_metrics = GRID_TASKS[task]
     grid = resolved["grid"]
-    g_axis = _axis(*grid["g"])
-    t_axis = _axis(*grid["T"])
-    dicke = resolved["limit"] == "dicke"
-    points = [(g, t) for g in g_axis for t in t_axis]
-    jobs = [(resolved["model"], g, t, dicke) for g, t in points]
-    header = ["g", "T", "g2_zero", "collision_count", "degenerate", "status"]
-    rows, results, failures, _ = _run_chart(
-        resolved, out_dir, _point_g2, header, jobs, points,
-        value_slots=(0, 1, 2))
-    metrics = {
-        "n_points": len(points),
-        "n_failed": len(failures),
-        "degenerate_points": int(sum(r[2] for r in results if not r[-2])),
-        "collision_points": int(sum(1 for r in results
-                                    if not r[-2] and r[1] > 0)),
-        "failures": failures,
-    }
-    return metrics, len(failures)
-
-
-def run_qo_chart(resolved, out_dir):
-    grid = resolved["grid"]
-    g_axis = _axis(*grid["g"])
-    t_axis = _axis(*grid["T"])
-    dicke = resolved["limit"] == "dicke"
-    points = [(g, t) for g in g_axis for t in t_axis]
-    jobs = [(resolved["model"], g, t, dicke, resolved["qo_n_max"])
-            for g, t in points]
-    header = ["g", "T", "g2_zero", "status"]
-    results = _map_points(_point_qo, jobs, resolved["workers"])
-    rows = [(g, t, res[0], res[-2]) for (g, t), res in zip(points, results)]
-    _write_csv(os.path.join(out_dir, "qo-chart.csv"), header, rows)
-    failures = [{"g": g, "T": t, "error": res[-1]}
-                for (g, t), res in zip(points, results) if res[-2]]
-    metrics = {"n_points": len(points), "n_failed": len(failures),
-               "qo_n_max": resolved["qo_n_max"], "failures": failures}
-    return metrics, len(failures)
-
-
-def run_analytic_compare(resolved, out_dir):
-    grid = resolved["grid"]
-    g_axis = _axis(*grid["g"])
-    t_axis = _axis(*grid["T"])
-    points = [(g, t) for g in g_axis for t in t_axis]
-    jobs = [(resolved["model"], g, t, False) for g, t in points]
-    header = ["g", "T", "g2_numeric", "g2_basic", "g2_refined", "trusted",
-              "rel_err_refined", "status"]
-    results = _map_points(_point_compare, jobs, resolved["workers"])
-    rows = [(g, t) + res[:5] + (res[-2],)
-            for (g, t), res in zip(points, results)]
-    _write_csv(os.path.join(out_dir, "analytic-compare.csv"), header, rows)
-    failures = [{"g": g, "T": t, "error": res[-1]}
-                for (g, t), res in zip(points, results) if res[-2]]
-    ok = [res for res in results if not res[-2]]
-    trusted_err = [res[4] for res in ok if res[3]]
-    metrics = {
-        "n_points": len(points),
-        "n_failed": len(failures),
-        "max_rel_err_trusted": max(trusted_err) if trusted_err else None,
-        "failures": failures,
-    }
+    points = [(g, t) for g in _axis(*grid["g"]) for t in _axis(*grid["T"])]
+    jobs = [(value, resolved, g, t) for g, t in points]
+    rows, ok, failures = [], [], []
+    for (g, t), (values, error) in zip(
+            points, _map_points(_point, jobs, resolved["workers"])):
+        if error is None:
+            ok.append(values)
+            rows.append((g, t) + values + (0,))
+        else:
+            failures.append({"g": g, "T": t, "error": error})
+            rows.append((g, t) + failed_fill + (1,))
+    _write_csv(os.path.join(out_dir, "%s.csv" % task),
+               ("g", "T") + columns + ("status",), rows)
+    metrics = dict(task_metrics(resolved, ok), n_points=len(points),
+                   n_failed=len(failures), failures=failures)
     return metrics, len(failures)
 
 
 def run_eigen(resolved, out_dir):
-    grid = resolved["grid"]
-    g_axis = _axis(*grid["g"])
-    dicke = resolved["limit"] == "dicke"
-    jobs = [(resolved["model"], g, resolved["levels"], dicke) for g in g_axis]
-    results = _map_points(_point_eigen, jobs, resolved["workers"])
-    rows = []
-    for block, _status, _msg in results:
-        rows.extend(block)
+    g_axis = _axis(*resolved["grid"]["g"])
+    temperature = resolved["model"]["temperature"]
+    results = _map_points(
+        _point, [(_eigen_rows, resolved, g, temperature) for g in g_axis],
+        resolved["workers"])
+    rows = [row for block, error in results if error is None for row in block]
     _write_csv(os.path.join(out_dir, "eigen.csv"),
                ["g", "level", "energy", "group"], rows)
-    failures = [{"g": float(g), "error": res[2]}
-                for g, res in zip(g_axis, results) if res[1]]
+    failures = [{"g": float(g), "error": error}
+                for g, (_, error) in zip(g_axis, results) if error is not None]
     metrics = {"n_points": len(g_axis), "n_failed": len(failures),
                "levels": resolved["levels"], "failures": failures}
     return metrics, len(failures)
@@ -610,12 +565,7 @@ def run_converge(resolved, out_dir):
     ]
     header = ["metric", "n_low", "n_high", "value_low", "value_high",
               "abs_diff", "rel_diff"]
-    path = os.path.join(out_dir, "converge.csv")
-    with open(path, "w") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(row[0] + "," + ",".join(_fmt(v) for v in row[1:])
-                         + "\n")
+    _write_csv(os.path.join(out_dir, "converge.csv"), header, rows)
     metrics = {
         "n_max_pair": [n_low, n_high],
         "g2_zero_abs_diff": rows[0][5],
@@ -628,10 +578,10 @@ def run_converge(resolved, out_dir):
 RUNNERS = {
     "eigen": run_eigen,
     "spectrum": run_spectrum,
-    "g2chart": run_g2chart,
+    "g2chart": run_grid,
     "g2time": run_g2time,
-    "qo-chart": run_qo_chart,
-    "analytic-compare": run_analytic_compare,
+    "qo-chart": run_grid,
+    "analytic-compare": run_grid,
     "converge": run_converge,
 }
 
@@ -639,8 +589,8 @@ RUNNERS = {
 # ---------------------------------------------------------------------------
 # plot script emission
 
-_PLOT_CHART = '''\
-"""Regenerate the g2(0) chart from __CSV__ (clamped at 4)."""
+_PLOT_HEAD = '''\
+"""__DOC__"""
 import csv
 import os
 
@@ -651,6 +601,15 @@ import numpy as np
 
 here = os.path.dirname(os.path.abspath(__file__))
 rows = list(csv.DictReader(open(os.path.join(here, "__CSV__"))))
+'''
+
+_PLOT_TAIL = '''\
+fig.tight_layout()
+fig.savefig(os.path.join(here, "__STEM__.png"), dpi=160)
+print("wrote __STEM__.png")
+'''
+
+_PLOT_CHART = ("Regenerate the g2(0) chart from __CSV__ (clamped at 4).", '''\
 g = np.array([float(r["g"]) for r in rows])
 T = np.array([float(r["T"]) for r in rows])
 z = np.array([float(r["g2_zero"]) for r in rows])
@@ -663,74 +622,13 @@ mesh = ax.pcolormesh(Ts, gs, np.clip(grid, 0.0, 4.0), cmap="RdBu_r",
 fig.colorbar(mesh, ax=ax, label="$g^{(2)}(0)$ (clamped at 4)")
 ax.set_xlabel("temperature")
 ax.set_ylabel("coupling g")
-fig.tight_layout()
-fig.savefig(os.path.join(here, "__STEM__.png"), dpi=160)
-print("wrote __STEM__.png")
-'''
+''')
 
-_PLOT_SPECTRUM = '''\
-"""Regenerate the emission spectrum plot from __CSV__."""
-import csv
-import os
-
-import matplotlib
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-import numpy as np
-
-here = os.path.dirname(os.path.abspath(__file__))
-rows = list(csv.DictReader(open(os.path.join(here, "__CSV__"))))
-omega = np.array([float(r["omega"]) for r in rows])
-value = np.array([float(r["spectrum"]) for r in rows])
-
-fig, ax = plt.subplots(figsize=(5.6, 3.4))
-ax.plot(omega, value, lw=1.2)
-ax.set_xlim(0.0, 3.0)
-ax.set_ylim(bottom=0.0)
-ax.set_xlabel("frequency")
-ax.set_ylabel("emission spectrum")
-fig.tight_layout()
-fig.savefig(os.path.join(here, "__STEM__.png"), dpi=160)
-print("wrote __STEM__.png")
-'''
-
-_PLOT_G2TIME = '''\
-"""Regenerate the g2(t) curve from __CSV__ (reference line at 1)."""
-import csv
-import os
-
-import matplotlib
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-import numpy as np
-
-here = os.path.dirname(os.path.abspath(__file__))
-rows = list(csv.DictReader(open(os.path.join(here, "__CSV__"))))
-t = np.array([float(r["t"]) for r in rows])
-g2 = np.array([float(r["g2"]) for r in rows])
-
-fig, ax = plt.subplots(figsize=(5.6, 3.4))
-ax.plot(t, g2, lw=1.2)
-ax.axhline(1.0, color="0.4", lw=0.8, ls="--")
-ax.set_xlabel("delay t")
-ax.set_ylabel("$g^{(2)}(t)$")
-fig.tight_layout()
-fig.savefig(os.path.join(here, "__STEM__.png"), dpi=160)
-print("wrote __STEM__.png")
-'''
-
-_PLOT_EIGEN = '''\
-"""Regenerate the dressed energy levels versus coupling from __CSV__."""
-import csv
-import os
-
-import matplotlib
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-import numpy as np
-
-here = os.path.dirname(os.path.abspath(__file__))
-rows = list(csv.DictReader(open(os.path.join(here, "__CSV__"))))
+# per task: the script docstring and the body between head and tail
+_PLOT_BODIES = {
+    "eigen": (
+        "Regenerate the dressed energy levels versus coupling from __CSV__.",
+        '''\
 g = np.array([float(r["g"]) for r in rows])
 level = np.array([int(r["level"]) for r in rows])
 energy = np.array([float(r["energy"]) for r in rows])
@@ -741,23 +639,36 @@ for k in np.unique(level):
     ax.plot(g[sel], energy[sel], lw=1.0)
 ax.set_xlabel("coupling g")
 ax.set_ylabel("energy")
-fig.tight_layout()
-fig.savefig(os.path.join(here, "__STEM__.png"), dpi=160)
-print("wrote __STEM__.png")
-'''
+'''),
+    "spectrum": ("Regenerate the emission spectrum plot from __CSV__.", '''\
+omega = np.array([float(r["omega"]) for r in rows])
+value = np.array([float(r["spectrum"]) for r in rows])
 
-_PLOT_COMPARE = '''\
-"""Regenerate the closed-form versus numeric g2(0) comparison from __CSV__."""
-import csv
-import os
+fig, ax = plt.subplots(figsize=(5.6, 3.4))
+ax.plot(omega, value, lw=1.2)
+ax.set_xlim(0.0, 3.0)
+ax.set_ylim(bottom=0.0)
+ax.set_xlabel("frequency")
+ax.set_ylabel("emission spectrum")
+'''),
+    "g2chart": _PLOT_CHART,
+    "g2time": (
+        "Regenerate the g2(t) curve from __CSV__ (reference line at 1).",
+        '''\
+t = np.array([float(r["t"]) for r in rows])
+g2 = np.array([float(r["g2"]) for r in rows])
 
-import matplotlib
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-import numpy as np
-
-here = os.path.dirname(os.path.abspath(__file__))
-rows = list(csv.DictReader(open(os.path.join(here, "__CSV__"))))
+fig, ax = plt.subplots(figsize=(5.6, 3.4))
+ax.plot(t, g2, lw=1.2)
+ax.axhline(1.0, color="0.4", lw=0.8, ls="--")
+ax.set_xlabel("delay t")
+ax.set_ylabel("$g^{(2)}(t)$")
+'''),
+    "qo-chart": _PLOT_CHART,
+    "analytic-compare": (
+        "Regenerate the closed-form versus numeric g2(0) comparison from "
+        "__CSV__.",
+        '''\
 g = np.array([float(r["g"]) for r in rows])
 T = np.array([float(r["T"]) for r in rows])
 err = np.array([float(r["rel_err_refined"]) for r in rows])
@@ -769,23 +680,8 @@ mesh = ax.pcolormesh(Ts, gs, err.reshape(gs.size, Ts.size), cmap="viridis",
 fig.colorbar(mesh, ax=ax, label="relative error of refined form")
 ax.set_xlabel("temperature")
 ax.set_ylabel("coupling g")
-fig.tight_layout()
-fig.savefig(os.path.join(here, "__STEM__.png"), dpi=160)
-print("wrote __STEM__.png")
-'''
-
-_PLOT_CONVERGE = '''\
-"""Regenerate the cutoff stability chart from __CSV__."""
-import csv
-import os
-
-import matplotlib
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-import numpy as np
-
-here = os.path.dirname(os.path.abspath(__file__))
-rows = list(csv.DictReader(open(os.path.join(here, "__CSV__"))))
+'''),
+    "converge": ("Regenerate the cutoff stability chart from __CSV__.", '''\
 labels = [r["metric"] for r in rows]
 diffs = np.array([max(float(r["rel_diff"]), 1e-18) for r in rows])
 
@@ -794,24 +690,13 @@ ax.bar(range(len(labels)), diffs)
 ax.set_yscale("log")
 ax.set_xticks(range(len(labels)), labels, rotation=20, ha="right")
 ax.set_ylabel("relative change")
-fig.tight_layout()
-fig.savefig(os.path.join(here, "__STEM__.png"), dpi=160)
-print("wrote __STEM__.png")
-'''
-
-_PLOT_TEMPLATES = {
-    "eigen": _PLOT_EIGEN,
-    "spectrum": _PLOT_SPECTRUM,
-    "g2chart": _PLOT_CHART,
-    "g2time": _PLOT_G2TIME,
-    "qo-chart": _PLOT_CHART,
-    "analytic-compare": _PLOT_COMPARE,
-    "converge": _PLOT_CONVERGE,
+'''),
 }
 
 
 def emit_plot_script(task, out_dir):
-    script = _PLOT_TEMPLATES[task]
+    doc, body = _PLOT_BODIES[task]
+    script = _PLOT_HEAD.replace("__DOC__", doc) + body + _PLOT_TAIL
     script = script.replace("__CSV__", "%s.csv" % task)
     script = script.replace("__STEM__", task)
     path = os.path.join(out_dir, "plot_%s.py" % task)

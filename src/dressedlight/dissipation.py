@@ -84,13 +84,7 @@ def bose_occupation(omega, temperature):
         raise ValueError("bose_occupation needs omega > 0")
     if temperature < 0:
         raise ValueError("temperature must be non-negative")
-    if temperature == 0:
-        out = np.zeros_like(w)
-    else:
-        x = w / temperature
-        out = np.zeros_like(w)
-        small = x < 700  # exp overflow guard; occupation is 0 beyond
-        out[small] = 1.0 / np.expm1(x[small])
+    out = _occupation_unchecked(w, temperature)
     return out if out.ndim else float(out)
 
 
@@ -100,7 +94,7 @@ def _occupation_unchecked(w, temperature):
         return np.zeros_like(w)
     x = w / temperature
     out = np.zeros_like(w)
-    small = x < 700
+    small = x < 700  # exp overflow guard; occupation is 0 beyond
     out[small] = 1.0 / np.expm1(x[small])
     return out
 

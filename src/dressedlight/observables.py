@@ -168,20 +168,29 @@ def cluster_weights(spectrum, tol=1e-8):
     return np.asarray(merged_c), np.asarray(merged_w)
 
 
+def _emission_rate(stat, xdot, floor=None):
+    """Stationary emission sum_n p_n sum_m |<m|Xdot|n>|^2.
+
+    With a floor this is the g2 denominator: below the floor the stationary
+    state is dark and DarkStateError is raised.
+    """
+    col_norms = (np.abs(xdot) ** 2).sum(axis=0)
+    rate = float(np.dot(stat.populations, col_norms))
+    if floor is not None and rate < floor:
+        raise DarkStateError(
+            f"stationary emission {rate:.3e} below floor {floor:.1e}"
+        )
+    return rate
+
+
 def integrated_emission(eig, stat, xdot):
     """Total stationary emission rate sum <Xdot+ Xdot->."""
-    col_norms = (np.abs(xdot) ** 2).sum(axis=0)
-    return float(np.dot(stat.populations, col_norms))
+    return _emission_rate(stat, xdot)
 
 
 def g2_zero(eig, stat, xdot, floor=DENOMINATOR_FLOOR):
     """Equal-time degree-two coherence of the emitted field."""
-    col_norms = (np.abs(xdot) ** 2).sum(axis=0)
-    denominator = float(np.dot(stat.populations, col_norms))
-    if denominator < floor:
-        raise DarkStateError(
-            f"stationary emission {denominator:.3e} below floor {floor:.1e}"
-        )
+    denominator = _emission_rate(stat, xdot, floor)
     y = xdot @ xdot
     numerator = float(np.dot(stat.populations, (np.abs(y) ** 2).sum(axis=0)))
     return numerator / denominator**2
@@ -214,25 +223,17 @@ def g2_time(eig, rates, stat, t_grid, xdot, floor=DENOMINATOR_FLOOR):
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid < 0):
         raise ValueError("delays must be non-negative")
-    col_norms = (np.abs(xdot) ** 2).sum(axis=0)
-    denominator = float(np.dot(stat.populations, col_norms))
-    if denominator < floor:
-        raise DarkStateError(
-            f"stationary emission {denominator:.3e} below floor {floor:.1e}"
-        )
+    denominator = _emission_rate(stat, xdot, floor)
     rho_cond = (xdot * stat.populations[None, :]) @ xdot.conj().T
     observable = xdot.conj().T @ xdot
     evolver = RegressionEvolver(rates, stat,
                                 ConditionalMatrix.from_matrix(rho_cond),
                                 observable)
     raw = evolver.curve(t_grid) / denominator**2
-    values = raw.real
-    y = xdot @ xdot
-    zero = float(np.dot(stat.populations, (np.abs(y) ** 2).sum(axis=0))) / denominator**2
     return G2Result(
         times=t_grid,
-        values=values,
-        zero_value=zero,
+        values=raw.real,
+        zero_value=g2_zero(eig, stat, xdot, floor),
         denominator=denominator,
         max_imag=float(np.max(np.abs(raw.imag))) if raw.size else 0.0,
         relaxation_gap=evolver.propagator.relaxation_gap,

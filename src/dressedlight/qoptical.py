@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -167,20 +166,6 @@ def qo_stationary_state(params, n_max=None, check_unique=True):
         residual=residual,
         min_eigenvalue=float(eigs.min()),
     )
-
-
-def qo_propagate(params, rho0, t, n_max=None):
-    """Evolve an initial density matrix for time t with the generator."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    liouv, ops, _ = qo_liouvillian(params, n_max)
-    dim = ops.dim
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (dim, dim):
-        raise ValueError(f"rho0 must have shape {(dim, dim)}")
-    propagator = scipy.linalg.expm(liouv.toarray() * t)
-    vec = propagator @ rho0.reshape(-1, order="F")
-    return vec.reshape((dim, dim), order="F")
 
 
 def qo_g2_zero(params, n_max=None, dressed=False, floor=1e-30,

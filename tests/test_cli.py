@@ -3,8 +3,10 @@
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -311,3 +313,89 @@ def test_module_invocation_propagates_exit_code(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 2
     assert "config error" in proc.stderr
+
+
+# One tiny config per task.  The grid tasks get a T=0 column, where the
+# stationary state is dark (or the comparison solver refuses), so their
+# failed-row fill is pinned too.
+_TINY_GRID = {"g_min": 0.1, "g_max": 0.2, "g_steps": 2,
+              "T_min": 0.0, "T_max": 0.1, "T_steps": 2}
+_TINY_POINT = {"n_emitters": 1, "limit": "tc", "g": 0.3, "temperature": 0.1,
+               "n_max": 10}
+CONTRACTS = {
+    # task: (config, header, exit code, value fields of a failed row)
+    "eigen": (
+        {"model": {"n_emitters": 1, "limit": "tc", "n_max": 6},
+         "grid": {"g_min": 0.1, "g_max": 0.3, "g_steps": 2}, "levels": 3},
+        ["g", "level", "energy", "group"], 0, None),
+    "spectrum": (
+        {"model": _TINY_POINT, "omega_grid": {"points": 50}},
+        ["omega", "spectrum"], 0, None),
+    "g2time": (
+        {"model": _TINY_POINT, "t_grid": {"t_max": 100.0, "points": 5}},
+        ["t", "g2"], 0, None),
+    "converge": (
+        {"model": _TINY_POINT, "n_max_pair": [8, 10]},
+        ["metric", "n_low", "n_high", "value_low", "value_high", "abs_diff",
+         "rel_diff"], 0, None),
+    "g2chart": (
+        {"model": {"n_emitters": 1, "limit": "tc", "n_max": 8},
+         "grid": _TINY_GRID},
+        ["g", "T", "g2_zero", "collision_count", "degenerate", "status"], 3,
+        ["nan", "0", "0"]),
+    "qo-chart": (
+        {"model": {"n_emitters": 1, "limit": "dicke"}, "grid": _TINY_GRID,
+         "qo_n_max": 4},
+        ["g", "T", "g2_zero", "status"], 3, ["nan"]),
+    "analytic-compare": (
+        {"model": {"n_emitters": 1, "limit": "tc", "n_max": 8},
+         "grid": _TINY_GRID},
+        ["g", "T", "g2_numeric", "g2_basic", "g2_refined", "trusted",
+         "rel_err_refined", "status"], 3, ["nan", "nan", "nan", "0", "nan"]),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(CONTRACTS))
+def task_run(request, tmp_path_factory):
+    """Run one task on its tiny config; yields (task, out_dir, exit code)."""
+    task = request.param
+    tmp = tmp_path_factory.mktemp(task)
+    cfg = _write_config(tmp, CONTRACTS[task][0])
+    code = main([task, "--config", cfg, "--out", str(tmp / "run")])
+    return task, tmp / "run", code
+
+
+def test_task_csv_header_exit_code_and_failed_rows(task_run):
+    task, out, code = task_run
+    _, header, exit_code, failed_fill = CONTRACTS[task]
+    assert code == exit_code
+    got_header, rows = _read_rows(out / ("%s.csv" % task))
+    assert got_header == header
+    assert rows
+    if failed_fill is None:
+        return
+    for row in rows:
+        values = [row[name] for name in header[2:-1]]
+        if float(row["T"]) == 0.0:
+            assert row["status"] == "1"
+            assert values == failed_fill
+        else:
+            assert row["status"] == "0"
+            assert all(v != "nan" for v in values)
+
+
+def test_plot_script_reads_its_csv_and_saves_png(task_run):
+    # matplotlib is stubbed, so this runs the CSV/numpy half of the script.
+    # numpy must be imported before patch.dict: modules first imported
+    # inside it are dropped on exit, and numpy cannot be imported twice.
+    task, out, _ = task_run
+    fig, ax = mock.MagicMock(), mock.MagicMock()
+    pyplot = mock.MagicMock()
+    pyplot.subplots.return_value = (fig, ax)
+    matplotlib = mock.MagicMock(pyplot=pyplot)
+    stubs = {"matplotlib": matplotlib, "matplotlib.pyplot": pyplot}
+    with mock.patch.dict(sys.modules, stubs):
+        runpy.run_path(str(out / ("plot_%s.py" % task)), run_name="__main__")
+    matplotlib.use.assert_called_once_with("Agg")
+    fig.savefig.assert_called_once()
+    assert os.path.basename(fig.savefig.call_args[0][0]) == "%s.png" % task
