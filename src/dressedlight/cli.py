@@ -219,10 +219,17 @@ def _parse_grid(cfg, issues, need_t=True):
                            required=True, minimum=1)
         spec["T"] = (t_min, t_max, t_steps)
     for axis in ("g", "T") if need_t else ("g",):
-        lo, hi, _ = spec.get(axis, (None, None, None))
-        if lo is not None and hi is not None and hi < lo:
+        lo, hi, steps = spec.get(axis, (None, None, None))
+        if lo is None or hi is None:
+            continue
+        if hi < lo:
             issues.append(("grid.%s_max" % axis,
                            "must be >= grid.%s_min" % axis))
+        elif hi == lo and steps is not None and steps > 1:
+            # equal bounds would solve the same point steps times
+            issues.append(("grid.%s_max" % axis,
+                           "must be > grid.%s_min when grid.%s_steps > 1"
+                           % (axis, axis)))
     return spec if not issues else None
 
 
@@ -646,7 +653,7 @@ value = np.array([float(r["spectrum"]) for r in rows])
 
 fig, ax = plt.subplots(figsize=(5.6, 3.4))
 ax.plot(omega, value, lw=1.2)
-ax.set_xlim(0.0, 3.0)
+ax.set_xlim(omega.min(), omega.max())
 ax.set_ylim(bottom=0.0)
 ax.set_xlabel("frequency")
 ax.set_ylabel("emission spectrum")

@@ -8,6 +8,11 @@ emitter spaces and the truncated Fock space of the mode.  Basis states
 are ordered as |emitter configuration> (x) |n>, with the Fock index n
 varying fastest: the flat index of (e, n) is e * (n_max + 1) + n, where
 e is the integer whose bit j gives the state of emitter j (1 = excited).
+
+Every coupling is real in this basis, so the Hamiltonian is a real
+symmetric float64 matrix.  It is assembled directly from Kronecker
+products of the small Fock and emitter factors; no product of two D x D
+matrices is formed.
 """
 
 from __future__ import annotations
@@ -119,11 +124,13 @@ class OperatorSet:
     sigma_plus: tuple
     sigma_y: tuple
     x: np.ndarray
-    n_total: np.ndarray
 
     @property
     def dim(self):
         return self.a.shape[0]
+
+
+_SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]])  # |g><e| with |e> = index 1
 
 
 def _fock_lowering(n_max):
@@ -142,17 +149,20 @@ def _site_operator(op, j, n_sites):
     return reduce(np.kron, factors)
 
 
+def _check_dim(params, max_dim):
+    if params.dim > max_dim:
+        raise DimensionLimitError(
+            f"dimension {params.dim} exceeds the limit {max_dim}; "
+            "reduce n_max or n_emitters, or raise max_dim"
+        )
+
+
 def build_operators(params, max_dim=DEFAULT_MAX_DIM):
     """Construct the elementary operators for the given parameters.
 
     Raises DimensionLimitError when 2^N (n_max+1) exceeds max_dim.
     """
-    dim = params.dim
-    if dim > max_dim:
-        raise DimensionLimitError(
-            f"dimension {dim} exceeds the limit {max_dim}; "
-            "reduce n_max or n_emitters, or raise max_dim"
-        )
+    _check_dim(params, max_dim)
     n = params.n_emitters
     nf = params.n_max + 1
 
@@ -161,19 +171,15 @@ def build_operators(params, max_dim=DEFAULT_MAX_DIM):
     a = np.kron(eye_e, a_f).astype(complex)
     a_dag = a.conj().T
 
-    sm_site = np.array([[0.0, 1.0], [0.0, 0.0]])  # |g><e| with |e> = index 1
     eye_f = np.eye(nf)
     sigma_minus = []
     for j in range(n):
-        sm = np.kron(_site_operator(sm_site, j, n), eye_f).astype(complex)
+        sm = np.kron(_site_operator(_SIGMA_MINUS, j, n), eye_f).astype(complex)
         sigma_minus.append(sm)
     sigma_plus = [sm.conj().T for sm in sigma_minus]
     sigma_y = [1j * (sp - sm) for sm, sp in zip(sigma_minus, sigma_plus)]
 
     x = -1j * params.x0 * (a - a_dag)
-    n_total = a_dag @ a
-    for sm, sp in zip(sigma_minus, sigma_plus):
-        n_total = n_total + sp @ sm
 
     return OperatorSet(
         params=params,
@@ -183,21 +189,29 @@ def build_operators(params, max_dim=DEFAULT_MAX_DIM):
         sigma_plus=tuple(sigma_plus),
         sigma_y=tuple(sigma_y),
         x=x,
-        n_total=n_total,
     )
 
 
-def build_hamiltonian(params, ops=None):
-    """Hamiltonian of the coupled system as a dense Hermitian matrix.
+def build_hamiltonian(params, *, max_dim=DEFAULT_MAX_DIM):
+    """Hamiltonian of the coupled system as a dense real symmetric matrix.
 
     H = omega_c a+ a  +  omega_x sum_j s+_j s-_j
         + g sum_j (a+ s-_j + a s+_j)  +  g' sum_j (a s-_j + a+ s+_j)
+
+    Returns a float64 (dim, dim) array.  Each term is the Kronecker
+    product of a 2^N x 2^N emitter factor and an (n_max+1)^2 Fock factor,
+    accumulated in place.  Raises DimensionLimitError when 2^N (n_max+1)
+    exceeds max_dim.
     """
-    if ops is None:
-        ops = build_operators(params)
-    h = params.cavity_frequency * (ops.a_dagger @ ops.a)
-    for sm, sp in zip(ops.sigma_minus, ops.sigma_plus):
-        h = h + params.emitter_frequency * (sp @ sm)
-        h = h + params.g * (ops.a_dagger @ sm + ops.a @ sp)
-        h = h + params.g_prime * (ops.a @ sm + ops.a_dagger @ sp)
+    _check_dim(params, max_dim)
+    n = params.n_emitters
+    a_f = _fock_lowering(params.n_max)
+    h = params.cavity_frequency * np.kron(np.eye(2**n), a_f.T @ a_f)
+    eye_f = np.eye(params.n_max + 1)
+    for j in range(n):
+        sm = _site_operator(_SIGMA_MINUS, j, n)
+        sp = sm.T
+        h += params.emitter_frequency * np.kron(sp @ sm, eye_f)
+        h += params.g * (np.kron(sm, a_f.T) + np.kron(sp, a_f))
+        h += params.g_prime * (np.kron(sm, a_f) + np.kron(sp, a_f.T))
     return h

@@ -82,7 +82,7 @@ def solve_system(params, delta_e=None, delta_omega=None, channels=None,
     if delta_omega is None:
         delta_omega = 1e-9 * params.omega0
     ops = build_operators(params, max_dim=max_dim)
-    h = build_hamiltonian(params, ops)
+    h = build_hamiltonian(params, max_dim=max_dim)
     eig = diagonalize(h, delta_e)
     if channels is None:
         channels = default_channels(params, lamb_cutoff=lamb_cutoff)

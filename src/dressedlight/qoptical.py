@@ -92,7 +92,7 @@ def qo_liouvillian(params, n_max=None):
             f"(limit {MAX_QO_DIM}); lower n_max"
         )
     ops = build_operators(params)
-    h = build_hamiltonian(params, ops)
+    h = build_hamiltonian(params)
     h_s = sp.csr_matrix(h)
     eye = sp.identity(params.dim, format="csr")
     liouv = -1j * (sp.kron(eye, h_s) - sp.kron(h_s.T, eye))
@@ -109,7 +109,8 @@ def _solve_with_trace_row(liouv, dim, row, refine=2):
 
     A couple of iterative-refinement sweeps recover the small
     populations, which otherwise carry the absolute noise of the
-    factorization.
+    factorization.  A singular system means the generator has more than
+    one stationary state and raises DegenerateSteadyStateError.
     """
     a = liouv.tolil(copy=True)
     a[row, :] = 0.0
@@ -118,7 +119,12 @@ def _solve_with_trace_row(liouv, dim, row, refine=2):
     a = a.tocsc()
     b = np.zeros(dim * dim, dtype=complex)
     b[row] = 1.0
-    lu = spla.splu(a)
+    try:
+        lu = spla.splu(a)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise DegenerateSteadyStateError(
+            "stationary state is not unique (pinned-row system is singular)"
+        ) from exc
     x = lu.solve(b)
     for _ in range(refine):
         x = x + lu.solve(b - a @ x)
@@ -185,7 +191,7 @@ def qo_g2_zero(params, n_max=None, dressed=False, floor=1e-30,
         from .observables import emission_operator
         from .spectral import diagonalize
 
-        eig = diagonalize(build_hamiltonian(qp, ops), 1e-9 * qp.omega0)
+        eig = diagonalize(build_hamiltonian(qp), 1e-9 * qp.omega0)
         xdot_eig = emission_operator(eig, eig.to_eigenbasis(ops.x))
         lower = eig.vectors @ xdot_eig @ eig.vectors.conj().T
     else:

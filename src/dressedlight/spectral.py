@@ -26,6 +26,8 @@ class EigenSystem:
 
     energies are ascending; vectors[:, k] belongs to energies[k] with the
     largest-magnitude component rotated to the positive real axis.
+    vectors has the dtype eigh returns for the input: float64 for a real
+    symmetric matrix such as the model Hamiltonian, complex otherwise.
     group_index[k] is the degenerate group of state k and group_energy[a]
     the mean energy of group a.
     """
@@ -70,7 +72,10 @@ def diagonalize(h, delta_e=DEFAULT_DELTA):
     Parameters
     ----------
     h : (D, D) array_like
-        Hermitian matrix; hermiticity is checked to 1e-12 relative.
+        Hermitian matrix; hermiticity is checked to 1e-12 relative.  A
+        real symmetric h (the float64 model Hamiltonian) takes the real
+        eigh path and gives float64 vectors, whose gauge fix reduces to
+        making the largest component positive.
     delta_e : float
         Absolute energy tolerance for treating two levels as degenerate.
 

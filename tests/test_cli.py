@@ -118,6 +118,26 @@ def test_config_errors_list_every_field_path(tmp_path, capsys):
         assert path in err
 
 
+def test_equal_grid_bounds_need_a_single_step(tmp_path, capsys):
+    broken = _chart_config()
+    broken["grid"].update(g_min=0.2, g_max=0.2, g_steps=2,
+                          T_min=0.1, T_max=0.1, T_steps=3)
+    cfg = _write_config(tmp_path, broken)
+    assert main(["g2chart", "--config", cfg,
+                 "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "grid.g_max" in err and "grid.T_max" in err
+    assert not (tmp_path / "run").exists()
+    # one step at equal bounds is a single well-defined value
+    single = _chart_config()
+    single["grid"].update(g_min=0.2, g_max=0.2, g_steps=1)
+    cfg = _write_config(tmp_path, single, name="single.json")
+    out = tmp_path / "single"
+    assert main(["g2chart", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = _read_rows(out / "g2chart.csv")
+    assert len({(r["g"], r["T"]) for r in rows}) == len(rows) == 2
+
+
 def test_limit_and_g_prime_are_exclusive(tmp_path, capsys):
     broken = _chart_config()
     broken["model"]["g_prime"] = 0.0
@@ -329,7 +349,7 @@ CONTRACTS = {
          "grid": {"g_min": 0.1, "g_max": 0.3, "g_steps": 2}, "levels": 3},
         ["g", "level", "energy", "group"], 0, None),
     "spectrum": (
-        {"model": _TINY_POINT, "omega_grid": {"points": 50}},
+        {"model": _TINY_POINT, "omega_grid": {"omega_max": 2.0, "points": 50}},
         ["omega", "spectrum"], 0, None),
     "g2time": (
         {"model": _TINY_POINT, "t_grid": {"t_max": 100.0, "points": 5}},
@@ -399,3 +419,6 @@ def test_plot_script_reads_its_csv_and_saves_png(task_run):
     matplotlib.use.assert_called_once_with("Agg")
     fig.savefig.assert_called_once()
     assert os.path.basename(fig.savefig.call_args[0][0]) == "%s.png" % task
+    if task == "spectrum":
+        # the axis follows the sampled band, 0..2 here
+        ax.set_xlim.assert_called_once_with(0.0, 2.0)

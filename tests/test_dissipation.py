@@ -142,7 +142,7 @@ def test_lamb_shift_rate_branches():
 def _brute_force_gain(params, temperature):
     """Independent rate table: plain eigh + nested loops over level pairs."""
     ops = build_operators(params)
-    h = build_hamiltonian(params, ops)
+    h = build_hamiltonian(params)
     energies, vectors = np.linalg.eigh(h)
     channels = default_channels(params)
     dim = params.dim
@@ -241,7 +241,7 @@ def test_collision_count_is_counted_once_per_eigensystem():
 def test_rate_table_rejects_channels_grouped_differently():
     p = ModelParams(1, 0.3, 0.0, 0.1, n_max=4)
     ops = build_operators(p)
-    eig = diagonalize(build_hamiltonian(p, ops))
+    eig = diagonalize(build_hamiltonian(p))
     cavity, emitter = default_channels(p)
     sets = [(cavity, group_transitions(eig, ops.x, 1e-9)),
             (emitter, group_transitions(eig, ops.sigma_y[0], 1e-6))]

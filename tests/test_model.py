@@ -15,6 +15,25 @@ from dressedlight import (
 )
 
 
+def _total_number(ops):
+    """a+ a + sum_j s+_j s-_j from the dense operators."""
+    n_tot = ops.a_dagger @ ops.a
+    for sp, sm in zip(ops.sigma_plus, ops.sigma_minus):
+        n_tot = n_tot + sp @ sm
+    return n_tot
+
+
+def _reference_hamiltonian(params):
+    """H from dense products of the operator set, term by term."""
+    ops = build_operators(params)
+    h = params.cavity_frequency * (ops.a_dagger @ ops.a)
+    for sm, sp in zip(ops.sigma_minus, ops.sigma_plus):
+        h = h + params.emitter_frequency * (sp @ sm)
+        h = h + params.g * (ops.a_dagger @ sm + ops.a @ sp)
+        h = h + params.g_prime * (ops.a @ sm + ops.a_dagger @ sp)
+    return h
+
+
 def test_dimension_counts():
     assert ModelParams(1, 0.1, 0.0, 0.1, n_max=5).dim == 12
     assert ModelParams(2, 0.1, 0.0, 0.1, n_max=5).dim == 24
@@ -115,10 +134,11 @@ def test_cavity_quadrature_and_total_number():
     ops = build_operators(p)
     np.testing.assert_allclose(ops.x, -1j * p.x0 * (ops.a - ops.a_dagger))
     np.testing.assert_allclose(ops.x, ops.x.conj().T)
-    n_tot = ops.a_dagger @ ops.a
-    for sp, sm in zip(ops.sigma_plus, ops.sigma_minus):
-        n_tot = n_tot + sp @ sm
-    np.testing.assert_allclose(ops.n_total, n_tot, atol=1e-14)
+    # a+ a + sum_j s+_j s-_j is diagonal: Fock index plus excited emitters
+    half = p.n_max + 1
+    expect = np.diag([float(bin(i // half).count("1") + i % half)
+                      for i in range(p.dim)])
+    np.testing.assert_allclose(_total_number(ops), expect, atol=1e-14)
 
 
 def test_hamiltonian_single_emitter_by_hand():
@@ -150,14 +170,39 @@ def test_hamiltonian_hermitian_and_number_conservation():
         np.testing.assert_allclose(h, h.conj().T, atol=1e-14)
     # total excitation number is conserved exactly without counter-rotation
     p_tc = ModelParams(2, 0.5, 0.0, 0.1, n_max=5)
-    ops = build_operators(p_tc)
-    h_tc = build_hamiltonian(p_tc, ops)
-    np.testing.assert_allclose(h_tc @ ops.n_total, ops.n_total @ h_tc,
+    n_total = _total_number(build_operators(p_tc))
+    h_tc = build_hamiltonian(p_tc)
+    np.testing.assert_allclose(h_tc @ n_total, n_total @ h_tc,
                                atol=1e-13)
     p_d = ModelParams(2, 0.5, 0.5, 0.1, n_max=5)
-    ops_d = build_operators(p_d)
-    h_d = build_hamiltonian(p_d, ops_d)
-    assert np.abs(h_d @ ops_d.n_total - ops_d.n_total @ h_d).max() > 0.1
+    h_d = build_hamiltonian(p_d)
+    assert np.abs(h_d @ n_total - n_total @ h_d).max() > 0.1
+
+
+@pytest.mark.parametrize("n_emitters", [1, 2, 3, 4])
+@pytest.mark.parametrize("g_prime", [0.0, 0.37], ids=["tc", "dicke"])
+def test_hamiltonian_equals_operator_products_exactly(n_emitters, g_prime):
+    p = ModelParams(n_emitters, 0.37, g_prime, 0.1, n_max=9)
+    h = build_hamiltonian(p)
+    assert h.dtype == np.float64
+    assert np.array_equal(h, _reference_hamiltonian(p))
+
+
+def test_hamiltonian_with_detuning_equals_operator_products_exactly():
+    p = ModelParams(3, 0.21, 0.13, 0.1, omega0=1.1, n_max=7, omega_c=1.3,
+                    omega_x=0.9)
+    h = build_hamiltonian(p)
+    assert h.dtype == np.float64
+    assert np.array_equal(h, _reference_hamiltonian(p))
+
+
+def test_real_hamiltonian_energies_match_complex_eigh():
+    for p in (ModelParams(2, 0.5, 0.5, 0.1, n_max=20),
+              ModelParams(3, 0.3, 0.0, 0.1, n_max=12)):
+        h = build_hamiltonian(p)
+        complex_energies = np.linalg.eigvalsh(h.astype(complex))
+        np.testing.assert_allclose(np.linalg.eigvalsh(h), complex_energies,
+                                   rtol=0, atol=1e-12)
 
 
 def test_dimension_limit():
@@ -166,3 +211,6 @@ def test_dimension_limit():
     # custom limit is honored
     with pytest.raises(DimensionLimitError):
         build_operators(ModelParams(1, 0.1, 0.0, 0.1, n_max=100), max_dim=100)
+    with pytest.raises(DimensionLimitError):
+        build_hamiltonian(ModelParams(1, 0.1, 0.0, 0.1, n_max=100),
+                          max_dim=100)

@@ -7,6 +7,7 @@ indices, independent of the operator machinery under test.
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from dressedlight import (
     ModelParams,
@@ -16,7 +17,11 @@ from dressedlight import (
     qo_stationary_state,
     trace_distance,
 )
-from dressedlight.qoptical import qo_convergence_estimate
+from dressedlight.qoptical import (
+    DegenerateSteadyStateError,
+    _solve_with_trace_row,
+    qo_convergence_estimate,
+)
 
 
 def _thermal_ladder(n_emitters, n_max, temperature, omega0=1.0):
@@ -127,3 +132,13 @@ def test_cutoff_convergence_estimate():
     # doubling the cutoff barely moves the state at moderate temperature
     p = ModelParams(1, 0.4, 0.4, 0.15)
     assert qo_convergence_estimate(p, 7) < 1e-4
+
+
+def test_singular_pinned_system_is_a_degenerate_steady_state():
+    # no dissipation: every diagonal state of H = diag(0, 1) is stationary,
+    # so the trace-pinned system is exactly singular
+    h = sp.csr_matrix(np.diag([0.0, 1.0]))
+    eye = sp.identity(2, format="csr")
+    liouv = (-1j * (sp.kron(eye, h) - sp.kron(h.T, eye))).tocsr()
+    with pytest.raises(DegenerateSteadyStateError):
+        _solve_with_trace_row(liouv, 2, 0)

@@ -55,6 +55,17 @@ def test_phase_gauge_largest_component_real_positive():
     np.testing.assert_allclose(eig.vectors, again.vectors, atol=0)
 
 
+def test_real_hamiltonian_gives_real_vectors_in_the_gauge():
+    p = ModelParams(2, 0.4, 0.4, 0.1, n_max=8)
+    h = build_hamiltonian(p)
+    eig = diagonalize(h)
+    assert eig.vectors.dtype == np.float64
+    idx = np.argmax(np.abs(eig.vectors), axis=0)
+    assert np.all(eig.vectors[idx, np.arange(p.dim)] > 0)
+    np.testing.assert_allclose(h @ eig.vectors, eig.vectors * eig.energies,
+                               atol=1e-12)
+
+
 def test_degenerate_grouping():
     energies = [0.0, 1.0, 1.0 + 1e-12, 2.0, 2.0 + 5e-13, 2.0 + 9e-13]
     h = _random_hermitian_with_spectrum(energies, seed=5)
@@ -72,7 +83,7 @@ def test_degenerate_grouping():
 def test_to_eigenbasis_matches_direct_projection():
     p = ModelParams(1, 0.3, 0.1, 0.1, n_max=4)
     ops = build_operators(p)
-    eig = diagonalize(build_hamiltonian(p, ops))
+    eig = diagonalize(build_hamiltonian(p))
     s = eig.to_eigenbasis(ops.x)
     np.testing.assert_allclose(
         s, eig.vectors.conj().T @ ops.x @ eig.vectors, atol=1e-13)
@@ -83,7 +94,7 @@ def test_to_eigenbasis_matches_direct_projection():
 def test_transition_frequencies_and_zero_group():
     p = ModelParams(1, 0.3, 0.0, 0.1, n_max=4)
     ops = build_operators(p)
-    eig = diagonalize(build_hamiltonian(p, ops))
+    eig = diagonalize(build_hamiltonian(p))
     grp = group_transitions(eig, ops.x).grouping
     # the pinned zero-frequency group sits exactly at 0
     assert grp.omegas[grp.zero_group] == 0.0
@@ -101,7 +112,7 @@ def test_transition_frequencies_and_zero_group():
 def test_reconstruct_roundtrip():
     p = ModelParams(2, 0.4, 0.2, 0.1, n_max=3)
     ops = build_operators(p)
-    eig = diagonalize(build_hamiltonian(p, ops))
+    eig = diagonalize(build_hamiltonian(p))
     trans = group_transitions(eig, ops.x)
     s = eig.to_eigenbasis(ops.x)
     np.testing.assert_allclose(trans.reconstruct(), s, atol=1e-13)
@@ -115,7 +126,7 @@ def test_harmonic_ladder_collisions_flagged():
     # uncoupled cavity: all upward transitions share the same frequency
     p = ModelParams(1, 0.0, 0.0, 0.1, n_max=5)
     ops = build_operators(p)
-    eig = diagonalize(build_hamiltonian(p, ops))
+    eig = diagonalize(build_hamiltonian(p))
     grp = group_transitions(eig, ops.x).grouping
     assert grp.collision_count > 0
     assert 1.0 in np.round(grp.collision_omegas, 12)
@@ -124,7 +135,7 @@ def test_harmonic_ladder_collisions_flagged():
 def test_squared_elements_match():
     p = ModelParams(1, 0.25, 0.25, 0.15, n_max=4)
     ops = build_operators(p)
-    eig = diagonalize(build_hamiltonian(p, ops))
+    eig = diagonalize(build_hamiltonian(p))
     trans = group_transitions(eig, ops.x)
     np.testing.assert_allclose(trans.s_eigen, eig.to_eigenbasis(ops.x),
                                atol=1e-14)
@@ -165,7 +176,7 @@ def _loop_grouping(eig, delta_omega):
 ], ids=["dicke-n2", "tc-n2-degenerate", "harmonic-ladder"])
 def test_vectorized_grouping_matches_loop_reference(params):
     ops = build_operators(params)
-    eig = diagonalize(build_hamiltonian(params, ops))
+    eig = diagonalize(build_hamiltonian(params))
     grp = eig.transition_grouping(1e-9)
     ref = _loop_grouping(eig, 1e-9)
     for name in ("pair_a", "pair_b", "starts", "stops"):
