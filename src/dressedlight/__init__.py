@@ -49,8 +49,7 @@ from .qoptical import (
     qo_g2_zero,
     qo_liouvillian,
     qo_stationary_state,
-    trace_distance,
 )
-from .spectral import EigenSystem, TransitionSet, diagonalize, group_transitions
+from .spectral import EigenSystem, diagonalize, group_transitions
 
 __version__ = "0.1.0"

@@ -163,16 +163,6 @@ def lamb_shift_rate(omega, temperature, channel):
 
 
 @dataclass
-class ChannelRates:
-    """Per-group chi and xi of one channel, for inspection."""
-
-    channel: ChannelSpec
-    omegas: np.ndarray
-    chi: np.ndarray
-    xi: np.ndarray
-
-
-@dataclass
 class RateTable:
     """Decay constants and population rates of the full channel set.
 
@@ -180,10 +170,9 @@ class RateTable:
     channels); generator is the matching Pauli generator with columns
     summing to zero, acting on population column vectors.  z[n] collects
     half the total loss rate of state n, the accumulated principal-value
-    shift and the state energy in its imaginary part.  collision_count is
-    the collision count of the frequency grouping the channels share,
-    counted once for the eigensystem.  The rate-equation propagator is
-    built on the first g2(t) evaluation and cached on the table.
+    shift and the state energy in its imaginary part.  channels lists the
+    bath channels in input order.  The rate-equation propagator is built
+    on the first g2(t) evaluation and cached on the table.
     """
 
     energies: np.ndarray
@@ -191,8 +180,7 @@ class RateTable:
     z: np.ndarray
     gain: np.ndarray
     generator: np.ndarray
-    channel_rates: list
-    collision_count: int
+    channels: tuple
 
     def __post_init__(self):
         self._propagator = None
@@ -203,14 +191,20 @@ class RateTable:
 
 
 def build_rate_table(eig, channel_sets, temperature):
-    """Combine channel transition sets into decay and population rates.
+    """Combine the channels into secular decay and population rates.
+
+    Every rate is evaluated at the difference of the group energies of
+    eig, which is exactly 0 inside a degenerate level: this is the
+    secular grouping of the transitions.  Frequency collisions are a
+    property of eig alone (EigenSystem.collision_omegas) and do not enter
+    the rates.
 
     Parameters
     ----------
     eig : EigenSystem
-    channel_sets : list of (ChannelSpec, TransitionSet)
-        One transition set per channel, all sharing the frequency
-        grouping of eig.
+    channel_sets : list of (ChannelSpec, s_eigen)
+        Each channel with its coupling operator in the eigenbasis of eig,
+        eig.to_eigenbasis(channel_operator(channel, ops)).
     temperature : float
 
     Returns
@@ -225,29 +219,14 @@ def build_rate_table(eig, channel_sets, temperature):
 
     gain = np.zeros((dim, dim))
     xi_sum = np.zeros((dim, dim))
-    channel_rates = []
-    groupings = {id(t.grouping): t.grouping for _, t in channel_sets}
-    if len(groupings) > 1:
-        raise ValueError("channel sets must share one transition grouping")
-    for channel, transitions in channel_sets:
+    for channel, s_eigen in channel_sets:
         chi_m = thermal_rate(pair_omega, temperature, channel)
-        s2 = transitions.s_abs2.copy()
+        s2 = np.abs(s_eigen) ** 2
         np.fill_diagonal(s2, 0.0)
         # gain[n, k]: rate k -> n needs chi at E_k - E_n = pair_omega[n, k]
         gain += chi_m * s2
         if channel.lamb_cutoff is not None:
             xi_sum += lamb_shift_rate(pair_omega, temperature, channel) * s2
-        omegas = transitions.grouping.omegas
-        channel_rates.append(
-            ChannelRates(
-                channel=channel,
-                omegas=omegas.copy(),
-                chi=thermal_rate(omegas, temperature, channel),
-                xi=lamb_shift_rate(omegas, temperature, channel)
-                if channel.lamb_cutoff is not None
-                else np.zeros_like(omegas),
-            )
-        )
 
     loss = gain.sum(axis=0)  # total rate out of each state
     generator = gain - np.diag(loss)
@@ -259,6 +238,5 @@ def build_rate_table(eig, channel_sets, temperature):
         z=z,
         gain=gain,
         generator=generator,
-        channel_rates=channel_rates,
-        collision_count=sum(g.collision_count for g in groupings.values()),
+        channels=tuple(channel for channel, _ in channel_sets),
     )

@@ -77,6 +77,11 @@ class ModelParams:
             raise ValueError("n_emitters must be an integer >= 1")
         if not isinstance(self.n_max, (int, np.integer)) or self.n_max < 2:
             raise ValueError("n_max must be an integer >= 2")
+        for name in ("g", "g_prime", "temperature", "omega0", "gamma", "x0",
+                     "omega_c", "omega_x"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if self.omega0 <= 0:
             raise ValueError("omega0 must be positive")
         if self.g < 0 or self.g_prime < 0:
@@ -119,9 +124,7 @@ class OperatorSet:
 
     params: ModelParams
     a: np.ndarray
-    a_dagger: np.ndarray
     sigma_minus: tuple
-    sigma_plus: tuple
     sigma_y: tuple
     x: np.ndarray
 
@@ -169,24 +172,20 @@ def build_operators(params, max_dim=DEFAULT_MAX_DIM):
     a_f = _fock_lowering(params.n_max)
     eye_e = np.eye(2**n)
     a = np.kron(eye_e, a_f).astype(complex)
-    a_dag = a.conj().T
 
     eye_f = np.eye(nf)
     sigma_minus = []
     for j in range(n):
         sm = np.kron(_site_operator(_SIGMA_MINUS, j, n), eye_f).astype(complex)
         sigma_minus.append(sm)
-    sigma_plus = [sm.conj().T for sm in sigma_minus]
-    sigma_y = [1j * (sp - sm) for sm, sp in zip(sigma_minus, sigma_plus)]
+    sigma_y = [1j * (sm.conj().T - sm) for sm in sigma_minus]
 
-    x = -1j * params.x0 * (a - a_dag)
+    x = -1j * params.x0 * (a - a.conj().T)
 
     return OperatorSet(
         params=params,
         a=a,
-        a_dagger=a_dag,
         sigma_minus=tuple(sigma_minus),
-        sigma_plus=tuple(sigma_plus),
         sigma_y=tuple(sigma_y),
         x=x,
     )

@@ -92,8 +92,7 @@ def emission_spectrum(eig, rates, stat, omega_grid, xdot, weight_floor=1e-12):
     SpectrumResult
     """
     cavity = next(
-        (c.channel for c in rates.channel_rates if c.channel.operator_tag == CAVITY_TAG),
-        None,
+        (c for c in rates.channels if c.operator_tag == CAVITY_TAG), None
     )
     if cavity is None:
         raise ValueError("rate table has no cavity channel")

@@ -20,20 +20,20 @@ from .spectral import diagonalize, group_transitions
 
 @dataclass
 class SolvedSystem:
-    """All stages of one parameter point, ready for observables."""
+    """All stages of one parameter point, ready for observables.
+
+    channel_sets pairs every bath channel with its coupling operator in
+    the eigenbasis.  collision_count is the number of transition
+    frequencies shared by distinct level pairs, within delta_omega.
+    """
 
     params: object
-    ops: object
-    hamiltonian: np.ndarray
     eig: object
     channel_sets: list
     rates: object
     stationary: object
     xdot: np.ndarray
-
-    @property
-    def collision_count(self):
-        return self.rates.collision_count
+    collision_count: int
 
     @property
     def degenerate_levels(self):
@@ -82,29 +82,27 @@ def solve_system(params, delta_e=None, delta_omega=None, channels=None,
     if delta_omega is None:
         delta_omega = 1e-9 * params.omega0
     ops = build_operators(params, max_dim=max_dim)
-    h = build_hamiltonian(params, max_dim=max_dim)
-    eig = diagonalize(h, delta_e)
+    eig = diagonalize(build_hamiltonian(params, max_dim=max_dim), delta_e)
     if channels is None:
         channels = default_channels(params, lamb_cutoff=lamb_cutoff)
     channel_sets = [
-        (ch, group_transitions(eig, channel_operator(ch, ops), delta_omega))
+        (ch, group_transitions(eig, channel_operator(ch, ops)))
         for ch in channels
     ]
     rates = build_rate_table(eig, channel_sets, params.temperature)
     stat = stationary_state(eig, rates)
     # The cavity channel already holds X in the eigenbasis.
-    x_eigen = next((t.s_eigen for ch, t in channel_sets
+    x_eigen = next((s for ch, s in channel_sets
                     if ch.operator_tag == CAVITY_TAG), None)
     if x_eigen is None:
         x_eigen = eig.to_eigenbasis(ops.x)
     xdot = observables.emission_operator(eig, x_eigen)
     return SolvedSystem(
         params=params,
-        ops=ops,
-        hamiltonian=h,
         eig=eig,
         channel_sets=channel_sets,
         rates=rates,
         stationary=stat,
         xdot=xdot,
+        collision_count=eig.collision_omegas(delta_omega).size,
     )

@@ -203,25 +203,3 @@ def qo_g2_zero(params, n_max=None, dressed=False, floor=1e-30,
     numerator = float(np.trace(rho @ raise_op @ raise_op @ lower @ lower).real)
     return numerator / denominator**2
 
-
-def qo_convergence_estimate(params, n_max):
-    """Trace distance between stationary states at n_max and 2 n_max."""
-    low = qo_stationary_state(params, n_max, check_unique=False)
-    high = qo_stationary_state(params, 2 * n_max, check_unique=False)
-    n_low = low.params.n_max
-    n_high = high.params.n_max
-    # Embed the small-cutoff state: flat index (e, n) -> e (n_max+1) + n.
-    n_conf = 2**params.n_emitters
-    idx = (
-        np.arange(n_conf)[:, None] * (n_high + 1) + np.arange(n_low + 1)[None, :]
-    ).ravel()
-    padded = np.zeros_like(high.rho)
-    padded[np.ix_(idx, idx)] = low.rho
-    return trace_distance(padded, high.rho)
-
-
-def trace_distance(rho, sigma):
-    """Half the trace norm of the difference."""
-    diff = rho - sigma
-    vals = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
-    return 0.5 * float(np.abs(vals).sum())

@@ -1,19 +1,20 @@
-"""Eigensystem of the coupled Hamiltonian and grouping of transitions.
+"""Eigensystem of the coupled Hamiltonian in the dressed basis.
 
-Secular treatment of the dissipators needs every system operator S split
-into components S_w that connect eigenstates separated by a fixed energy
-w.  Levels are first clustered into degenerate groups (spacing below
-delta_e); transition frequencies are then built from group energies and
-clustered with tolerance delta_omega, so elements inside a degenerate
-level land exactly in the w = 0 group.  The frequency grouping depends
-only on the group energies, so it belongs to the eigensystem: it is
-computed once per tolerance and shared by the transition sets of every
-operator.
+Secular treatment of the dissipators splits every system operator S into
+components S_w that connect eigenstates separated by a fixed energy w.
+Levels are clustered into degenerate groups (spacing below delta_e), and
+every rate is evaluated at the difference of the group energies, so the
+secular grouping is carried by those energies alone: elements inside a
+degenerate level sit at exactly w = 0, and an operator only needs its
+matrix elements in the eigenbasis.  Distinct level pairs whose
+frequencies coincide within delta_omega (collisions) are where the
+secular equations of motion are not reliable; they depend only on the
+group energies and are counted once per eigensystem as a diagnostic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,8 +39,6 @@ class EigenSystem:
     group_index: np.ndarray
     group_energy: np.ndarray
     group_members: tuple
-    _groupings: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)
 
     @property
     def dim(self):
@@ -57,13 +56,27 @@ class EigenSystem:
         """Matrix elements <m|S|n> of a lab-frame operator."""
         return self.vectors.conj().T @ operator @ self.vectors
 
-    def transition_grouping(self, delta_omega=DEFAULT_DELTA):
-        """Frequency grouping of the level pairs, computed once per tolerance."""
-        grouping = self._groupings.get(delta_omega)
-        if grouping is None:
-            grouping = _group_frequencies(self.group_energy, delta_omega)
-            self._groupings[delta_omega] = grouping
-        return grouping
+    def collision_omegas(self, delta_omega=DEFAULT_DELTA):
+        """Frequencies w >= 0 shared by more than one pair of level groups.
+
+        The ordered group pairs (a, b) are sorted by E_b - E_a and split
+        wherever consecutive frequencies differ by at least delta_omega.
+        Each cluster with more than one pair at a positive mean frequency
+        is a collision.  The cluster nearest 0 is pinned at exactly 0; it
+        holds the diagonal pairs (a, a) and collides only beyond them.
+        """
+        ge = self.group_energy
+        sorted_omega = np.sort((ge[None, :] - ge[:, None]).ravel())
+        starts = np.flatnonzero(
+            np.diff(sorted_omega, prepend=-np.inf) >= delta_omega)
+        sizes = np.diff(np.append(starts, sorted_omega.size))
+        omegas = np.add.reduceat(sorted_omega, starts) / sizes
+        collides = (sizes > 1) & (omegas > 0)
+        if omegas.size:
+            zero = int(np.argmin(np.abs(omegas)))
+            omegas[zero] = 0.0
+            collides[zero] = sizes[zero] > ge.size
+        return omegas[collides]
 
 
 def diagonalize(h, delta_e=DEFAULT_DELTA):
@@ -123,148 +136,11 @@ def diagonalize(h, delta_e=DEFAULT_DELTA):
     )
 
 
-@dataclass(frozen=True)
-class TransitionGrouping:
-    """Ordered level-group pairs of an eigensystem grouped by frequency.
+def group_transitions(eig, s):
+    """Matrix elements of a channel operator in the eigenbasis.
 
-    Ordered pair (a, b) holds the elements <m in a|S|n in b> of any
-    operator S at frequency E_b - E_a of the group energies.  pair_a and
-    pair_b list the pairs sorted by frequency; group k is the slice
-    starts[k]:stops[k] of that list, at mean frequency omegas[k], and
-    zero_group is the group pinned at exactly 0.  collision_omegas holds
-    the frequencies (w >= 0) of groups that merge more than one distinct
-    level pair, the situation in which the secular equations of motion
-    are not reliable.  The arrays are read-only because every operator's
-    TransitionSet shares them.
+    The secular grouping needs nothing else: the rates are evaluated at
+    the group energies of eig.  The pipeline calls this once per bath
+    channel, and bench/spans.py times those calls under this name.
     """
-
-    delta_omega: float
-    omegas: np.ndarray
-    pair_a: np.ndarray
-    pair_b: np.ndarray
-    starts: np.ndarray
-    stops: np.ndarray
-    zero_group: int
-    collision_omegas: np.ndarray
-
-    @property
-    def n_groups(self):
-        return self.omegas.size
-
-    @property
-    def collision_count(self):
-        return self.collision_omegas.size
-
-
-def _group_frequencies(group_energy, delta_omega):
-    n_grp = group_energy.size
-    pair_omega = (group_energy[None, :] - group_energy[:, None]).ravel()
-    order = np.argsort(pair_omega, kind="stable")
-    sorted_omega = pair_omega[order]
-    pair_a, pair_b = np.divmod(order, n_grp)
-
-    # A new group starts wherever the sorted frequencies jump by delta_omega.
-    starts = np.flatnonzero(np.diff(sorted_omega, prepend=-np.inf) >= delta_omega)
-    sizes = np.diff(np.append(starts, sorted_omega.size))
-    omegas = np.add.reduceat(sorted_omega, starts) / sizes
-
-    # A group merging distinct level pairs means distinct transitions
-    # share a frequency within delta_omega.
-    collides = (sizes > 1) & (omegas > 0)
-    zero_group = 0
-    if omegas.size:
-        # The diagonal pairs (a, a) sit at exactly 0.0; pin their group
-        # there.  It naturally holds those n_grp pairs; anything beyond
-        # them collides.
-        zero_group = int(np.argmin(np.abs(omegas)))
-        omegas[zero_group] = 0.0
-        collides[zero_group] = sizes[zero_group] > n_grp
-
-    stops = starts + sizes
-    collision_omegas = omegas[collides]
-    for a in (omegas, pair_a, pair_b, starts, stops, collision_omegas):
-        a.flags.writeable = False
-    return TransitionGrouping(
-        delta_omega=delta_omega,
-        omegas=omegas,
-        pair_a=pair_a,
-        pair_b=pair_b,
-        starts=starts,
-        stops=stops,
-        zero_group=zero_group,
-        collision_omegas=collision_omegas,
-    )
-
-
-@dataclass
-class TransitionSet:
-    """Components S_w of one operator, grouped by transition frequency.
-
-    s_eigen holds the operator in the eigenbasis and s_abs2 its squared
-    moduli.  The frequency grouping belongs to the eigensystem and is
-    shared by the transition sets of all operators; element blocks of a
-    group are materialized on demand with block().
-    """
-
-    eig: EigenSystem
-    s_eigen: np.ndarray
-    s_abs2: np.ndarray
-    grouping: TransitionGrouping
-
-    def block(self, k):
-        """Elements of group k as (rows, cols, values) index triples."""
-        rows = []
-        cols = []
-        members = self.eig.group_members
-        g = self.grouping
-        for a, b in zip(
-            g.pair_a[g.starts[k] : g.stops[k]],
-            g.pair_b[g.starts[k] : g.stops[k]],
-        ):
-            r, c = np.meshgrid(members[a], members[b], indexing="ij")
-            rows.append(r.ravel())
-            cols.append(c.ravel())
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        return rows, cols, self.s_eigen[rows, cols]
-
-    def component(self, k):
-        """Group k as a dense matrix in the eigenbasis."""
-        out = np.zeros_like(self.s_eigen)
-        rows, cols, vals = self.block(k)
-        out[rows, cols] = vals
-        return out
-
-    def reconstruct(self):
-        """Sum of all components; equals the full operator."""
-        out = np.zeros_like(self.s_eigen)
-        for k in range(self.grouping.n_groups):
-            rows, cols, vals = self.block(k)
-            out[rows, cols] = vals
-        return out
-
-
-def group_transitions(eig, s, delta_omega=DEFAULT_DELTA):
-    """Group the matrix elements of an operator by transition frequency.
-
-    Parameters
-    ----------
-    eig : EigenSystem
-    s : (D, D) array_like
-        Operator in the lab frame.
-    delta_omega : float
-        Absolute clustering tolerance for transition frequencies.
-
-    Returns
-    -------
-    TransitionSet
-        Its grouping is eig.transition_grouping(delta_omega), shared with
-        every other operator grouped on the same eigensystem.
-    """
-    s_eigen = eig.to_eigenbasis(np.asarray(s))
-    return TransitionSet(
-        eig=eig,
-        s_eigen=s_eigen,
-        s_abs2=np.abs(s_eigen) ** 2,
-        grouping=eig.transition_grouping(delta_omega),
-    )
+    return eig.to_eigenbasis(np.asarray(s))

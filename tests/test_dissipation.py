@@ -17,9 +17,8 @@ from dressedlight import (
     build_operators,
     build_rate_table,
     default_channels,
-    diagonalize,
-    group_transitions,
     solve_system,
+    spectral,
     thermal_rate,
 )
 from dressedlight.dissipation import (
@@ -228,22 +227,23 @@ def test_zero_frequency_rate_inside_degenerate_group():
                     assert cold.gain[a, b] == 0.0
 
 
-def test_collision_count_is_counted_once_per_eigensystem():
-    # the channels share one grouping, so its collisions are not
-    # multiplied by the number of channels
-    system = solve_system(ModelParams(2, 0.0, 0.0, 0.1, n_max=5))
-    one_channel = system.channel_sets[0][1].grouping.collision_count
-    assert one_channel > 0
-    assert len(system.channel_sets) == 3
-    assert system.collision_count == one_channel
+def test_collision_count_is_counted_once_per_eigensystem(monkeypatch):
+    # collisions depend on the group energies alone: one count per
+    # eigensystem, not one per channel, and one eigenbasis array per channel
+    calls = []
+    original = spectral.EigenSystem.collision_omegas
 
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
 
-def test_rate_table_rejects_channels_grouped_differently():
-    p = ModelParams(1, 0.3, 0.0, 0.1, n_max=4)
+    monkeypatch.setattr(spectral.EigenSystem, "collision_omegas", counted)
+    p = ModelParams(2, 0.0, 0.0, 0.1, n_max=5)
+    system = solve_system(p)
+    assert len(calls) == 1
+    assert system.collision_count == original(system.eig, 1e-9).size > 0
     ops = build_operators(p)
-    eig = diagonalize(build_hamiltonian(p))
-    cavity, emitter = default_channels(p)
-    sets = [(cavity, group_transitions(eig, ops.x, 1e-9)),
-            (emitter, group_transitions(eig, ops.sigma_y[0], 1e-6))]
-    with pytest.raises(ValueError, match="share one transition grouping"):
-        build_rate_table(eig, sets, p.temperature)
+    operators = [ops.x, *ops.sigma_y]
+    assert len(system.channel_sets) == len(operators)
+    for (_, s_eigen), op in zip(system.channel_sets, operators):
+        np.testing.assert_array_equal(s_eigen, system.eig.to_eigenbasis(op))

@@ -15,10 +15,16 @@ from dressedlight import (
 )
 
 
+def _raising(ops):
+    """a+ and the s+_j as conjugate transposes of the lowering operators."""
+    return ops.a.conj().T, [sm.conj().T for sm in ops.sigma_minus]
+
+
 def _total_number(ops):
     """a+ a + sum_j s+_j s-_j from the dense operators."""
-    n_tot = ops.a_dagger @ ops.a
-    for sp, sm in zip(ops.sigma_plus, ops.sigma_minus):
+    a_dag, sigma_plus = _raising(ops)
+    n_tot = a_dag @ ops.a
+    for sp, sm in zip(sigma_plus, ops.sigma_minus):
         n_tot = n_tot + sp @ sm
     return n_tot
 
@@ -26,11 +32,12 @@ def _total_number(ops):
 def _reference_hamiltonian(params):
     """H from dense products of the operator set, term by term."""
     ops = build_operators(params)
-    h = params.cavity_frequency * (ops.a_dagger @ ops.a)
-    for sm, sp in zip(ops.sigma_minus, ops.sigma_plus):
+    a_dag, sigma_plus = _raising(ops)
+    h = params.cavity_frequency * (a_dag @ ops.a)
+    for sm, sp in zip(ops.sigma_minus, sigma_plus):
         h = h + params.emitter_frequency * (sp @ sm)
-        h = h + params.g * (ops.a_dagger @ sm + ops.a @ sp)
-        h = h + params.g_prime * (ops.a @ sm + ops.a_dagger @ sp)
+        h = h + params.g * (a_dag @ sm + ops.a @ sp)
+        h = h + params.g_prime * (ops.a @ sm + a_dag @ sp)
     return h
 
 
@@ -59,6 +66,16 @@ def test_parameter_validation():
         ModelParams(1, 0.1, 0.0, 0.1, omega0=-1.0)
 
 
+@pytest.mark.parametrize("field", ["g", "g_prime", "temperature", "omega0",
+                                   "gamma", "x0", "omega_c", "omega_x"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_parameter_validation_rejects_non_finite(field, value):
+    kwargs = dict(n_emitters=1, g=0.3, g_prime=0.0, temperature=0.1, n_max=4)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ModelParams(**kwargs)
+
+
 def test_frequency_defaults_and_overrides():
     p = ModelParams(1, 0.1, 0.0, 0.1, omega0=2.0)
     assert p.cavity_frequency == 2.0
@@ -84,9 +101,9 @@ def test_fock_ladder_elements():
             col = e * half + n
             assert ops.a[row, col] == pytest.approx(np.sqrt(n))
     assert np.count_nonzero(ops.a) == 2 * p.n_max
-    np.testing.assert_allclose(ops.a_dagger, ops.a.conj().T)
+    a_dag, _ = _raising(ops)
     # commutator is canonical away from the truncation edge
-    comm = ops.a @ ops.a_dagger - ops.a_dagger @ ops.a
+    comm = ops.a @ a_dag - a_dag @ ops.a
     edge = [e * half + p.n_max for e in (0, 1)]
     keep = np.setdiff1d(np.arange(dim), edge)
     np.testing.assert_allclose(comm[np.ix_(keep, keep)], np.eye(keep.size),
@@ -97,25 +114,26 @@ def test_emitter_bit_convention():
     # emitter j maps to bit j of the configuration index
     p = ModelParams(3, 0.1, 0.0, 0.1, n_max=2)
     ops = build_operators(p)
+    _, sigma_plus = _raising(ops)
     half = p.n_max + 1
     vacuum = np.zeros(p.dim)
     vacuum[0] = 1.0
     for j in range(3):
-        excited = ops.sigma_plus[j] @ vacuum
+        excited = sigma_plus[j] @ vacuum
         expect = np.zeros(p.dim)
         expect[(1 << j) * half] = 1.0
         np.testing.assert_allclose(excited, expect, atol=1e-15)
         # raising twice annihilates
-        assert np.allclose(ops.sigma_plus[j] @ excited, 0.0)
+        assert np.allclose(sigma_plus[j] @ excited, 0.0)
 
 
 def test_emitter_algebra():
     rng = np.random.default_rng(7)
     p = ModelParams(2, 0.1, 0.0, 0.1, n_max=2)
     ops = build_operators(p)
+    _, sigma_plus = _raising(ops)
     for j in range(2):
-        sp, sm = ops.sigma_plus[j], ops.sigma_minus[j]
-        np.testing.assert_allclose(sm, sp.conj().T)
+        sp, sm = sigma_plus[j], ops.sigma_minus[j]
         np.testing.assert_allclose(sm @ sm, 0.0, atol=1e-15)
         proj = sp @ sm
         np.testing.assert_allclose(proj @ proj, proj, atol=1e-14)
@@ -124,15 +142,16 @@ def test_emitter_algebra():
         np.testing.assert_allclose(sy, sy.conj().T)
     # different sites commute
     v = rng.standard_normal(p.dim)
-    ab = ops.sigma_plus[0] @ (ops.sigma_minus[1] @ v)
-    ba = ops.sigma_minus[1] @ (ops.sigma_plus[0] @ v)
+    ab = sigma_plus[0] @ (ops.sigma_minus[1] @ v)
+    ba = ops.sigma_minus[1] @ (sigma_plus[0] @ v)
     np.testing.assert_allclose(ab, ba, atol=1e-14)
 
 
 def test_cavity_quadrature_and_total_number():
     p = ModelParams(2, 0.2, 0.1, 0.1, n_max=4, x0=1.7)
     ops = build_operators(p)
-    np.testing.assert_allclose(ops.x, -1j * p.x0 * (ops.a - ops.a_dagger))
+    a_dag, _ = _raising(ops)
+    np.testing.assert_allclose(ops.x, -1j * p.x0 * (ops.a - a_dag))
     np.testing.assert_allclose(ops.x, ops.x.conj().T)
     # a+ a + sum_j s+_j s-_j is diagonal: Fock index plus excited emitters
     half = p.n_max + 1

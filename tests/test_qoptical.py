@@ -4,6 +4,8 @@ The thermal-ladder oracle is rebuilt in the tests from bit counts and Fock
 indices, independent of the operator machinery under test.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -15,13 +17,35 @@ from dressedlight import (
     qo_g2_zero,
     qo_liouvillian,
     qo_stationary_state,
-    trace_distance,
+    qoptical,
 )
 from dressedlight.qoptical import (
     DegenerateSteadyStateError,
     _solve_with_trace_row,
-    qo_convergence_estimate,
 )
+
+
+def trace_distance(rho, sigma):
+    """Half the trace norm of the difference."""
+    diff = rho - sigma
+    vals = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
+    return 0.5 * float(np.abs(vals).sum())
+
+
+def qo_convergence_estimate(params, n_max):
+    """Trace distance between stationary states at n_max and 2 n_max."""
+    low = qo_stationary_state(params, n_max, check_unique=False)
+    high = qo_stationary_state(params, 2 * n_max, check_unique=False)
+    n_low = low.params.n_max
+    n_high = high.params.n_max
+    # Embed the small-cutoff state: flat index (e, n) -> e (n_max+1) + n.
+    n_conf = 2**params.n_emitters
+    idx = (
+        np.arange(n_conf)[:, None] * (n_high + 1) + np.arange(n_low + 1)[None, :]
+    ).ravel()
+    padded = np.zeros_like(high.rho)
+    padded[np.ix_(idx, idx)] = low.rho
+    return trace_distance(padded, high.rho)
 
 
 def _thermal_ladder(n_emitters, n_max, temperature, omega0=1.0):
@@ -142,3 +166,17 @@ def test_singular_pinned_system_is_a_degenerate_steady_state():
     liouv = (-1j * (sp.kron(eye, h) - sp.kron(h.T, eye))).tocsr()
     with pytest.raises(DegenerateSteadyStateError):
         _solve_with_trace_row(liouv, 2, 0)
+
+
+def test_pinned_solves_that_disagree_are_a_degenerate_steady_state(monkeypatch):
+    # a generator with a two-fold stationary manifold whose pinned-row
+    # systems are singular only up to round-off, so SuperLU factors them;
+    # only the second pinned solve reveals the degeneracy
+    rng = np.random.default_rng(16)
+    v = rng.standard_normal((4, 4))
+    liouv = sp.csr_matrix(
+        (v @ np.diag([0.0, 0.0, -1.0, -2.0]) @ np.linalg.inv(v)).astype(complex))
+    fake = (liouv, SimpleNamespace(dim=2), None)
+    monkeypatch.setattr(qoptical, "qo_liouvillian", lambda *args, **kw: fake)
+    with pytest.raises(DegenerateSteadyStateError, match="disagree"):
+        qo_stationary_state(ModelParams(1, 0.3, 0.0, 0.1), n_max=4)

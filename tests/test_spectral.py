@@ -1,4 +1,4 @@
-"""Eigen decomposition, phase gauge, and transition grouping."""
+"""Eigen decomposition, phase gauge, and transition-frequency collisions."""
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from dressedlight import (
     solve_system,
     spectral,
 )
+from dressedlight.dissipation import channel_operator
 
 
 def _random_hermitian_with_spectrum(energies, seed):
@@ -93,54 +94,58 @@ def test_to_eigenbasis_matches_direct_projection():
 
 def test_transition_frequencies_and_zero_group():
     p = ModelParams(1, 0.3, 0.0, 0.1, n_max=4)
-    ops = build_operators(p)
     eig = diagonalize(build_hamiltonian(p))
-    grp = group_transitions(eig, ops.x).grouping
+    grp = _loop_grouping(eig, 1e-9)
     # the pinned zero-frequency group sits exactly at 0
-    assert grp.omegas[grp.zero_group] == 0.0
-    # every advertised group frequency is realized by its member pairs
-    for k in range(grp.n_groups):
-        for a, b in zip(grp.pair_a[grp.starts[k]:grp.stops[k]],
-                        grp.pair_b[grp.starts[k]:grp.stops[k]]):
-            omega_ab = eig.group_energy[b] - eig.group_energy[a]
-            assert abs(omega_ab - grp.omegas[k]) < 1e-8
+    assert grp["omegas"][grp["zero_group"]] == 0.0
+    # every group frequency is realized by its member pairs
+    for k, (b, e) in enumerate(zip(grp["starts"], grp["stops"])):
+        for a, c in zip(grp["pair_a"][b:e], grp["pair_b"][b:e]):
+            omega_ac = eig.group_energy[c] - eig.group_energy[a]
+            assert abs(omega_ac - grp["omegas"][k]) < 1e-8
     # frequencies come out sorted and unique at this coupling
-    assert np.all(np.diff(grp.omegas) > 0)
-    assert grp.collision_count == 0
+    assert np.all(np.diff(grp["omegas"]) > 0)
+    assert eig.collision_omegas(1e-9).size == 0
 
 
 def test_reconstruct_roundtrip():
+    # the frequency groups split every operator into disjoint components
+    # that add up to it, so rates evaluated per group energy pair cover
+    # every matrix element exactly once
     p = ModelParams(2, 0.4, 0.2, 0.1, n_max=3)
     ops = build_operators(p)
     eig = diagonalize(build_hamiltonian(p))
-    trans = group_transitions(eig, ops.x)
     s = eig.to_eigenbasis(ops.x)
-    np.testing.assert_allclose(trans.reconstruct(), s, atol=1e-13)
-    # components are disjoint: their squared weights add up
-    total = sum(np.abs(trans.component(k)) ** 2
-                for k in range(trans.grouping.n_groups))
-    np.testing.assert_allclose(total, np.abs(s) ** 2, atol=1e-13)
+    grp = _loop_grouping(eig, 1e-9)
+    members = eig.group_members
+    covered = np.zeros(s.shape, dtype=int)
+    total = np.zeros_like(s)
+    for b, e in zip(grp["starts"], grp["stops"]):
+        component = np.zeros_like(s)
+        for a, c in zip(grp["pair_a"][b:e], grp["pair_b"][b:e]):
+            block = np.ix_(members[a], members[c])
+            component[block] = s[block]
+            covered[block] += 1
+        total += component
+    np.testing.assert_array_equal(covered, 1)
+    np.testing.assert_allclose(total, s, atol=1e-13)
 
 
 def test_harmonic_ladder_collisions_flagged():
     # uncoupled cavity: all upward transitions share the same frequency
     p = ModelParams(1, 0.0, 0.0, 0.1, n_max=5)
-    ops = build_operators(p)
     eig = diagonalize(build_hamiltonian(p))
-    grp = group_transitions(eig, ops.x).grouping
-    assert grp.collision_count > 0
-    assert 1.0 in np.round(grp.collision_omegas, 12)
+    collisions = eig.collision_omegas(1e-9)
+    assert collisions.size > 0
+    assert 1.0 in np.round(collisions, 12)
 
 
 def test_squared_elements_match():
     p = ModelParams(1, 0.25, 0.25, 0.15, n_max=4)
     ops = build_operators(p)
     eig = diagonalize(build_hamiltonian(p))
-    trans = group_transitions(eig, ops.x)
-    np.testing.assert_allclose(trans.s_eigen, eig.to_eigenbasis(ops.x),
-                               atol=1e-14)
-    np.testing.assert_allclose(trans.s_abs2, np.abs(trans.s_eigen) ** 2,
-                               atol=1e-14)
+    np.testing.assert_allclose(group_transitions(eig, ops.x),
+                               eig.to_eigenbasis(ops.x), atol=1e-14)
 
 
 def _loop_grouping(eig, delta_omega):
@@ -175,33 +180,32 @@ def _loop_grouping(eig, delta_omega):
     ModelParams(1, 0.0, 0.0, 0.1, n_max=5),  # harmonic ladder, collisions
 ], ids=["dicke-n2", "tc-n2-degenerate", "harmonic-ladder"])
 def test_vectorized_grouping_matches_loop_reference(params):
-    ops = build_operators(params)
     eig = diagonalize(build_hamiltonian(params))
-    grp = eig.transition_grouping(1e-9)
+    collisions = eig.collision_omegas(1e-9)
     ref = _loop_grouping(eig, 1e-9)
-    for name in ("pair_a", "pair_b", "starts", "stops"):
-        np.testing.assert_array_equal(getattr(grp, name), ref[name])
-    assert grp.zero_group == ref["zero_group"]
-    assert grp.collision_count == ref["collision_omegas"].size
-    np.testing.assert_allclose(grp.omegas, ref["omegas"], rtol=1e-12, atol=0)
-    np.testing.assert_allclose(grp.collision_omegas, ref["collision_omegas"],
+    assert collisions.size == ref["collision_omegas"].size
+    np.testing.assert_allclose(collisions, ref["collision_omegas"],
                                rtol=1e-12, atol=0)
 
 
 def test_channel_sets_share_one_grouping(monkeypatch):
+    # the secular grouping lives in the one eigensystem: collisions are
+    # counted once per solve, and every channel is projected onto the same
+    # eigenbasis whose group energies the rate table reads
     calls = []
-    original = spectral._group_frequencies
+    original = spectral.EigenSystem.collision_omegas
 
-    def counted(*args):
+    def counted(self, *args):
         calls.append(args)
-        return original(*args)
+        return original(self, *args)
 
-    monkeypatch.setattr(spectral, "_group_frequencies", counted)
-    system = solve_system(ModelParams(2, 0.3, 0.3, 0.1, n_max=4))
+    monkeypatch.setattr(spectral.EigenSystem, "collision_omegas", counted)
+    p = ModelParams(2, 0.3, 0.3, 0.1, n_max=4)
+    system = solve_system(p)
     assert len(system.channel_sets) == 3
     assert len(calls) == 1
-    shared = system.eig.transition_grouping(1e-9)
-    assert all(t.grouping is shared for _, t in system.channel_sets)
-    # the shared arrays cannot be changed through one channel's set
-    with pytest.raises(ValueError):
-        system.channel_sets[0][1].grouping.omegas[0] = 1.0
+    assert system.rates.channels == tuple(ch for ch, _ in system.channel_sets)
+    ops = build_operators(p)
+    for ch, s_eigen in system.channel_sets:
+        np.testing.assert_array_equal(
+            s_eigen, group_transitions(system.eig, channel_operator(ch, ops)))
