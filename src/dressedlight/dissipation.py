@@ -1,8 +1,9 @@
 """Bath coupling rates in the dressed basis.
 
 Every bath channel couples one Hermitian system operator (the cavity
-quadrature or an emitter sigma_y) to its own Ohmic reservoir.  The
-emission/absorption rate at transition frequency w is
+quadrature or an emitter sigma_y) to its own Ohmic reservoir.  Both are
+S = -i A with A real antisymmetric (channel_operator), so the rates use
+|<m|A|n>|^2.  The emission/absorption rate at transition frequency w is
 
     chi(w) = gamma(w) [n(w, T) + 1]    for w > 0,
     chi(w) = gamma(-w) n(-w, T)        for w < 0,
@@ -63,11 +64,21 @@ def default_channels(params, lamb_cutoff=None):
     return channels
 
 
+def cavity_quadrature(ops):
+    """Real antisymmetric A_X = x0 (a - a^T); the quadrature is X = -i A_X."""
+    return ops.params.x0 * (ops.a - ops.a.T)
+
+
 def channel_operator(channel, ops):
-    """The lab-frame coupling operator of a channel."""
+    """Real antisymmetric A of a channel; its coupling operator is S = -i A.
+
+    A is cavity_quadrature(ops) for the cavity (S = X) and
+    sigma_minus_j - sigma_minus_j^T for emitter j (S = sigma_y_j).
+    """
     if channel.operator_tag == CAVITY_TAG:
-        return ops.x
-    return ops.sigma_y[channel.emitter_index]
+        return cavity_quadrature(ops)
+    sm = ops.sigma_minus[channel.emitter_index]
+    return sm - sm.T
 
 
 def spectral_density(channel, omega):
@@ -203,8 +214,8 @@ def build_rate_table(eig, channel_sets, temperature):
     ----------
     eig : EigenSystem
     channel_sets : list of (ChannelSpec, s_eigen)
-        Each channel with its coupling operator in the eigenbasis of eig,
-        eig.to_eigenbasis(channel_operator(channel, ops)).
+        Each channel with the real A of its coupling S = -i A in the
+        eigenbasis of eig, eig.to_eigenbasis(channel_operator(channel, ops)).
     temperature : float
 
     Returns

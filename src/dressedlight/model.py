@@ -116,17 +116,17 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class OperatorSet:
-    """Dense matrices of the elementary operators on the product space.
+    """Dense matrices of the lowering operators on the product space.
 
-    sigma_minus[j] etc. act on emitter j (bit j of the configuration
-    index).  All arrays are complex of shape (dim, dim).
+    a lowers the Fock index and sigma_minus[j] lowers emitter j (bit j of
+    the configuration index).  All arrays are real float64 of shape
+    (dim, dim); the Hermitian bath couplings are -i times a real
+    antisymmetric matrix built from them (dissipation.channel_operator).
     """
 
     params: ModelParams
     a: np.ndarray
     sigma_minus: tuple
-    sigma_y: tuple
-    x: np.ndarray
 
     @property
     def dim(self):
@@ -161,33 +161,18 @@ def _check_dim(params, max_dim):
 
 
 def build_operators(params, max_dim=DEFAULT_MAX_DIM):
-    """Construct the elementary operators for the given parameters.
+    """Construct the real lowering operators for the given parameters.
 
     Raises DimensionLimitError when 2^N (n_max+1) exceeds max_dim.
     """
     _check_dim(params, max_dim)
     n = params.n_emitters
-    nf = params.n_max + 1
-
-    a_f = _fock_lowering(params.n_max)
-    eye_e = np.eye(2**n)
-    a = np.kron(eye_e, a_f).astype(complex)
-
-    eye_f = np.eye(nf)
-    sigma_minus = []
-    for j in range(n):
-        sm = np.kron(_site_operator(_SIGMA_MINUS, j, n), eye_f).astype(complex)
-        sigma_minus.append(sm)
-    sigma_y = [1j * (sm.conj().T - sm) for sm in sigma_minus]
-
-    x = -1j * params.x0 * (a - a.conj().T)
-
+    eye_f = np.eye(params.n_max + 1)
     return OperatorSet(
         params=params,
-        a=a,
-        sigma_minus=tuple(sigma_minus),
-        sigma_y=tuple(sigma_y),
-        x=x,
+        a=np.kron(np.eye(2**n), _fock_lowering(params.n_max)),
+        sigma_minus=tuple(np.kron(_site_operator(_SIGMA_MINUS, j, n), eye_f)
+                          for j in range(n)),
     )
 
 

@@ -1,11 +1,11 @@
 """Emission spectrum and photon statistics of the cavity output.
 
 The emitted field is represented by the lowering part of the time
-derivative of the cavity quadrature, built in the dressed basis:
-element (m, n) is -i (E_n - E_m) <m|X|n> for E_n > E_m and zero
-otherwise.  The stationary spectrum is a sum of Lorentzians, one per
-dressed transition, and the degree-two correlation function follows
-from the regression rule.
+derivative of the cavity quadrature X = -i A_X, built in the dressed
+basis: element (m, n) is -i (E_n - E_m) <m|X|n> = (E_m - E_n) <m|A_X|n>,
+a real number, for E_n > E_m and zero otherwise.  The stationary
+spectrum is a sum of Lorentzians, one per dressed transition, and the
+degree-two correlation function follows from the regression rule.
 """
 
 from __future__ import annotations
@@ -24,19 +24,19 @@ class DarkStateError(ValueError):
     """No stationary emission: photon statistics undefined."""
 
 
-def emission_operator(eig, x_eig):
+def emission_operator(eig, a_eig):
     """Lowering part of the quadrature derivative, in the eigenbasis.
 
-    x_eig is the cavity quadrature already in the eigenbasis,
-    eig.to_eigenbasis(x).  The result is strictly upper triangular in the
-    energy ordering (rows below columns in energy); elements inside a
-    degenerate level group are excluded, so the operator annihilates the
-    ground level.
+    a_eig is A_X of the quadrature X = -i A_X in the eigenbasis,
+    eig.to_eigenbasis(cavity_quadrature(ops)); element (m, n) of the
+    result is (E_m - E_n) a_eig[m, n].  It is strictly upper triangular
+    in the energy ordering (rows below columns in energy); elements inside
+    a degenerate level group are excluded, so the operator annihilates
+    the ground level.
     """
     e = eig.energies
-    factor = -1j * (e[None, :] - e[:, None])
     lower = eig.group_index[None, :] > eig.group_index[:, None]
-    return np.where(lower, factor * x_eig, 0.0)
+    return np.where(lower, (e[:, None] - e[None, :]) * a_eig, 0.0)
 
 
 @dataclass
@@ -57,7 +57,7 @@ class SpectrumResult:
     emission_total: float
 
 
-def _emission_pairs(eig, rates, stat, xdot, weight_floor):
+def _emission_pairs(rates, stat, xdot, weight_floor):
     weights_full = np.abs(xdot) ** 2 * stat.populations[None, :]
     rows, cols = np.nonzero(weights_full)
     w = weights_full[rows, cols]
@@ -72,16 +72,16 @@ def _emission_pairs(eig, rates, stat, xdot, weight_floor):
     return centers[order], half_widths[order], w[order], total
 
 
-def emission_spectrum(eig, rates, stat, omega_grid, xdot, weight_floor=1e-12):
+def emission_spectrum(rates, stat, omega_grid, xdot, weight_floor=1e-12):
     """Stationary emission spectrum sampled on a frequency grid.
 
     Parameters
     ----------
-    eig, rates, stat
-        Eigensystem, rate table and stationary populations.
+    rates, stat
+        Rate table and stationary populations.
     omega_grid : array_like
         Frequencies at which to sample the curve.
-    xdot : (D, D) array
+    xdot : (D, D) float64 array
         Emission operator from emission_operator().
     weight_floor : float
         Peaks below this fraction of the total weight are dropped from
@@ -97,7 +97,7 @@ def emission_spectrum(eig, rates, stat, omega_grid, xdot, weight_floor=1e-12):
     if cavity is None:
         raise ValueError("rate table has no cavity channel")
     centers, half_widths, weights, total = _emission_pairs(
-        eig, rates, stat, xdot, weight_floor
+        rates, stat, xdot, weight_floor
     )
     if centers.size and np.any(half_widths <= 0):
         raise ValueError("non-positive linewidth; all decay rates must be > 0")
@@ -182,12 +182,12 @@ def _emission_rate(stat, xdot, floor=None):
     return rate
 
 
-def integrated_emission(eig, stat, xdot):
+def integrated_emission(stat, xdot):
     """Total stationary emission rate sum <Xdot+ Xdot->."""
     return _emission_rate(stat, xdot)
 
 
-def g2_zero(eig, stat, xdot, floor=DENOMINATOR_FLOOR):
+def g2_zero(stat, xdot, floor=DENOMINATOR_FLOOR):
     """Equal-time degree-two coherence of the emitted field."""
     denominator = _emission_rate(stat, xdot, floor)
     y = xdot @ xdot
@@ -212,7 +212,7 @@ class G2Result:
     relaxation_gap: float
 
 
-def g2_time(eig, rates, stat, t_grid, xdot, floor=DENOMINATOR_FLOOR):
+def g2_time(rates, stat, t_grid, xdot, floor=DENOMINATOR_FLOOR):
     """Degree-two coherence g2(t) on a grid of delays.
 
     The conditional matrix Xdot- rho Xdot+ is propagated with the rate
@@ -223,8 +223,8 @@ def g2_time(eig, rates, stat, t_grid, xdot, floor=DENOMINATOR_FLOOR):
     if np.any(t_grid < 0):
         raise ValueError("delays must be non-negative")
     denominator = _emission_rate(stat, xdot, floor)
-    rho_cond = (xdot * stat.populations[None, :]) @ xdot.conj().T
-    observable = xdot.conj().T @ xdot
+    rho_cond = (xdot * stat.populations[None, :]) @ xdot.T
+    observable = xdot.T @ xdot
     evolver = RegressionEvolver(rates, stat,
                                 ConditionalMatrix.from_matrix(rho_cond),
                                 observable)
@@ -232,7 +232,7 @@ def g2_time(eig, rates, stat, t_grid, xdot, floor=DENOMINATOR_FLOOR):
     return G2Result(
         times=t_grid,
         values=raw.real,
-        zero_value=g2_zero(eig, stat, xdot, floor),
+        zero_value=g2_zero(stat, xdot, floor),
         denominator=denominator,
         max_imag=float(np.max(np.abs(raw.imag))) if raw.size else 0.0,
         relaxation_gap=evolver.propagator.relaxation_gap,

@@ -10,6 +10,7 @@ from . import observables
 from .dissipation import (
     CAVITY_TAG,
     build_rate_table,
+    cavity_quadrature,
     channel_operator,
     default_channels,
 )
@@ -22,9 +23,10 @@ from .spectral import diagonalize, group_transitions
 class SolvedSystem:
     """All stages of one parameter point, ready for observables.
 
-    channel_sets pairs every bath channel with its coupling operator in
-    the eigenbasis.  collision_count is the number of transition
-    frequencies shared by distinct level pairs, within delta_omega.
+    channel_sets pairs every bath channel with the real A of its coupling
+    S = -i A in the eigenbasis.  collision_count is the number of
+    transition frequencies shared by distinct level pairs, within
+    delta_omega.
     """
 
     params: object
@@ -40,20 +42,19 @@ class SolvedSystem:
         return self.eig.degenerate
 
     def integrated_emission(self):
-        return observables.integrated_emission(self.eig, self.stationary, self.xdot)
+        return observables.integrated_emission(self.stationary, self.xdot)
 
     def g2_zero(self, floor=observables.DENOMINATOR_FLOOR):
-        return observables.g2_zero(self.eig, self.stationary, self.xdot, floor)
+        return observables.g2_zero(self.stationary, self.xdot, floor)
 
     def g2_time(self, t_grid, floor=observables.DENOMINATOR_FLOOR):
         return observables.g2_time(
-            self.eig, self.rates, self.stationary, t_grid, self.xdot, floor
+            self.rates, self.stationary, t_grid, self.xdot, floor
         )
 
     def spectrum(self, omega_grid, weight_floor=1e-12):
         return observables.emission_spectrum(
-            self.eig, self.rates, self.stationary, omega_grid, self.xdot,
-            weight_floor,
+            self.rates, self.stationary, omega_grid, self.xdot, weight_floor
         )
 
 
@@ -91,12 +92,12 @@ def solve_system(params, delta_e=None, delta_omega=None, channels=None,
     ]
     rates = build_rate_table(eig, channel_sets, params.temperature)
     stat = stationary_state(eig, rates)
-    # The cavity channel already holds X in the eigenbasis.
-    x_eigen = next((s for ch, s in channel_sets
+    # The cavity channel already holds A_X in the eigenbasis.
+    a_eigen = next((s for ch, s in channel_sets
                     if ch.operator_tag == CAVITY_TAG), None)
-    if x_eigen is None:
-        x_eigen = eig.to_eigenbasis(ops.x)
-    xdot = observables.emission_operator(eig, x_eigen)
+    if a_eigen is None:
+        a_eigen = eig.to_eigenbasis(cavity_quadrature(ops))
+    xdot = observables.emission_operator(eig, a_eigen)
     return SolvedSystem(
         params=params,
         eig=eig,

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .dissipation import bose_occupation
+from .dissipation import bose_occupation, cavity_quadrature
 from .model import ModelParams, build_hamiltonian, build_operators
 
 DEFAULT_QO_NMAX = 15
@@ -84,7 +84,7 @@ def _dissipator(op_sparse):
 
 
 def qo_liouvillian(params, n_max=None):
-    """Sparse vectorized generator; returns (liouvillian, ops, h)."""
+    """Sparse vectorized generator; returns (liouvillian, ops)."""
     params = _qo_params(params, n_max)
     if params.dim > MAX_QO_DIM:
         raise ValueError(
@@ -92,8 +92,7 @@ def qo_liouvillian(params, n_max=None):
             f"(limit {MAX_QO_DIM}); lower n_max"
         )
     ops = build_operators(params)
-    h = build_hamiltonian(params)
-    h_s = sp.csr_matrix(h)
+    h_s = sp.csr_matrix(build_hamiltonian(params))
     eye = sp.identity(params.dim, format="csr")
     liouv = -1j * (sp.kron(eye, h_s) - sp.kron(h_s.T, eye))
     for ch in qo_channels(params, ops):
@@ -101,7 +100,7 @@ def qo_liouvillian(params, n_max=None):
         liouv = liouv + ch.chi_down * _dissipator(s_plus)
         if ch.chi_up > 0:
             liouv = liouv + ch.chi_up * _dissipator(s_plus.conj().T)
-    return liouv.tocsr(), ops, h
+    return liouv.tocsr(), ops
 
 
 def _solve_with_trace_row(liouv, dim, row, refine=2):
@@ -141,25 +140,24 @@ class QoStationary:
     min_eigenvalue: float
 
 
-def qo_stationary_state(params, n_max=None, check_unique=True):
+def qo_stationary_state(params, n_max=None):
     """Stationary density matrix of the bare-operator master equation.
 
     Solves the null-space problem directly with a trace constraint,
-    hermitizes and renormalizes, and verifies positivity.  With
-    check_unique a second solve with a different pinned equation guards
-    against a degenerate stationary manifold.
+    hermitizes and renormalizes, and verifies positivity.  A second solve
+    with a different pinned equation guards against a degenerate
+    stationary manifold.
     """
     if params.temperature <= 0:
         raise ValueError("the comparison solver needs temperature > 0")
-    liouv, ops, _ = qo_liouvillian(params, n_max)
+    liouv, ops = qo_liouvillian(params, n_max)
     dim = ops.dim
     rho = _solve_with_trace_row(liouv, dim, 0)
-    if check_unique:
-        other = _solve_with_trace_row(liouv, dim, dim * dim - 1)
-        if np.max(np.abs(rho - other)) > 1e-8 * max(1.0, np.max(np.abs(rho))):
-            raise DegenerateSteadyStateError(
-                "stationary state is not unique (pinned-row solves disagree)"
-            )
+    other = _solve_with_trace_row(liouv, dim, dim * dim - 1)
+    if np.max(np.abs(rho - other)) > 1e-8 * max(1.0, np.max(np.abs(rho))):
+        raise DegenerateSteadyStateError(
+            "stationary state is not unique (pinned-row solves disagree)"
+        )
     residual = float(np.max(np.abs(liouv @ rho.reshape(-1, order="F"))))
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
@@ -192,11 +190,12 @@ def qo_g2_zero(params, n_max=None, dressed=False, floor=1e-30,
         from .spectral import diagonalize
 
         eig = diagonalize(build_hamiltonian(qp), 1e-9 * qp.omega0)
-        xdot_eig = emission_operator(eig, eig.to_eigenbasis(ops.x))
-        lower = eig.vectors @ xdot_eig @ eig.vectors.conj().T
+        xdot_eig = emission_operator(
+            eig, eig.to_eigenbasis(cavity_quadrature(ops)))
+        lower = eig.vectors @ xdot_eig @ eig.vectors.T
     else:
         lower = ops.a
-    raise_op = lower.conj().T
+    raise_op = lower.T
     denominator = float(np.trace(rho @ raise_op @ lower).real)
     if denominator < floor:
         raise ValueError(f"stationary emission {denominator:.3e} below floor")

@@ -45,10 +45,6 @@ class EigenSystem:
         return self.energies.size
 
     @property
-    def n_groups(self):
-        return self.group_energy.size
-
-    @property
     def degenerate(self):
         return any(len(m) > 1 for m in self.group_members)
 

@@ -5,6 +5,8 @@ numpy.linalg.eigh and nested loops, so the table's vectorized assembly is
 checked against an independent implementation of the same physics.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -12,6 +14,7 @@ from scipy.integrate import quad
 from dressedlight import (
     ChannelSpec,
     ModelParams,
+    OperatorSet,
     bose_occupation,
     build_hamiltonian,
     build_operators,
@@ -54,9 +57,34 @@ def test_channel_operators():
     p = ModelParams(2, 0.2, 0.1, 0.1, n_max=3)
     ops = build_operators(p)
     channels = default_channels(p)
-    np.testing.assert_allclose(channel_operator(channels[0], ops), ops.x)
-    np.testing.assert_allclose(channel_operator(channels[2], ops),
-                               ops.sigma_y[1])
+    # X = -i x0 (a - a+) and sigma_y = i (s+ - s-), built by hand
+    x = -1j * p.x0 * (ops.a - ops.a.T)
+    sigma_y_1 = 1j * (ops.sigma_minus[1].T - ops.sigma_minus[1])
+    np.testing.assert_allclose(-1j * channel_operator(channels[0], ops), x)
+    np.testing.assert_allclose(-1j * channel_operator(channels[2], ops),
+                               sigma_y_1)
+
+
+@pytest.mark.parametrize("g_prime", [0.0, 0.3], ids=["tc", "dicke"])
+def test_dressed_pipeline_is_real(g_prime):
+    # every coupling is S = -i A with A real antisymmetric, and the
+    # eigenvectors are real, so no complex D x D array is needed from the
+    # operators to the emission operator
+    p = ModelParams(2, 0.3, g_prime, 0.1, n_max=4)
+    ops = build_operators(p)
+    assert [f.name for f in fields(OperatorSet)] == ["params", "a",
+                                                     "sigma_minus"]
+    assert all(op.dtype == np.float64 for op in (ops.a, *ops.sigma_minus))
+    system = solve_system(p)
+    assert system.eig.vectors.dtype == np.float64
+    assert len(system.channel_sets) == 3
+    for _, s_eigen in system.channel_sets:
+        assert s_eigen.dtype == np.float64
+    assert system.xdot.dtype == np.float64
+    hermitian = [-1j * p.x0 * (ops.a - ops.a.T)]
+    hermitian += [1j * (sm.T - sm) for sm in ops.sigma_minus]
+    for ch, s in zip(default_channels(p), hermitian):
+        np.testing.assert_array_equal(-1j * channel_operator(ch, ops), s)
 
 
 def test_spectral_density_linear():
@@ -243,7 +271,9 @@ def test_collision_count_is_counted_once_per_eigensystem(monkeypatch):
     assert len(calls) == 1
     assert system.collision_count == original(system.eig, 1e-9).size > 0
     ops = build_operators(p)
-    operators = [ops.x, *ops.sigma_y]
+    # each channel carries the real A of its coupling S = -i A
+    operators = [p.x0 * (ops.a - ops.a.T)]
+    operators += [sm - sm.T for sm in ops.sigma_minus]
     assert len(system.channel_sets) == len(operators)
     for (_, s_eigen), op in zip(system.channel_sets, operators):
         np.testing.assert_array_equal(s_eigen, system.eig.to_eigenbasis(op))

@@ -12,12 +12,21 @@ from dressedlight import (
     ModelParams,
     build_hamiltonian,
     build_operators,
+    default_channels,
 )
+from dressedlight.dissipation import channel_operator
 
 
 def _raising(ops):
     """a+ and the s+_j as conjugate transposes of the lowering operators."""
     return ops.a.conj().T, [sm.conj().T for sm in ops.sigma_minus]
+
+
+def _hermitian_couplings(ops):
+    """X and the sigma_y_j as -i times the real channel operators."""
+    x, *sigma_y = (-1j * channel_operator(ch, ops)
+                   for ch in default_channels(ops.params))
+    return x, sigma_y
 
 
 def _total_number(ops):
@@ -132,12 +141,13 @@ def test_emitter_algebra():
     p = ModelParams(2, 0.1, 0.0, 0.1, n_max=2)
     ops = build_operators(p)
     _, sigma_plus = _raising(ops)
+    _, sigma_y = _hermitian_couplings(ops)
     for j in range(2):
         sp, sm = sigma_plus[j], ops.sigma_minus[j]
         np.testing.assert_allclose(sm @ sm, 0.0, atol=1e-15)
         proj = sp @ sm
         np.testing.assert_allclose(proj @ proj, proj, atol=1e-14)
-        sy = ops.sigma_y[j]
+        sy = sigma_y[j]
         np.testing.assert_allclose(sy, 1j * (sp - sm))
         np.testing.assert_allclose(sy, sy.conj().T)
     # different sites commute
@@ -151,8 +161,9 @@ def test_cavity_quadrature_and_total_number():
     p = ModelParams(2, 0.2, 0.1, 0.1, n_max=4, x0=1.7)
     ops = build_operators(p)
     a_dag, _ = _raising(ops)
-    np.testing.assert_allclose(ops.x, -1j * p.x0 * (ops.a - a_dag))
-    np.testing.assert_allclose(ops.x, ops.x.conj().T)
+    x, _ = _hermitian_couplings(ops)
+    np.testing.assert_allclose(x, -1j * p.x0 * (ops.a - a_dag))
+    np.testing.assert_allclose(x, x.conj().T)
     # a+ a + sum_j s+_j s-_j is diagonal: Fock index plus excited emitters
     half = p.n_max + 1
     expect = np.diag([float(bin(i // half).count("1") + i % half)

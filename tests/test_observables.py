@@ -13,6 +13,7 @@ from dressedlight import (
     solve_system,
     spectrum_sum_rule,
 )
+from dressedlight.dissipation import cavity_quadrature
 
 
 def test_emission_operator_bare_cavity():
@@ -41,7 +42,9 @@ def test_emission_operator_structure():
     ground[0] = 1.0
     np.testing.assert_allclose(xdot @ ground, 0.0)
     # prefactor: element-wise ratio against the projected quadrature
-    x_eig = system.eig.to_eigenbasis(build_operators(p).x)
+    # the cavity quadrature X = -i A_X
+    x_eig = system.eig.to_eigenbasis(
+        -1j * cavity_quadrature(build_operators(p)))
     e = system.rates.energies
     for m, n in zip(*np.nonzero(np.abs(xdot) > 1e-12)):
         expect = -1j * (e[n] - e[m]) * x_eig[m, n]

@@ -34,8 +34,8 @@ def trace_distance(rho, sigma):
 
 def qo_convergence_estimate(params, n_max):
     """Trace distance between stationary states at n_max and 2 n_max."""
-    low = qo_stationary_state(params, n_max, check_unique=False)
-    high = qo_stationary_state(params, 2 * n_max, check_unique=False)
+    low = qo_stationary_state(params, n_max)
+    high = qo_stationary_state(params, 2 * n_max)
     n_low = low.params.n_max
     n_high = high.params.n_max
     # Embed the small-cutoff state: flat index (e, n) -> e (n_max+1) + n.
@@ -89,7 +89,7 @@ def test_dicke_stationary_differs_from_dressed_thermal():
 
 def _propagate_dense(params, rho0, t, n_max):
     """Reference evolution: dense expm of the vectorized generator."""
-    liouv, ops, _ = qo_liouvillian(params, n_max)
+    liouv, ops = qo_liouvillian(params, n_max)
     vec = scipy.linalg.expm(liouv.toarray() * t) @ rho0.reshape(-1, order="F")
     return vec.reshape((ops.dim, ops.dim), order="F")
 
@@ -107,7 +107,7 @@ def test_time_evolution_reaches_nullspace_solution():
 
 def test_liouvillian_preserves_trace():
     p = ModelParams(2, 0.4, 0.4, 0.15)
-    liouv, ops, _ = qo_liouvillian(p, n_max=5)
+    liouv, ops = qo_liouvillian(p, n_max=5)
     dim = ops.dim
     trace_functional = np.zeros(dim * dim)
     trace_functional[np.arange(dim) * dim + np.arange(dim)] = 1.0
@@ -176,7 +176,7 @@ def test_pinned_solves_that_disagree_are_a_degenerate_steady_state(monkeypatch):
     v = rng.standard_normal((4, 4))
     liouv = sp.csr_matrix(
         (v @ np.diag([0.0, 0.0, -1.0, -2.0]) @ np.linalg.inv(v)).astype(complex))
-    fake = (liouv, SimpleNamespace(dim=2), None)
+    fake = (liouv, SimpleNamespace(dim=2))
     monkeypatch.setattr(qoptical, "qo_liouvillian", lambda *args, **kw: fake)
     with pytest.raises(DegenerateSteadyStateError, match="disagree"):
         qo_stationary_state(ModelParams(1, 0.3, 0.0, 0.1), n_max=4)

@@ -12,7 +12,12 @@ from dressedlight import (
     solve_system,
     spectral,
 )
-from dressedlight.dissipation import channel_operator
+from dressedlight.dissipation import cavity_quadrature, channel_operator
+
+
+def _quadrature(ops):
+    """The Hermitian cavity quadrature X = -i A_X."""
+    return -1j * cavity_quadrature(ops)
 
 
 def _random_hermitian_with_spectrum(energies, seed):
@@ -85,9 +90,10 @@ def test_to_eigenbasis_matches_direct_projection():
     p = ModelParams(1, 0.3, 0.1, 0.1, n_max=4)
     ops = build_operators(p)
     eig = diagonalize(build_hamiltonian(p))
-    s = eig.to_eigenbasis(ops.x)
+    x = _quadrature(ops)
+    s = eig.to_eigenbasis(x)
     np.testing.assert_allclose(
-        s, eig.vectors.conj().T @ ops.x @ eig.vectors, atol=1e-13)
+        s, eig.vectors.conj().T @ x @ eig.vectors, atol=1e-13)
     # Hermitian operators stay Hermitian in the new basis
     np.testing.assert_allclose(s, s.conj().T, atol=1e-13)
 
@@ -115,7 +121,7 @@ def test_reconstruct_roundtrip():
     p = ModelParams(2, 0.4, 0.2, 0.1, n_max=3)
     ops = build_operators(p)
     eig = diagonalize(build_hamiltonian(p))
-    s = eig.to_eigenbasis(ops.x)
+    s = eig.to_eigenbasis(_quadrature(ops))
     grp = _loop_grouping(eig, 1e-9)
     members = eig.group_members
     covered = np.zeros(s.shape, dtype=int)
@@ -144,8 +150,9 @@ def test_squared_elements_match():
     p = ModelParams(1, 0.25, 0.25, 0.15, n_max=4)
     ops = build_operators(p)
     eig = diagonalize(build_hamiltonian(p))
-    np.testing.assert_allclose(group_transitions(eig, ops.x),
-                               eig.to_eigenbasis(ops.x), atol=1e-14)
+    x = _quadrature(ops)
+    np.testing.assert_allclose(group_transitions(eig, x),
+                               eig.to_eigenbasis(x), atol=1e-14)
 
 
 def _loop_grouping(eig, delta_omega):
