@@ -10,11 +10,11 @@ from .analytic import (
     tc_g2_approximation,
 )
 from .dissipation import (
-    ChannelSpec,
+    Bath,
     RateTable,
+    bath_lowering,
     bose_occupation,
     build_rate_table,
-    default_channels,
     lamb_shift_rate,
     thermal_rate,
 )

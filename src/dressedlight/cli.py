@@ -20,12 +20,15 @@ converge          cutoff stability of g2(0), emission, and peak weights
 All frequencies, temperatures, and couplings are in units of the bare
 resonance frequency; times in its inverse.  Exit codes: 0 success, 2 config
 error, 3 when at least one grid point failed (remaining rows are still
-written, failed rows carry status=1 and nan values).
+written, failed rows carry status=1 and nan values) or when the solve of a
+fixed-point task (spectrum, g2time, converge) failed (no CSV or plot script
+is written, and summary.json records the error).
 
 The three (g, T) grid tasks share one runner, ``run_grid``; the table
 ``GRID_TASKS`` gives each its value function, value columns, failed-row
 values and extra summary metrics.  Every grid point, eigen's included, is
-evaluated by ``_point``, which records an exception as a failed point.
+evaluated by ``_point``, which records an exception as a failed point;
+``main`` records the exception of a fixed-point task the same way.
 Grid rows are emitted in fixed (g outer, T inner) order regardless of the
 worker count, so repeated runs produce byte-identical CSV files.
 """
@@ -45,7 +48,7 @@ from .analytic import tc_g2_approximation
 from .model import ModelParams, build_hamiltonian
 from .observables import cluster_weights
 from .pipeline import solve_system
-from .qoptical import qo_g2_zero
+from .qoptical import DEFAULT_QO_NMAX, qo_g2_zero
 from .spectral import diagonalize
 
 EXIT_OK = 0
@@ -61,11 +64,11 @@ TASKS = (
     "analytic-compare",
     "converge",
 )
+FIXED_POINT_TASKS = ("spectrum", "g2time", "converge")
 
 OUTPUT_ENV_VAR = "DRESSEDLIGHT_OUTDIR"
 
 DEFAULT_N_MAX = 100
-DEFAULT_QO_N_MAX = 15
 DEFAULT_OMEGA_GRID = {"omega_min": 0.0, "omega_max": 3.0, "points": 2000}
 DEFAULT_EIGEN_LEVELS = 12
 DEFAULT_T_POINTS = 500
@@ -136,7 +139,7 @@ def _parse_model(cfg, task, issues):
     if not isinstance(block, dict):
         issues.append(("model", "missing required object"))
         return None, None
-    fixed_point = task not in GRID_TASKS and task != "eigen"
+    fixed_point = task in FIXED_POINT_TASKS
 
     n_emitters = _get_int(block, "n_emitters", "model.n_emitters", issues,
                           required=True, minimum=1)
@@ -302,7 +305,7 @@ def parse_config(path, task, workers_override=None, out_override=None):
         resolved["t_grid"] = _parse_t_grid(cfg, gamma, issues)
     if task == "qo-chart":
         resolved["qo_n_max"] = _get_int(cfg, "qo_n_max", "qo_n_max", issues,
-                                        default=DEFAULT_QO_N_MAX, minimum=2)
+                                        default=DEFAULT_QO_NMAX, minimum=2)
     if task == "converge":
         pair = cfg.get("n_max_pair", DEFAULT_CONVERGE_PAIR)
         if (not isinstance(pair, list) or len(pair) != 2
@@ -380,6 +383,10 @@ def _map_points(worker, jobs, n_workers):
 # grid points and their runners
 
 
+def _error_text(exc):
+    return "%s: %s" % (type(exc).__name__, exc)
+
+
 def _point(job):
     """Evaluate one grid point; top level so it pickles for the pool.
 
@@ -392,7 +399,7 @@ def _point(job):
     try:
         return value(ModelParams(**kwargs), resolved), None
     except Exception as exc:  # recorded per point, sweep continues
-        return None, "%s: %s" % (type(exc).__name__, exc)
+        return None, _error_text(exc)
 
 
 def _g2_values(params, _resolved):
@@ -493,8 +500,6 @@ def run_spectrum(resolved, out_dir):
     og = resolved["omega_grid"]
     omega = np.linspace(og["omega_min"], og["omega_max"], og["points"])
     spectrum = system.spectrum(omega)
-    _write_csv(os.path.join(out_dir, "spectrum.csv"), ["omega", "spectrum"],
-               list(zip(omega, spectrum.values)))
     total = spectrum.weights.sum()
     keep = spectrum.weights > PEAK_REPORT_FLOOR * total
     order = np.argsort(spectrum.weights[keep])[::-1]
@@ -511,6 +516,8 @@ def run_spectrum(resolved, out_dir):
         "degenerate": bool(system.degenerate_levels),
         "peaks": peaks,
     }
+    _write_csv(os.path.join(out_dir, "spectrum.csv"), ["omega", "spectrum"],
+               list(zip(omega, spectrum.values)))
     return metrics, 0
 
 
@@ -520,8 +527,6 @@ def run_g2time(resolved, out_dir):
     tg = resolved["t_grid"]
     times = np.linspace(0.0, tg["t_max"], tg["points"])
     result = system.g2_time(times)
-    _write_csv(os.path.join(out_dir, "g2time.csv"), ["t", "g2"],
-               list(zip(times, result.values)))
     metrics = {
         "g2_zero": float(result.zero_value),
         "g2_final": float(result.values[-1]),
@@ -531,6 +536,8 @@ def run_g2time(resolved, out_dir):
         "stationary_residual": system.stationary.residual,
         "collision_count": system.collision_count,
     }
+    _write_csv(os.path.join(out_dir, "g2time.csv"), ["t", "g2"],
+               list(zip(times, result.values)))
     return metrics, 0
 
 
@@ -748,23 +755,34 @@ def main(argv=None):
     os.makedirs(out_dir, exist_ok=True)
 
     started = time.time()
-    metrics, n_failed = RUNNERS[args.task](resolved, out_dir)
-    plot_path = emit_plot_script(args.task, out_dir)
+    try:
+        metrics, n_failed = RUNNERS[args.task](resolved, out_dir)
+    except Exception as exc:
+        if args.task not in FIXED_POINT_TASKS:
+            raise
+        # the task's one point failed: recorded like a failed grid point
+        error = _error_text(exc)
+        metrics = {"n_points": 1, "n_failed": 1,
+                   "failures": [{"error": error}]}
+        n_failed, files, message = 1, [], "%s: %s" % (args.task, error)
+    else:
+        files = ["%s.csv" % args.task,
+                 os.path.basename(emit_plot_script(args.task, out_dir))]
+        message = ("%s: %d of %d points failed; see summary.json"
+                   % (args.task, n_failed, metrics.get("n_points", 0)))
 
     summary = {
         "task": args.task,
         "version": __version__,
         "config": {k: v for k, v in resolved.items() if k != "output_dir"},
         "wall_time_s": round(time.time() - started, 3),
-        "files": ["%s.csv" % args.task, os.path.basename(plot_path)],
+        "files": files,
         "metrics": metrics,
     }
     _write_summary(out_dir, summary)
 
     if n_failed:
-        print("%s: %d of %d points failed; see summary.json"
-              % (args.task, n_failed, metrics.get("n_points", 0)),
-              file=sys.stderr)
+        print(message, file=sys.stderr)
         return EXIT_PARTIAL
     print("%s: wrote %s" % (args.task, os.path.join(out_dir,
                                                     "%s.csv" % args.task)))

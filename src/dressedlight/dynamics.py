@@ -136,12 +136,6 @@ class DiagonalPropagator:
         return np.exp(np.multiply.outer(times, self.eigenvalues)) @ u
 
 
-def _propagator_for(rates, stationary):
-    if rates._propagator is None:
-        rates._propagator = DiagonalPropagator(rates.generator, stationary)
-    return rates._propagator
-
-
 @dataclass
 class ConditionalMatrix:
     """Density-like matrix split for propagation.
@@ -177,8 +171,7 @@ class RegressionEvolver:
     Precomputes everything needed to evaluate
     Tr[observable * Lambda_t(rho)] for a batch of times, where Lambda_t
     propagates the diagonal through the rate equation and the
-    off-diagonals through their decay factors.  The rate-equation
-    propagator is built on first use and cached on the rate table.
+    off-diagonals through their decay factors.
     """
 
     def __init__(self, rates, stationary, rho, observable):
@@ -187,7 +180,7 @@ class RegressionEvolver:
         self.rates = rates
         self.rho = rho
         observable = np.asarray(observable)
-        self.propagator = _propagator_for(rates, stationary)
+        self.propagator = DiagonalPropagator(rates.generator, stationary)
         self._obs_diag = np.diag(observable).copy()
         # Off-diagonal contribution sum_k obs[n_k, m_k] rho[m_k, n_k]
         # exp(-(z_m + conj(z_n)) t), dropping exact zero coefficients.

@@ -54,8 +54,8 @@ class ModelParams:
         Dimensionless zero-point amplitude of the field quadrature that
         couples to the bath.
     gamma : float
-        Ohmic damping strength of every default bath channel, in units
-        of omega0.
+        Ohmic damping strength of the bath every coupling sees, in
+        units of omega0.
     omega_c, omega_x : float, optional
         Cavity / emitter frequency overrides for off-resonance checks.
         Default None means resonant at omega0.
@@ -121,7 +121,7 @@ class OperatorSet:
     a lowers the Fock index and sigma_minus[j] lowers emitter j (bit j of
     the configuration index).  All arrays are real float64 of shape
     (dim, dim); the Hermitian bath couplings are -i times a real
-    antisymmetric matrix built from them (dissipation.channel_operator).
+    antisymmetric matrix built from them (dissipation.bath_lowering).
     """
 
     params: ModelParams
@@ -156,7 +156,7 @@ def _check_dim(params, max_dim):
     if params.dim > max_dim:
         raise DimensionLimitError(
             f"dimension {params.dim} exceeds the limit {max_dim}; "
-            "reduce n_max or n_emitters, or raise max_dim"
+            "reduce n_max or n_emitters"
         )
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dissipation import CAVITY_TAG, spectral_density
+from .dissipation import spectral_density
 from .dynamics import ConditionalMatrix, RegressionEvolver
 
 DENOMINATOR_FLOOR = 1e-30
@@ -91,11 +91,6 @@ def emission_spectrum(rates, stat, omega_grid, xdot, weight_floor=1e-12):
     -------
     SpectrumResult
     """
-    cavity = next(
-        (c for c in rates.channels if c.operator_tag == CAVITY_TAG), None
-    )
-    if cavity is None:
-        raise ValueError("rate table has no cavity channel")
     centers, half_widths, weights, total = _emission_pairs(
         rates, stat, xdot, weight_floor
     )
@@ -109,7 +104,7 @@ def emission_spectrum(rates, stat, omega_grid, xdot, weight_floor=1e-12):
         sl = slice(start, start + chunk)
         d = omega_grid[sl, None] - centers[None, :]
         values[sl] = (weights * half_widths / (d * d + half_widths**2)).sum(axis=1)
-    values *= spectral_density(cavity, omega_grid) / np.pi
+    values *= spectral_density(rates.bath, omega_grid) / np.pi
 
     return SpectrumResult(
         centers=centers,

@@ -7,15 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import observables
-from .dissipation import (
-    CAVITY_TAG,
-    build_rate_table,
-    cavity_quadrature,
-    channel_operator,
-    default_channels,
-)
+from .dissipation import Bath, bath_lowering, build_rate_table
 from .dynamics import stationary_state
-from .model import DEFAULT_MAX_DIM, build_hamiltonian, build_operators
+from .model import build_hamiltonian, build_operators
 from .spectral import diagonalize, group_transitions
 
 
@@ -23,15 +17,15 @@ from .spectral import diagonalize, group_transitions
 class SolvedSystem:
     """All stages of one parameter point, ready for observables.
 
-    channel_sets pairs every bath channel with the real A of its coupling
-    S = -i A in the eigenbasis.  collision_count is the number of
-    transition frequencies shared by distinct level pairs, within
-    delta_omega.
+    coupling_weight is sum_c |<m|A_c|n>|^2 over the bath couplings
+    S_c = -i A_c in the eigenbasis, the weight build_rate_table takes.
+    collision_count is the number of transition frequencies shared by
+    distinct level pairs, within 1e-9 omega0.
     """
 
     params: object
     eig: object
-    channel_sets: list
+    coupling_weight: np.ndarray
     rates: object
     stationary: object
     xdot: np.ndarray
@@ -58,52 +52,42 @@ class SolvedSystem:
         )
 
 
-def solve_system(params, delta_e=None, delta_omega=None, channels=None,
-                 lamb_cutoff=None, max_dim=DEFAULT_MAX_DIM):
+def solve_system(params, lamb_cutoff=None):
     """Run the full dressed-basis pipeline for one parameter point.
+
+    Levels and transition frequencies are clustered within 1e-9 omega0.
 
     Parameters
     ----------
     params : ModelParams
-    delta_e, delta_omega : float, optional
-        Level / transition clustering tolerances; default 1e-9 omega0.
-    channels : list of ChannelSpec, optional
-        Bath channels; default is the cavity plus every emitter.
     lamb_cutoff : float, optional
-        Enables the principal-value shift on the default channels.
-    max_dim : int
-        Hilbert-space size guard.
+        Enables the principal-value shift of the bath with this cutoff.
 
     Returns
     -------
     SolvedSystem
     """
-    if delta_e is None:
-        delta_e = 1e-9 * params.omega0
-    if delta_omega is None:
-        delta_omega = 1e-9 * params.omega0
-    ops = build_operators(params, max_dim=max_dim)
-    eig = diagonalize(build_hamiltonian(params, max_dim=max_dim), delta_e)
-    if channels is None:
-        channels = default_channels(params, lamb_cutoff=lamb_cutoff)
-    channel_sets = [
-        (ch, group_transitions(eig, channel_operator(ch, ops)))
-        for ch in channels
-    ]
-    rates = build_rate_table(eig, channel_sets, params.temperature)
+    tol = 1e-9 * params.omega0
+    ops = build_operators(params)
+    eig = diagonalize(build_hamiltonian(params), tol)
+    couplings = (group_transitions(eig, lower - lower.T)
+                 for lower in bath_lowering(ops))
+    # bath_lowering lists the cavity first: A_X in the eigenbasis
+    a_eigen = next(couplings)
+    weight = a_eigen * a_eigen
+    for coupling in couplings:
+        weight += coupling * coupling
+    rates = build_rate_table(
+        eig, weight, params.temperature,
+        Bath(params.gamma, params.omega0, lamb_cutoff))
     stat = stationary_state(eig, rates)
-    # The cavity channel already holds A_X in the eigenbasis.
-    a_eigen = next((s for ch, s in channel_sets
-                    if ch.operator_tag == CAVITY_TAG), None)
-    if a_eigen is None:
-        a_eigen = eig.to_eigenbasis(cavity_quadrature(ops))
     xdot = observables.emission_operator(eig, a_eigen)
     return SolvedSystem(
         params=params,
         eig=eig,
-        channel_sets=channel_sets,
+        coupling_weight=weight,
         rates=rates,
         stationary=stat,
         xdot=xdot,
-        collision_count=eig.collision_omegas(delta_omega).size,
+        collision_count=eig.collision_omegas(tol).size,
     )

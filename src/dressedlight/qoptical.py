@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .dissipation import bose_occupation, cavity_quadrature
+from .dissipation import bath_lowering, bose_occupation, cavity_quadrature
 from .model import ModelParams, build_hamiltonian, build_operators
 
 DEFAULT_QO_NMAX = 15
@@ -27,48 +27,10 @@ class DegenerateSteadyStateError(RuntimeError):
     """The generator has more than one stationary state."""
 
 
-@dataclass
-class QoChannel:
-    """Bare lowering operator with its up/down rates."""
-
-    label: str
-    s_plus: np.ndarray
-    chi_down: float
-    chi_up: float
-
-
 def _qo_params(params, n_max):
     if n_max is None:
         n_max = min(params.n_max, DEFAULT_QO_NMAX)
     return params.updated(n_max=n_max)
-
-
-def qo_channels(params, ops):
-    """Default channel set: cavity quadrature plus every emitter."""
-    nbar = (
-        bose_occupation(params.omega0, params.temperature)
-        if params.temperature > 0
-        else 0.0
-    )
-    gamma0 = params.gamma  # Ohmic density at the resonance frequency
-    channels = [
-        QoChannel(
-            label="cavity",
-            s_plus=-1j * params.x0 * ops.a,
-            chi_down=gamma0 * (nbar + 1.0),
-            chi_up=gamma0 * nbar,
-        )
-    ]
-    for j, sm in enumerate(ops.sigma_minus):
-        channels.append(
-            QoChannel(
-                label=f"emitter_{j}",
-                s_plus=-1j * sm,
-                chi_down=gamma0 * (nbar + 1.0),
-                chi_up=gamma0 * nbar,
-            )
-        )
-    return channels
 
 
 def _dissipator(op_sparse):
@@ -95,11 +57,21 @@ def qo_liouvillian(params, n_max=None):
     h_s = sp.csr_matrix(build_hamiltonian(params))
     eye = sp.identity(params.dim, format="csr")
     liouv = -1j * (sp.kron(eye, h_s) - sp.kron(h_s.T, eye))
-    for ch in qo_channels(params, ops):
-        s_plus = sp.csr_matrix(ch.s_plus)
-        liouv = liouv + ch.chi_down * _dissipator(s_plus)
-        if ch.chi_up > 0:
-            liouv = liouv + ch.chi_up * _dissipator(s_plus.conj().T)
+    nbar = (
+        bose_occupation(params.omega0, params.temperature)
+        if params.temperature > 0
+        else 0.0
+    )
+    # every coupling sees the Ohmic density at the resonance frequency; the
+    # bare rotating component of S = -i (L - L^T) is -i L, and its phase
+    # cancels in the dissipator
+    rate_down = params.gamma * (nbar + 1.0)
+    rate_up = params.gamma * nbar
+    for lower in bath_lowering(ops):
+        lower = sp.csr_matrix(lower)
+        liouv = liouv + rate_down * _dissipator(lower)
+        if rate_up > 0:
+            liouv = liouv + rate_up * _dissipator(lower.T)
     return liouv.tocsr(), ops
 
 

@@ -133,10 +133,10 @@ def diagonalize(h, delta_e=DEFAULT_DELTA):
 
 
 def group_transitions(eig, s):
-    """Matrix elements of a channel operator in the eigenbasis.
+    """Matrix elements of a bath coupling operator in the eigenbasis.
 
     The secular grouping needs nothing else: the rates are evaluated at
     the group energies of eig.  The pipeline calls this once per bath
-    channel, and bench/spans.py times those calls under this name.
+    coupling, and bench/spans.py times those calls under this name.
     """
     return eig.to_eigenbasis(np.asarray(s))

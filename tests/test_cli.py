@@ -185,6 +185,38 @@ def test_dark_ground_state_column_fails_partially(tmp_path, capsys):
     assert "failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("task,payload", [
+    # T = 0 with one emitter: the stationary state cannot emit
+    ("g2time", {"model": {"n_emitters": 1, "limit": "tc", "g": 0.3,
+                          "temperature": 0.0, "n_max": 8}}),
+    # the cutoff exceeds the dimension limit before anything is allocated
+    ("spectrum", {"model": {"n_emitters": 1, "limit": "tc", "g": 0.3,
+                            "temperature": 0.1, "n_max": 20000}}),
+    # the first cutoff solves, the second exceeds the dimension limit
+    ("converge", {"model": {"n_emitters": 1, "limit": "tc", "g": 0.3,
+                            "temperature": 0.1},
+                  "n_max_pair": [8, 20000]}),
+], ids=["g2time-dark", "spectrum-too-large", "converge-second-too-large"])
+def test_failed_fixed_point_solve_is_recorded(tmp_path, capsys, task,
+                                              payload):
+    # the task's one point failed: one stderr line, the error in
+    # summary.json, exit 3 and no CSV or plot script
+    cfg = _write_config(tmp_path, payload)
+    out = tmp_path / "run"
+    assert main([task, "--config", cfg, "--out", str(out)]) == 3
+
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1
+    assert re.match(r"%s: \w+Error: " % task, err[0])
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["files"] == []
+    metrics = summary["metrics"]
+    assert metrics["n_points"] == 1
+    assert metrics["n_failed"] == 1
+    assert metrics["failures"] == [{"error": err[0][len(task) + 2:]}]
+    assert sorted(os.listdir(out)) == ["summary.json"]
+
+
 def test_spectrum_reports_dominant_peak(tmp_path):
     cfg = _write_config(tmp_path, {
         "model": {"n_emitters": 2, "limit": "dicke", "g": 0.5,

@@ -12,64 +12,62 @@ import pytest
 from scipy.integrate import quad
 
 from dressedlight import (
-    ChannelSpec,
+    Bath,
     ModelParams,
     OperatorSet,
+    bath_lowering,
     bose_occupation,
     build_hamiltonian,
     build_operators,
     build_rate_table,
-    default_channels,
+    dissipation,
+    group_transitions,
+    pipeline,
     solve_system,
     spectral,
     thermal_rate,
 )
 from dressedlight.dissipation import (
-    CAVITY_TAG,
-    EMITTER_TAG,
-    channel_operator,
     lamb_shift_rate,
     pv_transform,
     spectral_density,
 )
 
 
-def _cavity_channel(gamma=0.01, omega_ref=1.0, lamb_cutoff=None):
-    return ChannelSpec(operator_tag=CAVITY_TAG, gamma=gamma,
-                       omega_ref=omega_ref, lamb_cutoff=lamb_cutoff)
-
-
-def test_default_channels_layout():
-    p = ModelParams(3, 0.2, 0.1, 0.1)
-    channels = default_channels(p)
-    assert len(channels) == 4
-    assert channels[0].operator_tag == CAVITY_TAG
-    assert channels[0].emitter_index is None
-    for j, ch in enumerate(channels[1:]):
-        assert ch.operator_tag == EMITTER_TAG
-        assert ch.emitter_index == j
-    assert all(ch.gamma == p.gamma for ch in channels)
-    assert all(ch.omega_ref == p.omega0 for ch in channels)
-    assert all(ch.lamb_cutoff is None for ch in channels)
+def test_bath_lowering_order():
+    # the cavity coupling first, then one per emitter in index order
+    p = ModelParams(3, 0.2, 0.1, 0.1, n_max=3, x0=1.7)
+    ops = build_operators(p)
+    lowering = bath_lowering(ops)
+    assert len(lowering) == 4
+    np.testing.assert_array_equal(lowering[0], p.x0 * ops.a)
+    for j, lower in enumerate(lowering[1:]):
+        assert lower is ops.sigma_minus[j]
 
 
 def test_channel_operators():
     p = ModelParams(2, 0.2, 0.1, 0.1, n_max=3)
     ops = build_operators(p)
-    channels = default_channels(p)
+    lowering = bath_lowering(ops)
     # X = -i x0 (a - a+) and sigma_y = i (s+ - s-), built by hand
     x = -1j * p.x0 * (ops.a - ops.a.T)
     sigma_y_1 = 1j * (ops.sigma_minus[1].T - ops.sigma_minus[1])
-    np.testing.assert_allclose(-1j * channel_operator(channels[0], ops), x)
-    np.testing.assert_allclose(-1j * channel_operator(channels[2], ops),
-                               sigma_y_1)
+    np.testing.assert_allclose(-1j * (lowering[0] - lowering[0].T), x)
+    np.testing.assert_allclose(-1j * (lowering[2] - lowering[2].T), sigma_y_1)
 
 
 @pytest.mark.parametrize("g_prime", [0.0, 0.3], ids=["tc", "dicke"])
-def test_dressed_pipeline_is_real(g_prime):
+def test_dressed_pipeline_is_real(g_prime, monkeypatch):
     # every coupling is S = -i A with A real antisymmetric, and the
     # eigenvectors are real, so no complex D x D array is needed from the
     # operators to the emission operator
+    transforms = []
+
+    def recorded(eig, s):
+        transforms.append(group_transitions(eig, s))
+        return transforms[-1]
+
+    monkeypatch.setattr(pipeline, "group_transitions", recorded)
     p = ModelParams(2, 0.3, g_prime, 0.1, n_max=4)
     ops = build_operators(p)
     assert [f.name for f in fields(OperatorSet)] == ["params", "a",
@@ -77,18 +75,41 @@ def test_dressed_pipeline_is_real(g_prime):
     assert all(op.dtype == np.float64 for op in (ops.a, *ops.sigma_minus))
     system = solve_system(p)
     assert system.eig.vectors.dtype == np.float64
-    assert len(system.channel_sets) == 3
-    for _, s_eigen in system.channel_sets:
+    assert len(transforms) == 3
+    for s_eigen in transforms:
         assert s_eigen.dtype == np.float64
+    assert system.coupling_weight.dtype == np.float64
     assert system.xdot.dtype == np.float64
     hermitian = [-1j * p.x0 * (ops.a - ops.a.T)]
     hermitian += [1j * (sm.T - sm) for sm in ops.sigma_minus]
-    for ch, s in zip(default_channels(p), hermitian):
-        np.testing.assert_array_equal(-1j * channel_operator(ch, ops), s)
+    for lower, s in zip(bath_lowering(ops), hermitian, strict=True):
+        np.testing.assert_array_equal(-1j * (lower - lower.T), s)
+
+
+def test_rates_are_evaluated_once_per_solve(monkeypatch):
+    # every coupling sees the same bath, so the D x D rate arrays are
+    # evaluated once, however many emitters couple to it
+    calls = {"thermal": 0, "lamb": 0}
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(dissipation, "thermal_rate",
+                        counted("thermal", dissipation.thermal_rate))
+    monkeypatch.setattr(dissipation, "lamb_shift_rate",
+                        counted("lamb", dissipation.lamb_shift_rate))
+    p = ModelParams(3, 0.3, 0.0, 0.1, n_max=4)
+    solve_system(p)
+    assert calls == {"thermal": 1, "lamb": 0}
+    solve_system(p, lamb_cutoff=50.0)
+    assert calls == {"thermal": 2, "lamb": 1}
 
 
 def test_spectral_density_linear():
-    ch = _cavity_channel(gamma=0.03, omega_ref=2.0)
+    ch = Bath(gamma=0.03, omega_ref=2.0)
     w = np.array([0.5, 1.0, 4.0])
     np.testing.assert_allclose(spectral_density(ch, w), 0.03 * w / 2.0)
 
@@ -108,7 +129,7 @@ def test_bose_occupation_values():
 
 
 def test_thermal_rate_branches():
-    ch = _cavity_channel(gamma=0.02)
+    ch = Bath(gamma=0.02, omega_ref=1.0)
     T = 0.25
     w = 0.7
     n = 1.0 / (np.exp(w / T) - 1.0)
@@ -125,7 +146,7 @@ def test_thermal_rate_branches():
 
 
 def test_thermal_rate_detailed_balance():
-    ch = _cavity_channel()
+    ch = Bath(gamma=0.01, omega_ref=1.0)
     rng = np.random.default_rng(12)
     T = 0.21
     for w in rng.uniform(0.05, 2.5, 8):
@@ -135,7 +156,7 @@ def test_thermal_rate_detailed_balance():
 
 
 def test_pv_transform_against_quadrature():
-    ch = _cavity_channel(gamma=0.04, omega_ref=1.3, lamb_cutoff=10.0)
+    ch = Bath(gamma=0.04, omega_ref=1.3, lamb_cutoff=10.0)
     for w in (0.3, 1.0, 4.5, 9.0):
         # quad's cauchy weight integrates f(x)/(x - wvar); flip the sign to
         # match the (omega - w') convention of the closed form
@@ -147,11 +168,11 @@ def test_pv_transform_against_quadrature():
     with pytest.raises(ValueError):
         pv_transform(10.5, ch)
     with pytest.raises(ValueError):
-        pv_transform(1.0, _cavity_channel())  # no cutoff configured
+        pv_transform(1.0, Bath(gamma=0.01, omega_ref=1.0))  # no cutoff configured
 
 
 def test_lamb_shift_rate_branches():
-    ch = _cavity_channel(lamb_cutoff=20.0)
+    ch = Bath(gamma=0.01, omega_ref=1.0, lamb_cutoff=20.0)
     T = 0.2
     w = 0.8
     n = 1.0 / (np.exp(w / T) - 1.0)
@@ -161,7 +182,7 @@ def test_lamb_shift_rate_branches():
         -pv_transform(w, ch) * n)
     assert lamb_shift_rate(0.0, T, ch) == 0.0
     # disabled channel reports zero shift everywhere
-    off = _cavity_channel()
+    off = Bath(gamma=0.01, omega_ref=1.0)
     np.testing.assert_allclose(
         lamb_shift_rate(np.array([-1.0, 0.0, 1.0]), T, off), 0.0)
 
@@ -171,11 +192,11 @@ def _brute_force_gain(params, temperature):
     ops = build_operators(params)
     h = build_hamiltonian(params)
     energies, vectors = np.linalg.eigh(h)
-    channels = default_channels(params)
+    bath = Bath(params.gamma, params.omega0)
     dim = params.dim
     gain = np.zeros((dim, dim))
-    for ch in channels:
-        s = vectors.conj().T @ channel_operator(ch, ops) @ vectors
+    for lower in bath_lowering(ops):
+        s = vectors.conj().T @ (lower - lower.T) @ vectors
         for n in range(dim):
             for k in range(dim):
                 if n == k:
@@ -183,7 +204,7 @@ def _brute_force_gain(params, temperature):
                 w = energies[k] - energies[n]
                 if abs(w) < 1e-9:
                     w = 0.0
-                gain[n, k] += thermal_rate(w, temperature, ch) * abs(s[n, k]) ** 2
+                gain[n, k] += thermal_rate(w, temperature, bath) * abs(s[n, k]) ** 2
     return energies, gain
 
 
@@ -217,7 +238,8 @@ def test_decay_constants_structure():
     T = 0.15
     p = ModelParams(1, 0.28, 0.0, T, n_max=4)
     system = solve_system(p)
-    z = build_rate_table(system.eig, system.channel_sets, T).z
+    z = build_rate_table(system.eig, system.coupling_weight, T,
+                         system.rates.bath).z
     np.testing.assert_allclose(z, system.rates.z, atol=0)
     # real part is half the total escape rate out of each level
     np.testing.assert_allclose(2.0 * z.real, system.rates.gain.sum(axis=0),
@@ -247,7 +269,8 @@ def test_zero_frequency_rate_inside_degenerate_group():
     eig = system.eig
     degenerate_groups = [m for m in eig.group_members if len(m) > 1]
     assert degenerate_groups  # the model really has a degenerate pair
-    cold = build_rate_table(eig, system.channel_sets, 0.0)
+    cold = build_rate_table(eig, system.coupling_weight, 0.0,
+                            system.rates.bath)
     for members in degenerate_groups:
         for a in members:
             for b in members:
@@ -257,7 +280,7 @@ def test_zero_frequency_rate_inside_degenerate_group():
 
 def test_collision_count_is_counted_once_per_eigensystem(monkeypatch):
     # collisions depend on the group energies alone: one count per
-    # eigensystem, not one per channel, and one eigenbasis array per channel
+    # eigensystem, not one per coupling, and one weight summed over them
     calls = []
     original = spectral.EigenSystem.collision_omegas
 
@@ -271,9 +294,8 @@ def test_collision_count_is_counted_once_per_eigensystem(monkeypatch):
     assert len(calls) == 1
     assert system.collision_count == original(system.eig, 1e-9).size > 0
     ops = build_operators(p)
-    # each channel carries the real A of its coupling S = -i A
+    # the weight sums the squared real A of every coupling S = -i A
     operators = [p.x0 * (ops.a - ops.a.T)]
     operators += [sm - sm.T for sm in ops.sigma_minus]
-    assert len(system.channel_sets) == len(operators)
-    for (_, s_eigen), op in zip(system.channel_sets, operators):
-        np.testing.assert_array_equal(s_eigen, system.eig.to_eigenbasis(op))
+    weight = sum(system.eig.to_eigenbasis(op) ** 2 for op in operators)
+    np.testing.assert_array_equal(system.coupling_weight, weight)

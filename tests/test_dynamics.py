@@ -17,7 +17,7 @@ from dressedlight import (
     solve_system,
     stationary_state,
 )
-from dressedlight.dissipation import ChannelSpec, CAVITY_TAG
+from dressedlight.dissipation import Bath
 from dressedlight.dynamics import RegressionEvolver
 
 
@@ -33,10 +33,9 @@ def _synthetic_system(energies, temperature, seed=0):
     eig = diagonalize(np.diag(np.asarray(energies, dtype=float)))
     s = rng.standard_normal((n, n))
     s = s + s.T
-    ch = ChannelSpec(operator_tag=CAVITY_TAG, gamma=0.01, omega_ref=1.0,
-                     emitter_index=None, lamb_cutoff=None)
-    sets = [(ch, group_transitions(eig, s))]
-    return eig, build_rate_table(eig, sets, temperature)
+    weight = group_transitions(eig, s) ** 2
+    return eig, build_rate_table(eig, weight, temperature,
+                                 Bath(gamma=0.01, omega_ref=1.0))
 
 
 def _propagate(system, p0, t):

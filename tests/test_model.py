@@ -10,11 +10,10 @@ import pytest
 from dressedlight import (
     DimensionLimitError,
     ModelParams,
+    bath_lowering,
     build_hamiltonian,
     build_operators,
-    default_channels,
 )
-from dressedlight.dissipation import channel_operator
 
 
 def _raising(ops):
@@ -23,9 +22,8 @@ def _raising(ops):
 
 
 def _hermitian_couplings(ops):
-    """X and the sigma_y_j as -i times the real channel operators."""
-    x, *sigma_y = (-1j * channel_operator(ch, ops)
-                   for ch in default_channels(ops.params))
+    """X and the sigma_y_j as -i (L - L^T) of the bath lowering operators."""
+    x, *sigma_y = (-1j * (lower - lower.T) for lower in bath_lowering(ops))
     return x, sigma_y
 
 

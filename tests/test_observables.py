@@ -8,7 +8,6 @@ from dressedlight import (
     ModelParams,
     build_operators,
     cluster_weights,
-    default_channels,
     emission_operator,
     solve_system,
     spectrum_sum_rule,
@@ -49,17 +48,6 @@ def test_emission_operator_structure():
     for m, n in zip(*np.nonzero(np.abs(xdot) > 1e-12)):
         expect = -1j * (e[n] - e[m]) * x_eig[m, n]
         assert xdot[m, n] == pytest.approx(expect, rel=1e-12)
-
-
-def test_channels_without_cavity_keep_emission_operator_but_no_spectrum():
-    # without a cavity channel X is transformed on its own, and the
-    # spectrum has no cavity density to sample
-    p = ModelParams(2, 0.45, 0.3, 0.1, n_max=4)
-    full = solve_system(p)
-    emitters = solve_system(p, channels=default_channels(p)[1:])
-    np.testing.assert_array_equal(emitters.xdot, full.xdot)
-    with pytest.raises(ValueError, match="no cavity channel"):
-        emitters.spectrum(np.linspace(0.0, 3.0, 10))
 
 
 def test_emission_operator_uses_energy_groups():

@@ -12,7 +12,7 @@ from dressedlight import (
     solve_system,
     spectral,
 )
-from dressedlight.dissipation import cavity_quadrature, channel_operator
+from dressedlight.dissipation import Bath, bath_lowering, cavity_quadrature
 
 
 def _quadrature(ops):
@@ -197,7 +197,7 @@ def test_vectorized_grouping_matches_loop_reference(params):
 
 def test_channel_sets_share_one_grouping(monkeypatch):
     # the secular grouping lives in the one eigensystem: collisions are
-    # counted once per solve, and every channel is projected onto the same
+    # counted once per solve, and every coupling is projected onto the same
     # eigenbasis whose group energies the rate table reads
     calls = []
     original = spectral.EigenSystem.collision_omegas
@@ -209,10 +209,11 @@ def test_channel_sets_share_one_grouping(monkeypatch):
     monkeypatch.setattr(spectral.EigenSystem, "collision_omegas", counted)
     p = ModelParams(2, 0.3, 0.3, 0.1, n_max=4)
     system = solve_system(p)
-    assert len(system.channel_sets) == 3
     assert len(calls) == 1
-    assert system.rates.channels == tuple(ch for ch, _ in system.channel_sets)
+    assert system.rates.bath == Bath(p.gamma, p.omega0)
     ops = build_operators(p)
-    for ch, s_eigen in system.channel_sets:
-        np.testing.assert_array_equal(
-            s_eigen, group_transitions(system.eig, channel_operator(ch, ops)))
+    couplings = [group_transitions(system.eig, lower - lower.T)
+                 for lower in bath_lowering(ops)]
+    assert len(couplings) == 3
+    np.testing.assert_array_equal(
+        system.coupling_weight, sum(s_eigen**2 for s_eigen in couplings))
