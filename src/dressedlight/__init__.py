@@ -19,7 +19,6 @@ from .dissipation import (
     thermal_rate,
 )
 from .dynamics import (
-    ConditionalMatrix,
     DegenerateGroundError,
     DiagonalPropagator,
     StationaryState,

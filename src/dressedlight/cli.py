@@ -405,7 +405,7 @@ def _point(job):
 def _g2_values(params, _resolved):
     system = solve_system(params)
     return (float(system.g2_zero()), system.collision_count,
-            int(system.degenerate_levels))
+            int(system.eig.degenerate))
 
 
 def _qo_values(params, resolved):
@@ -513,7 +513,7 @@ def run_spectrum(resolved, out_dir):
         "dominant_weight_fraction": peaks[0]["weight_fraction"] if peaks else 0.0,
         "integrated_emission": float(system.integrated_emission()),
         "collision_count": system.collision_count,
-        "degenerate": bool(system.degenerate_levels),
+        "degenerate": bool(system.eig.degenerate),
         "peaks": peaks,
     }
     _write_csv(os.path.join(out_dir, "spectrum.csv"), ["omega", "spectrum"],

@@ -160,16 +160,11 @@ class RateTable:
     bath is the density the rates were evaluated with.
     """
 
-    energies: np.ndarray
     temperature: float
     z: np.ndarray
     gain: np.ndarray
     generator: np.ndarray
     bath: Bath
-
-    @property
-    def dim(self):
-        return self.energies.size
 
 
 def build_rate_table(eig, weight, temperature, bath):
@@ -213,7 +208,6 @@ def build_rate_table(eig, weight, temperature, bath):
     z = 0.5 * loss + 1j * shift
 
     return RateTable(
-        energies=eig.energies.copy(),
         temperature=temperature,
         z=z,
         gain=gain,

@@ -26,6 +26,9 @@ BALANCE_TOL = 1e-6
 # Eigenvalues of K within this fraction of the largest |lambda| count as
 # stationary modes, not relaxation.
 GAP_ZERO_TOL = 1e-12
+# Largest max|G p| accepted for the Boltzmann populations p; above it the
+# rates are inconsistent with the levels they were built from.
+RESIDUAL_TOL = 1e-9
 
 
 class DegenerateGroundError(ValueError):
@@ -40,21 +43,17 @@ class StationaryState:
     temperature: float
     residual: float
 
-    @property
-    def dim(self):
-        return self.populations.size
 
-
-def stationary_state(eig, rates, residual_tol=1e-9):
+def stationary_state(eig, rates):
     """Boltzmann distribution over the dressed levels.
 
     Verifies that the distribution is annihilated by the Pauli generator
-    and records the residual; a residual above residual_tol raises, since
+    and records the residual; a residual above RESIDUAL_TOL raises, since
     it indicates inconsistent rates.
     """
     energies = eig.energies
     if rates.temperature == 0:
-        if len(eig.group_members[0]) > 1:
+        if np.count_nonzero(eig.group_index == 0) > 1:
             raise DegenerateGroundError(
                 "degenerate ground level at T = 0; populations undefined"
             )
@@ -67,9 +66,9 @@ def stationary_state(eig, rates, residual_tol=1e-9):
         p[keep] = np.exp(-shifted[keep])
         p /= p.sum()
     residual = float(np.max(np.abs(rates.generator @ p)))
-    if residual > residual_tol:
+    if residual > RESIDUAL_TOL:
         raise RuntimeError(
-            f"stationary residual {residual:.3e} exceeds {residual_tol:.1e}"
+            f"stationary residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}"
         )
     return StationaryState(populations=p, temperature=rates.temperature,
                            residual=residual)
@@ -136,64 +135,35 @@ class DiagonalPropagator:
         return np.exp(np.multiply.outer(times, self.eigenvalues)) @ u
 
 
-@dataclass
-class ConditionalMatrix:
-    """Density-like matrix split for propagation.
-
-    The diagonal evolves through the Pauli generator; each off-diagonal
-    entry (kept as index triples) evolves independently with its decay
-    factor.
-    """
-
-    diagonal: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
-
-    @classmethod
-    def from_matrix(cls, mat):
-        mat = np.asarray(mat)
-        diag = np.diag(mat).copy()
-        off = mat.copy()
-        np.fill_diagonal(off, 0.0)
-        rows, cols = np.nonzero(off)
-        return cls(diagonal=diag, rows=rows, cols=cols,
-                   values=off[rows, cols])
-
-    @property
-    def trace(self):
-        return self.diagonal.sum()
-
-
 class RegressionEvolver:
     """Two-time expectation values through the quantum regression rule.
 
-    Precomputes everything needed to evaluate
+    rho and observable are dense (D, D) arrays in the eigenbasis of the
+    rates.  The evolver precomputes everything needed to evaluate
     Tr[observable * Lambda_t(rho)] for a batch of times, where Lambda_t
-    propagates the diagonal through the rate equation and the
-    off-diagonals through their decay factors.
+    propagates the diagonal of rho through the rate equation and each
+    off-diagonal element independently through its decay factor.
     """
 
     def __init__(self, rates, stationary, rho, observable):
-        if not isinstance(rho, ConditionalMatrix):
-            rho = ConditionalMatrix.from_matrix(rho)
-        self.rates = rates
-        self.rho = rho
+        rho = np.asarray(rho)
         observable = np.asarray(observable)
         self.propagator = DiagonalPropagator(rates.generator, stationary)
         self._obs_diag = np.diag(observable).copy()
-        # Off-diagonal contribution sum_k obs[n_k, m_k] rho[m_k, n_k]
-        # exp(-(z_m + conj(z_n)) t), dropping exact zero coefficients.
-        coeff = observable[rho.cols, rho.rows] * rho.values
-        keep = coeff != 0
-        self._coeff = coeff[keep]
-        self._zsum = rates.z[rho.rows[keep]] + np.conj(rates.z[rho.cols[keep]])
+        self._rho_diag = np.diag(rho).copy()
+        # Off-diagonal contribution sum_{m != n} obs[n, m] rho[m, n]
+        # exp(-(z_m + conj(z_n)) t), over the nonzero coefficients only.
+        coeff = observable.T * rho
+        np.fill_diagonal(coeff, 0.0)
+        rows, cols = np.nonzero(coeff)
+        self._coeff = coeff[rows, cols]
+        self._zsum = rates.z[rows] + np.conj(rates.z[cols])
 
     def curve(self, times):
         """Expectation value at every time, as a complex array."""
         times = np.asarray(times, dtype=float)
         out = np.asarray(
-            self.propagator.weighted_curve(self._obs_diag, self.rho.diagonal, times),
+            self.propagator.weighted_curve(self._obs_diag, self._rho_diag, times),
             dtype=complex,
         )
         if self._coeff.size:

@@ -73,10 +73,13 @@ class ModelParams:
     omega_x: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.n_emitters, (int, np.integer)) or self.n_emitters < 1:
-            raise ValueError("n_emitters must be an integer >= 1")
-        if not isinstance(self.n_max, (int, np.integer)) or self.n_max < 2:
-            raise ValueError("n_max must be an integer >= 2")
+        for name, low in (("n_emitters", 1), ("n_max", 2)):
+            value = getattr(self, name)
+            # bool is an int subclass, but it is never a count
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer))
+                    or value < low):
+                raise ValueError(f"{name} must be an integer >= {low}")
         for name in ("g", "g_prime", "temperature", "omega0", "gamma", "x0",
                      "omega_c", "omega_x"):
             value = getattr(self, name)
@@ -152,20 +155,20 @@ def _site_operator(op, j, n_sites):
     return reduce(np.kron, factors)
 
 
-def _check_dim(params, max_dim):
-    if params.dim > max_dim:
+def _check_dim(params):
+    if params.dim > DEFAULT_MAX_DIM:
         raise DimensionLimitError(
-            f"dimension {params.dim} exceeds the limit {max_dim}; "
+            f"dimension {params.dim} exceeds the limit {DEFAULT_MAX_DIM}; "
             "reduce n_max or n_emitters"
         )
 
 
-def build_operators(params, max_dim=DEFAULT_MAX_DIM):
+def build_operators(params):
     """Construct the real lowering operators for the given parameters.
 
-    Raises DimensionLimitError when 2^N (n_max+1) exceeds max_dim.
+    Raises DimensionLimitError when 2^N (n_max+1) exceeds DEFAULT_MAX_DIM.
     """
-    _check_dim(params, max_dim)
+    _check_dim(params)
     n = params.n_emitters
     eye_f = np.eye(params.n_max + 1)
     return OperatorSet(
@@ -176,7 +179,7 @@ def build_operators(params, max_dim=DEFAULT_MAX_DIM):
     )
 
 
-def build_hamiltonian(params, *, max_dim=DEFAULT_MAX_DIM):
+def build_hamiltonian(params):
     """Hamiltonian of the coupled system as a dense real symmetric matrix.
 
     H = omega_c a+ a  +  omega_x sum_j s+_j s-_j
@@ -185,9 +188,9 @@ def build_hamiltonian(params, *, max_dim=DEFAULT_MAX_DIM):
     Returns a float64 (dim, dim) array.  Each term is the Kronecker
     product of a 2^N x 2^N emitter factor and an (n_max+1)^2 Fock factor,
     accumulated in place.  Raises DimensionLimitError when 2^N (n_max+1)
-    exceeds max_dim.
+    exceeds DEFAULT_MAX_DIM.
     """
-    _check_dim(params, max_dim)
+    _check_dim(params)
     n = params.n_emitters
     a_f = _fock_lowering(params.n_max)
     h = params.cavity_frequency * np.kron(np.eye(2**n), a_f.T @ a_f)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dissipation import spectral_density
-from .dynamics import ConditionalMatrix, RegressionEvolver
+from .dynamics import RegressionEvolver
 
 DENOMINATOR_FLOOR = 1e-30
 
@@ -210,9 +210,11 @@ class G2Result:
 def g2_time(rates, stat, t_grid, xdot, floor=DENOMINATOR_FLOOR):
     """Degree-two coherence g2(t) on a grid of delays.
 
-    The conditional matrix Xdot- rho Xdot+ is propagated with the rate
-    equation (diagonal) and the off-diagonal decay factors, then closed
-    with the emission observable.
+    The conditional matrix Xdot- rho Xdot+ and the emission observable
+    Xdot+ Xdot- are passed to RegressionEvolver as dense (D, D) arrays;
+    it propagates the diagonal with the rate equation and every nonzero
+    off-diagonal term with its decay factor, then closes with the
+    observable.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid < 0):
@@ -220,9 +222,7 @@ def g2_time(rates, stat, t_grid, xdot, floor=DENOMINATOR_FLOOR):
     denominator = _emission_rate(stat, xdot, floor)
     rho_cond = (xdot * stat.populations[None, :]) @ xdot.T
     observable = xdot.T @ xdot
-    evolver = RegressionEvolver(rates, stat,
-                                ConditionalMatrix.from_matrix(rho_cond),
-                                observable)
+    evolver = RegressionEvolver(rates, stat, rho_cond, observable)
     raw = evolver.curve(t_grid) / denominator**2
     return G2Result(
         times=t_grid,

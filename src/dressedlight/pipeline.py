@@ -17,23 +17,20 @@ from .spectral import diagonalize, group_transitions
 class SolvedSystem:
     """All stages of one parameter point, ready for observables.
 
-    coupling_weight is sum_c |<m|A_c|n>|^2 over the bath couplings
-    S_c = -i A_c in the eigenbasis, the weight build_rate_table takes.
+    eig holds the levels, eigenvectors and degenerate groups (its
+    degenerate flag says whether any group has more than one level);
+    rates and stationary hold the Pauli rates and Boltzmann populations
+    over those levels, and xdot the emission operator in the eigenbasis.
     collision_count is the number of transition frequencies shared by
     distinct level pairs, within 1e-9 omega0.
     """
 
     params: object
     eig: object
-    coupling_weight: np.ndarray
     rates: object
     stationary: object
     xdot: np.ndarray
     collision_count: int
-
-    @property
-    def degenerate_levels(self):
-        return self.eig.degenerate
 
     def integrated_emission(self):
         return observables.integrated_emission(self.stationary, self.xdot)
@@ -85,9 +82,8 @@ def solve_system(params, lamb_cutoff=None):
     return SolvedSystem(
         params=params,
         eig=eig,
-        coupling_weight=weight,
         rates=rates,
         stationary=stat,
         xdot=xdot,
-        collision_count=eig.collision_omegas(tol).size,
+        collision_count=eig.collision_omegas().size,
     )

@@ -21,6 +21,9 @@ from .model import ModelParams, build_hamiltonian, build_operators
 
 DEFAULT_QO_NMAX = 15
 MAX_QO_DIM = 128
+# Iterative-refinement sweeps after the sparse LU solve of the stationary
+# state.
+REFINE_SWEEPS = 2
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -75,10 +78,10 @@ def qo_liouvillian(params, n_max=None):
     return liouv.tocsr(), ops
 
 
-def _solve_with_trace_row(liouv, dim, row, refine=2):
+def _solve_with_trace_row(liouv, dim, row):
     """Replace one equation by the trace constraint and solve.
 
-    A couple of iterative-refinement sweeps recover the small
+    REFINE_SWEEPS iterative-refinement sweeps recover the small
     populations, which otherwise carry the absolute noise of the
     factorization.  A singular system means the generator has more than
     one stationary state and raises DegenerateSteadyStateError.
@@ -97,7 +100,7 @@ def _solve_with_trace_row(liouv, dim, row, refine=2):
             "stationary state is not unique (pinned-row system is singular)"
         ) from exc
     x = lu.solve(b)
-    for _ in range(refine):
+    for _ in range(REFINE_SWEEPS):
         x = x + lu.solve(b - a @ x)
     return x.reshape((dim, dim), order="F")
 

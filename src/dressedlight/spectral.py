@@ -7,7 +7,7 @@ every rate is evaluated at the difference of the group energies, so the
 secular grouping is carried by those energies alone: elements inside a
 degenerate level sit at exactly w = 0, and an operator only needs its
 matrix elements in the eigenbasis.  Distinct level pairs whose
-frequencies coincide within delta_omega (collisions) are where the
+frequencies coincide within delta_e (collisions) are where the
 secular equations of motion are not reliable; they depend only on the
 group energies and are counted once per eigensystem as a diagnostic.
 """
@@ -29,8 +29,10 @@ class EigenSystem:
     largest-magnitude component rotated to the positive real axis.
     vectors has the dtype eigh returns for the input: float64 for a real
     symmetric matrix such as the model Hamiltonian, complex otherwise.
-    group_index[k] is the degenerate group of state k and group_energy[a]
-    the mean energy of group a.
+    Levels closer than delta_e form one degenerate group: group_index[k]
+    is the group of state k (ascending from 0, so the members of group a
+    are the states with group_index == a) and group_energy[a] is the mean
+    energy of group a.
     """
 
     energies: np.ndarray
@@ -38,33 +40,29 @@ class EigenSystem:
     delta_e: float
     group_index: np.ndarray
     group_energy: np.ndarray
-    group_members: tuple
-
-    @property
-    def dim(self):
-        return self.energies.size
 
     @property
     def degenerate(self):
-        return any(len(m) > 1 for m in self.group_members)
+        return self.group_energy.size < self.energies.size
 
     def to_eigenbasis(self, operator):
         """Matrix elements <m|S|n> of a lab-frame operator."""
         return self.vectors.conj().T @ operator @ self.vectors
 
-    def collision_omegas(self, delta_omega=DEFAULT_DELTA):
+    def collision_omegas(self):
         """Frequencies w >= 0 shared by more than one pair of level groups.
 
         The ordered group pairs (a, b) are sorted by E_b - E_a and split
-        wherever consecutive frequencies differ by at least delta_omega.
-        Each cluster with more than one pair at a positive mean frequency
-        is a collision.  The cluster nearest 0 is pinned at exactly 0; it
-        holds the diagonal pairs (a, a) and collides only beyond them.
+        wherever consecutive frequencies differ by at least delta_e, the
+        tolerance the levels were grouped with.  Each cluster with more
+        than one pair at a positive mean frequency is a collision.  The
+        cluster nearest 0 is pinned at exactly 0; it holds the diagonal
+        pairs (a, a) and collides only beyond them.
         """
         ge = self.group_energy
         sorted_omega = np.sort((ge[None, :] - ge[:, None]).ravel())
         starts = np.flatnonzero(
-            np.diff(sorted_omega, prepend=-np.inf) >= delta_omega)
+            np.diff(sorted_omega, prepend=-np.inf) >= self.delta_e)
         sizes = np.diff(np.append(starts, sorted_omega.size))
         omegas = np.add.reduceat(sorted_omega, starts) / sizes
         collides = (sizes > 1) & (omegas > 0)
@@ -80,17 +78,20 @@ def diagonalize(h, delta_e=DEFAULT_DELTA):
 
     Parameters
     ----------
-    h : (D, D) array_like
+    h : (D, D) array_like, D >= 1
         Hermitian matrix; hermiticity is checked to 1e-12 relative.  A
         real symmetric h (the float64 model Hamiltonian) takes the real
         eigh path and gives float64 vectors, whose gauge fix reduces to
         making the largest component positive.
     delta_e : float
-        Absolute energy tolerance for treating two levels as degenerate.
+        Absolute energy tolerance for treating two levels as degenerate,
+        and for telling transition frequencies apart in collision_omegas.
 
     Returns
     -------
     EigenSystem
+        The sorted levels split into groups wherever consecutive energies
+        differ by at least delta_e; see EigenSystem for the fields.
     """
     h = np.asarray(h)
     scale = np.linalg.norm(h)
@@ -99,28 +100,17 @@ def diagonalize(h, delta_e=DEFAULT_DELTA):
     energies, vectors = np.linalg.eigh(h)
     vectors = np.ascontiguousarray(vectors)
 
-    # Fixed gauge: rotate the largest-magnitude component of each vector
-    # onto the positive real axis (first index wins on ties).
-    for k in range(energies.size):
-        col = vectors[:, k]
-        i = int(np.argmax(np.abs(col)))
-        piv = col[i]
-        if piv != 0:
-            vectors[:, k] = col * (np.conj(piv) / np.abs(piv))
+    # Fixed gauge: rotate the largest-magnitude component of each unit
+    # vector onto the positive real axis (first index wins on ties).
+    pivot = vectors[np.argmax(np.abs(vectors), axis=0),
+                    np.arange(energies.size)]
+    vectors *= np.conj(pivot) / np.abs(pivot)
 
     # Gap-based clustering of the sorted energies.
-    if energies.size:
-        breaks = np.nonzero(np.diff(energies) >= delta_e)[0]
-        starts = np.concatenate(([0], breaks + 1))
-        stops = np.concatenate((breaks + 1, [energies.size]))
-    else:
-        starts = stops = np.array([], dtype=int)
-    members = tuple(np.arange(b, e) for b, e in zip(starts, stops))
-    group_index = np.empty(energies.size, dtype=int)
-    group_energy = np.empty(len(members))
-    for a, idx in enumerate(members):
-        group_index[idx] = a
-        group_energy[a] = energies[idx].mean()
+    group_index = np.concatenate(
+        ([0], np.cumsum(np.diff(energies) >= delta_e)))
+    group_energy = (np.bincount(group_index, weights=energies)
+                    / np.bincount(group_index))
 
     return EigenSystem(
         energies=energies,
@@ -128,7 +118,6 @@ def diagonalize(h, delta_e=DEFAULT_DELTA):
         delta_e=delta_e,
         group_index=group_index,
         group_energy=group_energy,
-        group_members=members,
     )
 
 

@@ -5,7 +5,6 @@ import pytest
 from scipy.linalg import expm
 
 from dressedlight import (
-    ConditionalMatrix,
     DarkStateError,
     DegenerateGroundError,
     DiagonalPropagator,
@@ -58,15 +57,17 @@ def _dense_g2_reference(system, times):
     pop = system.stationary.populations
     rho_c = (xdot * pop[None, :]) @ xdot.conj().T
     observable = xdot.conj().T @ xdot
-    cond = ConditionalMatrix.from_matrix(rho_c)
-    coeff = observable[cond.cols, cond.rows] * cond.values
+    off = rho_c.copy()
+    np.fill_diagonal(off, 0.0)
+    rows, cols = np.nonzero(off)
+    coeff = observable[cols, rows] * off[rows, cols]
     z = system.rates.z
-    zsum = z[cond.rows] + np.conj(z[cond.cols])
+    zsum = z[rows] + np.conj(z[cols])
     denominator = pop @ (np.abs(xdot) ** 2).sum(axis=0)
     out = []
     for t in times:
         diag = np.diag(observable) @ (
-            expm(system.rates.generator * t) @ cond.diagonal)
+            expm(system.rates.generator * t) @ np.diag(rho_c))
         out.append((diag + np.exp(-zsum * t) @ coeff).real / denominator**2)
     return np.array(out)
 
@@ -74,7 +75,7 @@ def _dense_g2_reference(system, times):
 def test_stationary_is_boltzmann():
     p = ModelParams(1, 0.5, 0.5, 0.1, n_max=8)
     system = solve_system(p)
-    e = system.rates.energies
+    e = system.eig.energies
     boltz = np.exp(-(e - e[0]) / 0.1)
     boltz /= boltz.sum()
     np.testing.assert_allclose(system.stationary.populations, boltz,
@@ -100,6 +101,18 @@ def test_stationary_degenerate_ground_rejected():
     eig, rates = _synthetic_system([0.0, 0.0, 1.0], temperature=0.3)
     stat = stationary_state(eig, rates)
     assert stat.populations[0] == pytest.approx(stat.populations[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.3])
+def test_single_level_holds_all_population(temperature):
+    # one level is one group: no degenerate ground at T = 0, and at T > 0
+    # its Boltzmann weight is the whole population
+    eig, rates = _synthetic_system([0.0], temperature)
+    assert eig.group_index.tolist() == [0]
+    assert not eig.degenerate
+    stat = stationary_state(eig, rates)
+    np.testing.assert_array_equal(stat.populations, [1.0])
+    assert stat.residual == 0.0
 
 
 def test_propagate_matches_expm():
@@ -218,20 +231,8 @@ def test_offdiagonal_factor_decay_and_phase():
         phase = np.exp(-1j * (z[m].imag - z[n].imag) * t)
         assert factor / abs(factor) == pytest.approx(phase, rel=1e-12)
     # with the shift disabled the winding rate is the bare energy difference
-    e = system.rates.energies
+    e = system.eig.energies
     assert z[m].imag - z[n].imag == pytest.approx(e[m] - e[n], abs=1e-14)
-
-
-def test_conditional_matrix_roundtrip():
-    rng = np.random.default_rng(5)
-    mat = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    cond = ConditionalMatrix.from_matrix(mat)
-    dense = np.diag(cond.diagonal).astype(complex)
-    dense[cond.rows, cond.cols] = cond.values
-    np.testing.assert_allclose(dense, mat, atol=1e-15)
-    assert cond.trace == pytest.approx(np.trace(mat))
-    np.testing.assert_allclose(cond.diagonal, np.diag(mat))
-    assert not np.any(cond.rows == cond.cols)
 
 
 def test_regression_kernel_limits():
@@ -241,8 +242,7 @@ def test_regression_kernel_limits():
     stat = system.stationary.populations
     rho_c = (xdot * stat[None, :]) @ xdot.conj().T
     observable = xdot.conj().T @ xdot
-    cond = ConditionalMatrix.from_matrix(rho_c)
-    at_zero, late = _regression(system, cond, observable,
+    at_zero, late = _regression(system, rho_c, observable,
                                 [0.0, 50.0 / p.gamma])
     # tau = 0: plain trace
     assert at_zero == pytest.approx(np.trace(observable @ rho_c))
@@ -261,7 +261,6 @@ def test_regression_kernel_matches_brute_force():
     stat = system.stationary.populations
     rho_c = (xdot * stat[None, :]) @ xdot.conj().T
     observable = xdot.conj().T @ xdot
-    cond = ConditionalMatrix.from_matrix(rho_c)
     gen = system.rates.generator
     z = system.rates.z
     for tau in (0.0, 2.5, 31.0):
@@ -274,7 +273,7 @@ def test_regression_kernel_matches_brute_force():
                     off_part += (observable[n, m] * rho_c[m, n]
                                  * np.exp(-(z[m] + np.conj(z[n])) * tau))
         expect = diag_part + off_part
-        got = _regression(system, cond, observable, [tau])[0]
+        got = _regression(system, rho_c, observable, [tau])[0]
         assert got == pytest.approx(expect, rel=1e-10)
 
 

@@ -14,6 +14,7 @@ from dressedlight import (
     build_hamiltonian,
     build_operators,
 )
+from dressedlight.model import DEFAULT_MAX_DIM
 
 
 def _raising(ops):
@@ -71,6 +72,14 @@ def test_parameter_validation():
         ModelParams(1, 0.1, 0.0, 0.1, gamma=0.0)
     with pytest.raises(ValueError):
         ModelParams(1, 0.1, 0.0, 0.1, omega0=-1.0)
+    # bool is an int subclass; True is not an emitter count or a cutoff
+    with pytest.raises(ValueError, match="n_emitters must be an integer"):
+        ModelParams(True, 0.1, 0.0, 0.1, n_max=5)
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        ModelParams(1, 0.1, 0.0, 0.1, n_max=True)
+    with pytest.raises(ValueError, match="n_emitters must be an integer"):
+        ModelParams(np.bool_(True), 0.1, 0.0, 0.1, n_max=5)
+    assert ModelParams(np.int64(2), 0.1, 0.0, 0.1, n_max=np.int32(5)).dim == 24
 
 
 @pytest.mark.parametrize("field", ["g", "g_prime", "temperature", "omega0",
@@ -236,9 +245,10 @@ def test_real_hamiltonian_energies_match_complex_eigh():
 def test_dimension_limit():
     with pytest.raises(DimensionLimitError):
         build_operators(ModelParams(3, 0.1, 0.0, 0.1, n_max=9999))
-    # custom limit is honored
+    # just over the limit; the guard raises before any allocation
+    over = ModelParams(1, 0.1, 0.0, 0.1, n_max=DEFAULT_MAX_DIM // 2)
+    assert over.dim == DEFAULT_MAX_DIM + 2
     with pytest.raises(DimensionLimitError):
-        build_operators(ModelParams(1, 0.1, 0.0, 0.1, n_max=100), max_dim=100)
+        build_operators(over)
     with pytest.raises(DimensionLimitError):
-        build_hamiltonian(ModelParams(1, 0.1, 0.0, 0.1, n_max=100),
-                          max_dim=100)
+        build_hamiltonian(over)

@@ -7,6 +7,7 @@ from dressedlight import (
     ModelParams,
     build_hamiltonian,
     build_operators,
+    build_rate_table,
     diagonalize,
     group_transitions,
     solve_system,
@@ -78,12 +79,21 @@ def test_degenerate_grouping():
     eig = diagonalize(h, delta_e=1e-9)
     assert eig.degenerate
     assert eig.group_index.tolist() == [0, 1, 1, 2, 2, 2]
-    assert [len(m) for m in eig.group_members] == [1, 2, 3]
+    assert np.bincount(eig.group_index).tolist() == [1, 2, 3]
     np.testing.assert_allclose(eig.group_energy, [0.0, 1.0, 2.0],
                                atol=1e-11)
     # tightening the tolerance splits the groups again
     fine = diagonalize(h, delta_e=1e-14)
     assert not fine.degenerate
+
+
+def test_group_energy_is_member_mean():
+    energies = [-0.5, 1.0, 1.0 + 3e-10, 1.0 + 7e-10, 2.5]
+    eig = diagonalize(np.diag(energies), delta_e=1e-9)
+    assert eig.group_index.tolist() == [0, 1, 1, 1, 2]
+    for a, energy in enumerate(eig.group_energy):
+        assert energy == eig.energies[eig.group_index == a].mean()
+    assert eig.group_energy[1] == np.mean(energies[1:4])
 
 
 def test_to_eigenbasis_matches_direct_projection():
@@ -111,7 +121,7 @@ def test_transition_frequencies_and_zero_group():
             assert abs(omega_ac - grp["omegas"][k]) < 1e-8
     # frequencies come out sorted and unique at this coupling
     assert np.all(np.diff(grp["omegas"]) > 0)
-    assert eig.collision_omegas(1e-9).size == 0
+    assert eig.collision_omegas().size == 0
 
 
 def test_reconstruct_roundtrip():
@@ -123,7 +133,8 @@ def test_reconstruct_roundtrip():
     eig = diagonalize(build_hamiltonian(p))
     s = eig.to_eigenbasis(_quadrature(ops))
     grp = _loop_grouping(eig, 1e-9)
-    members = eig.group_members
+    members = [np.flatnonzero(eig.group_index == a)
+               for a in range(eig.group_energy.size)]
     covered = np.zeros(s.shape, dtype=int)
     total = np.zeros_like(s)
     for b, e in zip(grp["starts"], grp["stops"]):
@@ -141,7 +152,7 @@ def test_harmonic_ladder_collisions_flagged():
     # uncoupled cavity: all upward transitions share the same frequency
     p = ModelParams(1, 0.0, 0.0, 0.1, n_max=5)
     eig = diagonalize(build_hamiltonian(p))
-    collisions = eig.collision_omegas(1e-9)
+    collisions = eig.collision_omegas()
     assert collisions.size > 0
     assert 1.0 in np.round(collisions, 12)
 
@@ -188,7 +199,7 @@ def _loop_grouping(eig, delta_omega):
 ], ids=["dicke-n2", "tc-n2-degenerate", "harmonic-ladder"])
 def test_vectorized_grouping_matches_loop_reference(params):
     eig = diagonalize(build_hamiltonian(params))
-    collisions = eig.collision_omegas(1e-9)
+    collisions = eig.collision_omegas()
     ref = _loop_grouping(eig, 1e-9)
     assert collisions.size == ref["collision_omegas"].size
     np.testing.assert_allclose(collisions, ref["collision_omegas"],
@@ -215,5 +226,7 @@ def test_channel_sets_share_one_grouping(monkeypatch):
     couplings = [group_transitions(system.eig, lower - lower.T)
                  for lower in bath_lowering(ops)]
     assert len(couplings) == 3
-    np.testing.assert_array_equal(
-        system.coupling_weight, sum(s_eigen**2 for s_eigen in couplings))
+    weight = sum(s_eigen**2 for s_eigen in couplings)
+    rebuilt = build_rate_table(system.eig, weight, p.temperature,
+                               system.rates.bath)
+    np.testing.assert_array_equal(system.rates.gain, rebuilt.gain)
