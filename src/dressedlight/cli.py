@@ -24,13 +24,16 @@ written, failed rows carry status=1 and nan values) or when the solve of a
 fixed-point task (spectrum, g2time, converge) failed (no CSV or plot script
 is written, and summary.json records the error).
 
-The three (g, T) grid tasks share one runner, ``run_grid``; the table
-``GRID_TASKS`` gives each its value function, value columns, failed-row
-values and extra summary metrics.  Every grid point, eigen's included, is
-evaluated by ``_point``, which records an exception as a failed point;
-``main`` records the exception of a fixed-point task the same way.
-Grid rows are emitted in fixed (g outer, T inner) order regardless of the
-worker count, so repeated runs produce byte-identical CSV files.
+Each task is one ``Task`` record in ``TASKS``: the config blocks it
+reads, its runner, its plot script and, for the (g, T) grid tasks run by
+``run_grid``, the value function, columns, failed-row values and metrics.
+Each config field is declared once, in the field table of its block, and
+read by ``_read_fields``; a key outside the tables a task reads is a config
+error.  Every grid point, eigen's included, is evaluated by ``_point``,
+which records an exception as a failed point; ``main`` records the
+exception of a fixed-point task the same way.  Grid rows are emitted in
+fixed (g outer, T inner) order regardless of the worker count, so repeated
+runs produce byte-identical CSV files.
 """
 
 import argparse
@@ -40,6 +43,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,30 +53,13 @@ from .model import ModelParams, build_hamiltonian
 from .observables import cluster_weights
 from .pipeline import solve_system
 from .qoptical import DEFAULT_QO_NMAX, qo_g2_zero
-from .spectral import diagonalize
+from .spectral import diagonalize, level_tolerance
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PARTIAL = 3
 
-TASKS = (
-    "eigen",
-    "spectrum",
-    "g2chart",
-    "g2time",
-    "qo-chart",
-    "analytic-compare",
-    "converge",
-)
-FIXED_POINT_TASKS = ("spectrum", "g2time", "converge")
-
 OUTPUT_ENV_VAR = "DRESSEDLIGHT_OUTDIR"
-
-DEFAULT_N_MAX = 100
-DEFAULT_OMEGA_GRID = {"omega_min": 0.0, "omega_max": 3.0, "points": 2000}
-DEFAULT_EIGEN_LEVELS = 12
-DEFAULT_T_POINTS = 500
-DEFAULT_CONVERGE_PAIR = [100, 120]
 
 # relative weight below which spectrum peaks are left out of the summary
 PEAK_REPORT_FLOOR = 1e-6
@@ -88,78 +75,100 @@ class ConfigError(Exception):
 
 # ---------------------------------------------------------------------------
 # config parsing
+#
+# Each config field is declared once, as (key, kind, default, minimum,
+# positive) in the field table of its block, or as a Block for a nested
+# object.  kind is int or float (checked by _read_fields), object (passed
+# on raw to the check of its block), or a function returning the error
+# message for a bad value.  default is REQUIRED, SWEPT, or the value of an
+# absent field.
+
+REQUIRED = "required"
+# g and temperature: fixed-point tasks must give them; the sweep tasks
+# take SWEPT_DEFAULT when they are absent and vary g per point anyway
+SWEPT = "swept"
+SWEPT_DEFAULT = 0.1
 
 
-def _type_name(value):
-    return type(value).__name__
+class Block(NamedTuple):
+    """A config object at key with its field table; check(values, block,
+    task, issues) checks the values read and returns them resolved."""
+
+    key: str
+    fields: tuple
+    required: bool = False
+    check: Callable = None
 
 
-def _get_number(block, key, path, issues, required=False, default=None,
-                minimum=None, positive=False):
-    if key not in block:
-        if required:
-            issues.append((path, "missing required field"))
-        return default
-    value = block[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        issues.append((path, "expected a number, got %s" % _type_name(value)))
-        return default
-    value = float(value)
-    if not math.isfinite(value):
-        issues.append((path, "must be finite"))
-        return default
-    if positive and value <= 0:
-        issues.append((path, "must be > 0"))
-        return default
-    if minimum is not None and value < minimum:
-        issues.append((path, "must be >= %g" % minimum))
-        return default
-    return value
+def _path(path, key):
+    return "%s.%s" % (path, key) if path else key
 
 
-def _get_int(block, key, path, issues, required=False, default=None,
-             minimum=None):
-    if key not in block:
-        if required:
-            issues.append((path, "missing required field"))
-        return default
-    value = block[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        issues.append((path, "expected an integer, got %s" % _type_name(value)))
-        return default
-    if minimum is not None and value < minimum:
-        issues.append((path, "must be >= %d" % minimum))
-        return default
-    return value
+def _read_fields(block, path, fields, task, issues):
+    """Read ``fields`` from the config object ``block`` at ``path``.
+
+    Returns {key: value}.  An absent or rejected field takes its default
+    (None when required); a rejected or missing required one adds a
+    (JSON path, message) issue.
+    """
+    values = {}
+    for field in fields:
+        if isinstance(field, Block):
+            values[field.key] = _read_block(
+                block.get(field.key, None if field.required else {}),
+                _path(path, field.key), field, task, issues)
+            continue
+        key, kind, default, minimum, positive = field
+        required = default is REQUIRED or (
+            default is SWEPT and task.fixed_point)
+        if default is SWEPT:
+            default = SWEPT_DEFAULT
+        elif required:
+            default = None
+        values[key] = default
+        if key not in block:
+            if required:
+                issues.append((_path(path, key), "missing required field"))
+            continue
+        value, message = block[key], None
+        if kind not in (int, float):
+            message = None if kind is object else kind(value)
+        elif isinstance(value, bool) or not isinstance(
+                value, (int, float) if kind is float else int):
+            message = "expected %s, got %s" % (
+                "a number" if kind is float else "an integer",
+                type(value).__name__)
+        else:
+            value = kind(value)
+            if kind is float and not math.isfinite(value):
+                message = "must be finite"
+            elif positive and value <= 0:
+                message = "must be > 0"
+            elif minimum is not None and value < minimum:
+                message = "must be >= %g" % minimum
+        if message is None:
+            values[key] = value
+        else:
+            issues.append((_path(path, key), message))
+    return values
 
 
-def _parse_model(cfg, task, issues):
-    """Resolve the model block into ModelParams kwargs plus the limit label."""
-    block = cfg.get("model")
+def _read_block(block, path, spec, task, issues):
     if not isinstance(block, dict):
-        issues.append(("model", "missing required object"))
-        return None, None
-    fixed_point = task in FIXED_POINT_TASKS
+        issues.append((path, "missing required object" if spec.required
+                       else "expected an object"))
+        return None
+    values = _read_fields(block, path, spec.fields, task, issues)
+    if spec.check is not None:
+        values = spec.check(values, block, task, issues)
+    for key in sorted(set(block) - {field[0] for field in spec.fields}):
+        issues.append((_path(path, key), "unknown field"))
+    return values
 
-    n_emitters = _get_int(block, "n_emitters", "model.n_emitters", issues,
-                          required=True, minimum=1)
-    g = _get_number(block, "g", "model.g", issues,
-                    required=fixed_point, default=0.1, minimum=0.0)
-    temperature = _get_number(block, "temperature", "model.temperature",
-                              issues, required=fixed_point,
-                              default=0.1, minimum=0.0)
-    n_max = _get_int(block, "n_max", "model.n_max", issues,
-                     default=DEFAULT_N_MAX, minimum=2)
-    gamma = _get_number(block, "gamma", "model.gamma", issues,
-                        default=1e-2, positive=True)
-    x0 = _get_number(block, "x0", "model.x0", issues, default=1.0,
-                     positive=True)
-    omega_c = _get_number(block, "omega_c", "model.omega_c", issues,
-                          positive=True)
-    omega_x = _get_number(block, "omega_x", "model.omega_x", issues,
-                          positive=True)
 
-    limit = block.get("limit")
+def _resolve_limit(model, block, task, issues):
+    """Set g_prime from limit, or the limit label from g_prime."""
+    limit = model["limit"]
     has_gp = "g_prime" in block
     if limit is not None and has_gp:
         issues.append(("model.limit",
@@ -168,61 +177,37 @@ def _parse_model(cfg, task, issues):
         issues.append(("model.limit", "must be 'dicke' or 'tc'"))
         limit = None
     if has_gp:
-        if task in GRID_TASKS or task == "eigen":
+        if not task.fixed_point:
             issues.append(("model.g_prime",
                            "sweep tasks vary g; use 'limit' instead"))
-        gp = _get_number(block, "g_prime", "model.g_prime", issues,
-                         default=0.0, minimum=0.0)
-        limit = "dicke" if (g is not None and gp == g) else "custom"
+        limit = "dicke" if model["g_prime"] == model["g"] else "custom"
     elif limit is None:
         issues.append(("model.limit", "missing required field"))
-        gp = 0.0
     else:
-        gp = g if limit == "dicke" else 0.0
+        model["g_prime"] = model["g"] if limit == "dicke" else 0.0
+    model["limit"] = limit
+    return model
 
-    if task == "analytic-compare" and n_emitters not in (None, 1):
+
+def _single_tc_model(model, block, task, issues):
+    # the closed forms describe one emitter without counter-rotating terms
+    model = _resolve_limit(model, block, task, issues)
+    if model["n_emitters"] not in (None, 1):
         issues.append(("model.n_emitters",
                        "analytic-compare is defined for a single emitter"))
-    if task == "analytic-compare" and limit == "dicke":
+    if model["limit"] == "dicke":
         issues.append(("model.limit",
                        "analytic-compare is defined in the tc limit"))
-
-    unknown = set(block) - {"n_emitters", "g", "g_prime", "limit",
-                            "temperature", "n_max", "gamma", "x0",
-                            "omega_c", "omega_x"}
-    for key in sorted(unknown):
-        issues.append(("model.%s" % key, "unknown field"))
-
-    if issues:
-        return None, limit
-    kwargs = dict(n_emitters=n_emitters, g=g, g_prime=gp,
-                  temperature=temperature, n_max=n_max, gamma=gamma, x0=x0,
-                  omega_c=omega_c, omega_x=omega_x)
-    return kwargs, limit
+    return model
 
 
-def _parse_grid(cfg, issues, need_t=True):
-    block = cfg.get("grid")
-    if not isinstance(block, dict):
-        issues.append(("grid", "missing required object"))
-        return None
-    g_min = _get_number(block, "g_min", "grid.g_min", issues, required=True,
-                        minimum=0.01)
-    g_max = _get_number(block, "g_max", "grid.g_max", issues, required=True,
-                        positive=True)
-    g_steps = _get_int(block, "g_steps", "grid.g_steps", issues,
-                       required=True, minimum=1)
-    spec = {"g": (g_min, g_max, g_steps)}
-    if need_t:
-        t_min = _get_number(block, "T_min", "grid.T_min", issues,
-                            required=True, minimum=0.0)
-        t_max = _get_number(block, "T_max", "grid.T_max", issues,
-                            required=True, positive=True)
-        t_steps = _get_int(block, "T_steps", "grid.T_steps", issues,
-                           required=True, minimum=1)
-        spec["T"] = (t_min, t_max, t_steps)
-    for axis in ("g", "T") if need_t else ("g",):
-        lo, hi, steps = spec.get(axis, (None, None, None))
+def _grid_axes(values, _block, _task, issues):
+    """{axis: (lo, hi, steps)}; equal bounds are allowed for one step only."""
+    spec = {}
+    for axis in [key[:-len("_min")] for key in values if key.endswith("_min")]:
+        lo, hi, steps = (values[axis + end]
+                         for end in ("_min", "_max", "_steps"))
+        spec[axis] = (lo, hi, steps)
         if lo is None or hi is None:
             continue
         if hi < lo:
@@ -233,7 +218,7 @@ def _parse_grid(cfg, issues, need_t=True):
             issues.append(("grid.%s_max" % axis,
                            "must be > grid.%s_min when grid.%s_steps > 1"
                            % (axis, axis)))
-    return spec if not issues else None
+    return spec
 
 
 def _axis(lo, hi, steps):
@@ -242,34 +227,62 @@ def _axis(lo, hi, steps):
     return np.linspace(lo, hi, steps)
 
 
-def _parse_omega_grid(cfg, issues):
-    block = cfg.get("omega_grid", {})
-    if not isinstance(block, dict):
-        issues.append(("omega_grid", "expected an object"))
-        return None
-    merged = dict(DEFAULT_OMEGA_GRID)
-    lo = _get_number(block, "omega_min", "omega_grid.omega_min", issues,
-                     default=merged["omega_min"], minimum=0.0)
-    hi = _get_number(block, "omega_max", "omega_grid.omega_max", issues,
-                     default=merged["omega_max"], positive=True)
-    pts = _get_int(block, "points", "omega_grid.points", issues,
-                   default=merged["points"], minimum=2)
-    if lo is not None and hi is not None and hi <= lo:
-        issues.append(("omega_grid.omega_max", "must be > omega_grid.omega_min"))
-        return None
-    return {"omega_min": lo, "omega_max": hi, "points": pts}
+def _omega_band(values, _block, _task, issues):
+    if values["omega_max"] <= values["omega_min"]:
+        issues.append(("omega_grid.omega_max",
+                       "must be > omega_grid.omega_min"))
+    return values
 
 
-def _parse_t_grid(cfg, gamma, issues):
-    block = cfg.get("t_grid", {})
-    if not isinstance(block, dict):
-        issues.append(("t_grid", "expected an object"))
-        return None
-    t_max = _get_number(block, "t_max", "t_grid.t_max", issues,
-                        default=50.0 / gamma, positive=True)
-    pts = _get_int(block, "points", "t_grid.points", issues,
-                   default=DEFAULT_T_POINTS, minimum=2)
-    return {"t_max": t_max, "points": pts}
+def _cutoff_pair(value):
+    if (not isinstance(value, list) or len(value) != 2
+            or not all(isinstance(v, int) and not isinstance(v, bool)
+                       and v >= 2 for v in value)
+            or value[0] >= value[1]):
+        return "expected [n_low, n_high] with 2 <= n_low < n_high"
+    return None
+
+
+MODEL = Block("model", (
+    ("n_emitters", int, REQUIRED, 1, False),
+    ("g", float, SWEPT, 0.0, False),
+    ("temperature", float, SWEPT, 0.0, False),
+    ("n_max", int, 100, 2, False),
+    ("gamma", float, 1e-2, None, True),
+    ("x0", float, 1.0, None, True),
+    ("omega_c", float, None, None, True),
+    ("omega_x", float, None, None, True),
+    ("limit", object, None, None, False),
+    ("g_prime", float, 0.0, 0.0, False),
+), True, _resolve_limit)
+SINGLE_TC_MODEL = MODEL._replace(check=_single_tc_model)
+# a swept axis runs from <axis>_min to <axis>_max in <axis>_steps points
+G_AXIS = (("g_min", float, REQUIRED, 0.01, False),
+          ("g_max", float, REQUIRED, None, True),
+          ("g_steps", int, REQUIRED, 1, False))
+T_AXIS = (("T_min", float, REQUIRED, 0.0, False),
+          ("T_max", float, REQUIRED, None, True),
+          ("T_steps", int, REQUIRED, 1, False))
+G_GRID = Block("grid", G_AXIS, True, _grid_axes)
+GT_GRID = Block("grid", G_AXIS + T_AXIS, True, _grid_axes)
+OMEGA_GRID = Block("omega_grid", (
+    ("omega_min", float, 0.0, 0.0, False),
+    ("omega_max", float, 3.0, None, True),
+    ("points", int, 2000, 2, False),
+), check=_omega_band)
+# t_max None: the delays span 50 decay times 1 / gamma
+T_GRID = Block("t_grid", (
+    ("t_max", float, None, None, True),
+    ("points", int, 500, 2, False),
+))
+LEVELS = ("levels", int, 12, 1, False)
+QO_N_MAX = ("qo_n_max", int, DEFAULT_QO_NMAX, 2, False)
+N_MAX_PAIR = ("n_max_pair", _cutoff_pair, [100, 120], None, False)
+# read by every task, after the blocks of its record
+TOP_FIELDS = (
+    ("workers", int, 1, 1, False),
+    ("output_dir", object, None, None, False),
+)
 
 
 def parse_config(path, task, workers_override=None, out_override=None):
@@ -289,57 +302,31 @@ def parse_config(path, task, workers_override=None, out_override=None):
         raise ConfigError([("<root>", "config must be a JSON object")])
 
     issues = []
-    model_kwargs, limit = _parse_model(cfg, task, issues)
-
-    resolved = {"task": task, "limit": limit}
-    if task in GRID_TASKS:
-        resolved["grid"] = _parse_grid(cfg, issues, need_t=True)
-    elif task == "eigen":
-        resolved["grid"] = _parse_grid(cfg, issues, need_t=False)
-        resolved["levels"] = _get_int(cfg, "levels", "levels", issues,
-                                      default=DEFAULT_EIGEN_LEVELS, minimum=1)
-    if task == "spectrum":
-        resolved["omega_grid"] = _parse_omega_grid(cfg, issues)
-    if task == "g2time":
-        gamma = model_kwargs["gamma"] if model_kwargs else 1e-2
-        resolved["t_grid"] = _parse_t_grid(cfg, gamma, issues)
-    if task == "qo-chart":
-        resolved["qo_n_max"] = _get_int(cfg, "qo_n_max", "qo_n_max", issues,
-                                        default=DEFAULT_QO_NMAX, minimum=2)
-    if task == "converge":
-        pair = cfg.get("n_max_pair", DEFAULT_CONVERGE_PAIR)
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(v, int) and not isinstance(v, bool)
-                           and v >= 2 for v in pair)
-                or pair[0] >= pair[1]):
-            issues.append(("n_max_pair",
-                           "expected [n_low, n_high] with 2 <= n_low < n_high"))
-        else:
-            resolved["n_max_pair"] = pair
-
-    workers = _get_int(cfg, "workers", "workers", issues, default=1, minimum=1)
+    fields = TASKS[task].blocks + TOP_FIELDS
+    resolved = _read_fields(cfg, "", fields, TASKS[task], issues)
     if workers_override is not None:
-        workers = workers_override
-    resolved["workers"] = workers
-
+        resolved["workers"] = workers_override
     out_dir = out_override
     if out_dir is None:
-        out_dir = cfg.get("output_dir")
+        out_dir = resolved["output_dir"]
         if out_dir is not None and not isinstance(out_dir, str):
             issues.append(("output_dir", "expected a string"))
             out_dir = None
     if out_dir is None:
         out_dir = os.environ.get(OUTPUT_ENV_VAR, "out")
     resolved["output_dir"] = out_dir
-
-    known_top = {"model", "grid", "omega_grid", "t_grid", "levels",
-                 "qo_n_max", "n_max_pair", "workers", "output_dir"}
-    for key in sorted(set(cfg) - known_top):
-        issues.append((key, "unknown field"))
+    elsewhere = {field[0] for other in TASKS.values() for field in other.blocks}
+    for key in sorted(set(cfg) - {field[0] for field in fields}):
+        issues.append((key, "not read by the %s task" % task
+                       if key in elsewhere else "unknown field"))
 
     if issues:
         raise ConfigError(issues)
-    resolved["model"] = model_kwargs
+    resolved["task"] = task
+    resolved["limit"] = resolved["model"].pop("limit")
+    t_grid = resolved.get("t_grid")
+    if t_grid is not None and t_grid["t_max"] is None:
+        t_grid["t_max"] = 50.0 / resolved["model"]["gamma"]
     return resolved
 
 
@@ -355,19 +342,10 @@ def _fmt(value):
     return "%.12e" % value
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _write_summary(out_dir, payload):
-    path = os.path.join(out_dir, "summary.json")
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
+def _csv_text(header, rows):
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row)
+                                  for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _map_points(worker, jobs, n_workers):
@@ -422,7 +400,8 @@ def _compare_values(params, _resolved):
 
 def _eigen_rows(params, resolved):
     # energies only; skips the dissipative half of the pipeline
-    eig = diagonalize(build_hamiltonian(params))
+    eig = diagonalize(build_hamiltonian(params),
+                      level_tolerance(params.omega0))
     keep = min(resolved["levels"], eig.energies.size)
     return [(params.g, k, float(eig.energies[k]), int(eig.group_index[k]))
             for k in range(keep)]
@@ -442,23 +421,10 @@ def _compare_metrics(_resolved, ok):
     return {"max_rel_err_trusted": max(trusted_err) if trusted_err else None}
 
 
-# (g, T) grid tasks: value function, its CSV columns, the values written
-# for a failed point, and the summary metrics computed from the good points
-GRID_TASKS = {
-    "g2chart": (_g2_values, ("g2_zero", "collision_count", "degenerate"),
-                (math.nan, 0, 0), _g2_metrics),
-    "qo-chart": (_qo_values, ("g2_zero",), (math.nan,), _qo_metrics),
-    "analytic-compare": (
-        _compare_values,
-        ("g2_numeric", "g2_basic", "g2_refined", "trusted", "rel_err_refined"),
-        (math.nan, math.nan, math.nan, 0, math.nan), _compare_metrics),
-}
-
-
-def run_grid(resolved, out_dir):
+def run_grid(resolved):
     """Run a (g, T) grid task; rows in (g outer, T inner) order."""
     task = resolved["task"]
-    value, columns, failed_fill, task_metrics = GRID_TASKS[task]
+    value, columns, failed_fill, task_metrics = TASKS[task].grid
     grid = resolved["grid"]
     points = [(g, t) for g in _axis(*grid["g"]) for t in _axis(*grid["T"])]
     jobs = [(value, resolved, g, t) for g, t in points]
@@ -471,30 +437,26 @@ def run_grid(resolved, out_dir):
         else:
             failures.append({"g": g, "T": t, "error": error})
             rows.append((g, t) + failed_fill + (1,))
-    _write_csv(os.path.join(out_dir, "%s.csv" % task),
-               ("g", "T") + columns + ("status",), rows)
     metrics = dict(task_metrics(resolved, ok), n_points=len(points),
                    n_failed=len(failures), failures=failures)
-    return metrics, len(failures)
+    return ("g", "T") + columns + ("status",), rows, metrics
 
 
-def run_eigen(resolved, out_dir):
+def run_eigen(resolved):
     g_axis = _axis(*resolved["grid"]["g"])
     temperature = resolved["model"]["temperature"]
     results = _map_points(
         _point, [(_eigen_rows, resolved, g, temperature) for g in g_axis],
         resolved["workers"])
     rows = [row for block, error in results if error is None for row in block]
-    _write_csv(os.path.join(out_dir, "eigen.csv"),
-               ["g", "level", "energy", "group"], rows)
     failures = [{"g": float(g), "error": error}
                 for g, (_, error) in zip(g_axis, results) if error is not None]
     metrics = {"n_points": len(g_axis), "n_failed": len(failures),
                "levels": resolved["levels"], "failures": failures}
-    return metrics, len(failures)
+    return ["g", "level", "energy", "group"], rows, metrics
 
 
-def run_spectrum(resolved, out_dir):
+def run_spectrum(resolved):
     params = ModelParams(**resolved["model"])
     system = solve_system(params)
     og = resolved["omega_grid"]
@@ -516,12 +478,10 @@ def run_spectrum(resolved, out_dir):
         "degenerate": bool(system.eig.degenerate),
         "peaks": peaks,
     }
-    _write_csv(os.path.join(out_dir, "spectrum.csv"), ["omega", "spectrum"],
-               list(zip(omega, spectrum.values)))
-    return metrics, 0
+    return ["omega", "spectrum"], zip(omega, spectrum.values), metrics
 
 
-def run_g2time(resolved, out_dir):
+def run_g2time(resolved):
     params = ModelParams(**resolved["model"])
     system = solve_system(params)
     tg = resolved["t_grid"]
@@ -536,12 +496,10 @@ def run_g2time(resolved, out_dir):
         "stationary_residual": system.stationary.residual,
         "collision_count": system.collision_count,
     }
-    _write_csv(os.path.join(out_dir, "g2time.csv"), ["t", "g2"],
-               list(zip(times, result.values)))
-    return metrics, 0
+    return ["t", "g2"], zip(times, result.values), metrics
 
 
-def run_converge(resolved, out_dir):
+def run_converge(resolved):
     n_low, n_high = resolved["n_max_pair"]
     systems = {}
     for cutoff in (n_low, n_high):
@@ -567,37 +525,22 @@ def run_converge(resolved, out_dir):
         weight_rel = max(weight_rel,
                          abs(w_high[j] - weight) / max(weight, w_high[j]))
 
-    rows = [
-        ("g2_zero", n_low, n_high, g2[n_low], g2[n_high],
-         abs(g2[n_high] - g2[n_low]),
-         abs(g2[n_high] - g2[n_low]) / abs(g2[n_high])),
-        ("integrated_emission", n_low, n_high, emission[n_low],
-         emission[n_high], abs(emission[n_high] - emission[n_low]),
-         abs(emission[n_high] - emission[n_low]) / abs(emission[n_high])),
-        ("peak_weight_max_rel", n_low, n_high, float(w_low.max()),
-         float(w_high.max()), weight_rel, weight_rel),
-    ]
-    header = ["metric", "n_low", "n_high", "value_low", "value_high",
-              "abs_diff", "rel_diff"]
-    _write_csv(os.path.join(out_dir, "converge.csv"), header, rows)
+    rows = [(name, n_low, n_high, value[n_low], value[n_high],
+             abs(value[n_high] - value[n_low]),
+             abs(value[n_high] - value[n_low]) / abs(value[n_high]))
+            for name, value in (("g2_zero", g2),
+                                ("integrated_emission", emission))]
+    rows.append(("peak_weight_max_rel", n_low, n_high, float(w_low.max()),
+                 float(w_high.max()), weight_rel, weight_rel))
     metrics = {
         "n_max_pair": [n_low, n_high],
         "g2_zero_abs_diff": rows[0][5],
         "emission_rel_diff": rows[1][6],
         "peak_weight_max_rel_diff": weight_rel,
     }
-    return metrics, 0
-
-
-RUNNERS = {
-    "eigen": run_eigen,
-    "spectrum": run_spectrum,
-    "g2chart": run_grid,
-    "g2time": run_g2time,
-    "qo-chart": run_grid,
-    "analytic-compare": run_grid,
-    "converge": run_converge,
-}
+    header = ["metric", "n_low", "n_high", "value_low", "value_high",
+              "abs_diff", "rel_diff"]
+    return header, rows, metrics
 
 
 # ---------------------------------------------------------------------------
@@ -638,9 +581,38 @@ ax.set_xlabel("temperature")
 ax.set_ylabel("coupling g")
 ''')
 
-# per task: the script docstring and the body between head and tail
-_PLOT_BODIES = {
-    "eigen": (
+
+def _plot_script(task):
+    doc, body = TASKS[task].plot
+    script = _PLOT_HEAD.replace("__DOC__", doc) + body + _PLOT_TAIL
+    script = script.replace("__CSV__", "%s.csv" % task)
+    return script.replace("__STEM__", task)
+
+
+# ---------------------------------------------------------------------------
+# the task table
+
+
+class Task(NamedTuple):
+    """One simulate task.
+
+    blocks are the top-level fields it reads besides workers and
+    output_dir, model first; runner(resolved) returns (CSV header, rows,
+    metrics); plot is the docstring and body of its plot script.  A
+    fixed-point task solves the one point its model block gives.  grid is
+    (value function, columns, failed-row values, metrics) for a task run by
+    run_grid.
+    """
+
+    blocks: tuple
+    runner: Callable
+    plot: tuple
+    fixed_point: bool = False
+    grid: tuple = None
+
+
+TASKS = {
+    "eigen": Task((MODEL, G_GRID, LEVELS), run_eigen, (
         "Regenerate the dressed energy levels versus coupling from __CSV__.",
         '''\
 g = np.array([float(r["g"]) for r in rows])
@@ -653,8 +625,9 @@ for k in np.unique(level):
     ax.plot(g[sel], energy[sel], lw=1.0)
 ax.set_xlabel("coupling g")
 ax.set_ylabel("energy")
-'''),
-    "spectrum": ("Regenerate the emission spectrum plot from __CSV__.", '''\
+''')),
+    "spectrum": Task((MODEL, OMEGA_GRID), run_spectrum, (
+        "Regenerate the emission spectrum plot from __CSV__.", '''\
 omega = np.array([float(r["omega"]) for r in rows])
 value = np.array([float(r["spectrum"]) for r in rows])
 
@@ -664,9 +637,12 @@ ax.set_xlim(omega.min(), omega.max())
 ax.set_ylim(bottom=0.0)
 ax.set_xlabel("frequency")
 ax.set_ylabel("emission spectrum")
-'''),
-    "g2chart": _PLOT_CHART,
-    "g2time": (
+'''), fixed_point=True),
+    "g2chart": Task(
+        (MODEL, GT_GRID), run_grid, _PLOT_CHART,
+        grid=(_g2_values, ("g2_zero", "collision_count", "degenerate"),
+              (math.nan, 0, 0), _g2_metrics)),
+    "g2time": Task((MODEL, T_GRID), run_g2time, (
         "Regenerate the g2(t) curve from __CSV__ (reference line at 1).",
         '''\
 t = np.array([float(r["t"]) for r in rows])
@@ -677,9 +653,11 @@ ax.plot(t, g2, lw=1.2)
 ax.axhline(1.0, color="0.4", lw=0.8, ls="--")
 ax.set_xlabel("delay t")
 ax.set_ylabel("$g^{(2)}(t)$")
-'''),
-    "qo-chart": _PLOT_CHART,
-    "analytic-compare": (
+'''), fixed_point=True),
+    "qo-chart": Task(
+        (MODEL, GT_GRID, QO_N_MAX), run_grid, _PLOT_CHART,
+        grid=(_qo_values, ("g2_zero",), (math.nan,), _qo_metrics)),
+    "analytic-compare": Task((SINGLE_TC_MODEL, GT_GRID), run_grid, (
         "Regenerate the closed-form versus numeric g2(0) comparison from "
         "__CSV__.",
         '''\
@@ -694,8 +672,12 @@ mesh = ax.pcolormesh(Ts, gs, err.reshape(gs.size, Ts.size), cmap="viridis",
 fig.colorbar(mesh, ax=ax, label="relative error of refined form")
 ax.set_xlabel("temperature")
 ax.set_ylabel("coupling g")
-'''),
-    "converge": ("Regenerate the cutoff stability chart from __CSV__.", '''\
+'''), grid=(
+        _compare_values,
+        ("g2_numeric", "g2_basic", "g2_refined", "trusted", "rel_err_refined"),
+        (math.nan, math.nan, math.nan, 0, math.nan), _compare_metrics)),
+    "converge": Task((MODEL, N_MAX_PAIR), run_converge, (
+        "Regenerate the cutoff stability chart from __CSV__.", '''\
 labels = [r["metric"] for r in rows]
 diffs = np.array([max(float(r["rel_diff"]), 1e-18) for r in rows])
 
@@ -704,19 +686,8 @@ ax.bar(range(len(labels)), diffs)
 ax.set_yscale("log")
 ax.set_xticks(range(len(labels)), labels, rotation=20, ha="right")
 ax.set_ylabel("relative change")
-'''),
+'''), fixed_point=True),
 }
-
-
-def emit_plot_script(task, out_dir):
-    doc, body = _PLOT_BODIES[task]
-    script = _PLOT_HEAD.replace("__DOC__", doc) + body + _PLOT_TAIL
-    script = script.replace("__CSV__", "%s.csv" % task)
-    script = script.replace("__STEM__", task)
-    path = os.path.join(out_dir, "plot_%s.py" % task)
-    with open(path, "w") as handle:
-        handle.write(script)
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +698,7 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="simulate",
         description="Run a dressed-state emission task from a JSON config.")
-    parser.add_argument("task", choices=TASKS)
+    parser.add_argument("task", choices=tuple(TASKS))
     parser.add_argument("--config", required=True, help="path to JSON config")
     parser.add_argument("--out", default=None,
                         help="output directory (overrides config and %s)"
@@ -754,38 +725,44 @@ def main(argv=None):
     out_dir = resolved["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
 
+    record = TASKS[args.task]
+    csv_name = "%s.csv" % args.task
     started = time.time()
     try:
-        metrics, n_failed = RUNNERS[args.task](resolved, out_dir)
+        header, rows, metrics = record.runner(resolved)
     except Exception as exc:
-        if args.task not in FIXED_POINT_TASKS:
+        if not record.fixed_point:
             raise
         # the task's one point failed: recorded like a failed grid point
         error = _error_text(exc)
         metrics = {"n_points": 1, "n_failed": 1,
                    "failures": [{"error": error}]}
-        n_failed, files, message = 1, [], "%s: %s" % (args.task, error)
+        outputs, message = {}, "%s: %s" % (args.task, error)
     else:
-        files = ["%s.csv" % args.task,
-                 os.path.basename(emit_plot_script(args.task, out_dir))]
+        outputs = {csv_name: _csv_text(header, rows),
+                   "plot_%s.py" % args.task: _plot_script(args.task)}
         message = ("%s: %d of %d points failed; see summary.json"
-                   % (args.task, n_failed, metrics.get("n_points", 0)))
+                   % (args.task, metrics.get("n_failed", 0),
+                      metrics.get("n_points", 0)))
 
     summary = {
         "task": args.task,
         "version": __version__,
         "config": {k: v for k, v in resolved.items() if k != "output_dir"},
         "wall_time_s": round(time.time() - started, 3),
-        "files": files,
+        "files": list(outputs),
         "metrics": metrics,
     }
-    _write_summary(out_dir, summary)
+    outputs["summary.json"] = json.dumps(summary, indent=2,
+                                         sort_keys=True) + "\n"
+    for name, text in outputs.items():
+        with open(os.path.join(out_dir, name), "w") as handle:
+            handle.write(text)
 
-    if n_failed:
+    if metrics.get("n_failed", 0):
         print(message, file=sys.stderr)
         return EXIT_PARTIAL
-    print("%s: wrote %s" % (args.task, os.path.join(out_dir,
-                                                    "%s.csv" % args.task)))
+    print("%s: wrote %s" % (args.task, os.path.join(out_dir, csv_name)))
     return EXIT_OK
 
 

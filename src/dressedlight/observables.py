@@ -182,9 +182,9 @@ def integrated_emission(stat, xdot):
     return _emission_rate(stat, xdot)
 
 
-def g2_zero(stat, xdot, floor=DENOMINATOR_FLOOR):
+def g2_zero(stat, xdot):
     """Equal-time degree-two coherence of the emitted field."""
-    denominator = _emission_rate(stat, xdot, floor)
+    denominator = _emission_rate(stat, xdot, DENOMINATOR_FLOOR)
     y = xdot @ xdot
     numerator = float(np.dot(stat.populations, (np.abs(y) ** 2).sum(axis=0)))
     return numerator / denominator**2
@@ -207,7 +207,7 @@ class G2Result:
     relaxation_gap: float
 
 
-def g2_time(rates, stat, t_grid, xdot, floor=DENOMINATOR_FLOOR):
+def g2_time(rates, stat, t_grid, xdot):
     """Degree-two coherence g2(t) on a grid of delays.
 
     The conditional matrix Xdot- rho Xdot+ and the emission observable
@@ -219,7 +219,7 @@ def g2_time(rates, stat, t_grid, xdot, floor=DENOMINATOR_FLOOR):
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid < 0):
         raise ValueError("delays must be non-negative")
-    denominator = _emission_rate(stat, xdot, floor)
+    denominator = _emission_rate(stat, xdot, DENOMINATOR_FLOOR)
     rho_cond = (xdot * stat.populations[None, :]) @ xdot.T
     observable = xdot.T @ xdot
     evolver = RegressionEvolver(rates, stat, rho_cond, observable)
@@ -227,7 +227,7 @@ def g2_time(rates, stat, t_grid, xdot, floor=DENOMINATOR_FLOOR):
     return G2Result(
         times=t_grid,
         values=raw.real,
-        zero_value=g2_zero(stat, xdot, floor),
+        zero_value=g2_zero(stat, xdot),
         denominator=denominator,
         max_imag=float(np.max(np.abs(raw.imag))) if raw.size else 0.0,
         relaxation_gap=evolver.propagator.relaxation_gap,

@@ -10,7 +10,7 @@ from . import observables
 from .dissipation import Bath, bath_lowering, build_rate_table
 from .dynamics import stationary_state
 from .model import build_hamiltonian, build_operators
-from .spectral import diagonalize, group_transitions
+from .spectral import diagonalize, group_transitions, level_tolerance
 
 
 @dataclass
@@ -22,7 +22,7 @@ class SolvedSystem:
     rates and stationary hold the Pauli rates and Boltzmann populations
     over those levels, and xdot the emission operator in the eigenbasis.
     collision_count is the number of transition frequencies shared by
-    distinct level pairs, within 1e-9 omega0.
+    distinct level pairs, within level_tolerance(omega0).
     """
 
     params: object
@@ -35,12 +35,12 @@ class SolvedSystem:
     def integrated_emission(self):
         return observables.integrated_emission(self.stationary, self.xdot)
 
-    def g2_zero(self, floor=observables.DENOMINATOR_FLOOR):
-        return observables.g2_zero(self.stationary, self.xdot, floor)
+    def g2_zero(self):
+        return observables.g2_zero(self.stationary, self.xdot)
 
-    def g2_time(self, t_grid, floor=observables.DENOMINATOR_FLOOR):
+    def g2_time(self, t_grid):
         return observables.g2_time(
-            self.rates, self.stationary, t_grid, self.xdot, floor
+            self.rates, self.stationary, t_grid, self.xdot
         )
 
     def spectrum(self, omega_grid, weight_floor=1e-12):
@@ -52,7 +52,8 @@ class SolvedSystem:
 def solve_system(params, lamb_cutoff=None):
     """Run the full dressed-basis pipeline for one parameter point.
 
-    Levels and transition frequencies are clustered within 1e-9 omega0.
+    Levels and transition frequencies are clustered within
+    level_tolerance(omega0) = 1e-9 omega0.
 
     Parameters
     ----------
@@ -64,9 +65,9 @@ def solve_system(params, lamb_cutoff=None):
     -------
     SolvedSystem
     """
-    tol = 1e-9 * params.omega0
     ops = build_operators(params)
-    eig = diagonalize(build_hamiltonian(params), tol)
+    eig = diagonalize(build_hamiltonian(params),
+                      level_tolerance(params.omega0))
     couplings = (group_transitions(eig, lower - lower.T)
                  for lower in bath_lowering(ops))
     # bath_lowering lists the cavity first: A_X in the eigenbasis

@@ -18,6 +18,7 @@ import scipy.sparse.linalg as spla
 
 from .dissipation import bath_lowering, bose_occupation, cavity_quadrature
 from .model import ModelParams, build_hamiltonian, build_operators
+from .observables import DENOMINATOR_FLOOR
 
 DEFAULT_QO_NMAX = 15
 MAX_QO_DIM = 128
@@ -147,8 +148,7 @@ def qo_stationary_state(params, n_max=None):
     )
 
 
-def qo_g2_zero(params, n_max=None, dressed=False, floor=1e-30,
-               stationary=None):
+def qo_g2_zero(params, n_max=None, dressed=False, stationary=None):
     """Equal-time degree-two coherence in the comparison stationary state.
 
     With dressed=False this is the photon-number statistic
@@ -162,9 +162,9 @@ def qo_g2_zero(params, n_max=None, dressed=False, floor=1e-30,
     ops = build_operators(qp)
     if dressed:
         from .observables import emission_operator
-        from .spectral import diagonalize
+        from .spectral import diagonalize, level_tolerance
 
-        eig = diagonalize(build_hamiltonian(qp), 1e-9 * qp.omega0)
+        eig = diagonalize(build_hamiltonian(qp), level_tolerance(qp.omega0))
         xdot_eig = emission_operator(
             eig, eig.to_eigenbasis(cavity_quadrature(ops)))
         lower = eig.vectors @ xdot_eig @ eig.vectors.T
@@ -172,7 +172,7 @@ def qo_g2_zero(params, n_max=None, dressed=False, floor=1e-30,
         lower = ops.a
     raise_op = lower.T
     denominator = float(np.trace(rho @ raise_op @ lower).real)
-    if denominator < floor:
+    if denominator < DENOMINATOR_FLOOR:
         raise ValueError(f"stationary emission {denominator:.3e} below floor")
     numerator = float(np.trace(rho @ raise_op @ raise_op @ lower @ lower).real)
     return numerator / denominator**2

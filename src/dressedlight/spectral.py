@@ -18,7 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_DELTA = 1e-9
+
+def level_tolerance(omega0):
+    """The delta_e every model solve groups its levels with: 1e-9 omega0."""
+    return 1e-9 * omega0
 
 
 @dataclass
@@ -73,7 +76,7 @@ class EigenSystem:
         return omegas[collides]
 
 
-def diagonalize(h, delta_e=DEFAULT_DELTA):
+def diagonalize(h, delta_e):
     """Diagonalize a Hermitian matrix and cluster degenerate levels.
 
     Parameters
@@ -85,7 +88,8 @@ def diagonalize(h, delta_e=DEFAULT_DELTA):
         making the largest component positive.
     delta_e : float
         Absolute energy tolerance for treating two levels as degenerate,
-        and for telling transition frequencies apart in collision_omegas.
+        and for telling transition frequencies apart in collision_omegas;
+        level_tolerance(omega0) for a model Hamiltonian.
 
     Returns
     -------

@@ -11,7 +11,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from dressedlight.cli import OUTPUT_ENV_VAR, main
+from dressedlight import ModelParams, cli, solve_system
+from dressedlight.cli import OUTPUT_ENV_VAR, build_parser, main
 
 FLOAT_FIELD = re.compile(r"-?\d\.\d{12}e[+-]\d{2,3}$")
 
@@ -116,6 +117,43 @@ def test_config_errors_list_every_field_path(tmp_path, capsys):
     for path in ("model.n_emitters", "model.typo_field", "grid.g_steps",
                  "unexpected"):
         assert path in err
+
+
+@pytest.mark.parametrize("task,payload,paths", [
+    # a typo inside an optional block would otherwise fall back to its default
+    ("spectrum", {"model": {"n_emitters": 1, "limit": "tc", "g": 0.3,
+                            "temperature": 0.1, "n_max": 10},
+                  "omega_grid": {"omega_max": 2.0, "point": 50}},
+     ["omega_grid.point"]),
+    # blocks of other tasks are not silently ignored either
+    ("g2chart", {"model": {"n_emitters": 1, "limit": "tc", "n_max": 8},
+                 "grid": {"g_min": 0.1, "g_max": 0.2, "g_steps": 2,
+                          "T_min": 0.1, "T_max": 0.2, "T_steps": 2,
+                          "t_stpes": 4},
+                 "omega_grid": {}, "levels": 3},
+     ["grid.t_stpes", "omega_grid", "levels"]),
+], ids=["block-typo", "unread-blocks"])
+def test_unknown_keys_and_unread_blocks_are_config_errors(tmp_path, capsys,
+                                                          task, payload,
+                                                          paths):
+    cfg = _write_config(tmp_path, payload)
+    assert main([task, "--config", cfg,
+                 "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    for path in paths:
+        assert "config error: %s: " % path in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_eigen_groups_levels_like_the_solve():
+    # one level tolerance, relative to omega0: an absolute 1e-9 splits
+    # 186 groups into 240 at omega0 = 1e6
+    omega0 = 1e6
+    params = ModelParams(3, 0.3 * omega0, 0.0, 0.1 * omega0, omega0=omega0,
+                         n_max=30)
+    rows = cli._eigen_rows(params, {"levels": params.dim})
+    assert [row[3] for row in rows] == \
+        solve_system(params).eig.group_index.tolist()
 
 
 def test_equal_grid_bounds_need_a_single_step(tmp_path, capsys):
@@ -405,6 +443,19 @@ CONTRACTS = {
         ["g", "T", "g2_numeric", "g2_basic", "g2_refined", "trusted",
          "rel_err_refined", "status"], 3, ["nan", "nan", "nan", "0", "nan"]),
 }
+
+
+def test_task_lists_agree():
+    # a new task needs its contract pins here, its CLI choice and its
+    # README row, all read from or checked against the one task table
+    choices = next(action.choices for action in build_parser()._actions
+                   if action.dest == "task")
+    with open(os.path.join(os.path.dirname(__file__), os.pardir,
+                           "README.md")) as handle:
+        readme = handle.read()
+    table = readme.split("## Command line")[1].split("\n## ")[0]
+    rows = set(re.findall(r"^\| ([\w-]+) +\|", table, re.M)) - {"task"}
+    assert set(CONTRACTS) == set(choices) == rows == set(cli.TASKS)
 
 
 @pytest.fixture(scope="module", params=sorted(CONTRACTS))

@@ -29,7 +29,7 @@ def _synthetic_system(energies, temperature, seed=0):
     """Rate table for a hand-picked spectrum with a dense coupling matrix."""
     rng = np.random.default_rng(seed)
     n = len(energies)
-    eig = diagonalize(np.diag(np.asarray(energies, dtype=float)))
+    eig = diagonalize(np.diag(np.asarray(energies, dtype=float)), 1e-9)
     s = rng.standard_normal((n, n))
     s = s + s.T
     weight = group_transitions(eig, s) ** 2

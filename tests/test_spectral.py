@@ -32,7 +32,7 @@ def _random_hermitian_with_spectrum(energies, seed):
 def test_diagonalize_recovers_spectrum():
     energies = np.array([-1.5, 0.0, 0.3, 2.2, 7.1])
     h = _random_hermitian_with_spectrum(energies, seed=11)
-    eig = diagonalize(h)
+    eig = diagonalize(h, 1e-9)
     np.testing.assert_allclose(eig.energies, energies, atol=1e-12)
     # eigenvector property, column by column
     for k in range(5):
@@ -46,26 +46,26 @@ def test_diagonalize_recovers_spectrum():
 def test_diagonalize_rejects_non_hermitian():
     h = np.array([[0.0, 1.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
-        diagonalize(h)
+        diagonalize(h, 1e-9)
 
 
 def test_phase_gauge_largest_component_real_positive():
     h = _random_hermitian_with_spectrum([0.0, 0.4, 1.1, 3.0], seed=2)
-    eig = diagonalize(h)
+    eig = diagonalize(h, 1e-9)
     for k in range(4):
         v = eig.vectors[:, k]
         idx = np.argmax(np.abs(v))
         assert abs(v[idx].imag) < 1e-14
         assert v[idx].real > 0
     # the gauge makes the decomposition reproducible across equivalent inputs
-    again = diagonalize(h.copy())
+    again = diagonalize(h.copy(), 1e-9)
     np.testing.assert_allclose(eig.vectors, again.vectors, atol=0)
 
 
 def test_real_hamiltonian_gives_real_vectors_in_the_gauge():
     p = ModelParams(2, 0.4, 0.4, 0.1, n_max=8)
     h = build_hamiltonian(p)
-    eig = diagonalize(h)
+    eig = diagonalize(h, 1e-9)
     assert eig.vectors.dtype == np.float64
     idx = np.argmax(np.abs(eig.vectors), axis=0)
     assert np.all(eig.vectors[idx, np.arange(p.dim)] > 0)
@@ -99,7 +99,7 @@ def test_group_energy_is_member_mean():
 def test_to_eigenbasis_matches_direct_projection():
     p = ModelParams(1, 0.3, 0.1, 0.1, n_max=4)
     ops = build_operators(p)
-    eig = diagonalize(build_hamiltonian(p))
+    eig = diagonalize(build_hamiltonian(p), 1e-9)
     x = _quadrature(ops)
     s = eig.to_eigenbasis(x)
     np.testing.assert_allclose(
@@ -110,7 +110,7 @@ def test_to_eigenbasis_matches_direct_projection():
 
 def test_transition_frequencies_and_zero_group():
     p = ModelParams(1, 0.3, 0.0, 0.1, n_max=4)
-    eig = diagonalize(build_hamiltonian(p))
+    eig = diagonalize(build_hamiltonian(p), 1e-9)
     grp = _loop_grouping(eig, 1e-9)
     # the pinned zero-frequency group sits exactly at 0
     assert grp["omegas"][grp["zero_group"]] == 0.0
@@ -130,7 +130,7 @@ def test_reconstruct_roundtrip():
     # every matrix element exactly once
     p = ModelParams(2, 0.4, 0.2, 0.1, n_max=3)
     ops = build_operators(p)
-    eig = diagonalize(build_hamiltonian(p))
+    eig = diagonalize(build_hamiltonian(p), 1e-9)
     s = eig.to_eigenbasis(_quadrature(ops))
     grp = _loop_grouping(eig, 1e-9)
     members = [np.flatnonzero(eig.group_index == a)
@@ -151,7 +151,7 @@ def test_reconstruct_roundtrip():
 def test_harmonic_ladder_collisions_flagged():
     # uncoupled cavity: all upward transitions share the same frequency
     p = ModelParams(1, 0.0, 0.0, 0.1, n_max=5)
-    eig = diagonalize(build_hamiltonian(p))
+    eig = diagonalize(build_hamiltonian(p), 1e-9)
     collisions = eig.collision_omegas()
     assert collisions.size > 0
     assert 1.0 in np.round(collisions, 12)
@@ -160,7 +160,7 @@ def test_harmonic_ladder_collisions_flagged():
 def test_squared_elements_match():
     p = ModelParams(1, 0.25, 0.25, 0.15, n_max=4)
     ops = build_operators(p)
-    eig = diagonalize(build_hamiltonian(p))
+    eig = diagonalize(build_hamiltonian(p), 1e-9)
     x = _quadrature(ops)
     np.testing.assert_allclose(group_transitions(eig, x),
                                eig.to_eigenbasis(x), atol=1e-14)
@@ -198,7 +198,7 @@ def _loop_grouping(eig, delta_omega):
     ModelParams(1, 0.0, 0.0, 0.1, n_max=5),  # harmonic ladder, collisions
 ], ids=["dicke-n2", "tc-n2-degenerate", "harmonic-ladder"])
 def test_vectorized_grouping_matches_loop_reference(params):
-    eig = diagonalize(build_hamiltonian(params))
+    eig = diagonalize(build_hamiltonian(params), 1e-9)
     collisions = eig.collision_omegas()
     ref = _loop_grouping(eig, 1e-9)
     assert collisions.size == ref["collision_omegas"].size
