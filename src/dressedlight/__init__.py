@@ -13,9 +13,7 @@ from .dissipation import (
     Bath,
     RateTable,
     bath_lowering,
-    bose_occupation,
     build_rate_table,
-    lamb_shift_rate,
     thermal_rate,
 )
 from .dynamics import (

@@ -139,7 +139,10 @@ def _read_fields(block, path, fields, task, issues):
                 "a number" if kind is float else "an integer",
                 type(value).__name__)
         else:
-            value = kind(value)
+            try:
+                value = kind(value)
+            except OverflowError:  # an integer too large for a float
+                value = math.inf
             if kind is float and not math.isfinite(value):
                 message = "must be finite"
             elif positive and value <= 0:
@@ -349,8 +352,12 @@ def _csv_text(header, rows):
 
 
 def _map_points(worker, jobs, n_workers):
-    """Run ``worker`` over ``jobs`` preserving input order."""
-    if n_workers <= 1 or len(jobs) <= 1:
+    """Run ``worker`` over ``jobs`` preserving input order.
+
+    The pool gets at most one process per job and per CPU.
+    """
+    n_workers = min(n_workers, len(jobs), os.cpu_count() or 1)
+    if n_workers <= 1:
         return [worker(job) for job in jobs]
     chunk = max(1, len(jobs) // (4 * n_workers))
     with ProcessPoolExecutor(max_workers=n_workers) as pool:

@@ -12,8 +12,7 @@ emission/absorption rate at transition frequency w is
     chi(0) = gamma T / omega_ref       (Ohmic w -> 0 limit),
 
 with gamma(w) = gamma w / omega_ref and n the Bose occupation, so that
-chi(-w) = exp(-w/T) chi(w).  The optional principal-value shift xi uses
-a hard frequency cutoff and is disabled unless a cutoff is configured.
+chi(-w) = exp(-w/T) chi(w).
 """
 
 from __future__ import annotations
@@ -25,21 +24,14 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Bath:
-    """Ohmic density shared by every coupling.
-
-    lamb_cutoff switches the principal-value shift xi on and sets its hard
-    cutoff (absolute frequency units); None disables it.
-    """
+    """Ohmic density gamma * omega / omega_ref shared by every coupling."""
 
     gamma: float
     omega_ref: float
-    lamb_cutoff: float | None = None
 
     def __post_init__(self):
         if self.gamma <= 0 or self.omega_ref <= 0:
             raise ValueError("gamma and omega_ref must be positive")
-        if self.lamb_cutoff is not None and self.lamb_cutoff <= 0:
-            raise ValueError("lamb_cutoff must be positive when given")
 
 
 def bath_lowering(ops):
@@ -63,19 +55,8 @@ def spectral_density(bath, omega):
     return out if out.ndim else float(out)
 
 
-def bose_occupation(omega, temperature):
-    """Thermal occupation 1 / (exp(omega/T) - 1) for omega > 0."""
-    w = np.asarray(omega, dtype=float)
-    if np.any(w <= 0):
-        raise ValueError("bose_occupation needs omega > 0")
-    if temperature < 0:
-        raise ValueError("temperature must be non-negative")
-    out = _occupation_unchecked(w, temperature)
-    return out if out.ndim else float(out)
-
-
 def _occupation_unchecked(w, temperature):
-    # Vectorized helper for strictly positive w arrays.
+    # Bose occupation for thermal_rate; w is a strictly positive array.
     if temperature == 0:
         return np.zeros_like(w)
     x = w / temperature
@@ -109,45 +90,6 @@ def thermal_rate(omega, temperature, bath):
     return float(out[0]) if scalar else out.reshape(np.shape(omega))
 
 
-def pv_transform(omega, bath):
-    """Principal-value transform of the Ohmic density at omega > 0.
-
-    Closed form of (1/pi) P int_0^cutoff gamma(w') / (omega - w') dw'
-    for the linear density; requires omega below the cutoff.
-    """
-    if bath.lamb_cutoff is None:
-        raise ValueError("bath has no lamb_cutoff configured")
-    w = np.asarray(omega, dtype=float)
-    c = bath.lamb_cutoff
-    if np.any(w <= 0) or np.any(w >= c):
-        raise ValueError("pv_transform needs 0 < omega < lamb_cutoff")
-    out = bath.gamma / (np.pi * bath.omega_ref) * (w * np.log(w / (c - w)) - c)
-    return out if out.ndim else float(out)
-
-
-def lamb_shift_rate(omega, temperature, bath):
-    """Principal-value shift xi(omega); zero when the bath has no cutoff.
-
-    Entries with omega exactly 0 are taken as 0 (they only rearrange a
-    degenerate manifold).
-    """
-    w = np.asarray(omega, dtype=float)
-    scalar = w.ndim == 0
-    w = np.atleast_1d(w)
-    out = np.zeros_like(w)
-    if bath.lamb_cutoff is None:
-        return 0.0 if scalar else out.reshape(np.shape(omega))
-    pos = w > 0
-    neg = w < 0
-    if np.any(pos):
-        wp = w[pos]
-        out[pos] = pv_transform(wp, bath) * (_occupation_unchecked(wp, temperature) + 1.0)
-    if np.any(neg):
-        wn = -w[neg]
-        out[neg] = -pv_transform(wn, bath) * _occupation_unchecked(wn, temperature)
-    return float(out[0]) if scalar else out.reshape(np.shape(omega))
-
-
 @dataclass
 class RateTable:
     """Decay constants and population rates of the bath couplings.
@@ -155,8 +97,7 @@ class RateTable:
     gain[n, k] is the population rate from state k into state n (summed
     over the couplings); generator is the matching Pauli generator with
     columns summing to zero, acting on population column vectors.  z[n]
-    collects half the total loss rate of state n, the accumulated
-    principal-value shift and the state energy in its imaginary part.
+    is half the total loss rate of state n plus i times its energy.
     bath is the density the rates were evaluated with.
     """
 
@@ -174,8 +115,8 @@ def build_rate_table(eig, weight, temperature, bath):
     eig, which is exactly 0 inside a degenerate level: this is the
     secular grouping of the transitions.  Frequency collisions are a
     property of eig alone (EigenSystem.collision_omegas) and do not enter
-    the rates.  All couplings share the bath, so thermal_rate (and
-    lamb_shift_rate, when the bath has a cutoff) is evaluated once.
+    the rates.  All couplings share the bath, so thermal_rate is
+    evaluated once.
 
     Parameters
     ----------
@@ -201,11 +142,7 @@ def build_rate_table(eig, weight, temperature, bath):
     np.fill_diagonal(gain, 0.0)
     loss = gain.sum(axis=0)  # total rate out of each state
     generator = gain - np.diag(loss)
-    shift = eig.energies
-    if bath.lamb_cutoff is not None:
-        xi = lamb_shift_rate(pair_omega, temperature, bath) * weight
-        shift = shift + 0.5 * xi.sum(axis=0)
-    z = 0.5 * loss + 1j * shift
+    z = 0.5 * loss + 1j * eig.energies
 
     return RateTable(
         temperature=temperature,

@@ -23,7 +23,7 @@ import scipy.linalg
 # by up to delta_e / T; 1e-6 admits the default delta_e = 1e-9 omega0 down
 # to T = 1e-3 omega0.  A generator without detailed balance is off by O(1).
 BALANCE_TOL = 1e-6
-# Eigenvalues of K within this fraction of the largest |lambda| count as
+# Eigenvalues of K within this fraction of the largest |mu| count as
 # stationary modes, not relaxation.
 GAP_ZERO_TOL = 1e-12
 # Largest max|G p| accepted for the Boltzmann populations p; above it the
@@ -81,8 +81,8 @@ class DiagonalPropagator:
     stationary populations p: G_nk p_k = G_kn p_n.  With D = diag(p) the
     matrix K = D^(-1/2) G D^(1/2) is therefore symmetric, with
     K_nk = sqrt(G_nk G_kn) off the diagonal and K_nn = G_nn, and one
-    eigh of K gives exp(G t) = D^(1/2) U exp(Lambda t) U^T D^(-1/2) for
-    every t.
+    eigh K = U diag(mu) U^T gives, for every t,
+    exp(G t) = D^(1/2) U diag(exp(mu t)) U^T D^(-1/2).
 
     Levels whose Boltzmann weight underflows to zero are left out of K;
     the couplings dropped with them carry weight ~exp(-700).  Start
@@ -116,7 +116,7 @@ class DiagonalPropagator:
 
     @property
     def relaxation_gap(self):
-        """Slowest nonzero relaxation rate, the smallest nonzero -lambda."""
+        """Slowest nonzero relaxation rate, the smallest nonzero -mu."""
         decay = -self.eigenvalues
         nonzero = decay[decay > GAP_ZERO_TOL * np.abs(decay).max()]
         return float(nonzero.min()) if nonzero.size else 0.0
@@ -140,7 +140,7 @@ class RegressionEvolver:
 
     rho and observable are dense (D, D) arrays in the eigenbasis of the
     rates.  The evolver precomputes everything needed to evaluate
-    Tr[observable * Lambda_t(rho)] for a batch of times, where Lambda_t
+    Tr[observable * Phi_t(rho)] for a batch of times, where Phi_t
     propagates the diagonal of rho through the rate equation and each
     off-diagonal element independently through its decay factor.
     """

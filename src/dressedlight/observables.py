@@ -44,7 +44,7 @@ class SpectrumResult:
     """Lorentzian decomposition and sampled curve of the emission spectrum.
 
     Peaks are sorted by center; weights are |<m|Xdot|n>|^2 p_n, centers
-    the transition frequencies shifted by the imaginary decay parts, and
+    the bare transition frequencies E_n - E_m of the dressed levels, and
     half_widths the summed real decay rates.  emission_total is the full
     stationary emission rate sum, including peaks below the floor.
     """

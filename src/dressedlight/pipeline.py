@@ -49,7 +49,7 @@ class SolvedSystem:
         )
 
 
-def solve_system(params, lamb_cutoff=None):
+def solve_system(params):
     """Run the full dressed-basis pipeline for one parameter point.
 
     Levels and transition frequencies are clustered within
@@ -58,8 +58,6 @@ def solve_system(params, lamb_cutoff=None):
     Parameters
     ----------
     params : ModelParams
-    lamb_cutoff : float, optional
-        Enables the principal-value shift of the bath with this cutoff.
 
     Returns
     -------
@@ -77,7 +75,7 @@ def solve_system(params, lamb_cutoff=None):
         weight += coupling * coupling
     rates = build_rate_table(
         eig, weight, params.temperature,
-        Bath(params.gamma, params.omega0, lamb_cutoff))
+        Bath(params.gamma, params.omega0))
     stat = stationary_state(eig, rates)
     xdot = observables.emission_operator(eig, a_eigen)
     return SolvedSystem(

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .dissipation import bath_lowering, bose_occupation, cavity_quadrature
+from .dissipation import Bath, bath_lowering, cavity_quadrature, thermal_rate
 from .model import ModelParams, build_hamiltonian, build_operators
 from .observables import DENOMINATOR_FLOOR
 
@@ -61,16 +61,12 @@ def qo_liouvillian(params, n_max=None):
     h_s = sp.csr_matrix(build_hamiltonian(params))
     eye = sp.identity(params.dim, format="csr")
     liouv = -1j * (sp.kron(eye, h_s) - sp.kron(h_s.T, eye))
-    nbar = (
-        bose_occupation(params.omega0, params.temperature)
-        if params.temperature > 0
-        else 0.0
-    )
     # every coupling sees the Ohmic density at the resonance frequency; the
     # bare rotating component of S = -i (L - L^T) is -i L, and its phase
     # cancels in the dissipator
-    rate_down = params.gamma * (nbar + 1.0)
-    rate_up = params.gamma * nbar
+    rate_down, rate_up = thermal_rate(
+        np.array([params.omega0, -params.omega0]), params.temperature,
+        Bath(params.gamma, params.omega0))
     for lower in bath_lowering(ops):
         lower = sp.csr_matrix(lower)
         liouv = liouv + rate_down * _dissipator(lower)

@@ -193,10 +193,59 @@ def test_invalid_json_and_missing_file_are_config_errors(tmp_path, capsys):
                  "--out", str(tmp_path / "run")]) == 2
 
 
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+def test_integer_too_large_for_a_float_is_config_error(tmp_path, capsys,
+                                                       sign):
+    # json reads the literal as an int that float() cannot convert
+    cfg = _write_config(tmp_path, {
+        "model": {"n_emitters": 1, "limit": "tc", "g": sign * 10**400,
+                  "temperature": 0.1, "n_max": 10}})
+    assert main(["spectrum", "--config", cfg,
+                 "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["config error: model.g: must be finite"]
+    assert not (tmp_path / "run").exists()
+
+
 def test_nonpositive_workers_flag_rejected(tmp_path, capsys):
     cfg = _write_config(tmp_path, _chart_config())
     assert main(["g2chart", "--config", cfg, "--out", str(tmp_path / "run"),
                  "--workers", "0"]) == 2
+
+
+@pytest.mark.parametrize("n_jobs,n_workers,cpus,pool_size", [
+    (3, 1000, 8, 3),      # no more processes than jobs
+    (10, 1000, 4, 4),     # nor than CPUs
+    (10, 2, 4, 2),
+    (10, 1000, None, None),   # unknown CPU count runs serially
+    (1, 1000, 8, None),
+    (10, 1, 8, None),
+])
+def test_worker_count_is_capped(monkeypatch, n_jobs, n_workers, cpus,
+                                pool_size):
+    # the fake pool records its size and maps in this process, so no
+    # process is started whatever the count
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    jobs = list(range(n_jobs))
+    assert cli._map_points(lambda j: j * j, jobs, n_workers) == \
+        [j * j for j in jobs]
+    assert sizes == ([] if pool_size is None else [pool_size])
 
 
 def test_dark_ground_state_column_fails_partially(tmp_path, capsys):

@@ -9,29 +9,25 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from dressedlight import (
     Bath,
     ModelParams,
     OperatorSet,
     bath_lowering,
-    bose_occupation,
     build_hamiltonian,
     build_operators,
     build_rate_table,
     dissipation,
     group_transitions,
     pipeline,
+    qo_liouvillian,
+    qoptical,
     solve_system,
     spectral,
     thermal_rate,
 )
-from dressedlight.dissipation import (
-    lamb_shift_rate,
-    pv_transform,
-    spectral_density,
-)
+from dressedlight.dissipation import spectral_density
 
 
 def test_bath_lowering_order():
@@ -88,44 +84,31 @@ def test_dressed_pipeline_is_real(g_prime, monkeypatch):
 
 def test_rates_are_evaluated_once_per_solve(monkeypatch):
     # every coupling sees the same bath, so the D x D rate arrays are
-    # evaluated once, however many emitters couple to it
-    calls = {"thermal": 0, "lamb": 0}
+    # evaluated once, however many emitters couple to it; the comparison
+    # solver takes its two resonance rates from the same function
+    calls = []
 
-    def counted(name, original):
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
-        return wrapper
+    def counted(*args):
+        calls.append(args)
+        return thermal_rate(*args)
 
-    monkeypatch.setattr(dissipation, "thermal_rate",
-                        counted("thermal", dissipation.thermal_rate))
-    monkeypatch.setattr(dissipation, "lamb_shift_rate",
-                        counted("lamb", dissipation.lamb_shift_rate))
+    monkeypatch.setattr(dissipation, "thermal_rate", counted)
+    monkeypatch.setattr(qoptical, "thermal_rate", counted)
     p = ModelParams(3, 0.3, 0.0, 0.1, n_max=4)
     solve_system(p)
-    assert calls == {"thermal": 1, "lamb": 0}
-    solve_system(p, lamb_cutoff=50.0)
-    assert calls == {"thermal": 2, "lamb": 1}
+    assert len(calls) == 1
+    qo_liouvillian(p)
+    assert len(calls) == 2
+    omega, temperature, bath = calls[1]
+    np.testing.assert_array_equal(omega, [p.omega0, -p.omega0])
+    assert temperature == p.temperature
+    assert bath == Bath(p.gamma, p.omega0)
 
 
 def test_spectral_density_linear():
     ch = Bath(gamma=0.03, omega_ref=2.0)
     w = np.array([0.5, 1.0, 4.0])
     np.testing.assert_allclose(spectral_density(ch, w), 0.03 * w / 2.0)
-
-
-def test_bose_occupation_values():
-    # direct formula at moderate argument
-    assert bose_occupation(1.0, 0.5) == pytest.approx(1.0 / (np.exp(2.0) - 1.0))
-    # high-temperature expansion n ~ T/w - 1/2
-    assert bose_occupation(1e-4, 1.0) == pytest.approx(1e4 - 0.5, abs=1e-3)
-    # frozen bath
-    assert bose_occupation(1.0, 0.0) == 0.0
-    assert bose_occupation(800.0, 1.0) == 0.0  # underflow guard
-    with pytest.raises(ValueError):
-        bose_occupation(0.0, 0.1)
-    with pytest.raises(ValueError):
-        bose_occupation(-1.0, 0.1)
 
 
 def test_thermal_rate_branches():
@@ -140,9 +123,19 @@ def test_thermal_rate_branches():
     grid = np.array([-1.3, -0.2, 0.0, 0.4, 2.0])
     vec = thermal_rate(grid, T, ch)
     np.testing.assert_allclose(vec, [thermal_rate(v, T, ch) for v in grid])
-    # zero temperature kills absorption entirely
+    # high-temperature expansion n ~ T/w - 1/2 of the occupation
+    small = 1e-4
+    assert thermal_rate(small, 1.0, ch) / (0.02 * small) == pytest.approx(
+        1e4 + 0.5, abs=1e-3)
+    assert thermal_rate(-small, 1.0, ch) / (0.02 * small) == pytest.approx(
+        1e4 - 0.5, abs=1e-3)
+    # zero temperature kills absorption entirely, emission is spontaneous
+    assert thermal_rate(w, 0.0, ch) == pytest.approx(0.02 * w)
     assert thermal_rate(-w, 0.0, ch) == 0.0
     assert thermal_rate(0.0, 0.0, ch) == 0.0
+    # occupation underflow guard at omega / T = 800
+    assert thermal_rate(800.0, 1.0, ch) == 0.02 * 800.0
+    assert thermal_rate(-800.0, 1.0, ch) == 0.0
 
 
 def test_thermal_rate_detailed_balance():
@@ -153,38 +146,6 @@ def test_thermal_rate_detailed_balance():
         lhs = thermal_rate(-w, T, ch)
         rhs = np.exp(-w / T) * thermal_rate(w, T, ch)
         assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-def test_pv_transform_against_quadrature():
-    ch = Bath(gamma=0.04, omega_ref=1.3, lamb_cutoff=10.0)
-    for w in (0.3, 1.0, 4.5, 9.0):
-        # quad's cauchy weight integrates f(x)/(x - wvar); flip the sign to
-        # match the (omega - w') convention of the closed form
-        val, _ = quad(lambda x: spectral_density(ch, x), 0.0, ch.lamb_cutoff,
-                      weight="cauchy", wvar=w)
-        assert pv_transform(w, ch) == pytest.approx(-val / np.pi, rel=1e-10)
-    with pytest.raises(ValueError):
-        pv_transform(0.0, ch)
-    with pytest.raises(ValueError):
-        pv_transform(10.5, ch)
-    with pytest.raises(ValueError):
-        pv_transform(1.0, Bath(gamma=0.01, omega_ref=1.0))  # no cutoff configured
-
-
-def test_lamb_shift_rate_branches():
-    ch = Bath(gamma=0.01, omega_ref=1.0, lamb_cutoff=20.0)
-    T = 0.2
-    w = 0.8
-    n = 1.0 / (np.exp(w / T) - 1.0)
-    assert lamb_shift_rate(w, T, ch) == pytest.approx(
-        pv_transform(w, ch) * (n + 1.0))
-    assert lamb_shift_rate(-w, T, ch) == pytest.approx(
-        -pv_transform(w, ch) * n)
-    assert lamb_shift_rate(0.0, T, ch) == 0.0
-    # disabled channel reports zero shift everywhere
-    off = Bath(gamma=0.01, omega_ref=1.0)
-    np.testing.assert_allclose(
-        lamb_shift_rate(np.array([-1.0, 0.0, 1.0]), T, off), 0.0)
 
 
 def _coupling_weight(system):
@@ -246,26 +207,15 @@ def test_decay_constants_structure():
     T = 0.15
     p = ModelParams(1, 0.28, 0.0, T, n_max=4)
     system = solve_system(p)
-    z = build_rate_table(system.eig, _coupling_weight(system), T,
-                         system.rates.bath).z
+    table = build_rate_table(system.eig, _coupling_weight(system), T,
+                             system.rates.bath)
+    z = table.z
     np.testing.assert_allclose(z, system.rates.z, atol=0)
-    # real part is half the total escape rate out of each level
-    np.testing.assert_allclose(2.0 * z.real, system.rates.gain.sum(axis=0),
-                               rtol=1e-12)
+    # real part is half the total escape rate out of each level, imaginary
+    # part the level energy
+    np.testing.assert_array_equal(z.real, 0.5 * table.gain.sum(axis=0))
+    np.testing.assert_array_equal(z.imag, system.eig.energies)
     assert np.all(z.real > 0)  # every level relaxes at T > 0
-    # without the principal-value shift the imaginary part is the bare energy
-    np.testing.assert_allclose(z.imag, system.eig.energies, atol=1e-15)
-
-
-def test_lamb_shift_moves_frequencies():
-    T = 0.15
-    p = ModelParams(1, 0.28, 0.0, T, n_max=4)
-    plain = solve_system(p)
-    shifted = solve_system(p, lamb_cutoff=50.0)
-    # populations relax identically; only the coherence frequencies move
-    np.testing.assert_allclose(shifted.rates.gain, plain.rates.gain,
-                               atol=1e-15)
-    assert np.abs(shifted.rates.z.imag - plain.rates.z.imag).max() > 1e-5
 
 
 def test_zero_frequency_rate_inside_degenerate_group():

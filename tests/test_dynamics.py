@@ -230,7 +230,7 @@ def test_offdiagonal_factor_decay_and_phase():
             np.exp(-(z[m].real + z[n].real) * t), rel=1e-12)
         phase = np.exp(-1j * (z[m].imag - z[n].imag) * t)
         assert factor / abs(factor) == pytest.approx(phase, rel=1e-12)
-    # with the shift disabled the winding rate is the bare energy difference
+    # the winding rate is the bare energy difference
     e = system.eig.energies
     assert z[m].imag - z[n].imag == pytest.approx(e[m] - e[n], abs=1e-14)
 
