@@ -111,6 +111,24 @@ def test_spectral_density_linear():
     np.testing.assert_allclose(spectral_density(ch, w), 0.03 * w / 2.0)
 
 
+def test_bose_occupation_values():
+    # with gamma = omega_ref = 1 the absorption rate at -w is w * n(w)
+    unit = Bath(gamma=1.0, omega_ref=1.0)
+
+    def occupation(w, temperature):
+        return thermal_rate(-w, temperature, unit) / w
+
+    # direct formula at moderate argument
+    assert occupation(1.0, 0.5) == pytest.approx(1.0 / (np.exp(2.0) - 1.0))
+    # high-temperature expansion n ~ T/w - 1/2
+    assert occupation(1e-4, 1.0) == pytest.approx(1e4 - 0.5, abs=1e-3)
+    # frozen bath
+    assert occupation(1.0, 0.0) == 0.0
+    assert occupation(800.0, 1.0) == 0.0  # underflow guard
+    with pytest.raises(ValueError):
+        occupation(1.0, -0.1)
+
+
 def test_thermal_rate_branches():
     ch = Bath(gamma=0.02, omega_ref=1.0)
     T = 0.25
