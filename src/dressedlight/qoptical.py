@@ -6,6 +6,16 @@ frequency, this variant keeps only their bare rotating components
 rates at the resonance frequency.  Its stationary state follows from
 the null space of the vectorized generator and generally differs from
 the dressed-basis result once the coupling is strong.
+
+The null-space problem is solved only on the trace block: the unknowns
+of the weakly connected components of the generator's sparsity graph
+that hold a population rho_kk (the parity block for the Dicke coupling,
+the excitation-number block without counter-rotating terms).  The other
+components are decoupled and see no trace constraint, so for a unique
+stationary state they are zero.  One sparse LU of the trace block with
+the trace in its first population equation gives the state; the same LU
+with a rank-2 Woodbury update gives the state pinned on the last
+population equation, and the two must agree.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .dissipation import Bath, bath_lowering, cavity_quadrature, thermal_rate
 from .model import ModelParams, build_hamiltonian, build_operators
@@ -75,31 +86,88 @@ def qo_liouvillian(params, n_max=None):
     return liouv.tocsr(), ops
 
 
-def _solve_with_trace_row(liouv, dim, row):
-    """Replace one equation by the trace constraint and solve.
+def _trace_block(liouv, dim):
+    """Sorted unknowns of the graph components of `liouv` that hold a rho_kk.
 
-    REFINE_SWEEPS iterative-refinement sweeps recover the small
-    populations, which otherwise carry the absolute noise of the
-    factorization.  A singular system means the generator has more than
-    one stationary state and raises DegenerateSteadyStateError.
+    Two unknowns are linked when either enters the other's equation;
+    the graph is built from the sparsity pattern alone, so it needs no
+    model parameters and never casts the complex values.
     """
-    a = liouv.tolil(copy=True)
-    a[row, :] = 0.0
-    for k in range(dim):
-        a[row, k * dim + k] = 1.0
-    a = a.tocsc()
-    b = np.zeros(dim * dim, dtype=complex)
-    b[row] = 1.0
+    pattern = sp.csr_matrix(
+        (np.ones(liouv.nnz), liouv.indices, liouv.indptr), shape=liouv.shape)
+    _, label = connected_components(pattern, connection="weak")
+    return np.flatnonzero(np.isin(label, label[np.arange(dim) * (dim + 1)]))
+
+
+def _refine(x, b, solve, matvec):
+    """Iterative-refinement sweeps of x toward matvec(x) = b."""
+    for _ in range(REFINE_SWEEPS):
+        x = x + solve(b - matvec(x))
+    return x
+
+
+def _solve_with_trace_row(liouv, dim, row):
+    """Replace population equation `row` by the trace constraint and solve.
+
+    Only the trace block (`_trace_block`) is factored; the returned
+    state is zero elsewhere.  REFINE_SWEEPS iterative-refinement sweeps
+    recover the small populations, which otherwise carry the absolute
+    noise of the factorization.  A singular system means the generator
+    has more than one stationary state and raises
+    DegenerateSteadyStateError.  So does a disagreement with the solve
+    pinned on the last population equation instead: that system is the
+    factored one plus U V^T with U = [e_row, e_last], solved from the
+    same LU by the Woodbury identity.  A non-finite second solution or a
+    singular 2x2 capacitance I + V^T A^-1 U (the second system is
+    singular) counts as a disagreement.
+    """
+    keep = _trace_block(liouv, dim)
+    block = liouv[keep][:, keep]
+    n = len(keep)
+    diag = np.searchsorted(keep, np.arange(dim) * (dim + 1))
+    first, last = np.searchsorted(keep, [row, dim * dim - 1])
+    coo = block.tocoo()
+    rest = coo.row != first
+    a = sp.csc_matrix((
+        np.concatenate([coo.data[rest], np.ones(dim)]),
+        (np.concatenate([coo.row[rest], np.full(dim, first)]),
+         np.concatenate([coo.col[rest], diag]))), shape=(n, n))
     try:
         lu = spla.splu(a)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise DegenerateSteadyStateError(
             "stationary state is not unique (pinned-row system is singular)"
         ) from exc
-    x = lu.solve(b)
-    for _ in range(REFINE_SWEEPS):
-        x = x + lu.solve(b - a @ x)
-    return x.reshape((dim, dim), order="F")
+    e = np.zeros((n, 2), dtype=complex)
+    e[[first, last], [0, 1]] = 1.0
+    z = lu.solve(e)
+    x = _refine(z[:, 0], e[:, 0], lu.solve, a.__matmul__)
+
+    trace = sp.csr_matrix((np.ones(dim), diag, [0, dim]), shape=(1, n))
+    vt = sp.vstack([block[first] - trace, trace - block[last]], format="csr")
+    try:
+        cap_inv = np.linalg.inv(np.eye(2) + vt @ z)
+    except np.linalg.LinAlgError:  # second system singular: fail the check
+        cap_inv = np.full((2, 2), np.nan)
+
+    def woodbury(y):
+        return y - z @ (cap_inv @ (vt @ y))
+
+    def matvec(v):
+        y = a @ v
+        y[[first, last]] += vt @ v
+        return y
+
+    other = _refine(woodbury(z[:, 1]), e[:, 1],
+                    lambda c: woodbury(lu.solve(c)), matvec)
+    # written so that a NaN difference fails the check
+    if not np.max(np.abs(x - other)) <= 1e-8 * max(1.0, np.max(np.abs(x))):
+        raise DegenerateSteadyStateError(
+            "stationary state is not unique (pinned-row solves disagree)"
+        )
+    rho = np.zeros(dim * dim, dtype=complex)
+    rho[keep] = x
+    return rho.reshape((dim, dim), order="F")
 
 
 @dataclass
@@ -115,21 +183,22 @@ class QoStationary:
 def qo_stationary_state(params, n_max=None):
     """Stationary density matrix of the bare-operator master equation.
 
-    Solves the null-space problem directly with a trace constraint,
-    hermitizes and renormalizes, and verifies positivity.  A second solve
-    with a different pinned equation guards against a degenerate
-    stationary manifold.
+    Solves the null-space problem directly with a trace constraint on
+    the trace block, hermitizes and renormalizes, and verifies
+    positivity.  The unknowns outside the trace block are decoupled from
+    every population; a unique stationary state is zero there, because a
+    nonzero stationary part would be a second stationary direction.  The
+    same LU also gives the solve with a different pinned equation, which
+    guards against a degenerate stationary manifold that reaches the
+    populations; a second stationary direction confined to the dropped
+    coherences (as for dephasing by sigma_x) is not seen.  The residual
+    max|L rho| is taken over the whole generator.
     """
     if params.temperature <= 0:
         raise ValueError("the comparison solver needs temperature > 0")
     liouv, ops = qo_liouvillian(params, n_max)
     dim = ops.dim
     rho = _solve_with_trace_row(liouv, dim, 0)
-    other = _solve_with_trace_row(liouv, dim, dim * dim - 1)
-    if np.max(np.abs(rho - other)) > 1e-8 * max(1.0, np.max(np.abs(rho))):
-        raise DegenerateSteadyStateError(
-            "stationary state is not unique (pinned-row solves disagree)"
-        )
     residual = float(np.max(np.abs(liouv @ rho.reshape(-1, order="F"))))
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from dressedlight import (
     ModelParams,
@@ -22,6 +23,7 @@ from dressedlight import (
 from dressedlight.qoptical import (
     DegenerateSteadyStateError,
     _solve_with_trace_row,
+    _trace_block,
 )
 
 
@@ -180,3 +182,96 @@ def test_pinned_solves_that_disagree_are_a_degenerate_steady_state(monkeypatch):
     monkeypatch.setattr(qoptical, "qo_liouvillian", lambda *args, **kw: fake)
     with pytest.raises(DegenerateSteadyStateError, match="disagree"):
         qo_stationary_state(ModelParams(1, 0.3, 0.0, 0.1), n_max=4)
+
+
+def _full_space_stationary(params, n_max):
+    """Reference: the trace row in place of equation 0 on all dim^2 unknowns.
+
+    One LU of the whole pinned generator and two refinement sweeps, then
+    the same hermitization and normalization as qo_stationary_state.
+    """
+    liouv, ops = qo_liouvillian(params, n_max)
+    dim = ops.dim
+    a = liouv.tolil(copy=True)
+    a[0, :] = 0.0
+    for k in range(dim):
+        a[0, k * dim + k] = 1.0
+    a = a.tocsc()
+    b = np.zeros(dim * dim, dtype=complex)
+    b[0] = 1.0
+    lu = spla.splu(a)
+    x = lu.solve(b)
+    for _ in range(2):
+        x = x + lu.solve(b - a @ x)
+    rho = x.reshape((dim, dim), order="F")
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("params, n_max", [
+    (ModelParams(1, 0.5, 0.5, 0.1), 15),
+    (ModelParams(2, 0.4, 0.4, 0.08), 15),
+    (ModelParams(1, 0.5, 0.0, 0.1), 15),
+    (ModelParams(2, 0.4, 0.0, 0.08), 15),
+    (ModelParams(2, 0.3, 0.3, 0.12, omega_c=1.1, omega_x=0.95), 12),
+])
+def test_trace_block_solve_matches_full_space_solve(params, n_max):
+    state = qo_stationary_state(params, n_max)
+    reference = _full_space_stationary(params, n_max)
+    assert np.max(np.abs(state.rho - reference)) <= \
+        1e-12 * np.max(np.abs(reference))
+    liouv, ops = qo_liouvillian(params, n_max)
+    dropped = np.setdiff1d(np.arange(ops.dim**2), _trace_block(liouv, ops.dim))
+    assert dropped.size > 0
+    assert np.all(state.rho.reshape(-1, order="F")[dropped] == 0.0)
+
+
+@pytest.mark.parametrize("n_emitters, g_prime, size", [
+    (1, 0.4, 512), (1, 0.0, 62), (2, 0.4, 2048), (2, 0.0, 244)])
+def test_trace_block_sizes(n_emitters, g_prime, size):
+    # dicke keeps the parity block, tc the equal-excitation block
+    liouv, ops = qo_liouvillian(ModelParams(n_emitters, 0.4, g_prime, 0.1), 15)
+    assert ops.dim**2 == (4096 if n_emitters == 2 else 1024)
+    assert _trace_block(liouv, ops.dim).size == size
+
+
+def _decay_liouvillian(dim, jumps):
+    """Generator of unit-rate jumps |lo><hi|, no Hamiltonian."""
+    eye = np.eye(dim)
+    liouv = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for lo, hi in jumps:
+        s = np.zeros((dim, dim))
+        s[lo, hi] = 1.0
+        sds = s.T @ s
+        liouv += (np.kron(s, s) - 0.5 * np.kron(eye, sds)
+                  - 0.5 * np.kron(sds.T, eye))
+    return liouv
+
+
+def test_decoupled_trace_blocks_are_a_degenerate_steady_state():
+    # two decaying two-level blocks on four levels: each keeps its own
+    # trace, so every mixture of their ground states is stationary
+    liouv = sp.csr_matrix(_decay_liouvillian(4, [(0, 1), (2, 3)]))
+    np.testing.assert_array_equal(_trace_block(liouv, 4), [0, 5, 10, 15])
+    with pytest.raises(DegenerateSteadyStateError):
+        _solve_with_trace_row(liouv, 4, 0)
+
+
+def test_singular_second_pinned_system_is_a_degenerate_steady_state():
+    # the trace in the first population equation gives a regular system,
+    # the trace in the last one an exactly singular one: the 2x2 Woodbury
+    # capacitance is singular
+    liouv = sp.csr_matrix(np.diag([0.0, -1.0, -1.0, -1.0]).astype(complex))
+    with pytest.raises(DegenerateSteadyStateError, match="disagree"):
+        _solve_with_trace_row(liouv, 2, 0)
+
+
+def test_non_finite_second_pinned_solve_is_a_degenerate_steady_state():
+    # a NaN in the first population equation leaves the first pinned
+    # system finite, since the trace replaces that equation, but makes
+    # the second pinned solve NaN; NaN must not pass the agreement check
+    liouv = _decay_liouvillian(2, [(0, 1)])
+    assert np.all(np.isfinite(_solve_with_trace_row(sp.csr_matrix(liouv), 2, 0)))
+    liouv[0, 0] = np.nan
+    with pytest.raises(DegenerateSteadyStateError, match="disagree"):
+        _solve_with_trace_row(sp.csr_matrix(liouv), 2, 0)
