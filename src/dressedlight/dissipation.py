@@ -2,8 +2,9 @@
 
 The cavity quadrature and every emitter sigma_y couple to their own
 reservoir, and all reservoirs share one Ohmic density (Bath).  Each
-coupling is S = -i A with A = L - L^T real antisymmetric, built from the
-lowering operator L that bath_lowering lists for it, so the rates use
+coupling is S = -i A with A = L - L^T real antisymmetric, from the index
+map of the lowering operator L that bath_lowering lists for it
+(spectral.group_transitions gives A in the eigenbasis), so the rates use
 one rate function times the summed weight sum_c |<m|A_c|n>|^2.  The
 emission/absorption rate at transition frequency w is
 
@@ -35,17 +36,13 @@ class Bath:
 
 
 def bath_lowering(ops):
-    """Lowering operator L of every bath coupling, cavity first.
+    """Index map of the lowering operator L of every bath coupling.
 
-    [x0 a, sigma_minus_0, ..., sigma_minus_{N-1}]: the couplings are the
-    quadrature X = -i (L_0 - L_0^T) and sigma_y_j = -i (L_j - L_j^T).
+    [x0 a, sigma_minus_0, ..., sigma_minus_{N-1}], cavity first: the
+    couplings are the quadrature X = -i (L_0 - L_0^T) and
+    sigma_y_j = -i (L_j - L_j^T).
     """
-    return [ops.params.x0 * ops.a, *ops.sigma_minus]
-
-
-def cavity_quadrature(ops):
-    """Real antisymmetric A_X = x0 (a - a^T); the quadrature is X = -i A_X."""
-    return ops.params.x0 * (ops.a - ops.a.T)
+    return [ops.a._replace(amp=ops.params.x0 * ops.a.amp), *ops.sigma_minus]
 
 
 def spectral_density(bath, omega):
@@ -94,16 +91,15 @@ def thermal_rate(omega, temperature, bath):
 class RateTable:
     """Decay constants and population rates of the bath couplings.
 
-    gain[n, k] is the population rate from state k into state n (summed
-    over the couplings); generator is the matching Pauli generator with
-    columns summing to zero, acting on population column vectors.  z[n]
-    is half the total loss rate of state n plus i times its energy.
-    bath is the density the rates were evaluated with.
+    generator is the Pauli generator acting on population column vectors:
+    off the diagonal, generator[n, k] is the population rate from state k
+    into state n (summed over the couplings), and its columns sum to
+    zero.  z[n] is half the total loss rate of state n plus i times its
+    energy.  bath is the density the rates were evaluated with.
     """
 
     temperature: float
     z: np.ndarray
-    gain: np.ndarray
     generator: np.ndarray
     bath: Bath
 
@@ -123,7 +119,8 @@ def build_rate_table(eig, weight, temperature, bath):
     eig : EigenSystem
     weight : (D, D) float64 array
         sum_c |<m|A_c|n>|^2 over the couplings S_c = -i A_c, with A_c in
-        the eigenbasis of eig (A_c = L - L^T for each L of bath_lowering).
+        the eigenbasis of eig (spectral.group_transitions of each L of
+        bath_lowering).
     temperature : float
     bath : Bath
 
@@ -136,18 +133,17 @@ def build_rate_table(eig, weight, temperature, bath):
     # a degenerate group.
     pair_omega = ge[None, :] - ge[:, None]
 
-    # gain[n, k]: rate k -> n needs chi at E_k - E_n = pair_omega[n, k]
-    gain = thermal_rate(pair_omega, temperature, bath)
-    gain *= weight
-    np.fill_diagonal(gain, 0.0)
-    loss = gain.sum(axis=0)  # total rate out of each state
-    generator = gain - np.diag(loss)
+    # generator[n, k]: rate k -> n needs chi at E_k - E_n = pair_omega[n, k]
+    generator = thermal_rate(pair_omega, temperature, bath)
+    generator *= weight
+    np.fill_diagonal(generator, 0.0)
+    loss = generator.sum(axis=0)  # total rate out of each state
+    np.fill_diagonal(generator, -loss)
     z = 0.5 * loss + 1j * eig.energies
 
     return RateTable(
         temperature=temperature,
         z=z,
-        gain=gain,
         generator=generator,
         bath=bath,
     )

@@ -9,16 +9,17 @@ are ordered as |emitter configuration> (x) |n>, with the Fock index n
 varying fastest: the flat index of (e, n) is e * (n_max + 1) + n, where
 e is the integer whose bit j gives the state of emitter j (1 = excited).
 
-Every coupling is real in this basis, so the Hamiltonian is a real
-symmetric float64 matrix.  It is assembled directly from Kronecker
-products of the small Fock and emitter factors; no product of two D x D
-matrices is formed.
+The lowering operators have at most one element per row and column, so
+each is held as an index map: a takes n to n-1 with amplitude sqrt(n),
+and sigma_minus_j clears bit j of e.  Every coupling is real in this
+basis, so the Hamiltonian is a real symmetric float64 matrix, scattered
+from the index maps; no D x D operator other than H is formed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import reduce
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,70 +113,66 @@ class ModelParams:
     def dim(self):
         return 2**self.n_emitters * (self.n_max + 1)
 
-    def updated(self, **changes) -> "ModelParams":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **changes)
+
+class IndexMap(NamedTuple):
+    """Operator L with at most one element per row and column.
+
+    L[dst[k], src[k]] = amp[k], zero elsewhere: O(D) data for an operator
+    on the D-dimensional product space.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    amp: np.ndarray
+
+
+def _compose(outer, inner, dim):
+    """outer @ inner as an IndexMap; both act on a space of dimension dim."""
+    slot = np.full(dim, -1)
+    slot[outer.src] = np.arange(outer.src.size)
+    k = slot[inner.dst]
+    hit = k >= 0
+    k = k[hit]
+    return IndexMap(inner.src[hit], outer.dst[k], outer.amp[k] * inner.amp[hit])
 
 
 @dataclass(frozen=True)
 class OperatorSet:
-    """Dense matrices of the lowering operators on the product space.
+    """The lowering operators on the product space, as index maps.
 
-    a lowers the Fock index and sigma_minus[j] lowers emitter j (bit j of
-    the configuration index).  All arrays are real float64 of shape
-    (dim, dim); the Hermitian bath couplings are -i times a real
-    antisymmetric matrix built from them (dissipation.bath_lowering).
+    a takes n to n-1 with amplitude sqrt(n); sigma_minus[j] clears bit j
+    of the configuration index with amplitude 1.  The bath couplings are
+    -i (L - L^T) of these (dissipation.bath_lowering).
     """
 
     params: ModelParams
-    a: np.ndarray
+    a: IndexMap
     sigma_minus: tuple
 
-    @property
-    def dim(self):
-        return self.a.shape[0]
 
+def build_operators(params):
+    """Index maps of the lowering operators for the given parameters.
 
-_SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]])  # |g><e| with |e> = index 1
-
-
-def _fock_lowering(n_max):
-    a = np.zeros((n_max + 1, n_max + 1))
-    ns = np.arange(1, n_max + 1)
-    a[ns - 1, ns] = np.sqrt(ns)
-    return a
-
-
-def _site_operator(op, j, n_sites):
-    # Bit j of the configuration index is site j, so site n_sites-1 is the
-    # slowest-varying kron factor and site 0 the fastest.
-    eye = np.eye(2)
-    factors = [eye] * n_sites
-    factors[n_sites - 1 - j] = op
-    return reduce(np.kron, factors)
-
-
-def _check_dim(params):
+    Raises DimensionLimitError when 2^N (n_max+1) exceeds DEFAULT_MAX_DIM.
+    """
     if params.dim > DEFAULT_MAX_DIM:
         raise DimensionLimitError(
             f"dimension {params.dim} exceeds the limit {DEFAULT_MAX_DIM}; "
             "reduce n_max or n_emitters"
         )
-
-
-def build_operators(params):
-    """Construct the real lowering operators for the given parameters.
-
-    Raises DimensionLimitError when 2^N (n_max+1) exceeds DEFAULT_MAX_DIM.
-    """
-    _check_dim(params)
-    n = params.n_emitters
-    eye_f = np.eye(params.n_max + 1)
+    half = params.n_max + 1
+    config, fock = np.divmod(np.arange(params.dim), half)
+    photons = np.flatnonzero(fock)
+    sigma_minus = []
+    for j in range(params.n_emitters):
+        # clearing bit j of the configuration moves the flat index by
+        # 2^j (n_max + 1)
+        src = np.flatnonzero(config >> j & 1)
+        sigma_minus.append(IndexMap(src, src - (half << j), np.ones(src.size)))
     return OperatorSet(
         params=params,
-        a=np.kron(np.eye(2**n), _fock_lowering(params.n_max)),
-        sigma_minus=tuple(np.kron(_site_operator(_SIGMA_MINUS, j, n), eye_f)
-                          for j in range(n)),
+        a=IndexMap(photons, photons - 1, np.sqrt(fock[photons])),
+        sigma_minus=tuple(sigma_minus),
     )
 
 
@@ -185,20 +182,23 @@ def build_hamiltonian(params):
     H = omega_c a+ a  +  omega_x sum_j s+_j s-_j
         + g sum_j (a+ s-_j + a s+_j)  +  g' sum_j (a s-_j + a+ s+_j)
 
-    Returns a float64 (dim, dim) array.  Each term is the Kronecker
-    product of a 2^N x 2^N emitter factor and an (n_max+1)^2 Fock factor,
-    accumulated in place.  Raises DimensionLimitError when 2^N (n_max+1)
+    Returns a float64 (dim, dim) array scattered from the index maps of
+    build_operators.  Raises DimensionLimitError when 2^N (n_max+1)
     exceeds DEFAULT_MAX_DIM.
     """
-    _check_dim(params)
-    n = params.n_emitters
-    a_f = _fock_lowering(params.n_max)
-    h = params.cavity_frequency * np.kron(np.eye(2**n), a_f.T @ a_f)
-    eye_f = np.eye(params.n_max + 1)
-    for j in range(n):
-        sm = _site_operator(_SIGMA_MINUS, j, n)
-        sp = sm.T
-        h += params.emitter_frequency * np.kron(sp @ sm, eye_f)
-        h += params.g * (np.kron(sm, a_f.T) + np.kron(sp, a_f))
-        h += params.g_prime * (np.kron(sm, a_f) + np.kron(sp, a_f.T))
+    ops = build_operators(params)
+    dim = params.dim
+    h = np.zeros((dim, dim))
+    diag = h.reshape(-1)[:: dim + 1]
+    a = ops.a
+    # a+ a as the product of the amplitudes: sqrt(n)^2 may differ from n
+    # in the last bit, and this is the value the operator product gives
+    diag[a.src] = params.cavity_frequency * (a.amp * a.amp)
+    a_dag = a._replace(src=a.dst, dst=a.src)
+    for sm in ops.sigma_minus:
+        diag[sm.src] += params.emitter_frequency
+        for coupling, photon in ((params.g, a_dag), (params.g_prime, a)):
+            term = _compose(photon, sm, dim)
+            h[term.dst, term.src] = coupling * term.amp
+            h[term.src, term.dst] = coupling * term.amp
     return h

@@ -28,7 +28,7 @@ def emission_operator(eig, a_eig):
     """Lowering part of the quadrature derivative, in the eigenbasis.
 
     a_eig is A_X of the quadrature X = -i A_X in the eigenbasis,
-    eig.to_eigenbasis(cavity_quadrature(ops)); element (m, n) of the
+    group_transitions(eig, bath_lowering(ops)[0]); element (m, n) of the
     result is (E_m - E_n) a_eig[m, n].  It is strictly upper triangular
     in the energy ordering (rows below columns in energy); elements inside
     a degenerate level group are excluded, so the operator annihilates

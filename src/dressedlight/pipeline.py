@@ -66,7 +66,7 @@ def solve_system(params):
     ops = build_operators(params)
     eig = diagonalize(build_hamiltonian(params),
                       level_tolerance(params.omega0))
-    couplings = (group_transitions(eig, lower - lower.T)
+    couplings = (group_transitions(eig, lower)
                  for lower in bath_lowering(ops))
     # bath_lowering lists the cavity first: A_X in the eigenbasis
     a_eigen = next(couplings)

@@ -20,14 +20,14 @@ population equation, and the two must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .dissipation import Bath, bath_lowering, cavity_quadrature, thermal_rate
+from .dissipation import Bath, bath_lowering, thermal_rate
 from .model import ModelParams, build_hamiltonian, build_operators
 from .observables import DENOMINATOR_FLOOR
 
@@ -45,7 +45,12 @@ class DegenerateSteadyStateError(RuntimeError):
 def _qo_params(params, n_max):
     if n_max is None:
         n_max = min(params.n_max, DEFAULT_QO_NMAX)
-    return params.updated(n_max=n_max)
+    return replace(params, n_max=n_max)
+
+
+def _csr(lower, dim):
+    """The model.IndexMap lower as a (dim, dim) CSR matrix."""
+    return sp.csr_matrix((lower.amp, (lower.dst, lower.src)), shape=(dim, dim))
 
 
 def _dissipator(op_sparse):
@@ -79,7 +84,7 @@ def qo_liouvillian(params, n_max=None):
         np.array([params.omega0, -params.omega0]), params.temperature,
         Bath(params.gamma, params.omega0))
     for lower in bath_lowering(ops):
-        lower = sp.csr_matrix(lower)
+        lower = _csr(lower, params.dim)
         liouv = liouv + rate_down * _dissipator(lower)
         if rate_up > 0:
             liouv = liouv + rate_up * _dissipator(lower.T)
@@ -197,7 +202,7 @@ def qo_stationary_state(params, n_max=None):
     if params.temperature <= 0:
         raise ValueError("the comparison solver needs temperature > 0")
     liouv, ops = qo_liouvillian(params, n_max)
-    dim = ops.dim
+    dim = ops.params.dim
     rho = _solve_with_trace_row(liouv, dim, 0)
     residual = float(np.max(np.abs(liouv @ rho.reshape(-1, order="F"))))
     rho = 0.5 * (rho + rho.conj().T)
@@ -213,32 +218,18 @@ def qo_stationary_state(params, n_max=None):
     )
 
 
-def qo_g2_zero(params, n_max=None, dressed=False, stationary=None):
+def qo_g2_zero(params, n_max=None):
     """Equal-time degree-two coherence in the comparison stationary state.
 
-    With dressed=False this is the photon-number statistic
-    <a+ a+ a a> / <a+ a>^2.  With dressed=True the emission operator of
-    the dressed basis is used instead, for the same stationary state.
+    This is the photon-number statistic <a+ a+ a a> / <a+ a>^2.
     """
-    if stationary is None:
-        stationary = qo_stationary_state(params, n_max)
+    stationary = qo_stationary_state(params, n_max)
     rho = stationary.rho
     qp = stationary.params
-    ops = build_operators(qp)
-    if dressed:
-        from .observables import emission_operator
-        from .spectral import diagonalize, level_tolerance
-
-        eig = diagonalize(build_hamiltonian(qp), level_tolerance(qp.omega0))
-        xdot_eig = emission_operator(
-            eig, eig.to_eigenbasis(cavity_quadrature(ops)))
-        lower = eig.vectors @ xdot_eig @ eig.vectors.T
-    else:
-        lower = ops.a
+    lower = _csr(build_operators(qp).a, qp.dim)
     raise_op = lower.T
     denominator = float(np.trace(rho @ raise_op @ lower).real)
     if denominator < DENOMINATOR_FLOOR:
         raise ValueError(f"stationary emission {denominator:.3e} below floor")
     numerator = float(np.trace(rho @ raise_op @ raise_op @ lower @ lower).real)
     return numerator / denominator**2
-

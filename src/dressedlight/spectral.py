@@ -48,9 +48,13 @@ class EigenSystem:
     def degenerate(self):
         return self.group_energy.size < self.energies.size
 
-    def to_eigenbasis(self, operator):
-        """Matrix elements <m|S|n> of a lab-frame operator."""
-        return self.vectors.conj().T @ operator @ self.vectors
+    def to_eigenbasis(self, lower):
+        """Matrix elements <m|L|n> of a lab-frame model.IndexMap L.
+
+        One gather of the rows of vectors and one matrix product.
+        """
+        v = self.vectors
+        return v[lower.dst].conj().T @ (lower.amp[:, None] * v[lower.src])
 
     def collision_omegas(self):
         """Frequencies w >= 0 shared by more than one pair of level groups.
@@ -125,11 +129,14 @@ def diagonalize(h, delta_e):
     )
 
 
-def group_transitions(eig, s):
-    """Matrix elements of a bath coupling operator in the eigenbasis.
+def group_transitions(eig, lower):
+    """A = L - L^T of a bath coupling S = -i A, in the eigenbasis.
 
-    The secular grouping needs nothing else: the rates are evaluated at
-    the group energies of eig.  The pipeline calls this once per bath
-    coupling, and bench/spans.py times those calls under this name.
+    lower is the real model.IndexMap L; with M = eig.to_eigenbasis(L),
+    A = M - M^H (real antisymmetric for real eigenvectors).  The secular
+    grouping needs nothing else: the rates are evaluated at the group
+    energies of eig.  The pipeline calls this once per bath coupling,
+    and bench/spans.py times those calls under this name.
     """
-    return eig.to_eigenbasis(np.asarray(s))
+    m = eig.to_eigenbasis(lower)
+    return m - m.conj().T

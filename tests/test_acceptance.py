@@ -102,7 +102,9 @@ def test_random_thermal_configurations_satisfy_detailed_balance():
         boltz /= boltz.sum()
         assert np.abs(system.rates.generator @ boltz).max() < 1e-9
 
-        flow = system.rates.gain * boltz[None, :]
+        gain = system.rates.generator.copy()
+        np.fill_diagonal(gain, 0.0)  # population rates k -> n
+        flow = gain * boltz[None, :]
         scale = np.maximum(flow, flow.T)
         # selection-rule zeros survive only as eigensolver noise far below
         # any physical flow; relative balance is checked above that floor

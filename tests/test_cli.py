@@ -446,10 +446,14 @@ def test_output_directory_precedence(tmp_path, monkeypatch):
 def test_module_invocation_propagates_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")
+    # the child imports the package this test imported, installed or not
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "dressedlight.cli", "g2chart",
          "--config", str(bad), "--out", str(tmp_path / "run")],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 2
     assert "config error" in proc.stderr
 

@@ -9,6 +9,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from dense_ops import dense
 
 from dressedlight import (
     Bath,
@@ -36,7 +37,8 @@ def test_bath_lowering_order():
     ops = build_operators(p)
     lowering = bath_lowering(ops)
     assert len(lowering) == 4
-    np.testing.assert_array_equal(lowering[0], p.x0 * ops.a)
+    np.testing.assert_array_equal(dense(lowering[0], p.dim),
+                                  p.x0 * dense(ops.a, p.dim))
     for j, lower in enumerate(lowering[1:]):
         assert lower is ops.sigma_minus[j]
 
@@ -44,10 +46,12 @@ def test_bath_lowering_order():
 def test_channel_operators():
     p = ModelParams(2, 0.2, 0.1, 0.1, n_max=3)
     ops = build_operators(p)
-    lowering = bath_lowering(ops)
+    lowering = [dense(lower, p.dim) for lower in bath_lowering(ops)]
+    a = dense(ops.a, p.dim)
+    sigma_minus_1 = dense(ops.sigma_minus[1], p.dim)
     # X = -i x0 (a - a+) and sigma_y = i (s+ - s-), built by hand
-    x = -1j * p.x0 * (ops.a - ops.a.T)
-    sigma_y_1 = 1j * (ops.sigma_minus[1].T - ops.sigma_minus[1])
+    x = -1j * p.x0 * (a - a.T)
+    sigma_y_1 = 1j * (sigma_minus_1.T - sigma_minus_1)
     np.testing.assert_allclose(-1j * (lowering[0] - lowering[0].T), x)
     np.testing.assert_allclose(-1j * (lowering[2] - lowering[2].T), sigma_y_1)
 
@@ -68,7 +72,8 @@ def test_dressed_pipeline_is_real(g_prime, monkeypatch):
     ops = build_operators(p)
     assert [f.name for f in fields(OperatorSet)] == ["params", "a",
                                                      "sigma_minus"]
-    assert all(op.dtype == np.float64 for op in (ops.a, *ops.sigma_minus))
+    assert all(op.amp.dtype == np.float64
+               for op in (ops.a, *ops.sigma_minus))
     system = solve_system(p)
     assert system.eig.vectors.dtype == np.float64
     assert len(transforms) == 3
@@ -76,9 +81,12 @@ def test_dressed_pipeline_is_real(g_prime, monkeypatch):
         assert s_eigen.dtype == np.float64
     assert sum(s_eigen * s_eigen for s_eigen in transforms).dtype == np.float64
     assert system.xdot.dtype == np.float64
-    hermitian = [-1j * p.x0 * (ops.a - ops.a.T)]
-    hermitian += [1j * (sm.T - sm) for sm in ops.sigma_minus]
+    a = dense(ops.a, p.dim)
+    sigma_minus = [dense(sm, p.dim) for sm in ops.sigma_minus]
+    hermitian = [-1j * p.x0 * (a - a.T)]
+    hermitian += [1j * (sm.T - sm) for sm in sigma_minus]
     for lower, s in zip(bath_lowering(ops), hermitian, strict=True):
+        lower = dense(lower, p.dim)
         np.testing.assert_array_equal(-1j * (lower - lower.T), s)
 
 
@@ -170,8 +178,15 @@ def _coupling_weight(system):
     """sum_c A_c**2 over the bath couplings S_c = -i A_c, in the eigenbasis,
     summed in the order the pipeline sums them."""
     ops = build_operators(system.params)
-    return sum(group_transitions(system.eig, lower - lower.T) ** 2
+    return sum(group_transitions(system.eig, lower) ** 2
                for lower in bath_lowering(ops))
+
+
+def _gain(rates):
+    """Population rates k -> n: the generator off its diagonal."""
+    gain = rates.generator.copy()
+    np.fill_diagonal(gain, 0.0)
+    return gain
 
 
 def _brute_force_gain(params, temperature):
@@ -183,6 +198,7 @@ def _brute_force_gain(params, temperature):
     dim = params.dim
     gain = np.zeros((dim, dim))
     for lower in bath_lowering(ops):
+        lower = dense(lower, dim)
         s = vectors.conj().T @ (lower - lower.T) @ vectors
         for n in range(dim):
             for k in range(dim):
@@ -202,7 +218,7 @@ def test_rate_table_matches_brute_force(n_emitters, g, gp):
     system = solve_system(p)
     energies, gain = _brute_force_gain(p, T)
     np.testing.assert_allclose(system.eig.energies, energies, atol=1e-12)
-    np.testing.assert_allclose(system.rates.gain, gain, atol=1e-13)
+    np.testing.assert_allclose(_gain(system.rates), gain, atol=1e-13)
     # generator = gain off the diagonal, columns summing to zero
     gen = system.rates.generator
     np.testing.assert_allclose(gen.sum(axis=0), 0.0, atol=1e-15)
@@ -215,7 +231,7 @@ def test_generator_detailed_balance():
     T = 0.23
     p = ModelParams(2, 0.41, 0.41, T, n_max=4)
     system = solve_system(p)
-    gain = system.rates.gain
+    gain = _gain(system.rates)
     boltz = np.exp(-(system.eig.energies - system.eig.energies[0]) / T)
     lhs = gain * boltz[None, :]       # rate k->n times weight of k
     np.testing.assert_allclose(lhs, lhs.T, rtol=1e-9, atol=1e-18)
@@ -231,7 +247,7 @@ def test_decay_constants_structure():
     np.testing.assert_allclose(z, system.rates.z, atol=0)
     # real part is half the total escape rate out of each level, imaginary
     # part the level energy
-    np.testing.assert_array_equal(z.real, 0.5 * table.gain.sum(axis=0))
+    np.testing.assert_array_equal(z.real, 0.5 * _gain(table).sum(axis=0))
     np.testing.assert_array_equal(z.imag, system.eig.energies)
     assert np.all(z.real > 0)  # every level relaxes at T > 0
 
@@ -253,7 +269,7 @@ def test_zero_frequency_rate_inside_degenerate_group():
         for a in members:
             for b in members:
                 if a != b:
-                    assert cold.gain[a, b] == 0.0
+                    assert cold.generator[a, b] == 0.0
 
 
 def test_collision_count_is_counted_once_per_eigensystem(monkeypatch):
@@ -272,11 +288,12 @@ def test_collision_count_is_counted_once_per_eigensystem(monkeypatch):
     assert len(calls) == 1
     assert system.collision_count == original(system.eig).size > 0
     ops = build_operators(p)
-    # the weight sums the squared real A of every coupling S = -i A
-    operators = [p.x0 * (ops.a - ops.a.T)]
-    operators += [sm - sm.T for sm in ops.sigma_minus]
-    weight = sum(system.eig.to_eigenbasis(op) ** 2 for op in operators)
+    # the weight sums the squared real A = M - M^T of every coupling
+    # S = -i A, M the eigenbasis elements of its lowering operator
+    operators = [ops.a._replace(amp=p.x0 * ops.a.amp), *ops.sigma_minus]
+    elements = [system.eig.to_eigenbasis(op) for op in operators]
+    weight = sum((m - m.T) ** 2 for m in elements)
     np.testing.assert_array_equal(weight, _coupling_weight(system))
     rebuilt = build_rate_table(system.eig, weight, p.temperature,
                                system.rates.bath)
-    np.testing.assert_array_equal(system.rates.gain, rebuilt.gain)
+    np.testing.assert_array_equal(system.rates.generator, rebuilt.generator)

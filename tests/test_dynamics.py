@@ -12,7 +12,6 @@ from dressedlight import (
     StationaryState,
     build_rate_table,
     diagonalize,
-    group_transitions,
     solve_system,
     stationary_state,
 )
@@ -32,7 +31,7 @@ def _synthetic_system(energies, temperature, seed=0):
     eig = diagonalize(np.diag(np.asarray(energies, dtype=float)), 1e-9)
     s = rng.standard_normal((n, n))
     s = s + s.T
-    weight = group_transitions(eig, s) ** 2
+    weight = (eig.vectors.T @ s @ eig.vectors) ** 2
     return eig, build_rate_table(eig, weight, temperature,
                                  Bath(gamma=0.01, omega_ref=1.0))
 

@@ -4,8 +4,12 @@ Oracle values are built by hand from the canonical ladder/Pauli algebra so
 they do not depend on the code under test.
 """
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from dense_ops import dense
 
 from dressedlight import (
     DimensionLimitError,
@@ -17,22 +21,32 @@ from dressedlight import (
 from dressedlight.model import DEFAULT_MAX_DIM
 
 
+def _lowering(ops):
+    """a and the s-_j as dense arrays."""
+    dim = ops.params.dim
+    return dense(ops.a, dim), [dense(sm, dim) for sm in ops.sigma_minus]
+
+
 def _raising(ops):
     """a+ and the s+_j as conjugate transposes of the lowering operators."""
-    return ops.a.conj().T, [sm.conj().T for sm in ops.sigma_minus]
+    a, sigma_minus = _lowering(ops)
+    return a.conj().T, [sm.conj().T for sm in sigma_minus]
 
 
 def _hermitian_couplings(ops):
     """X and the sigma_y_j as -i (L - L^T) of the bath lowering operators."""
-    x, *sigma_y = (-1j * (lower - lower.T) for lower in bath_lowering(ops))
+    dim = ops.params.dim
+    x, *sigma_y = (-1j * (dense(lower, dim) - dense(lower, dim).T)
+                   for lower in bath_lowering(ops))
     return x, sigma_y
 
 
 def _total_number(ops):
     """a+ a + sum_j s+_j s-_j from the dense operators."""
+    a, sigma_minus = _lowering(ops)
     a_dag, sigma_plus = _raising(ops)
-    n_tot = a_dag @ ops.a
-    for sp, sm in zip(sigma_plus, ops.sigma_minus):
+    n_tot = a_dag @ a
+    for sp, sm in zip(sigma_plus, sigma_minus):
         n_tot = n_tot + sp @ sm
     return n_tot
 
@@ -40,12 +54,13 @@ def _total_number(ops):
 def _reference_hamiltonian(params):
     """H from dense products of the operator set, term by term."""
     ops = build_operators(params)
+    a, sigma_minus = _lowering(ops)
     a_dag, sigma_plus = _raising(ops)
-    h = params.cavity_frequency * (a_dag @ ops.a)
-    for sm, sp in zip(ops.sigma_minus, sigma_plus):
+    h = params.cavity_frequency * (a_dag @ a)
+    for sm, sp in zip(sigma_minus, sigma_plus):
         h = h + params.emitter_frequency * (sp @ sm)
-        h = h + params.g * (a_dag @ sm + ops.a @ sp)
-        h = h + params.g_prime * (ops.a @ sm + a_dag @ sp)
+        h = h + params.g * (a_dag @ sm + a @ sp)
+        h = h + params.g_prime * (a @ sm + a_dag @ sp)
     return h
 
 
@@ -96,7 +111,7 @@ def test_frequency_defaults_and_overrides():
     p = ModelParams(1, 0.1, 0.0, 0.1, omega0=2.0)
     assert p.cavity_frequency == 2.0
     assert p.emitter_frequency == 2.0
-    q = p.updated(omega_c=1.8, omega_x=2.2)
+    q = replace(p, omega_c=1.8, omega_x=2.2)
     assert q.cavity_frequency == 1.8
     assert q.emitter_frequency == 2.2
     # original untouched (frozen dataclass semantics)
@@ -108,6 +123,7 @@ def test_frequency_defaults_and_overrides():
 def test_fock_ladder_elements():
     p = ModelParams(1, 0.1, 0.0, 0.1, n_max=6)
     ops = build_operators(p)
+    a, _ = _lowering(ops)
     dim = p.dim
     half = p.n_max + 1
     # <e, n-1| a |e, n> = sqrt(n), zero elsewhere
@@ -115,11 +131,11 @@ def test_fock_ladder_elements():
         for n in range(1, p.n_max + 1):
             row = e * half + n - 1
             col = e * half + n
-            assert ops.a[row, col] == pytest.approx(np.sqrt(n))
-    assert np.count_nonzero(ops.a) == 2 * p.n_max
+            assert a[row, col] == pytest.approx(np.sqrt(n))
+    assert np.count_nonzero(a) == 2 * p.n_max
     a_dag, _ = _raising(ops)
     # commutator is canonical away from the truncation edge
-    comm = ops.a @ a_dag - a_dag @ ops.a
+    comm = a @ a_dag - a_dag @ a
     edge = [e * half + p.n_max for e in (0, 1)]
     keep = np.setdiff1d(np.arange(dim), edge)
     np.testing.assert_allclose(comm[np.ix_(keep, keep)], np.eye(keep.size),
@@ -147,10 +163,11 @@ def test_emitter_algebra():
     rng = np.random.default_rng(7)
     p = ModelParams(2, 0.1, 0.0, 0.1, n_max=2)
     ops = build_operators(p)
+    _, sigma_minus = _lowering(ops)
     _, sigma_plus = _raising(ops)
     _, sigma_y = _hermitian_couplings(ops)
     for j in range(2):
-        sp, sm = sigma_plus[j], ops.sigma_minus[j]
+        sp, sm = sigma_plus[j], sigma_minus[j]
         np.testing.assert_allclose(sm @ sm, 0.0, atol=1e-15)
         proj = sp @ sm
         np.testing.assert_allclose(proj @ proj, proj, atol=1e-14)
@@ -159,17 +176,18 @@ def test_emitter_algebra():
         np.testing.assert_allclose(sy, sy.conj().T)
     # different sites commute
     v = rng.standard_normal(p.dim)
-    ab = sigma_plus[0] @ (ops.sigma_minus[1] @ v)
-    ba = ops.sigma_minus[1] @ (sigma_plus[0] @ v)
+    ab = sigma_plus[0] @ (sigma_minus[1] @ v)
+    ba = sigma_minus[1] @ (sigma_plus[0] @ v)
     np.testing.assert_allclose(ab, ba, atol=1e-14)
 
 
 def test_cavity_quadrature_and_total_number():
     p = ModelParams(2, 0.2, 0.1, 0.1, n_max=4, x0=1.7)
     ops = build_operators(p)
+    a, _ = _lowering(ops)
     a_dag, _ = _raising(ops)
     x, _ = _hermitian_couplings(ops)
-    np.testing.assert_allclose(x, -1j * p.x0 * (ops.a - a_dag))
+    np.testing.assert_allclose(x, -1j * p.x0 * (a - a_dag))
     np.testing.assert_allclose(x, x.conj().T)
     # a+ a + sum_j s+_j s-_j is diagonal: Fock index plus excited emitters
     half = p.n_max + 1
@@ -252,3 +270,21 @@ def test_dimension_limit():
         build_operators(over)
     with pytest.raises(DimensionLimitError):
         build_hamiltonian(over)
+
+
+def test_operators_are_index_maps_without_dense_arrays():
+    # a and every sigma_minus_j hold O(D) data; building them allocates
+    # less than one D x D float64 array
+    p = ModelParams(4, 0.3, 0.3, 0.1, n_max=60)
+    tracemalloc.start()
+    try:
+        ops = build_operators(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < p.dim * p.dim * 8
+    for lower in (ops.a, *ops.sigma_minus):
+        # at most one element per row and per column
+        assert np.unique(lower.src).size == lower.src.size
+        assert np.unique(lower.dst).size == lower.dst.size
+        assert lower.amp.dtype == np.float64

@@ -11,14 +11,18 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from dense_ops import dense
 
 from dressedlight import (
+    Bath,
     ModelParams,
+    bath_lowering,
     build_hamiltonian,
     qo_g2_zero,
     qo_liouvillian,
     qo_stationary_state,
     qoptical,
+    thermal_rate,
 )
 from dressedlight.qoptical import (
     DegenerateSteadyStateError,
@@ -93,7 +97,8 @@ def _propagate_dense(params, rho0, t, n_max):
     """Reference evolution: dense expm of the vectorized generator."""
     liouv, ops = qo_liouvillian(params, n_max)
     vec = scipy.linalg.expm(liouv.toarray() * t) @ rho0.reshape(-1, order="F")
-    return vec.reshape((ops.dim, ops.dim), order="F")
+    dim = ops.params.dim
+    return vec.reshape((dim, dim), order="F")
 
 
 def test_time_evolution_reaches_nullspace_solution():
@@ -110,7 +115,7 @@ def test_time_evolution_reaches_nullspace_solution():
 def test_liouvillian_preserves_trace():
     p = ModelParams(2, 0.4, 0.4, 0.15)
     liouv, ops = qo_liouvillian(p, n_max=5)
-    dim = ops.dim
+    dim = ops.params.dim
     trace_functional = np.zeros(dim * dim)
     trace_functional[np.arange(dim) * dim + np.arange(dim)] = 1.0
     assert np.abs(trace_functional @ liouv).max() < 1e-10
@@ -145,15 +150,6 @@ def test_g2_never_subpoissonian_with_counter_rotation():
         assert qo_g2_zero(p, n_max=12) >= 1.0 - 1e-3
 
 
-def test_dressed_variant_is_distinct_and_labeled():
-    p = ModelParams(1, 0.5, 0.5, 0.1)
-    state = qo_stationary_state(p, n_max=10)
-    bare = qo_g2_zero(p, n_max=10, stationary=state)
-    dressed = qo_g2_zero(p, n_max=10, dressed=True, stationary=state)
-    assert bare == pytest.approx(qo_g2_zero(p, n_max=10), rel=1e-12)
-    assert abs(dressed - bare) > 0.1
-
-
 def test_cutoff_convergence_estimate():
     # doubling the cutoff barely moves the state at moderate temperature
     p = ModelParams(1, 0.4, 0.4, 0.15)
@@ -178,7 +174,7 @@ def test_pinned_solves_that_disagree_are_a_degenerate_steady_state(monkeypatch):
     v = rng.standard_normal((4, 4))
     liouv = sp.csr_matrix(
         (v @ np.diag([0.0, 0.0, -1.0, -2.0]) @ np.linalg.inv(v)).astype(complex))
-    fake = (liouv, SimpleNamespace(dim=2))
+    fake = (liouv, SimpleNamespace(params=SimpleNamespace(dim=2)))
     monkeypatch.setattr(qoptical, "qo_liouvillian", lambda *args, **kw: fake)
     with pytest.raises(DegenerateSteadyStateError, match="disagree"):
         qo_stationary_state(ModelParams(1, 0.3, 0.0, 0.1), n_max=4)
@@ -191,7 +187,7 @@ def _full_space_stationary(params, n_max):
     the same hermitization and normalization as qo_stationary_state.
     """
     liouv, ops = qo_liouvillian(params, n_max)
-    dim = ops.dim
+    dim = ops.params.dim
     a = liouv.tolil(copy=True)
     a[0, :] = 0.0
     for k in range(dim):
@@ -221,7 +217,8 @@ def test_trace_block_solve_matches_full_space_solve(params, n_max):
     assert np.max(np.abs(state.rho - reference)) <= \
         1e-12 * np.max(np.abs(reference))
     liouv, ops = qo_liouvillian(params, n_max)
-    dropped = np.setdiff1d(np.arange(ops.dim**2), _trace_block(liouv, ops.dim))
+    dim = ops.params.dim
+    dropped = np.setdiff1d(np.arange(dim**2), _trace_block(liouv, dim))
     assert dropped.size > 0
     assert np.all(state.rho.reshape(-1, order="F")[dropped] == 0.0)
 
@@ -231,8 +228,9 @@ def test_trace_block_solve_matches_full_space_solve(params, n_max):
 def test_trace_block_sizes(n_emitters, g_prime, size):
     # dicke keeps the parity block, tc the equal-excitation block
     liouv, ops = qo_liouvillian(ModelParams(n_emitters, 0.4, g_prime, 0.1), 15)
-    assert ops.dim**2 == (4096 if n_emitters == 2 else 1024)
-    assert _trace_block(liouv, ops.dim).size == size
+    dim = ops.params.dim
+    assert dim**2 == (4096 if n_emitters == 2 else 1024)
+    assert _trace_block(liouv, dim).size == size
 
 
 def _decay_liouvillian(dim, jumps):
@@ -275,3 +273,27 @@ def test_non_finite_second_pinned_solve_is_a_degenerate_steady_state():
     liouv[0, 0] = np.nan
     with pytest.raises(DegenerateSteadyStateError, match="disagree"):
         _solve_with_trace_row(sp.csr_matrix(liouv), 2, 0)
+
+
+@pytest.mark.parametrize("g_prime", [0.0, 0.35], ids=["tc", "dicke"])
+@pytest.mark.parametrize("n_emitters", [1, 2])
+def test_liouvillian_matches_dense_operator_assembly(n_emitters, g_prime):
+    # the CSR operators built from the index maps are the ones a dense
+    # operator gives, so the generator is identical element for element
+    p = ModelParams(n_emitters, 0.35, g_prime, 0.2)
+    liouv, ops = qo_liouvillian(p, n_max=5)
+    dim = ops.params.dim
+    h_s = sp.csr_matrix(build_hamiltonian(ops.params))
+    eye = sp.identity(dim, format="csr")
+    ref = -1j * (sp.kron(eye, h_s) - sp.kron(h_s.T, eye))
+    rate_down, rate_up = thermal_rate(
+        np.array([p.omega0, -p.omega0]), p.temperature,
+        Bath(p.gamma, p.omega0))
+    for lower in bath_lowering(ops):
+        lower = sp.csr_matrix(dense(lower, dim))
+        ref = ref + rate_down * qoptical._dissipator(lower)
+        ref = ref + rate_up * qoptical._dissipator(lower.T)
+    ref = ref.tocsr()
+    for field in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(liouv, field),
+                                      getattr(ref, field))

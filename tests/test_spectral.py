@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from dense_ops import dense
 
 from dressedlight import (
     ModelParams,
@@ -13,12 +14,13 @@ from dressedlight import (
     solve_system,
     spectral,
 )
-from dressedlight.dissipation import Bath, bath_lowering, cavity_quadrature
+from dressedlight.dissipation import Bath, bath_lowering
 
 
 def _quadrature(ops):
-    """The Hermitian cavity quadrature X = -i A_X."""
-    return -1j * cavity_quadrature(ops)
+    """The Hermitian cavity quadrature X = -i A_X, as a dense array."""
+    lower = dense(bath_lowering(ops)[0], ops.params.dim)
+    return -1j * (lower - lower.T)
 
 
 def _random_hermitian_with_spectrum(energies, seed):
@@ -100,10 +102,13 @@ def test_to_eigenbasis_matches_direct_projection():
     p = ModelParams(1, 0.3, 0.1, 0.1, n_max=4)
     ops = build_operators(p)
     eig = diagonalize(build_hamiltonian(p), 1e-9)
+    v = eig.vectors
+    for lower in bath_lowering(ops):
+        np.testing.assert_allclose(eig.to_eigenbasis(lower),
+                                   v.T @ dense(lower, p.dim) @ v, atol=1e-13)
     x = _quadrature(ops)
-    s = eig.to_eigenbasis(x)
-    np.testing.assert_allclose(
-        s, eig.vectors.conj().T @ x @ eig.vectors, atol=1e-13)
+    s = -1j * group_transitions(eig, bath_lowering(ops)[0])
+    np.testing.assert_allclose(s, v.conj().T @ x @ v, atol=1e-13)
     # Hermitian operators stay Hermitian in the new basis
     np.testing.assert_allclose(s, s.conj().T, atol=1e-13)
 
@@ -131,7 +136,7 @@ def test_reconstruct_roundtrip():
     p = ModelParams(2, 0.4, 0.2, 0.1, n_max=3)
     ops = build_operators(p)
     eig = diagonalize(build_hamiltonian(p), 1e-9)
-    s = eig.to_eigenbasis(_quadrature(ops))
+    s = -1j * group_transitions(eig, bath_lowering(ops)[0])
     grp = _loop_grouping(eig, 1e-9)
     members = [np.flatnonzero(eig.group_index == a)
                for a in range(eig.group_energy.size)]
@@ -162,8 +167,9 @@ def test_squared_elements_match():
     ops = build_operators(p)
     eig = diagonalize(build_hamiltonian(p), 1e-9)
     x = _quadrature(ops)
-    np.testing.assert_allclose(group_transitions(eig, x),
-                               eig.to_eigenbasis(x), atol=1e-14)
+    np.testing.assert_allclose(
+        -1j * group_transitions(eig, bath_lowering(ops)[0]),
+        eig.vectors.T @ x @ eig.vectors, atol=1e-14)
 
 
 def _loop_grouping(eig, delta_omega):
@@ -223,10 +229,30 @@ def test_channel_sets_share_one_grouping(monkeypatch):
     assert len(calls) == 1
     assert system.rates.bath == Bath(p.gamma, p.omega0)
     ops = build_operators(p)
-    couplings = [group_transitions(system.eig, lower - lower.T)
+    couplings = [group_transitions(system.eig, lower)
                  for lower in bath_lowering(ops)]
     assert len(couplings) == 3
     weight = sum(s_eigen**2 for s_eigen in couplings)
     rebuilt = build_rate_table(system.eig, weight, p.temperature,
                                system.rates.bath)
-    np.testing.assert_array_equal(system.rates.gain, rebuilt.gain)
+    np.testing.assert_array_equal(system.rates.generator, rebuilt.generator)
+
+
+@pytest.mark.parametrize("detuned", [False, True], ids=["resonant", "detuned"])
+@pytest.mark.parametrize("g_prime", [0.0, 0.31], ids=["tc", "dicke"])
+@pytest.mark.parametrize("n_emitters", [1, 2, 3, 4])
+def test_group_transitions_matches_dense_projection(n_emitters, g_prime,
+                                                    detuned):
+    # the index-map transform equals V^T (L - L^T) V of the dense operator
+    # for every bath coupling, including the x0-scaled cavity
+    extra = dict(omega_c=1.1, omega_x=0.95) if detuned else {}
+    p = ModelParams(n_emitters, 0.31, g_prime, 0.1, n_max=7, x0=1.3, **extra)
+    eig = diagonalize(build_hamiltonian(p), 1e-9)
+    v = eig.vectors
+    for lower in bath_lowering(build_operators(p)):
+        coupling = group_transitions(eig, lower)
+        assert coupling.dtype == np.float64
+        np.testing.assert_array_equal(coupling, -coupling.T)
+        lower = dense(lower, p.dim)
+        np.testing.assert_allclose(coupling, v.T @ (lower - lower.T) @ v,
+                                   rtol=0, atol=1e-13)
