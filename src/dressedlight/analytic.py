@@ -104,30 +104,9 @@ class G2Approximation:
     value: float
     trusted: bool
     crossing_g: float
-    variant: str
 
     def __float__(self):
         return self.value
-
-
-def _jc_state(n, sign):
-    # Components over [(photon n, emitter ground), (photon n-1, emitter excited)].
-    return {(n, 0): 1.0 / sqrt(2.0), (n - 1, 1): sign / sqrt(2.0)}
-
-
-def _lowering_element(bra, ket):
-    # <bra| a |ket> over the component dictionaries.
-    total = 0.0
-    for (n, e), amp in ket.items():
-        if n >= 1 and (n - 1, e) in bra:
-            total += bra[(n - 1, e)] * amp * sqrt(n)
-    return total
-
-
-def _emission_element(bra, e_bra, ket, e_ket):
-    # Downward matrix element of the quadrature derivative (x0 = 1):
-    # -i (E_ket - E_bra) <bra| (-i a) |ket> = -(E_ket - E_bra) <bra|a|ket>.
-    return -(e_ket - e_bra) * _lowering_element(bra, ket)
 
 
 def tc_g2_approximation(g, temperature, omega0=1.0, refined=False):
@@ -155,33 +134,27 @@ def tc_g2_approximation(g, temperature, omega0=1.0, refined=False):
             * (omega0 - (r2 + 1.0) * g)
             + (3.0 - sqrt(8.0)) / 8.0 * (omega0 - (r2 + 1.0) * g) ** 2 * (omega0 + g) ** 2
         ) * exp(-beta * (2.0 * omega0 - r2 * g))
-        variant = "basic"
     else:
-        ground = {(0, 0): 1.0}
-        one = {s: _jc_state(1, s) for s in (-1.0, +1.0)}
-        two = {s: _jc_state(2, s) for s in (-1.0, +1.0)}
-        e_one = {s: omega0 + s * g for s in (-1.0, +1.0)}
-        e_two = {s: 2.0 * omega0 + s * r2 * g for s in (-1.0, +1.0)}
-
-        denominator = sum(
-            _emission_element(ground, 0.0, one[s], e_one[s]) ** 2
-            * exp(-beta * e_one[s])
-            for s in (-1.0, +1.0)
-        )
+        # Doublets |n, s> = (|n, g> + s |n-1, e>) / sqrt(2) at energies
+        # n omega0 + s sqrt(n) g; a has <0|a|1 s> = 1 / sqrt(2) and
+        # <1 s1|a|2 s2> = (sqrt(2) + s1 s2) / 2, and each emission
+        # element carries the transition frequency.
+        signs = (-1.0, +1.0)
+        e_one = {s: omega0 + s * g for s in signs}
+        e_two = {s: 2.0 * omega0 + s * r2 * g for s in signs}
+        denominator = sum(0.5 * e_one[s] ** 2 * exp(-beta * e_one[s])
+                          for s in signs)
         numerator = 0.0
-        for s2 in (-1.0, +1.0):
+        for s2 in signs:
             amplitude = sum(
-                _emission_element(ground, 0.0, one[s1], e_one[s1])
-                * _emission_element(one[s1], e_one[s1], two[s2], e_two[s2])
-                for s1 in (-1.0, +1.0)
+                e_one[s1] / r2 * (e_two[s2] - e_one[s1]) * (r2 + s1 * s2) / 2.0
+                for s1 in signs
             )
             numerator += amplitude**2 * exp(-beta * e_two[s2])
-        variant = "refined"
 
     crossing = omega0 / (1.0 + r2)
     return G2Approximation(
         value=float(numerator / denominator**2),
         trusted=bool(g < crossing),
         crossing_g=crossing,
-        variant=variant,
     )

@@ -498,7 +498,6 @@ def run_g2time(resolved):
         "g2_zero": float(result.zero_value),
         "g2_final": float(result.values[-1]),
         "t_max": tg["t_max"],
-        "max_imag": float(result.max_imag),
         "relaxation_gap": result.relaxation_gap,
         "stationary_residual": system.stationary.residual,
         "collision_count": system.collision_count,

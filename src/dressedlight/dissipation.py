@@ -8,12 +8,16 @@ map of the lowering operator L that bath_lowering lists for it
 one rate function times the summed weight sum_c |<m|A_c|n>|^2.  The
 emission/absorption rate at transition frequency w is
 
-    chi(w) = gamma(w) [n(w, T) + 1]    for w > 0,
-    chi(w) = gamma(-w) n(-w, T)        for w < 0,
-    chi(0) = gamma T / omega_ref       (Ohmic w -> 0 limit),
+    chi(w) = gamma(|w|) [n(|w|, T) + 1]  for w > 0,
+    chi(w) = gamma(|w|) n(|w|, T)        for w < 0,
 
-with gamma(w) = gamma w / omega_ref and n the Bose occupation, so that
-chi(-w) = exp(-w/T) chi(w).
+with gamma(w) = gamma w / omega_ref and n the Bose occupation.  Both
+branches are the one expression
+
+    chi(w) = (gamma T / omega_ref) x / (1 - exp(-x)),  x = w / T,
+
+whose w -> 0 limit is the Ohmic gamma T / omega_ref and which makes
+detailed balance chi(-w) = exp(-w/T) chi(w) an identity.
 """
 
 from __future__ import annotations
@@ -52,39 +56,25 @@ def spectral_density(bath, omega):
     return out if out.ndim else float(out)
 
 
-def _occupation_unchecked(w, temperature):
-    # Bose occupation for thermal_rate; w is a strictly positive array.
-    if temperature == 0:
-        return np.zeros_like(w)
-    x = w / temperature
-    out = np.zeros_like(w)
-    small = x < 700  # exp overflow guard; occupation is 0 beyond
-    out[small] = 1.0 / np.expm1(x[small])
-    return out
-
-
 def thermal_rate(omega, temperature, bath):
     """Emission/absorption rate chi(omega) of the bath, vectorized.
 
-    Entries with omega exactly 0 get the Ohmic zero-frequency limit
-    gamma * T / omega_ref.
+    chi = (gamma T / omega_ref) x / (1 - exp(-x)) with x = omega / T,
+    which is gamma T / omega_ref at omega = 0 and exactly 0 for
+    x <= -700; at T = 0 it is (gamma / omega_ref) max(omega, 0).
     """
     if temperature < 0:
         raise ValueError("temperature must be non-negative")
     w = np.asarray(omega, dtype=float)
-    scalar = w.ndim == 0
-    w = np.atleast_1d(w)
-    out = np.zeros_like(w)
-    pos = w > 0
-    neg = w < 0
-    if np.any(pos):
-        wp = w[pos]
-        out[pos] = spectral_density(bath, wp) * (_occupation_unchecked(wp, temperature) + 1.0)
-    if np.any(neg):
-        wn = -w[neg]
-        out[neg] = spectral_density(bath, wn) * _occupation_unchecked(wn, temperature)
-    out[w == 0] = bath.gamma * temperature / bath.omega_ref
-    return float(out[0]) if scalar else out.reshape(np.shape(omega))
+    if temperature == 0:
+        out = bath.gamma * np.maximum(w, 0.0) / bath.omega_ref
+    else:
+        x = w / temperature
+        out = np.divide(x, -np.expm1(-np.maximum(x, -700.0)),
+                        out=np.ones_like(x), where=x != 0)
+        out[x <= -700.0] = 0.0
+        out *= bath.gamma * temperature / bath.omega_ref
+    return out if out.ndim else float(out)
 
 
 @dataclass

@@ -138,41 +138,42 @@ class DiagonalPropagator:
 class RegressionEvolver:
     """Two-time expectation values through the quantum regression rule.
 
-    rho and observable are dense (D, D) arrays in the eigenbasis of the
-    rates.  The evolver precomputes everything needed to evaluate
-    Tr[observable * Phi_t(rho)] for a batch of times, where Phi_t
+    rho and observable are real dense (D, D) arrays in the eigenbasis of
+    the rates.  The evolver keeps what it needs to evaluate
+    Re Tr[observable * Phi_t(rho)] for a batch of times, where Phi_t
     propagates the diagonal of rho through the rate equation and each
-    off-diagonal element independently through its decay factor.
+    off-diagonal element (m, n) through exp(-(z_m + conj(z_n)) t).  For
+    real rho and observable the (m, n) and (n, m) terms sum to a real
+    coefficient times exp(-gamma t) cos(omega t), with
+    gamma = Re z_m + Re z_n and omega = Im z_m - Im z_n, so only the
+    pairs m < n are stored.
     """
 
     def __init__(self, rates, stationary, rho, observable):
-        rho = np.asarray(rho)
-        observable = np.asarray(observable)
-        self.propagator = DiagonalPropagator(rates.generator, stationary)
+        rho = np.asarray(rho, dtype=float)
+        observable = np.asarray(observable, dtype=float)
         self._obs_diag = np.diag(observable).copy()
         self._rho_diag = np.diag(rho).copy()
-        # Off-diagonal contribution sum_{m != n} obs[n, m] rho[m, n]
-        # exp(-(z_m + conj(z_n)) t), over the nonzero coefficients only.
         coeff = observable.T * rho
-        np.fill_diagonal(coeff, 0.0)
+        coeff += coeff.T
+        coeff = np.triu(coeff, 1)
         rows, cols = np.nonzero(coeff)
         self._coeff = coeff[rows, cols]
-        self._zsum = rates.z[rows] + np.conj(rates.z[cols])
+        del coeff  # freed before the propagator allocates its own D x D arrays
+        self._rate = rates.z.real[rows] + rates.z.real[cols]
+        self._omega = rates.z.imag[rows] - rates.z.imag[cols]
+        self.propagator = DiagonalPropagator(rates.generator, stationary)
 
     def curve(self, times):
-        """Expectation value at every time, as a complex array."""
+        """Expectation value at every time, as a float64 array."""
         times = np.asarray(times, dtype=float)
-        out = np.asarray(
-            self.propagator.weighted_curve(self._obs_diag, self._rho_diag, times),
-            dtype=complex,
-        )
-        if self._coeff.size:
-            # Chunk over times to bound the (times x pairs) temporary.
-            max_chunk = max(1, int(4e6 // max(1, self._coeff.size)))
-            for start in range(0, times.size, max_chunk):
-                sl = slice(start, start + max_chunk)
-                out[sl] += np.exp(
-                    -np.multiply.outer(times[sl], self._zsum)
-                ) @ self._coeff
+        out = self.propagator.weighted_curve(self._obs_diag, self._rho_diag,
+                                             times)
+        # Chunk over times to bound the (times x pairs) temporaries.
+        max_chunk = max(1, int(4e6 // max(1, self._coeff.size)))
+        for start in range(0, times.size, max_chunk):
+            t = times[start:start + max_chunk, None]
+            out[start:start + max_chunk] += (
+                np.exp(-t * self._rate) * np.cos(t * self._omega)
+            ) @ self._coeff
         return out
-

@@ -45,16 +45,13 @@ class SpectrumResult:
 
     Peaks are sorted by center; weights are |<m|Xdot|n>|^2 p_n, centers
     the bare transition frequencies E_n - E_m of the dressed levels, and
-    half_widths the summed real decay rates.  emission_total is the full
-    stationary emission rate sum, including peaks below the floor.
+    half_widths the summed real decay rates.
     """
 
     centers: np.ndarray
     half_widths: np.ndarray
     weights: np.ndarray
-    omega: np.ndarray
     values: np.ndarray
-    emission_total: float
 
 
 def _emission_pairs(rates, stat, xdot, weight_floor):
@@ -69,7 +66,7 @@ def _emission_pairs(rates, stat, xdot, weight_floor):
     centers = (z[cols] - z[rows]).imag
     half_widths = (z[rows] + z[cols]).real
     order = np.lexsort((cols, rows, centers))
-    return centers[order], half_widths[order], w[order], total
+    return centers[order], half_widths[order], w[order]
 
 
 def emission_spectrum(rates, stat, omega_grid, xdot, weight_floor=1e-12):
@@ -91,7 +88,7 @@ def emission_spectrum(rates, stat, omega_grid, xdot, weight_floor=1e-12):
     -------
     SpectrumResult
     """
-    centers, half_widths, weights, total = _emission_pairs(
+    centers, half_widths, weights = _emission_pairs(
         rates, stat, xdot, weight_floor
     )
     if centers.size and np.any(half_widths <= 0):
@@ -110,9 +107,7 @@ def emission_spectrum(rates, stat, omega_grid, xdot, weight_floor=1e-12):
         centers=centers,
         half_widths=half_widths,
         weights=weights,
-        omega=omega_grid,
         values=values,
-        emission_total=total,
     )
 
 
@@ -199,11 +194,8 @@ class G2Result:
     scale 1 / relaxation_gap.
     """
 
-    times: np.ndarray
     values: np.ndarray
     zero_value: float
-    denominator: float
-    max_imag: float
     relaxation_gap: float
 
 
@@ -211,24 +203,22 @@ def g2_time(rates, stat, t_grid, xdot):
     """Degree-two coherence g2(t) on a grid of delays.
 
     The conditional matrix Xdot- rho Xdot+ and the emission observable
-    Xdot+ Xdot- are passed to RegressionEvolver as dense (D, D) arrays;
-    it propagates the diagonal with the rate equation and every nonzero
-    off-diagonal term with its decay factor, then closes with the
-    observable.
+    Xdot+ Xdot- are passed to RegressionEvolver as real dense (D, D)
+    arrays; it propagates the diagonal with the rate equation and every
+    coherence pair with its decay factor, then closes with the
+    observable.  zero_value comes from g2_zero, which sums nonnegative
+    terms, rather than from the curve at t = 0, where the diagonal and
+    coherence terms cancel at antibunched points.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid < 0):
         raise ValueError("delays must be non-negative")
     denominator = _emission_rate(stat, xdot, DENOMINATOR_FLOOR)
-    rho_cond = (xdot * stat.populations[None, :]) @ xdot.T
-    observable = xdot.T @ xdot
-    evolver = RegressionEvolver(rates, stat, rho_cond, observable)
-    raw = evolver.curve(t_grid) / denominator**2
+    evolver = RegressionEvolver(rates, stat,
+                                (xdot * stat.populations[None, :]) @ xdot.T,
+                                xdot.T @ xdot)
     return G2Result(
-        times=t_grid,
-        values=raw.real,
+        values=evolver.curve(t_grid) / denominator**2,
         zero_value=g2_zero(stat, xdot),
-        denominator=denominator,
-        max_imag=float(np.max(np.abs(raw.imag))) if raw.size else 0.0,
         relaxation_gap=evolver.propagator.relaxation_gap,
     )

@@ -102,17 +102,27 @@ def diagonalize(h, delta_e):
         differ by at least delta_e; see EigenSystem for the fields.
     """
     h = np.asarray(h)
-    scale = np.linalg.norm(h)
-    if scale > 0 and np.linalg.norm(h - h.conj().T) > 1e-12 * scale:
+    # Both passes over D x D arrays go a block at a time, so neither
+    # allocates a D x D temporary.
+    step = max(1, 2**16 // max(1, h.shape[0]))
+    # ||h - h^H||_F^2, summed over row blocks.
+    skew = 0.0
+    for start in range(0, h.shape[0], step):
+        block = h[start:start + step] - h[:, start:start + step].conj().T
+        skew += np.vdot(block, block).real
+    if np.sqrt(skew) > 1e-12 * np.linalg.norm(h):
         raise ValueError("matrix is not Hermitian")
     energies, vectors = np.linalg.eigh(h)
     vectors = np.ascontiguousarray(vectors)
 
     # Fixed gauge: rotate the largest-magnitude component of each unit
-    # vector onto the positive real axis (first index wins on ties).
-    pivot = vectors[np.argmax(np.abs(vectors), axis=0),
-                    np.arange(energies.size)]
-    vectors *= np.conj(pivot) / np.abs(pivot)
+    # vector onto the positive real axis (first index wins on ties),
+    # over blocks of columns.
+    for start in range(0, energies.size, step):
+        block = vectors[:, start:start + step]
+        pivot = block[np.argmax(np.abs(block), axis=0),
+                      np.arange(block.shape[1])]
+        block *= np.conj(pivot) / np.abs(pivot)
 
     # Gap-based clustering of the sorted energies.
     group_index = np.concatenate(

@@ -120,8 +120,6 @@ def test_scaling_map():
 def test_approximation_metadata():
     basic = tc_g2_approximation(0.3, 0.1)
     refined = tc_g2_approximation(0.3, 0.1, refined=True)
-    assert basic.variant == "basic"
-    assert refined.variant == "refined"
     assert basic.crossing_g == pytest.approx(1.0 / (1.0 + np.sqrt(2.0)))
     assert refined.trusted
     assert not tc_g2_approximation(0.45, 0.1, refined=True).trusted

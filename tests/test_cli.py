@@ -338,7 +338,6 @@ def test_g2time_curve_relaxes_to_thermal(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert abs(float(rows[0]["g2"]) - summary["metrics"]["g2_zero"]) < 1e-12
     assert abs(summary["metrics"]["g2_final"] - 1.0) < 1e-3
-    assert summary["metrics"]["max_imag"] < 1e-8
     # g2(t) has relaxed: t_max is many times the slowest relaxation time
     assert summary["metrics"]["relaxation_gap"] * 5000.0 > 10.0
     assert 0 <= summary["metrics"]["stationary_residual"] < 1e-9

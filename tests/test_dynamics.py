@@ -1,5 +1,7 @@
 """Population relaxation, coherence decay, and regression evolution."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -44,7 +46,7 @@ def _propagate(system, p0, t):
 
 
 def _regression(system, rho, observable, times):
-    """Tr[observable Lambda_t(rho)] at every delay, as a complex array."""
+    """Re Tr[observable Lambda_t(rho)] at every delay, as a float64 array."""
     return RegressionEvolver(system.rates, system.stationary, rho,
                              observable).curve(np.asarray(times, dtype=float))
 
@@ -215,20 +217,21 @@ def test_offdiagonal_factor_decay_and_phase():
     system = solve_system(p)
     z = system.rates.z
     m, n = 1, 3
-    # a lone (m, n) element, read back through the (n, m) observable entry,
-    # evolves with its own decay factor exp(-(z_m + conj(z_n)) t)
-    rho = np.zeros((p.dim, p.dim), dtype=complex)
+    # a lone real (m, n) element, read back through the (n, m) observable
+    # entry, evolves with its own decay factor exp(-(z_m + conj(z_n)) t),
+    # whose real part is exp(-gamma t) cos(omega t)
+    rho = np.zeros((p.dim, p.dim))
     rho[m, n] = 1.0
     observable = np.zeros((p.dim, p.dim))
     observable[n, m] = 1.0
-    times = np.array([0.0, 0.7, 8.0])
+    times = np.array([0.0, 0.7, 8.0, 150.0])
     factors = _regression(system, rho, observable, times)
-    assert factors[0] == pytest.approx(1.0)
-    for t, factor in zip(times[1:], factors[1:]):
-        assert abs(factor) == pytest.approx(
-            np.exp(-(z[m].real + z[n].real) * t), rel=1e-12)
-        phase = np.exp(-1j * (z[m].imag - z[n].imag) * t)
-        assert factor / abs(factor) == pytest.approx(phase, rel=1e-12)
+    assert factors.dtype == np.float64
+    gamma = z[m].real + z[n].real
+    omega = z[m].imag - z[n].imag
+    np.testing.assert_allclose(
+        factors, np.exp(-gamma * times) * np.cos(omega * times),
+        rtol=1e-12, atol=1e-12)
     # the winding rate is the bare energy difference
     e = system.eig.energies
     assert z[m].imag - z[n].imag == pytest.approx(e[m] - e[n], abs=1e-14)
@@ -247,8 +250,7 @@ def test_regression_kernel_limits():
     assert at_zero == pytest.approx(np.trace(observable @ rho_c))
     # late times factorize into stationary expectation times total weight
     factorized = (np.diag(observable).real @ stat) * np.trace(rho_c).real
-    assert late.real == pytest.approx(factorized, rel=1e-6)
-    assert abs(late.imag) < 1e-10
+    assert late == pytest.approx(factorized, rel=1e-6)
 
 
 def test_regression_kernel_matches_brute_force():
@@ -294,6 +296,42 @@ def test_g2_time_matches_dense_expm_with_underflowing_weights(g_prime):
     got = system.g2_time(times).values
     np.testing.assert_allclose(got, _dense_g2_reference(system, times),
                                rtol=1e-9)
+
+
+def test_g2_time_is_real_across_time_chunks():
+    # 500 delays times the stored coherence pairs exceed the 4e6 elements
+    # RegressionEvolver.curve evaluates at once, so the curve is built in
+    # at least two chunks; sampled delays straddle the first boundary
+    system = solve_system(ModelParams(2, 0.5, 0.5, 0.07, n_max=40))
+    xdot = system.xdot
+    rho_c = (xdot * system.stationary.populations[None, :]) @ xdot.T
+    pairs = np.count_nonzero(np.triu(xdot.T @ xdot * rho_c, 1))
+    times = np.linspace(0.0, 500.0, 500)
+    chunk = int(4e6 // pairs)
+    assert chunk < times.size
+    values = system.g2_time(times).values
+    assert values.dtype == np.float64
+    sample = np.unique(np.r_[0:times.size:25, chunk - 1, chunk,
+                             times.size - 1])
+    np.testing.assert_allclose(
+        values[sample], _dense_g2_reference(system, times[sample]),
+        rtol=1e-12)
+
+
+def test_g2_time_allocates_few_dense_arrays():
+    # D = 404: the conditional matrix, the observable and their coherence
+    # coefficients never stand at once beside the propagator's arrays
+    system = solve_system(ModelParams(2, 0.5989, 0.5989, 0.0657, n_max=100))
+    dim = system.params.dim
+    assert dim == 404
+    times = np.linspace(0.0, 5000.0, 10)
+    tracemalloc.start()
+    try:
+        system.g2_time(times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * dim * dim * 8
 
 
 def test_zero_temperature_has_no_propagator():

@@ -1,5 +1,7 @@
 """Eigen decomposition, phase gauge, and transition-frequency collisions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from dense_ops import dense
@@ -49,6 +51,34 @@ def test_diagonalize_rejects_non_hermitian():
     h = np.array([[0.0, 1.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         diagonalize(h, 1e-9)
+    # the check runs over row blocks; a defect in the last block, paired
+    # with a column of the first, is caught at the same bound
+    big = np.eye(700)
+    big[699, 3] = 1e-9
+    with pytest.raises(ValueError, match="not Hermitian"):
+        diagonalize(big, 1e-9)
+
+
+def _traced_peak(fn):
+    """Peak bytes tracemalloc sees allocated during fn()."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_diagonalize_allocates_no_dense_temporary():
+    # the hermiticity check and the gauge fix go over blocks: beyond what
+    # eigh itself allocates, diagonalize holds less than a quarter of
+    # one D x D array
+    n = 1000
+    h = np.random.default_rng(5).standard_normal((n, n))
+    h += h.T
+    extra = (_traced_peak(lambda: diagonalize(h, 1e-9))
+             - _traced_peak(lambda: np.linalg.eigh(h)))
+    assert extra < 0.25 * n * n * 8
 
 
 def test_phase_gauge_largest_component_real_positive():
