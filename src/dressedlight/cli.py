@@ -43,6 +43,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -52,7 +53,7 @@ from .analytic import tc_g2_approximation
 from .model import ModelParams, build_hamiltonian
 from .observables import cluster_weights
 from .pipeline import solve_system
-from .qoptical import DEFAULT_QO_NMAX, qo_g2_zero
+from .qoptical import qo_g2_zero
 from .spectral import diagonalize, level_tolerance
 
 EXIT_OK = 0
@@ -63,6 +64,8 @@ OUTPUT_ENV_VAR = "DRESSEDLIGHT_OUTDIR"
 
 # relative weight below which spectrum peaks are left out of the summary
 PEAK_REPORT_FLOOR = 1e-6
+# Fock cutoff of the bare-operator solver when a qo-chart config sets none
+DEFAULT_QO_NMAX = 15
 
 
 class ConfigError(Exception):
@@ -394,7 +397,7 @@ def _g2_values(params, _resolved):
 
 
 def _qo_values(params, resolved):
-    return (float(qo_g2_zero(params, n_max=resolved["qo_n_max"])),)
+    return (float(qo_g2_zero(replace(params, n_max=resolved["qo_n_max"]))),)
 
 
 def _compare_values(params, _resolved):

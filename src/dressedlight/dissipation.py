@@ -26,6 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# exp(-x) counts as exactly 0 from x = EXP_UNDERFLOW on (subnormal at 708)
+EXP_UNDERFLOW = 700.0
+
 
 @dataclass(frozen=True)
 class Bath:
@@ -61,7 +64,7 @@ def thermal_rate(omega, temperature, bath):
 
     chi = (gamma T / omega_ref) x / (1 - exp(-x)) with x = omega / T,
     which is gamma T / omega_ref at omega = 0 and exactly 0 for
-    x <= -700; at T = 0 it is (gamma / omega_ref) max(omega, 0).
+    x <= -EXP_UNDERFLOW; at T = 0 it is (gamma / omega_ref) max(omega, 0).
     """
     if temperature < 0:
         raise ValueError("temperature must be non-negative")
@@ -70,9 +73,9 @@ def thermal_rate(omega, temperature, bath):
         out = bath.gamma * np.maximum(w, 0.0) / bath.omega_ref
     else:
         x = w / temperature
-        out = np.divide(x, -np.expm1(-np.maximum(x, -700.0)),
+        out = np.divide(x, -np.expm1(-np.maximum(x, -EXP_UNDERFLOW)),
                         out=np.ones_like(x), where=x != 0)
-        out[x <= -700.0] = 0.0
+        out[x <= -EXP_UNDERFLOW] = 0.0
         out *= bath.gamma * temperature / bath.omega_ref
     return out if out.ndim else float(out)
 

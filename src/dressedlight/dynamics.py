@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .dissipation import EXP_UNDERFLOW
+
 # Allowed detailed-balance violation max|G_nk p_k - G_kn p_n|, relative to
 # max|G_nk p_k|.  Rates use group energies and weights level energies, so
 # levels merged within the clustering tolerance delta_e break the balance
@@ -62,7 +64,7 @@ def stationary_state(eig, rates):
     else:
         shifted = (energies - energies[0]) / rates.temperature
         p = np.zeros(energies.size)
-        keep = shifted < 700
+        keep = shifted < EXP_UNDERFLOW
         p[keep] = np.exp(-shifted[keep])
         p /= p.sum()
     residual = float(np.max(np.abs(rates.generator @ p)))
@@ -98,9 +100,15 @@ class DiagonalPropagator:
             )
         g = np.asarray(generator, dtype=float)
         p = stationary.populations
-        flux = g * p[None, :]
-        violation = np.abs(flux - flux.T).max()
-        if violation > BALANCE_TOL * np.abs(flux).max():
+        # over row blocks of 2^16 elements: no D x D temporary
+        violation = scale = 0.0
+        step = max(1, 2**16 // p.size)
+        for start in range(0, p.size, step):
+            flux = g[start:start + step] * p
+            back = g[:, start:start + step].T * p[start:start + step, None]
+            violation = max(violation, np.abs(flux - back).max())
+            scale = max(scale, np.abs(flux).max())
+        if violation > BALANCE_TOL * scale:
             raise ValueError(
                 f"generator violates detailed balance by {violation:.3e}"
             )

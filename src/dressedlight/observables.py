@@ -16,8 +16,15 @@ import numpy as np
 
 from .dissipation import spectral_density
 from .dynamics import RegressionEvolver
+from .spectral import gap_clusters
 
 DENOMINATOR_FLOOR = 1e-30
+# Peaks below this fraction of the total weight are dropped from spectra.
+WEIGHT_FLOOR = 1e-12
+# Peak centers closer than this (absolute) are one frequency: split peaks
+# of one level pair sit up to twice a degenerate group's span apart, and a
+# group is a chain of gaps below delta_e = 1e-9 omega0.
+PEAK_CLUSTER_TOL = 1e-8
 
 
 class DarkStateError(ValueError):
@@ -54,13 +61,13 @@ class SpectrumResult:
     values: np.ndarray
 
 
-def _emission_pairs(rates, stat, xdot, weight_floor):
+def _emission_pairs(rates, stat, xdot):
     weights_full = np.abs(xdot) ** 2 * stat.populations[None, :]
     rows, cols = np.nonzero(weights_full)
     w = weights_full[rows, cols]
     total = float(w.sum())
-    if total > 0 and weight_floor > 0:
-        keep = w >= weight_floor * total
+    if total > 0:
+        keep = w >= WEIGHT_FLOOR * total
         rows, cols, w = rows[keep], cols[keep], w[keep]
     z = rates.z
     centers = (z[cols] - z[rows]).imag
@@ -69,7 +76,7 @@ def _emission_pairs(rates, stat, xdot, weight_floor):
     return centers[order], half_widths[order], w[order]
 
 
-def emission_spectrum(rates, stat, omega_grid, xdot, weight_floor=1e-12):
+def emission_spectrum(rates, stat, omega_grid, xdot):
     """Stationary emission spectrum sampled on a frequency grid.
 
     Parameters
@@ -79,18 +86,14 @@ def emission_spectrum(rates, stat, omega_grid, xdot, weight_floor=1e-12):
     omega_grid : array_like
         Frequencies at which to sample the curve.
     xdot : (D, D) float64 array
-        Emission operator from emission_operator().
-    weight_floor : float
-        Peaks below this fraction of the total weight are dropped from
-        the stored peak list (the curve and sum rule use the kept ones).
+        Emission operator from emission_operator().  Peaks below
+        WEIGHT_FLOOR of the total weight are dropped.
 
     Returns
     -------
     SpectrumResult
     """
-    centers, half_widths, weights = _emission_pairs(
-        rates, stat, xdot, weight_floor
-    )
+    centers, half_widths, weights = _emission_pairs(rates, stat, xdot)
     if centers.size and np.any(half_widths <= 0):
         raise ValueError("non-positive linewidth; all decay rates must be > 0")
 
@@ -111,17 +114,17 @@ def emission_spectrum(rates, stat, omega_grid, xdot, weight_floor=1e-12):
     )
 
 
-def spectrum_sum_rule(spectrum, core_halfwidths=40.0, tail_halfwidths=4000.0):
+def spectrum_sum_rule(spectrum):
     """Numerical integral of the spectrum over the bath density.
 
     Integrates the bare Lorentzian sum on a peak-adapted grid (dense
-    core plus logarithmic tails per peak); equals the total stationary
-    emission up to integration and tail error.
+    core to 40 and logarithmic tails to 4000 half-widths of each peak);
+    equals the total stationary emission up to integration and tail error.
     """
     points = [np.array([0.0])]
     for c, hw in zip(spectrum.centers, spectrum.half_widths):
-        core = c + hw * np.linspace(-core_halfwidths, core_halfwidths, 1601)
-        tail = hw * np.geomspace(core_halfwidths, tail_halfwidths, 240)
+        core = c + hw * np.linspace(-40.0, 40.0, 1601)
+        tail = hw * np.geomspace(40.0, 4000.0, 240)
         points.extend((core, c + tail, c - tail))
     grid = np.unique(np.concatenate(points))
     dist = grid[:, None] - spectrum.centers[None, :]
@@ -133,28 +136,17 @@ def spectrum_sum_rule(spectrum, core_halfwidths=40.0, tail_halfwidths=4000.0):
     return float(np.trapezoid(dens, grid))
 
 
-def cluster_weights(spectrum, tol=1e-8):
+def cluster_weights(spectrum):
     """Peak weights summed over coincident centers, sorted ascending.
 
     Transitions that share a frequency split their weight between peaks
     in an eigenvector-gauge dependent way; only the per-center sum is
-    well defined.  Returns (centers, weights) with one entry per
-    frequency cluster.
+    well defined.  Centers closer than PEAK_CLUSTER_TOL (gap_clusters)
+    are one frequency.  Returns (centers, weights) with one entry per
+    cluster: the mean center and the summed weight.
     """
-    if spectrum.centers.size == 0:
-        return np.array([]), np.array([])
-    order = np.argsort(spectrum.centers)
-    centers = spectrum.centers[order]
-    weights = spectrum.weights[order]
-    merged_c = []
-    merged_w = []
-    start = 0
-    for i in range(1, centers.size + 1):
-        if i == centers.size or centers[i] - centers[start] > tol:
-            merged_c.append(centers[start:i].mean())
-            merged_w.append(weights[start:i].sum())
-            start = i
-    return np.asarray(merged_c), np.asarray(merged_w)
+    index, centers = gap_clusters(spectrum.centers, PEAK_CLUSTER_TOL)
+    return centers, np.bincount(index, weights=spectrum.weights)
 
 
 def _emission_rate(stat, xdot, floor=None):

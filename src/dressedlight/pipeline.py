@@ -43,9 +43,9 @@ class SolvedSystem:
             self.rates, self.stationary, t_grid, self.xdot
         )
 
-    def spectrum(self, omega_grid, weight_floor=1e-12):
+    def spectrum(self, omega_grid):
         return observables.emission_spectrum(
-            self.rates, self.stationary, omega_grid, self.xdot, weight_floor
+            self.rates, self.stationary, omega_grid, self.xdot
         )
 
 

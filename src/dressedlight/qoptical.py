@@ -20,7 +20,7 @@ population equation, and the two must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,10 +28,9 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from .dissipation import Bath, bath_lowering, thermal_rate
-from .model import ModelParams, build_hamiltonian, build_operators
-from .observables import DENOMINATOR_FLOOR
+from .model import build_hamiltonian, build_operators
+from .observables import DENOMINATOR_FLOOR, DarkStateError
 
-DEFAULT_QO_NMAX = 15
 MAX_QO_DIM = 128
 # Iterative-refinement sweeps after the sparse LU solve of the stationary
 # state.
@@ -40,12 +39,6 @@ REFINE_SWEEPS = 2
 
 class DegenerateSteadyStateError(RuntimeError):
     """The generator has more than one stationary state."""
-
-
-def _qo_params(params, n_max):
-    if n_max is None:
-        n_max = min(params.n_max, DEFAULT_QO_NMAX)
-    return replace(params, n_max=n_max)
 
 
 def _csr(lower, dim):
@@ -65,9 +58,8 @@ def _dissipator(op_sparse):
     )
 
 
-def qo_liouvillian(params, n_max=None):
-    """Sparse vectorized generator; returns (liouvillian, ops)."""
-    params = _qo_params(params, n_max)
+def qo_liouvillian(params):
+    """Sparse vectorized generator (CSR); ValueError above MAX_QO_DIM."""
     if params.dim > MAX_QO_DIM:
         raise ValueError(
             f"dimension {params.dim} too large for the comparison solver "
@@ -88,7 +80,7 @@ def qo_liouvillian(params, n_max=None):
         liouv = liouv + rate_down * _dissipator(lower)
         if rate_up > 0:
             liouv = liouv + rate_up * _dissipator(lower.T)
-    return liouv.tocsr(), ops
+    return liouv.tocsr()
 
 
 def _trace_block(liouv, dim):
@@ -180,12 +172,11 @@ class QoStationary:
     """Stationary state of the comparison generator."""
 
     rho: np.ndarray
-    params: ModelParams
     residual: float
     min_eigenvalue: float
 
 
-def qo_stationary_state(params, n_max=None):
+def qo_stationary_state(params):
     """Stationary density matrix of the bare-operator master equation.
 
     Solves the null-space problem directly with a trace constraint on
@@ -201,9 +192,8 @@ def qo_stationary_state(params, n_max=None):
     """
     if params.temperature <= 0:
         raise ValueError("the comparison solver needs temperature > 0")
-    liouv, ops = qo_liouvillian(params, n_max)
-    dim = ops.params.dim
-    rho = _solve_with_trace_row(liouv, dim, 0)
+    liouv = qo_liouvillian(params)
+    rho = _solve_with_trace_row(liouv, params.dim, 0)
     residual = float(np.max(np.abs(liouv @ rho.reshape(-1, order="F"))))
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
@@ -212,24 +202,23 @@ def qo_stationary_state(params, n_max=None):
         raise RuntimeError(f"stationary state not positive: min eig {eigs.min():.3e}")
     return QoStationary(
         rho=rho,
-        params=_qo_params(params, n_max),
         residual=residual,
         min_eigenvalue=float(eigs.min()),
     )
 
 
-def qo_g2_zero(params, n_max=None):
+def qo_g2_zero(params):
     """Equal-time degree-two coherence in the comparison stationary state.
 
-    This is the photon-number statistic <a+ a+ a a> / <a+ a>^2.
+    This is the photon-number statistic <a+ a+ a a> / <a+ a>^2; a
+    stationary <a+ a> below DENOMINATOR_FLOOR raises DarkStateError.
     """
-    stationary = qo_stationary_state(params, n_max)
-    rho = stationary.rho
-    qp = stationary.params
-    lower = _csr(build_operators(qp).a, qp.dim)
+    rho = qo_stationary_state(params).rho
+    lower = _csr(build_operators(params).a, params.dim)
     raise_op = lower.T
     denominator = float(np.trace(rho @ raise_op @ lower).real)
     if denominator < DENOMINATOR_FLOOR:
-        raise ValueError(f"stationary emission {denominator:.3e} below floor")
+        raise DarkStateError(
+            f"stationary emission {denominator:.3e} below floor")
     numerator = float(np.trace(rho @ raise_op @ raise_op @ lower @ lower).real)
     return numerator / denominator**2

@@ -24,6 +24,17 @@ def level_tolerance(omega0):
     return 1e-9 * omega0
 
 
+def gap_clusters(values, tol):
+    """Split ascending values wherever the gap to the next one is >= tol.
+
+    Returns (index, means): index[k] is the cluster of values[k], counted
+    from 0 upward, and means[c] is the mean of the members of cluster c.
+    """
+    index = np.zeros(values.size, dtype=int)
+    index[1:] = np.cumsum(np.diff(values) >= tol)
+    return index, np.bincount(index, weights=values) / np.bincount(index)
+
+
 @dataclass
 class EigenSystem:
     """Sorted eigensystem with degenerate levels clustered.
@@ -67,16 +78,13 @@ class EigenSystem:
         pairs (a, a) and collides only beyond them.
         """
         ge = self.group_energy
-        sorted_omega = np.sort((ge[None, :] - ge[:, None]).ravel())
-        starts = np.flatnonzero(
-            np.diff(sorted_omega, prepend=-np.inf) >= self.delta_e)
-        sizes = np.diff(np.append(starts, sorted_omega.size))
-        omegas = np.add.reduceat(sorted_omega, starts) / sizes
+        index, omegas = gap_clusters(
+            np.sort((ge[None, :] - ge[:, None]).ravel()), self.delta_e)
+        sizes = np.bincount(index)
         collides = (sizes > 1) & (omegas > 0)
-        if omegas.size:
-            zero = int(np.argmin(np.abs(omegas)))
-            omegas[zero] = 0.0
-            collides[zero] = sizes[zero] > ge.size
+        zero = int(np.argmin(np.abs(omegas)))
+        omegas[zero] = 0.0
+        collides[zero] = sizes[zero] > ge.size
         return omegas[collides]
 
 
@@ -124,12 +132,7 @@ def diagonalize(h, delta_e):
                       np.arange(block.shape[1])]
         block *= np.conj(pivot) / np.abs(pivot)
 
-    # Gap-based clustering of the sorted energies.
-    group_index = np.concatenate(
-        ([0], np.cumsum(np.diff(energies) >= delta_e)))
-    group_energy = (np.bincount(group_index, weights=energies)
-                    / np.bincount(group_index))
-
+    group_index, group_energy = gap_clusters(energies, delta_e)
     return EigenSystem(
         energies=energies,
         vectors=vectors,

@@ -197,6 +197,18 @@ def test_generator_without_detailed_balance_rejected():
                            temperature=0.5, residual=0.0)
     with pytest.raises(ValueError, match="detailed balance"):
         DiagonalPropagator(gen, stat)
+    # balanced on 300 levels but for one rate, from the last row block of
+    # the blocked check into its first column block
+    n = 300
+    rng = np.random.default_rng(3)
+    p = _random_distribution(rng, n)
+    s = rng.random((n, n))
+    gen = (s + s.T) * np.sqrt(p[:, None] / p[None, :])
+    stat = StationaryState(populations=p, temperature=0.5, residual=0.0)
+    DiagonalPropagator(gen, stat)
+    gen[n - 1, 0] *= 1.5
+    with pytest.raises(ValueError, match="detailed balance"):
+        DiagonalPropagator(gen, stat)
 
 
 def test_weighted_curve_matches_pointwise_propagation():
@@ -318,10 +330,16 @@ def test_g2_time_is_real_across_time_chunks():
         rtol=1e-12)
 
 
-def test_g2_time_allocates_few_dense_arrays():
+@pytest.fixture(scope="module")
+def g2time_point():
+    """The D = 404 solve of the g2time-dicke-n2 benchmark at seed 0."""
+    return solve_system(ModelParams(2, 0.5989, 0.5989, 0.0657, n_max=100))
+
+
+def test_g2_time_allocates_few_dense_arrays(g2time_point):
     # D = 404: the conditional matrix, the observable and their coherence
     # coefficients never stand at once beside the propagator's arrays
-    system = solve_system(ModelParams(2, 0.5989, 0.5989, 0.0657, n_max=100))
+    system = g2time_point
     dim = system.params.dim
     assert dim == 404
     times = np.linspace(0.0, 5000.0, 10)
@@ -332,6 +350,21 @@ def test_g2_time_allocates_few_dense_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 8 * dim * dim * 8
+
+
+def test_propagator_build_stays_below_two_dense_arrays(g2time_point):
+    # the detailed-balance check runs over row blocks, and only the 182
+    # populated levels of 404 enter the symmetric eigh
+    system = g2time_point
+    dim = system.params.dim
+    tracemalloc.start()
+    try:
+        DiagonalPropagator(system.rates.generator, system.stationary)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.count_nonzero(system.stationary.populations) == 182
+    assert peak < 2 * dim * dim * 8
 
 
 def test_zero_temperature_has_no_propagator():

@@ -7,6 +7,7 @@ from dense_ops import dense
 from dressedlight import (
     DarkStateError,
     ModelParams,
+    SpectrumResult,
     build_operators,
     cluster_weights,
     emission_operator,
@@ -224,10 +225,26 @@ def test_g2_time_initial_slope_sign():
 def test_spectrum_weight_floor_drops_tiny_peaks():
     p = ModelParams(1, 0.3, 0.3, 0.1, n_max=20)
     system = solve_system(p)
-    omega = np.linspace(0.0, 3.0, 50)
-    spec_all = system.spectrum(omega, weight_floor=0.0)
-    spec_cut = system.spectrum(omega, weight_floor=1e-3)
-    assert spec_cut.centers.size < spec_all.centers.size
-    # the dropped weight is bounded by the floor times the peak count
-    lost = spec_all.weights.sum() - spec_cut.weights.sum()
-    assert lost <= 1e-3 * spec_all.weights.sum() * spec_all.weights.size
+    spec = system.spectrum(np.linspace(0.0, 3.0, 50))
+    # every nonzero |<m|Xdot|n>|^2 p_n is a candidate peak
+    candidates = np.abs(system.xdot) ** 2 * system.stationary.populations
+    total = candidates[candidates != 0].sum()
+    dropped = np.count_nonzero(candidates) - spec.weights.size
+    assert dropped > 0
+    assert spec.weights.min() >= 1e-12 * total
+    # the dropped weight is bounded by the floor times the dropped count
+    assert abs(system.integrated_emission() - spec.weights.sum()) \
+        <= 1e-12 * total * dropped
+
+
+def test_cluster_weights_merges_close_centers():
+    # gaps below PEAK_CLUSTER_TOL = 1e-8 merge and gaps of 2e-8 split; a
+    # chain of 5e-9 gaps is one cluster although it spans 1.5e-8
+    centers = 1.0 + np.array([0.0, 5e-9, 1e-8, 1.5e-8, 3.5e-8, 1.0])
+    weights = np.array([0.25, 0.5, 0.125, 0.0625, 1.0, 2.0])
+    spec = SpectrumResult(centers=centers, half_widths=np.ones(6),
+                          weights=weights, values=np.array([]))
+    merged_c, merged_w = cluster_weights(spec)
+    assert merged_c.tolist() == [np.mean(centers[:4]), centers[4], 2.0]
+    assert merged_w.tolist() == [0.9375, 1.0, 2.0]
+    assert merged_w.sum() == weights.sum()

@@ -129,58 +129,20 @@ def test_group_energy_is_member_mean():
 
 
 def test_to_eigenbasis_matches_direct_projection():
-    p = ModelParams(1, 0.3, 0.1, 0.1, n_max=4)
-    ops = build_operators(p)
-    eig = diagonalize(build_hamiltonian(p), 1e-9)
-    v = eig.vectors
-    for lower in bath_lowering(ops):
-        np.testing.assert_allclose(eig.to_eigenbasis(lower),
-                                   v.T @ dense(lower, p.dim) @ v, atol=1e-13)
-    x = _quadrature(ops)
-    s = -1j * group_transitions(eig, bath_lowering(ops)[0])
-    np.testing.assert_allclose(s, v.conj().T @ x @ v, atol=1e-13)
-    # Hermitian operators stay Hermitian in the new basis
-    np.testing.assert_allclose(s, s.conj().T, atol=1e-13)
-
-
-def test_transition_frequencies_and_zero_group():
-    p = ModelParams(1, 0.3, 0.0, 0.1, n_max=4)
-    eig = diagonalize(build_hamiltonian(p), 1e-9)
-    grp = _loop_grouping(eig, 1e-9)
-    # the pinned zero-frequency group sits exactly at 0
-    assert grp["omegas"][grp["zero_group"]] == 0.0
-    # every group frequency is realized by its member pairs
-    for k, (b, e) in enumerate(zip(grp["starts"], grp["stops"])):
-        for a, c in zip(grp["pair_a"][b:e], grp["pair_b"][b:e]):
-            omega_ac = eig.group_energy[c] - eig.group_energy[a]
-            assert abs(omega_ac - grp["omegas"][k]) < 1e-8
-    # frequencies come out sorted and unique at this coupling
-    assert np.all(np.diff(grp["omegas"]) > 0)
-    assert eig.collision_omegas().size == 0
-
-
-def test_reconstruct_roundtrip():
-    # the frequency groups split every operator into disjoint components
-    # that add up to it, so rates evaluated per group energy pair cover
-    # every matrix element exactly once
-    p = ModelParams(2, 0.4, 0.2, 0.1, n_max=3)
-    ops = build_operators(p)
-    eig = diagonalize(build_hamiltonian(p), 1e-9)
-    s = -1j * group_transitions(eig, bath_lowering(ops)[0])
-    grp = _loop_grouping(eig, 1e-9)
-    members = [np.flatnonzero(eig.group_index == a)
-               for a in range(eig.group_energy.size)]
-    covered = np.zeros(s.shape, dtype=int)
-    total = np.zeros_like(s)
-    for b, e in zip(grp["starts"], grp["stops"]):
-        component = np.zeros_like(s)
-        for a, c in zip(grp["pair_a"][b:e], grp["pair_b"][b:e]):
-            block = np.ix_(members[a], members[c])
-            component[block] = s[block]
-            covered[block] += 1
-        total += component
-    np.testing.assert_array_equal(covered, 1)
-    np.testing.assert_allclose(total, s, atol=1e-13)
+    for p in (ModelParams(1, 0.3, 0.1, 0.1, n_max=4),
+              ModelParams(1, 0.25, 0.25, 0.15, n_max=4)):
+        ops = build_operators(p)
+        eig = diagonalize(build_hamiltonian(p), 1e-9)
+        v = eig.vectors
+        for lower in bath_lowering(ops):
+            np.testing.assert_allclose(eig.to_eigenbasis(lower),
+                                       v.T @ dense(lower, p.dim) @ v,
+                                       atol=1e-13)
+        x = _quadrature(ops)
+        s = -1j * group_transitions(eig, bath_lowering(ops)[0])
+        np.testing.assert_allclose(s, v.conj().T @ x @ v, atol=1e-14)
+        # Hermitian operators stay Hermitian in the new basis
+        np.testing.assert_allclose(s, s.conj().T, atol=1e-13)
 
 
 def test_harmonic_ladder_collisions_flagged():
@@ -192,57 +154,41 @@ def test_harmonic_ladder_collisions_flagged():
     assert 1.0 in np.round(collisions, 12)
 
 
-def test_squared_elements_match():
-    p = ModelParams(1, 0.25, 0.25, 0.15, n_max=4)
-    ops = build_operators(p)
-    eig = diagonalize(build_hamiltonian(p), 1e-9)
-    x = _quadrature(ops)
-    np.testing.assert_allclose(
-        -1j * group_transitions(eig, bath_lowering(ops)[0]),
-        eig.vectors.T @ x @ eig.vectors, atol=1e-14)
-
-
-def _loop_grouping(eig, delta_omega):
-    """Reference grouping: one mean per group and a loop over collisions."""
+def _loop_collisions(eig, delta_omega):
+    """Reference collisions: one mean per frequency group, found by a loop."""
     ge = eig.group_energy
-    n_grp = ge.size
-    pair_omega = (ge[None, :] - ge[:, None]).ravel()
-    order = np.argsort(pair_omega, kind="stable")
-    sorted_omega = pair_omega[order]
+    sorted_omega = np.sort((ge[None, :] - ge[:, None]).ravel())
     breaks = np.nonzero(np.diff(sorted_omega) >= delta_omega)[0]
     starts = np.concatenate(([0], breaks + 1))
     stops = np.concatenate((breaks + 1, [sorted_omega.size]))
     omegas = np.array([sorted_omega[b:e].mean() for b, e in zip(starts, stops)])
     zero_group = int(np.argmin(np.abs(omegas)))
-    omegas[zero_group] = 0.0
     collisions = []
     for k, (b, e) in enumerate(zip(starts, stops)):
         size = e - b
         if k == zero_group:
-            if size > n_grp:
+            if size > ge.size:
                 collisions.append(0.0)
         elif size > 1 and omegas[k] > 0:
             collisions.append(omegas[k])
-    return dict(omegas=omegas, pair_a=order // n_grp, pair_b=order % n_grp,
-                starts=starts, stops=stops, zero_group=zero_group,
-                collision_omegas=np.asarray(collisions))
+    return np.asarray(collisions)
 
 
-@pytest.mark.parametrize("params", [
-    ModelParams(2, 0.4, 0.4, 0.1, n_max=6),  # Dicke limit, g' = g
-    ModelParams(2, 0.3, 0.0, 0.1, n_max=6),  # TC limit: degenerate levels
-    ModelParams(1, 0.0, 0.0, 0.1, n_max=5),  # harmonic ladder, collisions
-], ids=["dicke-n2", "tc-n2-degenerate", "harmonic-ladder"])
-def test_vectorized_grouping_matches_loop_reference(params):
+@pytest.mark.parametrize("params, n_collisions", [
+    (ModelParams(2, 0.4, 0.4, 0.1, n_max=6), 5),  # Dicke limit, g' = g
+    (ModelParams(2, 0.3, 0.0, 0.1, n_max=6), 46),  # TC: degenerate levels
+    (ModelParams(1, 0.0, 0.0, 0.1, n_max=5), 5),  # harmonic ladder
+    (ModelParams(1, 0.3, 0.0, 0.1, n_max=4), 0),  # JC ladder: none
+], ids=["dicke-n2", "tc-n2-degenerate", "harmonic-ladder", "jc-n1"])
+def test_vectorized_grouping_matches_loop_reference(params, n_collisions):
     eig = diagonalize(build_hamiltonian(params), 1e-9)
     collisions = eig.collision_omegas()
-    ref = _loop_grouping(eig, 1e-9)
-    assert collisions.size == ref["collision_omegas"].size
-    np.testing.assert_allclose(collisions, ref["collision_omegas"],
+    assert collisions.size == n_collisions
+    np.testing.assert_allclose(collisions, _loop_collisions(eig, 1e-9),
                                rtol=1e-12, atol=0)
 
 
-def test_channel_sets_share_one_grouping(monkeypatch):
+def test_couplings_share_one_grouping(monkeypatch):
     # the secular grouping lives in the one eigensystem: collisions are
     # counted once per solve, and every coupling is projected onto the same
     # eigenbasis whose group energies the rate table reads
