@@ -10,7 +10,6 @@ from .analytic import (
     tc_g2_approximation,
 )
 from .dissipation import (
-    Bath,
     RateTable,
     bath_lowering,
     build_rate_table,

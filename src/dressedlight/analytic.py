@@ -15,33 +15,33 @@ from math import exp, sqrt
 import numpy as np
 
 
-def jc_energies(n, g, omega0=1.0):
+def jc_energies(n, g):
     """Single-emitter doublet in the n-excitation sector, as (lower, upper).
 
-    The sector splits to n omega0 -/+ sqrt(n) g; the uncoupled ground
-    state completes the ladder at 0.
+    The sector splits to n -/+ sqrt(n) g; the uncoupled ground state
+    completes the ladder at 0.
     """
     if n < 1:
         raise ValueError("sector index must be >= 1")
     split = sqrt(n) * g
-    return (n * omega0 - split, n * omega0 + split)
+    return (n - split, n + split)
 
 
-def jc_ladder(max_sector, g, omega0=1.0):
+def jc_ladder(max_sector, g):
     """All single-emitter levels through the given sector, ascending."""
     levels = [0.0]
     for n in range(1, max_sector + 1):
-        levels.extend(jc_energies(n, g, omega0))
+        levels.extend(jc_energies(n, g))
     return np.sort(np.asarray(levels))
 
 
-def tc_energies_n2(n, g, omega0=1.0):
+def tc_energies_n2(n, g):
     """Two-emitter sector energies without counter-rotating terms, sorted.
 
     Sector n holds one state (n = 0), three (n = 1) or four (n >= 2).
     The antisymmetric emitter combination decouples and contributes the
-    coupling-independent value n omega0 for n >= 1, degenerate for
-    n >= 2 with the middle symmetric level.
+    coupling-independent value n for n >= 1, degenerate for n >= 2 with
+    the middle symmetric level.
     """
     if n < 0:
         raise ValueError("sector index must be >= 0")
@@ -49,33 +49,31 @@ def tc_energies_n2(n, g, omega0=1.0):
         return np.array([0.0])
     if n == 1:
         split = sqrt(2.0) * g
-        return np.sort(np.array([omega0 - split, omega0, omega0 + split]))
+        return np.sort(np.array([1.0 - split, 1.0, 1.0 + split]))
     split = sqrt(2.0) * sqrt(2.0 * n - 1.0) * g
-    return np.sort(
-        np.array([n * omega0 - split, n * omega0, n * omega0, n * omega0 + split])
-    )
+    return np.sort(np.array([n - split, float(n), float(n), n + split]))
 
 
-def scaling_energies(n_emitters, g, omega0=1.0):
+def scaling_energies(n_emitters, g):
     """Lowest two excited multiplets of the symmetric sector.
 
-    Returns (first, second): the one-excitation pair omega0 -/+ sqrt(N) g
-    and the two-excitation set, which is a pair 2 omega0 -/+ sqrt(2) g
-    for a single emitter and the triple {2 omega0, 2 omega0 -/+
-    sqrt(2) sqrt(2N-1) g} otherwise.  The triple diagonalizes the
-    tridiagonal symmetric-sector block with couplings sqrt(2N) g and
-    sqrt(2(N-1)) g, so both splittings grow like sqrt(N) g.
+    Returns (first, second): the one-excitation pair 1 -/+ sqrt(N) g and
+    the two-excitation set, which is a pair 2 -/+ sqrt(2) g for a single
+    emitter and the triple {2, 2 -/+ sqrt(2) sqrt(2N-1) g} otherwise.
+    The triple diagonalizes the tridiagonal symmetric-sector block with
+    couplings sqrt(2N) g and sqrt(2(N-1)) g, so both splittings grow
+    like sqrt(N) g.
     """
     if n_emitters < 1:
         raise ValueError("n_emitters must be >= 1")
     s1 = sqrt(n_emitters) * g
-    first = np.array([omega0 - s1, omega0 + s1])
+    first = np.array([1.0 - s1, 1.0 + s1])
     if n_emitters == 1:
         s2 = sqrt(2.0) * g
-        second = np.array([2 * omega0 - s2, 2 * omega0 + s2])
+        second = np.array([2.0 - s2, 2.0 + s2])
     else:
         s2 = sqrt(2.0) * sqrt(2.0 * n_emitters - 1.0) * g
-        second = np.array([2 * omega0 - s2, 2 * omega0, 2 * omega0 + s2])
+        second = np.array([2.0 - s2, 2.0, 2.0 + s2])
     return first, np.sort(second)
 
 
@@ -109,13 +107,13 @@ class G2Approximation:
         return self.value
 
 
-def tc_g2_approximation(g, temperature, omega0=1.0, refined=False):
+def tc_g2_approximation(g, temperature, refined=False):
     """Low-temperature estimate of g2(0) for one emitter, rotating coupling.
 
     The basic variant keeps the lowest decay sequence through each of
     the first two sectors; the refined variant adds the sequences
     through the upper one- and two-excitation levels.  Valid well below
-    the crossing coupling omega0 / (1 + sqrt(2)).
+    the crossing coupling 1 / (1 + sqrt(2)).
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
@@ -125,23 +123,23 @@ def tc_g2_approximation(g, temperature, omega0=1.0, refined=False):
     r2 = sqrt(2.0)
 
     if not refined:
-        denominator = 0.5 * (omega0 - g) ** 2 * exp(-beta * (omega0 - g))
+        denominator = 0.5 * (1.0 - g) ** 2 * exp(-beta * (1.0 - g))
         numerator = (
-            (3.0 + sqrt(8.0)) / 8.0 * (omega0 - (r2 - 1.0) * g) ** 2 * (omega0 - g) ** 2
+            (3.0 + sqrt(8.0)) / 8.0 * (1.0 - (r2 - 1.0) * g) ** 2 * (1.0 - g) ** 2
             + 0.25
-            * (omega0 - (r2 - 1.0) * g)
-            * (omega0**2 - g**2)
-            * (omega0 - (r2 + 1.0) * g)
-            + (3.0 - sqrt(8.0)) / 8.0 * (omega0 - (r2 + 1.0) * g) ** 2 * (omega0 + g) ** 2
-        ) * exp(-beta * (2.0 * omega0 - r2 * g))
+            * (1.0 - (r2 - 1.0) * g)
+            * (1.0 - g**2)
+            * (1.0 - (r2 + 1.0) * g)
+            + (3.0 - sqrt(8.0)) / 8.0 * (1.0 - (r2 + 1.0) * g) ** 2 * (1.0 + g) ** 2
+        ) * exp(-beta * (2.0 - r2 * g))
     else:
         # Doublets |n, s> = (|n, g> + s |n-1, e>) / sqrt(2) at energies
-        # n omega0 + s sqrt(n) g; a has <0|a|1 s> = 1 / sqrt(2) and
+        # n + s sqrt(n) g; a has <0|a|1 s> = 1 / sqrt(2) and
         # <1 s1|a|2 s2> = (sqrt(2) + s1 s2) / 2, and each emission
         # element carries the transition frequency.
         signs = (-1.0, +1.0)
-        e_one = {s: omega0 + s * g for s in signs}
-        e_two = {s: 2.0 * omega0 + s * r2 * g for s in signs}
+        e_one = {s: 1.0 + s * g for s in signs}
+        e_two = {s: 2.0 + s * r2 * g for s in signs}
         denominator = sum(0.5 * e_one[s] ** 2 * exp(-beta * e_one[s])
                           for s in signs)
         numerator = 0.0
@@ -152,7 +150,7 @@ def tc_g2_approximation(g, temperature, omega0=1.0, refined=False):
             )
             numerator += amplitude**2 * exp(-beta * e_two[s2])
 
-    crossing = omega0 / (1.0 + r2)
+    crossing = 1.0 / (1.0 + r2)
     return G2Approximation(
         value=float(numerator / denominator**2),
         trusted=bool(g < crossing),

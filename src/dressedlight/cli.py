@@ -53,8 +53,8 @@ from .analytic import tc_g2_approximation
 from .model import ModelParams, build_hamiltonian
 from .observables import cluster_weights
 from .pipeline import solve_system
-from .qoptical import qo_g2_zero
-from .spectral import diagonalize, level_tolerance
+from .qoptical import MAX_QO_DIM, qo_g2_zero
+from .spectral import diagonalize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -321,6 +321,12 @@ def parse_config(path, task, workers_override=None, out_override=None):
     if out_dir is None:
         out_dir = os.environ.get(OUTPUT_ENV_VAR, "out")
     resolved["output_dir"] = out_dir
+    qo_n_max, model = resolved.get("qo_n_max"), resolved["model"]
+    if qo_n_max is not None and model and model["n_emitters"] is not None:
+        # 2^64 exceeds the limit already; min() keeps the shift small
+        if (qo_n_max + 1) << min(model["n_emitters"], 64) > MAX_QO_DIM:
+            issues.append(("qo_n_max", "the comparison solver needs "
+                           "2^n_emitters (qo_n_max + 1) <= %d" % MAX_QO_DIM))
     elsewhere = {field[0] for other in TASKS.values() for field in other.blocks}
     for key in sorted(set(cfg) - {field[0] for field in fields}):
         issues.append((key, "not read by the %s task" % task
@@ -410,8 +416,7 @@ def _compare_values(params, _resolved):
 
 def _eigen_rows(params, resolved):
     # energies only; skips the dissipative half of the pipeline
-    eig = diagonalize(build_hamiltonian(params),
-                      level_tolerance(params.omega0))
+    eig = diagonalize(build_hamiltonian(params))
     keep = min(resolved["levels"], eig.energies.size)
     return [(params.g, k, float(eig.energies[k]), int(eig.group_index[k]))
             for k in range(keep)]

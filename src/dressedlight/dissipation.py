@@ -1,23 +1,23 @@
 """Bath coupling rates in the dressed basis.
 
 The cavity quadrature and every emitter sigma_y couple to their own
-reservoir, and all reservoirs share one Ohmic density (Bath).  Each
+reservoir, and all reservoirs share one Ohmic density gamma w.  Each
 coupling is S = -i A with A = L - L^T real antisymmetric, from the index
 map of the lowering operator L that bath_lowering lists for it
 (spectral.group_transitions gives A in the eigenbasis), so the rates use
 one rate function times the summed weight sum_c |<m|A_c|n>|^2.  The
 emission/absorption rate at transition frequency w is
 
-    chi(w) = gamma(|w|) [n(|w|, T) + 1]  for w > 0,
-    chi(w) = gamma(|w|) n(|w|, T)        for w < 0,
+    chi(w) = gamma |w| [n(|w|, T) + 1]  for w > 0,
+    chi(w) = gamma |w| n(|w|, T)        for w < 0,
 
-with gamma(w) = gamma w / omega_ref and n the Bose occupation.  Both
-branches are the one expression
+with n the Bose occupation and w in units of omega0.  Both branches are
+the one expression
 
-    chi(w) = (gamma T / omega_ref) x / (1 - exp(-x)),  x = w / T,
+    chi(w) = gamma T x / (1 - exp(-x)),  x = w / T,
 
-whose w -> 0 limit is the Ohmic gamma T / omega_ref and which makes
-detailed balance chi(-w) = exp(-w/T) chi(w) an identity.
+whose w -> 0 limit is the Ohmic gamma T and which makes detailed balance
+chi(-w) = exp(-w/T) chi(w) an identity.
 """
 
 from __future__ import annotations
@@ -30,18 +30,6 @@ import numpy as np
 EXP_UNDERFLOW = 700.0
 
 
-@dataclass(frozen=True)
-class Bath:
-    """Ohmic density gamma * omega / omega_ref shared by every coupling."""
-
-    gamma: float
-    omega_ref: float
-
-    def __post_init__(self):
-        if self.gamma <= 0 or self.omega_ref <= 0:
-            raise ValueError("gamma and omega_ref must be positive")
-
-
 def bath_lowering(ops):
     """Index map of the lowering operator L of every bath coupling.
 
@@ -52,31 +40,26 @@ def bath_lowering(ops):
     return [ops.a._replace(amp=ops.params.x0 * ops.a.amp), *ops.sigma_minus]
 
 
-def spectral_density(bath, omega):
-    """Ohmic density gamma * omega / omega_ref for omega > 0, else 0."""
-    w = np.asarray(omega, dtype=float)
-    out = np.where(w > 0, bath.gamma * w / bath.omega_ref, 0.0)
-    return out if out.ndim else float(out)
-
-
-def thermal_rate(omega, temperature, bath):
+def thermal_rate(omega, temperature, gamma):
     """Emission/absorption rate chi(omega) of the bath, vectorized.
 
-    chi = (gamma T / omega_ref) x / (1 - exp(-x)) with x = omega / T,
-    which is gamma T / omega_ref at omega = 0 and exactly 0 for
-    x <= -EXP_UNDERFLOW; at T = 0 it is (gamma / omega_ref) max(omega, 0).
+    chi = gamma T x / (1 - exp(-x)) with x = omega / T, which is gamma T
+    at omega = 0 and exactly 0 for x <= -EXP_UNDERFLOW; at T = 0 it is
+    gamma max(omega, 0).  gamma is the Ohmic damping strength, > 0.
     """
     if temperature < 0:
         raise ValueError("temperature must be non-negative")
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
     w = np.asarray(omega, dtype=float)
     if temperature == 0:
-        out = bath.gamma * np.maximum(w, 0.0) / bath.omega_ref
+        out = gamma * np.maximum(w, 0.0)
     else:
         x = w / temperature
         out = np.divide(x, -np.expm1(-np.maximum(x, -EXP_UNDERFLOW)),
                         out=np.ones_like(x), where=x != 0)
         out[x <= -EXP_UNDERFLOW] = 0.0
-        out *= bath.gamma * temperature / bath.omega_ref
+        out *= gamma * temperature
     return out if out.ndim else float(out)
 
 
@@ -88,16 +71,16 @@ class RateTable:
     off the diagonal, generator[n, k] is the population rate from state k
     into state n (summed over the couplings), and its columns sum to
     zero.  z[n] is half the total loss rate of state n plus i times its
-    energy.  bath is the density the rates were evaluated with.
+    energy.  gamma is the Ohmic damping the rates were evaluated with.
     """
 
     temperature: float
     z: np.ndarray
     generator: np.ndarray
-    bath: Bath
+    gamma: float
 
 
-def build_rate_table(eig, weight, temperature, bath):
+def build_rate_table(eig, weight, temperature, gamma):
     """Secular decay and population rates of the summed couplings.
 
     Every rate is evaluated at the difference of the group energies of
@@ -115,7 +98,8 @@ def build_rate_table(eig, weight, temperature, bath):
         the eigenbasis of eig (spectral.group_transitions of each L of
         bath_lowering).
     temperature : float
-    bath : Bath
+    gamma : float
+        Ohmic damping strength of the bath.
 
     Returns
     -------
@@ -127,7 +111,7 @@ def build_rate_table(eig, weight, temperature, bath):
     pair_omega = ge[None, :] - ge[:, None]
 
     # generator[n, k]: rate k -> n needs chi at E_k - E_n = pair_omega[n, k]
-    generator = thermal_rate(pair_omega, temperature, bath)
+    generator = thermal_rate(pair_omega, temperature, gamma)
     generator *= weight
     np.fill_diagonal(generator, 0.0)
     loss = generator.sum(axis=0)  # total rate out of each state
@@ -138,5 +122,5 @@ def build_rate_table(eig, weight, temperature, bath):
         temperature=temperature,
         z=z,
         generator=generator,
-        bath=bath,
+        gamma=gamma,
     )

@@ -21,9 +21,9 @@ from .dissipation import EXP_UNDERFLOW
 
 # Allowed detailed-balance violation max|G_nk p_k - G_kn p_n|, relative to
 # max|G_nk p_k|.  Rates use group energies and weights level energies, so
-# levels merged within the clustering tolerance delta_e break the balance
-# by up to delta_e / T; 1e-6 admits the default delta_e = 1e-9 omega0 down
-# to T = 1e-3 omega0.  A generator without detailed balance is off by O(1).
+# levels merged within spectral.LEVEL_TOL = 1e-9 break the balance by up
+# to LEVEL_TOL / T; 1e-6 admits temperatures down to T = 1e-3.  A
+# generator without detailed balance is off by O(1).
 BALANCE_TOL = 1e-6
 # Eigenvalues of K within this fraction of the largest |mu| count as
 # stationary modes, not relaxation.
@@ -118,9 +118,9 @@ class DiagonalPropagator:
         k = np.sqrt(sub * sub.T)
         np.fill_diagonal(k, np.diag(sub))
         self.eigenvalues, u = scipy.linalg.eigh(k)
-        root = np.sqrt(p[self.levels])
-        self._left = root[:, None] * u  # D^(1/2) U
-        self._right = u.T / root[None, :]  # U^T D^(-1/2)
+        self._p = p[self.levels]
+        # D^(1/2) U; U^T D^(-1/2) is its transpose times D^(-1)
+        self._left = np.sqrt(self._p)[:, None] * u
 
     @property
     def relaxation_gap(self):
@@ -139,7 +139,8 @@ class DiagonalPropagator:
         times = np.asarray(times, dtype=float)
         levels = self.levels
         # one amplitude per mode of K
-        u = (np.asarray(weights)[levels] @ self._left) * (self._right @ p0[levels])
+        u = ((np.asarray(weights)[levels] @ self._left)
+             * (self._left.T @ (p0[levels] / self._p)))
         return np.exp(np.multiply.outer(times, self.eigenvalues)) @ u
 
 

@@ -46,9 +46,6 @@ class ModelParams:
         position-position coupling.
     temperature : float
         Bath temperature, >= 0.
-    omega0 : float
-        Resonance frequency; the common default for the cavity and the
-        emitters and the unit of all other energies.
     n_max : int
         Fock-space cutoff; the mode keeps photon numbers 0..n_max.
     x0 : float
@@ -59,14 +56,13 @@ class ModelParams:
         units of omega0.
     omega_c, omega_x : float, optional
         Cavity / emitter frequency overrides for off-resonance checks.
-        Default None means resonant at omega0.
+        Default None means resonant: frequency 1, the unit omega0.
     """
 
     n_emitters: int
     g: float
     g_prime: float
     temperature: float
-    omega0: float = 1.0
     n_max: int = 100
     x0: float = 1.0
     gamma: float = 1e-2
@@ -81,13 +77,11 @@ class ModelParams:
                     or not isinstance(value, (int, np.integer))
                     or value < low):
                 raise ValueError(f"{name} must be an integer >= {low}")
-        for name in ("g", "g_prime", "temperature", "omega0", "gamma", "x0",
+        for name in ("g", "g_prime", "temperature", "gamma", "x0",
                      "omega_c", "omega_x"):
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):
                 raise ValueError(f"{name} must be finite")
-        if self.omega0 <= 0:
-            raise ValueError("omega0 must be positive")
         if self.g < 0 or self.g_prime < 0:
             raise ValueError("coupling strengths must be non-negative")
         if self.temperature < 0:
@@ -103,11 +97,11 @@ class ModelParams:
 
     @property
     def cavity_frequency(self):
-        return self.omega0 if self.omega_c is None else self.omega_c
+        return 1.0 if self.omega_c is None else self.omega_c
 
     @property
     def emitter_frequency(self):
-        return self.omega0 if self.omega_x is None else self.omega_x
+        return 1.0 if self.omega_x is None else self.omega_x
 
     @property
     def dim(self):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dissipation import spectral_density
+from .dissipation import thermal_rate
 from .dynamics import RegressionEvolver
 from .spectral import gap_clusters
 
@@ -23,7 +23,7 @@ DENOMINATOR_FLOOR = 1e-30
 WEIGHT_FLOOR = 1e-12
 # Peak centers closer than this (absolute) are one frequency: split peaks
 # of one level pair sit up to twice a degenerate group's span apart, and a
-# group is a chain of gaps below delta_e = 1e-9 omega0.
+# group is a chain of gaps below spectral.LEVEL_TOL = 1e-9.
 PEAK_CLUSTER_TOL = 1e-8
 
 
@@ -104,7 +104,8 @@ def emission_spectrum(rates, stat, omega_grid, xdot):
         sl = slice(start, start + chunk)
         d = omega_grid[sl, None] - centers[None, :]
         values[sl] = (weights * half_widths / (d * d + half_widths**2)).sum(axis=1)
-    values *= spectral_density(rates.bath, omega_grid) / np.pi
+    # the Ohmic density gamma max(omega, 0) is the T = 0 rate
+    values *= thermal_rate(omega_grid, 0.0, rates.gamma) / np.pi
 
     return SpectrumResult(
         centers=centers,

@@ -7,10 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import observables
-from .dissipation import Bath, bath_lowering, build_rate_table
+from .dissipation import bath_lowering, build_rate_table
 from .dynamics import stationary_state
 from .model import build_hamiltonian, build_operators
-from .spectral import diagonalize, group_transitions, level_tolerance
+from .spectral import diagonalize, group_transitions
 
 
 @dataclass
@@ -22,7 +22,7 @@ class SolvedSystem:
     rates and stationary hold the Pauli rates and Boltzmann populations
     over those levels, and xdot the emission operator in the eigenbasis.
     collision_count is the number of transition frequencies shared by
-    distinct level pairs, within level_tolerance(omega0).
+    distinct level pairs, within spectral.LEVEL_TOL.
     """
 
     params: object
@@ -53,7 +53,7 @@ def solve_system(params):
     """Run the full dressed-basis pipeline for one parameter point.
 
     Levels and transition frequencies are clustered within
-    level_tolerance(omega0) = 1e-9 omega0.
+    spectral.LEVEL_TOL = 1e-9 omega0.
 
     Parameters
     ----------
@@ -64,8 +64,7 @@ def solve_system(params):
     SolvedSystem
     """
     ops = build_operators(params)
-    eig = diagonalize(build_hamiltonian(params),
-                      level_tolerance(params.omega0))
+    eig = diagonalize(build_hamiltonian(params))
     couplings = (group_transitions(eig, lower)
                  for lower in bath_lowering(ops))
     # bath_lowering lists the cavity first: A_X in the eigenbasis
@@ -73,9 +72,7 @@ def solve_system(params):
     weight = a_eigen * a_eigen
     for coupling in couplings:
         weight += coupling * coupling
-    rates = build_rate_table(
-        eig, weight, params.temperature,
-        Bath(params.gamma, params.omega0))
+    rates = build_rate_table(eig, weight, params.temperature, params.gamma)
     stat = stationary_state(eig, rates)
     xdot = observables.emission_operator(eig, a_eigen)
     return SolvedSystem(

@@ -27,7 +27,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .dissipation import Bath, bath_lowering, thermal_rate
+from .dissipation import bath_lowering, thermal_rate
 from .model import build_hamiltonian, build_operators
 from .observables import DENOMINATOR_FLOOR, DarkStateError
 
@@ -73,8 +73,7 @@ def qo_liouvillian(params):
     # bare rotating component of S = -i (L - L^T) is -i L, and its phase
     # cancels in the dissipator
     rate_down, rate_up = thermal_rate(
-        np.array([params.omega0, -params.omega0]), params.temperature,
-        Bath(params.gamma, params.omega0))
+        np.array([1.0, -1.0]), params.temperature, params.gamma)
     for lower in bath_lowering(ops):
         lower = _csr(lower, params.dim)
         liouv = liouv + rate_down * _dissipator(lower)
@@ -103,8 +102,8 @@ def _refine(x, b, solve, matvec):
     return x
 
 
-def _solve_with_trace_row(liouv, dim, row):
-    """Replace population equation `row` by the trace constraint and solve.
+def _solve_with_trace_row(liouv, dim):
+    """Replace the rho_00 equation by the trace constraint and solve.
 
     Only the trace block (`_trace_block`) is factored; the returned
     state is zero elsewhere.  REFINE_SWEEPS iterative-refinement sweeps
@@ -113,7 +112,7 @@ def _solve_with_trace_row(liouv, dim, row):
     has more than one stationary state and raises
     DegenerateSteadyStateError.  So does a disagreement with the solve
     pinned on the last population equation instead: that system is the
-    factored one plus U V^T with U = [e_row, e_last], solved from the
+    factored one plus U V^T with U = [e_first, e_last], solved from the
     same LU by the Woodbury identity.  A non-finite second solution or a
     singular 2x2 capacitance I + V^T A^-1 U (the second system is
     singular) counts as a disagreement.
@@ -122,7 +121,8 @@ def _solve_with_trace_row(liouv, dim, row):
     block = liouv[keep][:, keep]
     n = len(keep)
     diag = np.searchsorted(keep, np.arange(dim) * (dim + 1))
-    first, last = np.searchsorted(keep, [row, dim * dim - 1])
+    # rho_00 and rho_{D-1,D-1} are the first and last unknowns of the block
+    first, last = 0, n - 1
     coo = block.tocoo()
     rest = coo.row != first
     a = sp.csc_matrix((
@@ -193,7 +193,7 @@ def qo_stationary_state(params):
     if params.temperature <= 0:
         raise ValueError("the comparison solver needs temperature > 0")
     liouv = qo_liouvillian(params)
-    rho = _solve_with_trace_row(liouv, params.dim, 0)
+    rho = _solve_with_trace_row(liouv, params.dim)
     residual = float(np.max(np.abs(liouv @ rho.reshape(-1, order="F"))))
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real

@@ -2,12 +2,12 @@
 
 Secular treatment of the dissipators splits every system operator S into
 components S_w that connect eigenstates separated by a fixed energy w.
-Levels are clustered into degenerate groups (spacing below delta_e), and
-every rate is evaluated at the difference of the group energies, so the
-secular grouping is carried by those energies alone: elements inside a
-degenerate level sit at exactly w = 0, and an operator only needs its
+Levels are clustered into degenerate groups (spacing below LEVEL_TOL),
+and every rate is evaluated at the difference of the group energies, so
+the secular grouping is carried by those energies alone: elements inside
+a degenerate level sit at exactly w = 0, and an operator only needs its
 matrix elements in the eigenbasis.  Distinct level pairs whose
-frequencies coincide within delta_e (collisions) are where the
+frequencies coincide within LEVEL_TOL (collisions) are where the
 secular equations of motion are not reliable; they depend only on the
 group energies and are counted once per eigensystem as a diagnostic.
 """
@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def level_tolerance(omega0):
-    """The delta_e every model solve groups its levels with: 1e-9 omega0."""
-    return 1e-9 * omega0
+# Levels, and transition frequencies, closer than this (in units of
+# omega0) are one degenerate level, or one frequency.
+LEVEL_TOL = 1e-9
 
 
 def gap_clusters(values, tol):
@@ -43,7 +43,7 @@ class EigenSystem:
     largest-magnitude component rotated to the positive real axis.
     vectors has the dtype eigh returns for the input: float64 for a real
     symmetric matrix such as the model Hamiltonian, complex otherwise.
-    Levels closer than delta_e form one degenerate group: group_index[k]
+    Levels closer than LEVEL_TOL form one degenerate group: group_index[k]
     is the group of state k (ascending from 0, so the members of group a
     are the states with group_index == a) and group_energy[a] is the mean
     energy of group a.
@@ -51,7 +51,6 @@ class EigenSystem:
 
     energies: np.ndarray
     vectors: np.ndarray
-    delta_e: float
     group_index: np.ndarray
     group_energy: np.ndarray
 
@@ -71,7 +70,7 @@ class EigenSystem:
         """Frequencies w >= 0 shared by more than one pair of level groups.
 
         The ordered group pairs (a, b) are sorted by E_b - E_a and split
-        wherever consecutive frequencies differ by at least delta_e, the
+        wherever consecutive frequencies differ by at least LEVEL_TOL, the
         tolerance the levels were grouped with.  Each cluster with more
         than one pair at a positive mean frequency is a collision.  The
         cluster nearest 0 is pinned at exactly 0; it holds the diagonal
@@ -79,7 +78,7 @@ class EigenSystem:
         """
         ge = self.group_energy
         index, omegas = gap_clusters(
-            np.sort((ge[None, :] - ge[:, None]).ravel()), self.delta_e)
+            np.sort((ge[None, :] - ge[:, None]).ravel()), LEVEL_TOL)
         sizes = np.bincount(index)
         collides = (sizes > 1) & (omegas > 0)
         zero = int(np.argmin(np.abs(omegas)))
@@ -88,7 +87,7 @@ class EigenSystem:
         return omegas[collides]
 
 
-def diagonalize(h, delta_e):
+def diagonalize(h):
     """Diagonalize a Hermitian matrix and cluster degenerate levels.
 
     Parameters
@@ -98,16 +97,12 @@ def diagonalize(h, delta_e):
         real symmetric h (the float64 model Hamiltonian) takes the real
         eigh path and gives float64 vectors, whose gauge fix reduces to
         making the largest component positive.
-    delta_e : float
-        Absolute energy tolerance for treating two levels as degenerate,
-        and for telling transition frequencies apart in collision_omegas;
-        level_tolerance(omega0) for a model Hamiltonian.
 
     Returns
     -------
     EigenSystem
         The sorted levels split into groups wherever consecutive energies
-        differ by at least delta_e; see EigenSystem for the fields.
+        differ by at least LEVEL_TOL; see EigenSystem for the fields.
     """
     h = np.asarray(h)
     # Both passes over D x D arrays go a block at a time, so neither
@@ -132,11 +127,10 @@ def diagonalize(h, delta_e):
                       np.arange(block.shape[1])]
         block *= np.conj(pivot) / np.abs(pivot)
 
-    group_index, group_energy = gap_clusters(energies, delta_e)
+    group_index, group_energy = gap_clusters(energies, LEVEL_TOL)
     return EigenSystem(
         energies=energies,
         vectors=vectors,
-        delta_e=delta_e,
         group_index=group_index,
         group_energy=group_energy,
     )

@@ -34,8 +34,6 @@ def test_jc_energies_against_block_matrix():
             assert plus == pytest.approx(high, abs=1e-14)
     assert jc_energies(1, 0.2) == pytest.approx((0.8, 1.2))
     assert jc_energies(3, 0.0) == pytest.approx((3.0, 3.0))
-    # frequency scale propagates through
-    assert jc_energies(1, 0.2, omega0=2.0) == pytest.approx((1.8, 2.2))
 
 
 def test_jc_ladder_composition():
@@ -61,7 +59,7 @@ def test_tc_n2_sectors():
     np.testing.assert_allclose(
         tc_energies_n2(2, g),
         [2 - np.sqrt(6) * g, 2.0, 2.0, 2 + np.sqrt(6) * g], atol=1e-14)
-    # generic n: splitting sqrt(2) sqrt(2n-1) g, double root at n omega0
+    # generic n: splitting sqrt(2) sqrt(2n-1) g, double root at n
     n = 4
     vals = tc_energies_n2(n, g)
     split = np.sqrt(2.0) * np.sqrt(2 * n - 1.0) * g

@@ -1,5 +1,6 @@
 """Exercises the simulate driver end to end on tiny grids."""
 
+import dataclasses
 import json
 import os
 import re
@@ -146,14 +147,31 @@ def test_unknown_keys_and_unread_blocks_are_config_errors(tmp_path, capsys,
 
 
 def test_eigen_groups_levels_like_the_solve():
-    # one level tolerance, relative to omega0: an absolute 1e-9 splits
-    # 186 groups into 240 at omega0 = 1e6
-    omega0 = 1e6
-    params = ModelParams(3, 0.3 * omega0, 0.0, 0.1 * omega0, omega0=omega0,
-                         n_max=30)
+    # the eigen task and the solve share one level tolerance; three
+    # emitters without counter-rotating terms have degenerate levels
+    params = ModelParams(3, 0.3, 0.0, 0.1, n_max=30)
     rows = cli._eigen_rows(params, {"levels": params.dim})
-    assert [row[3] for row in rows] == \
-        solve_system(params).eig.group_index.tolist()
+    groups = [row[3] for row in rows]
+    assert groups == solve_system(params).eig.group_index.tolist()
+    assert groups[-1] + 1 < params.dim
+
+
+def test_model_block_mirrors_model_params():
+    # every physical knob is settable from a config, and only those
+    fields = {field[0] for field in cli.MODEL.fields} - {"limit"}
+    assert fields == {field.name for field in dataclasses.fields(ModelParams)}
+
+
+def test_qo_dimension_above_solver_limit_is_config_error(tmp_path, capsys):
+    # 2^4 (15 + 1) = 256 > MAX_QO_DIM: no grid point could be solved
+    cfg = _write_config(tmp_path, {
+        "model": {"n_emitters": 4, "limit": "dicke"},
+        "grid": {"g_min": 0.1, "g_max": 0.2, "g_steps": 2,
+                 "T_min": 0.1, "T_max": 0.1, "T_steps": 1}})
+    assert main(["qo-chart", "--config", cfg,
+                 "--out", str(tmp_path / "run")]) == 2
+    assert "config error: qo_n_max: " in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_equal_grid_bounds_need_a_single_step(tmp_path, capsys):

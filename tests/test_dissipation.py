@@ -12,7 +12,6 @@ import pytest
 from dense_ops import dense
 
 from dressedlight import (
-    Bath,
     ModelParams,
     OperatorSet,
     bath_lowering,
@@ -28,7 +27,6 @@ from dressedlight import (
     spectral,
     thermal_rate,
 )
-from dressedlight.dissipation import spectral_density
 
 
 def test_bath_lowering_order():
@@ -107,24 +105,16 @@ def test_rates_are_evaluated_once_per_solve(monkeypatch):
     assert len(calls) == 1
     qo_liouvillian(p)
     assert len(calls) == 2
-    omega, temperature, bath = calls[1]
-    np.testing.assert_array_equal(omega, [p.omega0, -p.omega0])
+    omega, temperature, gamma = calls[1]
+    np.testing.assert_array_equal(omega, [1.0, -1.0])
     assert temperature == p.temperature
-    assert bath == Bath(p.gamma, p.omega0)
-
-
-def test_spectral_density_linear():
-    ch = Bath(gamma=0.03, omega_ref=2.0)
-    w = np.array([0.5, 1.0, 4.0])
-    np.testing.assert_allclose(spectral_density(ch, w), 0.03 * w / 2.0)
+    assert gamma == p.gamma
 
 
 def test_bose_occupation_values():
-    # with gamma = omega_ref = 1 the absorption rate at -w is w * n(w)
-    unit = Bath(gamma=1.0, omega_ref=1.0)
-
+    # with gamma = 1 the absorption rate at -w is w * n(w)
     def occupation(w, temperature):
-        return thermal_rate(-w, temperature, unit) / w
+        return thermal_rate(-w, temperature, 1.0) / w
 
     # direct formula at moderate argument
     assert occupation(1.0, 0.5) == pytest.approx(1.0 / (np.exp(2.0) - 1.0))
@@ -138,39 +128,42 @@ def test_bose_occupation_values():
 
 
 def test_thermal_rate_branches():
-    ch = Bath(gamma=0.02, omega_ref=1.0)
+    gamma = 0.02
     T = 0.25
     w = 0.7
     n = 1.0 / (np.exp(w / T) - 1.0)
-    assert thermal_rate(w, T, ch) == pytest.approx(0.02 * w * (n + 1.0))
-    assert thermal_rate(-w, T, ch) == pytest.approx(0.02 * w * n)
-    assert thermal_rate(0.0, T, ch) == pytest.approx(0.02 * T)
+    assert thermal_rate(w, T, gamma) == pytest.approx(0.02 * w * (n + 1.0))
+    assert thermal_rate(-w, T, gamma) == pytest.approx(0.02 * w * n)
+    assert thermal_rate(0.0, T, gamma) == pytest.approx(0.02 * T)
     # vectorized mixed signs agree with scalar calls
     grid = np.array([-1.3, -0.2, 0.0, 0.4, 2.0])
-    vec = thermal_rate(grid, T, ch)
-    np.testing.assert_allclose(vec, [thermal_rate(v, T, ch) for v in grid])
+    vec = thermal_rate(grid, T, gamma)
+    np.testing.assert_allclose(vec, [thermal_rate(v, T, gamma) for v in grid])
     # high-temperature expansion n ~ T/w - 1/2 of the occupation
     small = 1e-4
-    assert thermal_rate(small, 1.0, ch) / (0.02 * small) == pytest.approx(
+    assert thermal_rate(small, 1.0, gamma) / (0.02 * small) == pytest.approx(
         1e4 + 0.5, abs=1e-3)
-    assert thermal_rate(-small, 1.0, ch) / (0.02 * small) == pytest.approx(
+    assert thermal_rate(-small, 1.0, gamma) / (0.02 * small) == pytest.approx(
         1e4 - 0.5, abs=1e-3)
     # zero temperature kills absorption entirely, emission is spontaneous
-    assert thermal_rate(w, 0.0, ch) == pytest.approx(0.02 * w)
-    assert thermal_rate(-w, 0.0, ch) == 0.0
-    assert thermal_rate(0.0, 0.0, ch) == 0.0
+    assert thermal_rate(w, 0.0, gamma) == pytest.approx(0.02 * w)
+    assert thermal_rate(-w, 0.0, gamma) == 0.0
+    assert thermal_rate(0.0, 0.0, gamma) == 0.0
     # occupation underflow guard at omega / T = 800
-    assert thermal_rate(800.0, 1.0, ch) == 0.02 * 800.0
-    assert thermal_rate(-800.0, 1.0, ch) == 0.0
+    assert thermal_rate(800.0, 1.0, gamma) == 0.02 * 800.0
+    assert thermal_rate(-800.0, 1.0, gamma) == 0.0
+    # the damping must be positive
+    with pytest.raises(ValueError, match="gamma"):
+        thermal_rate(1.0, 0.1, 0.0)
 
 
 def test_thermal_rate_detailed_balance():
-    ch = Bath(gamma=0.01, omega_ref=1.0)
+    gamma = 0.01
     rng = np.random.default_rng(12)
     T = 0.21
     for w in rng.uniform(0.05, 2.5, 8):
-        lhs = thermal_rate(-w, T, ch)
-        rhs = np.exp(-w / T) * thermal_rate(w, T, ch)
+        lhs = thermal_rate(-w, T, gamma)
+        rhs = np.exp(-w / T) * thermal_rate(w, T, gamma)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -194,7 +187,6 @@ def _brute_force_gain(params, temperature):
     ops = build_operators(params)
     h = build_hamiltonian(params)
     energies, vectors = np.linalg.eigh(h)
-    bath = Bath(params.gamma, params.omega0)
     dim = params.dim
     gain = np.zeros((dim, dim))
     for lower in bath_lowering(ops):
@@ -207,7 +199,8 @@ def _brute_force_gain(params, temperature):
                 w = energies[k] - energies[n]
                 if abs(w) < 1e-9:
                     w = 0.0
-                gain[n, k] += thermal_rate(w, temperature, bath) * abs(s[n, k]) ** 2
+                gain[n, k] += (thermal_rate(w, temperature, params.gamma)
+                               * abs(s[n, k]) ** 2)
     return energies, gain
 
 
@@ -242,7 +235,7 @@ def test_decay_constants_structure():
     p = ModelParams(1, 0.28, 0.0, T, n_max=4)
     system = solve_system(p)
     table = build_rate_table(system.eig, _coupling_weight(system), T,
-                             system.rates.bath)
+                             system.rates.gamma)
     z = table.z
     np.testing.assert_allclose(z, system.rates.z, atol=0)
     # real part is half the total escape rate out of each level, imaginary
@@ -264,7 +257,7 @@ def test_zero_frequency_rate_inside_degenerate_group():
     degenerate_groups = [m for m in groups if len(m) > 1]
     assert degenerate_groups  # the model really has a degenerate pair
     cold = build_rate_table(eig, _coupling_weight(system), 0.0,
-                            system.rates.bath)
+                            system.rates.gamma)
     for members in degenerate_groups:
         for a in members:
             for b in members:
@@ -295,5 +288,5 @@ def test_collision_count_is_counted_once_per_eigensystem(monkeypatch):
     weight = sum((m - m.T) ** 2 for m in elements)
     np.testing.assert_array_equal(weight, _coupling_weight(system))
     rebuilt = build_rate_table(system.eig, weight, p.temperature,
-                               system.rates.bath)
+                               system.rates.gamma)
     np.testing.assert_array_equal(system.rates.generator, rebuilt.generator)

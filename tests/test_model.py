@@ -85,8 +85,6 @@ def test_parameter_validation():
         ModelParams(1, 0.1, 0.0, 0.1, x0=0.0)
     with pytest.raises(ValueError):
         ModelParams(1, 0.1, 0.0, 0.1, gamma=0.0)
-    with pytest.raises(ValueError):
-        ModelParams(1, 0.1, 0.0, 0.1, omega0=-1.0)
     # bool is an int subclass; True is not an emitter count or a cutoff
     with pytest.raises(ValueError, match="n_emitters must be an integer"):
         ModelParams(True, 0.1, 0.0, 0.1, n_max=5)
@@ -97,8 +95,8 @@ def test_parameter_validation():
     assert ModelParams(np.int64(2), 0.1, 0.0, 0.1, n_max=np.int32(5)).dim == 24
 
 
-@pytest.mark.parametrize("field", ["g", "g_prime", "temperature", "omega0",
-                                   "gamma", "x0", "omega_c", "omega_x"])
+@pytest.mark.parametrize("field", ["g", "g_prime", "temperature", "gamma",
+                                   "x0", "omega_c", "omega_x"])
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 def test_parameter_validation_rejects_non_finite(field, value):
     kwargs = dict(n_emitters=1, g=0.3, g_prime=0.0, temperature=0.1, n_max=4)
@@ -108,14 +106,16 @@ def test_parameter_validation_rejects_non_finite(field, value):
 
 
 def test_frequency_defaults_and_overrides():
-    p = ModelParams(1, 0.1, 0.0, 0.1, omega0=2.0)
-    assert p.cavity_frequency == 2.0
-    assert p.emitter_frequency == 2.0
-    q = replace(p, omega_c=1.8, omega_x=2.2)
-    assert q.cavity_frequency == 1.8
-    assert q.emitter_frequency == 2.2
+    # resonant at the unit frequency unless overridden
+    p = ModelParams(1, 0.1, 0.0, 0.1)
+    assert p.omega_c is None and p.omega_x is None
+    assert p.cavity_frequency == 1.0
+    assert p.emitter_frequency == 1.0
+    q = replace(p, omega_c=0.8, omega_x=1.2)
+    assert q.cavity_frequency == 0.8
+    assert q.emitter_frequency == 1.2
     # original untouched (frozen dataclass semantics)
-    assert p.cavity_frequency == 2.0
+    assert p.cavity_frequency == 1.0
     with pytest.raises(Exception):
         p.g = 0.5
 
@@ -244,8 +244,7 @@ def test_hamiltonian_equals_operator_products_exactly(n_emitters, g_prime):
 
 
 def test_hamiltonian_with_detuning_equals_operator_products_exactly():
-    p = ModelParams(3, 0.21, 0.13, 0.1, omega0=1.1, n_max=7, omega_c=1.3,
-                    omega_x=0.9)
+    p = ModelParams(3, 0.21, 0.13, 0.1, n_max=7, omega_c=1.3, omega_x=0.9)
     h = build_hamiltonian(p)
     assert h.dtype == np.float64
     assert np.array_equal(h, _reference_hamiltonian(p))

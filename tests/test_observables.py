@@ -19,13 +19,14 @@ from dressedlight.dissipation import bath_lowering
 
 def test_emission_operator_bare_cavity():
     # uncoupled cavity: the energy-decreasing part of X is the lowering
-    # operator, so rotating back to the lab frame must give -w0 X0 a
+    # operator, so rotating back to the lab frame must give -X0 a (the
+    # cavity frequency is the unit)
     p = ModelParams(1, 0.0, 0.0, 0.1, n_max=6, x0=1.4)
     system = solve_system(p)
     u = system.eig.vectors
     lab = u @ system.xdot @ u.conj().T
     a = dense(build_operators(p).a, p.dim)
-    np.testing.assert_allclose(lab, -p.omega0 * p.x0 * a, atol=1e-12)
+    np.testing.assert_allclose(lab, -p.x0 * a, atol=1e-12)
 
 
 def test_emission_operator_structure():
@@ -79,7 +80,7 @@ def test_spectrum_peaks_positive_and_curve_nonnegative():
     assert np.all(spec.weights >= 0)
     assert np.all(spec.values >= 0)
     # curve is the advertised Lorentzian sum under the Ohmic envelope
-    envelope = p.gamma * omega / p.omega0 / np.pi
+    envelope = p.gamma * omega / np.pi
     lorentz = (spec.weights[:, None] * spec.half_widths[:, None]
                / ((omega[None, :] - spec.centers[:, None]) ** 2
                   + spec.half_widths[:, None] ** 2)).sum(axis=0)

@@ -15,7 +15,6 @@ import scipy.sparse.linalg as spla
 from dense_ops import dense
 
 from dressedlight import (
-    Bath,
     DarkStateError,
     ModelParams,
     bath_lowering,
@@ -58,13 +57,13 @@ def qo_convergence_estimate(params):
     return trace_distance(padded, high.rho)
 
 
-def _thermal_ladder(n_emitters, n_max, temperature, omega0=1.0):
-    """diag of exp(-beta w0 N_t)/Z in the configuration x Fock basis."""
+def _thermal_ladder(n_emitters, n_max, temperature):
+    """diag of exp(-beta N_t)/Z in the configuration x Fock basis."""
     diag = []
     for e in range(2 ** n_emitters):
         excited = bin(e).count("1")
         for n in range(n_max + 1):
-            diag.append(np.exp(-omega0 * (n + excited) / temperature))
+            diag.append(np.exp(-(n + excited) / temperature))
     diag = np.array(diag)
     return np.diag(diag / diag.sum())
 
@@ -184,7 +183,7 @@ def test_singular_pinned_system_is_a_degenerate_steady_state():
     eye = sp.identity(2, format="csr")
     liouv = (-1j * (sp.kron(eye, h) - sp.kron(h.T, eye))).tocsr()
     with pytest.raises(DegenerateSteadyStateError):
-        _solve_with_trace_row(liouv, 2, 0)
+        _solve_with_trace_row(liouv, 2)
 
 
 def test_pinned_solves_that_disagree_are_a_degenerate_steady_state(monkeypatch):
@@ -274,7 +273,7 @@ def test_decoupled_trace_blocks_are_a_degenerate_steady_state():
     liouv = sp.csr_matrix(_decay_liouvillian(4, [(0, 1), (2, 3)]))
     np.testing.assert_array_equal(_trace_block(liouv, 4), [0, 5, 10, 15])
     with pytest.raises(DegenerateSteadyStateError):
-        _solve_with_trace_row(liouv, 4, 0)
+        _solve_with_trace_row(liouv, 4)
 
 
 def test_singular_second_pinned_system_is_a_degenerate_steady_state():
@@ -283,7 +282,7 @@ def test_singular_second_pinned_system_is_a_degenerate_steady_state():
     # capacitance is singular
     liouv = sp.csr_matrix(np.diag([0.0, -1.0, -1.0, -1.0]).astype(complex))
     with pytest.raises(DegenerateSteadyStateError, match="disagree"):
-        _solve_with_trace_row(liouv, 2, 0)
+        _solve_with_trace_row(liouv, 2)
 
 
 def test_non_finite_second_pinned_solve_is_a_degenerate_steady_state():
@@ -291,10 +290,10 @@ def test_non_finite_second_pinned_solve_is_a_degenerate_steady_state():
     # system finite, since the trace replaces that equation, but makes
     # the second pinned solve NaN; NaN must not pass the agreement check
     liouv = _decay_liouvillian(2, [(0, 1)])
-    assert np.all(np.isfinite(_solve_with_trace_row(sp.csr_matrix(liouv), 2, 0)))
+    assert np.all(np.isfinite(_solve_with_trace_row(sp.csr_matrix(liouv), 2)))
     liouv[0, 0] = np.nan
     with pytest.raises(DegenerateSteadyStateError, match="disagree"):
-        _solve_with_trace_row(sp.csr_matrix(liouv), 2, 0)
+        _solve_with_trace_row(sp.csr_matrix(liouv), 2)
 
 
 @pytest.mark.parametrize("g_prime", [0.0, 0.35], ids=["tc", "dicke"])
@@ -308,9 +307,8 @@ def test_liouvillian_matches_dense_operator_assembly(n_emitters, g_prime):
     h_s = sp.csr_matrix(build_hamiltonian(p))
     eye = sp.identity(dim, format="csr")
     ref = -1j * (sp.kron(eye, h_s) - sp.kron(h_s.T, eye))
-    rate_down, rate_up = thermal_rate(
-        np.array([p.omega0, -p.omega0]), p.temperature,
-        Bath(p.gamma, p.omega0))
+    rate_down, rate_up = thermal_rate(np.array([1.0, -1.0]), p.temperature,
+                                      p.gamma)
     for lower in bath_lowering(build_operators(p)):
         lower = sp.csr_matrix(dense(lower, dim))
         ref = ref + rate_down * qoptical._dissipator(lower)
