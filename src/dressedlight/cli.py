@@ -399,7 +399,8 @@ def _point(job):
 def _g2_values(params, _resolved):
     system = solve_system(params)
     return (float(system.g2_zero()), system.collision_count,
-            int(system.eig.degenerate))
+            int(system.eig.degenerate), system.stationary.residual,
+            system.cutoff_tail())
 
 
 def _qo_values(params, resolved):
@@ -424,7 +425,9 @@ def _eigen_rows(params, resolved):
 
 def _g2_metrics(_resolved, ok):
     return {"degenerate_points": int(sum(v[2] for v in ok)),
-            "collision_points": int(sum(1 for v in ok if v[1] > 0))}
+            "collision_points": int(sum(1 for v in ok if v[1] > 0)),
+            "max_stationary_residual": max((v[3] for v in ok), default=None),
+            "max_cutoff_tail": max((v[4] for v in ok), default=None)}
 
 
 def _qo_metrics(resolved, _ok):
@@ -654,8 +657,9 @@ ax.set_ylabel("emission spectrum")
 '''), fixed_point=True),
     "g2chart": Task(
         (MODEL, GT_GRID), run_grid, _PLOT_CHART,
-        grid=(_g2_values, ("g2_zero", "collision_count", "degenerate"),
-              (math.nan, 0, 0), _g2_metrics)),
+        grid=(_g2_values, ("g2_zero", "collision_count", "degenerate",
+                           "stationary_residual", "cutoff_tail"),
+              (math.nan, 0, 0, math.nan, math.nan), _g2_metrics)),
     "g2time": Task((MODEL, T_GRID), run_g2time, (
         "Regenerate the g2(t) curve from __CSV__ (reference line at 1).",
         '''\

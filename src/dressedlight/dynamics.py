@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .dissipation import EXP_UNDERFLOW
 

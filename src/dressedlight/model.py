@@ -18,12 +18,32 @@ from the index maps; no D x D operator other than H is formed.
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-DEFAULT_MAX_DIM = 32768
+# D x D float64 arrays one dense solve holds at once: H, the eigenvectors,
+# the transformed couplings and their products; ROADMAP.md (item 4, the
+# transition lists) counts about 8.
+LIVE_DENSE_ARRAYS = 8
+
+
+def _memory_dim_limit():
+    """Largest D with LIVE_DENSE_ARRAYS D x D float64 arrays in memory.
+
+    Memory is the physical memory of the machine, read through
+    os.sysconf as SC_PHYS_PAGES * SC_PAGE_SIZE.  A cgroup or container
+    memory limit is not read, so the limit can exceed what such a
+    process may allocate.
+    """
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    return math.isqrt(memory // (LIVE_DENSE_ARRAYS * 8))
+
+
+DEFAULT_MAX_DIM = _memory_dim_limit()
 
 
 class DimensionLimitError(ValueError):

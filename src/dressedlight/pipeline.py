@@ -48,6 +48,18 @@ class SolvedSystem:
             self.rates, self.stationary, omega_grid, self.xdot
         )
 
+    def cutoff_tail(self):
+        """Stationary population of the top Fock state n = n_max.
+
+        sum_m p_m sum_{i: fock(i) = n_max} |V[i, m]|^2, where V holds the
+        eigenvectors; a tail that is not small says the cutoff truncates
+        the state.
+        """
+        half = self.params.n_max + 1
+        top = self.eig.vectors[np.arange(half - 1, self.params.dim, half)]
+        return float((np.abs(top) ** 2).sum(axis=0)
+                     @ self.stationary.populations)
+
 
 def solve_system(params):
     """Run the full dressed-basis pipeline for one parameter point.

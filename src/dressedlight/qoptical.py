@@ -23,9 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
+import scipy
 
 from .dissipation import bath_lowering, thermal_rate
 from .model import build_hamiltonian, build_operators
@@ -43,18 +41,19 @@ class DegenerateSteadyStateError(RuntimeError):
 
 def _csr(lower, dim):
     """The model.IndexMap lower as a (dim, dim) CSR matrix."""
-    return sp.csr_matrix((lower.amp, (lower.dst, lower.src)), shape=(dim, dim))
+    return scipy.sparse.csr_matrix((lower.amp, (lower.dst, lower.src)),
+                                   shape=(dim, dim))
 
 
 def _dissipator(op_sparse):
     """chi (S rho S+ - {S+ S, rho}/2) in column-stacked vectorization."""
     dim = op_sparse.shape[0]
-    eye = sp.identity(dim, format="csr")
+    eye = scipy.sparse.identity(dim, format="csr")
     sdag_s = (op_sparse.conj().T @ op_sparse).tocsr()
     return (
-        sp.kron(op_sparse.conj(), op_sparse)
-        - 0.5 * sp.kron(eye, sdag_s)
-        - 0.5 * sp.kron(sdag_s.T, eye)
+        scipy.sparse.kron(op_sparse.conj(), op_sparse)
+        - 0.5 * scipy.sparse.kron(eye, sdag_s)
+        - 0.5 * scipy.sparse.kron(sdag_s.T, eye)
     )
 
 
@@ -66,9 +65,10 @@ def qo_liouvillian(params):
             f"(limit {MAX_QO_DIM}); lower n_max"
         )
     ops = build_operators(params)
-    h_s = sp.csr_matrix(build_hamiltonian(params))
-    eye = sp.identity(params.dim, format="csr")
-    liouv = -1j * (sp.kron(eye, h_s) - sp.kron(h_s.T, eye))
+    h_s = scipy.sparse.csr_matrix(build_hamiltonian(params))
+    eye = scipy.sparse.identity(params.dim, format="csr")
+    liouv = -1j * (scipy.sparse.kron(eye, h_s)
+                   - scipy.sparse.kron(h_s.T, eye))
     # every coupling sees the Ohmic density at the resonance frequency; the
     # bare rotating component of S = -i (L - L^T) is -i L, and its phase
     # cancels in the dissipator
@@ -89,9 +89,10 @@ def _trace_block(liouv, dim):
     the graph is built from the sparsity pattern alone, so it needs no
     model parameters and never casts the complex values.
     """
-    pattern = sp.csr_matrix(
+    pattern = scipy.sparse.csr_matrix(
         (np.ones(liouv.nnz), liouv.indices, liouv.indptr), shape=liouv.shape)
-    _, label = connected_components(pattern, connection="weak")
+    _, label = scipy.sparse.csgraph.connected_components(pattern,
+                                                         connection="weak")
     return np.flatnonzero(np.isin(label, label[np.arange(dim) * (dim + 1)]))
 
 
@@ -125,12 +126,12 @@ def _solve_with_trace_row(liouv, dim):
     first, last = 0, n - 1
     coo = block.tocoo()
     rest = coo.row != first
-    a = sp.csc_matrix((
+    a = scipy.sparse.csc_matrix((
         np.concatenate([coo.data[rest], np.ones(dim)]),
         (np.concatenate([coo.row[rest], np.full(dim, first)]),
          np.concatenate([coo.col[rest], diag]))), shape=(n, n))
     try:
-        lu = spla.splu(a)
+        lu = scipy.sparse.linalg.splu(a)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise DegenerateSteadyStateError(
             "stationary state is not unique (pinned-row system is singular)"
@@ -140,8 +141,10 @@ def _solve_with_trace_row(liouv, dim):
     z = lu.solve(e)
     x = _refine(z[:, 0], e[:, 0], lu.solve, a.__matmul__)
 
-    trace = sp.csr_matrix((np.ones(dim), diag, [0, dim]), shape=(1, n))
-    vt = sp.vstack([block[first] - trace, trace - block[last]], format="csr")
+    trace = scipy.sparse.csr_matrix((np.ones(dim), diag, [0, dim]),
+                                    shape=(1, n))
+    vt = scipy.sparse.vstack([block[first] - trace, trace - block[last]],
+                             format="csr")
     try:
         cap_inv = np.linalg.inv(np.eye(2) + vt @ z)
     except np.linalg.LinAlgError:  # second system singular: fail the check

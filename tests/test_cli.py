@@ -1,6 +1,8 @@
 """Exercises the simulate driver end to end on tiny grids."""
 
+import ast
 import dataclasses
+import glob
 import json
 import os
 import re
@@ -48,7 +50,7 @@ def test_g2chart_writes_csv_summary_and_plot(tmp_path):
 
     header, rows = _read_rows(out / "g2chart.csv")
     assert header == ["g", "T", "g2_zero", "collision_count", "degenerate",
-                      "status"]
+                      "stationary_residual", "cutoff_tail", "status"]
     assert len(rows) == 6
     for row in rows:
         assert row["status"] == "0"
@@ -322,6 +324,38 @@ def test_failed_fixed_point_solve_is_recorded(tmp_path, capsys, task,
     assert sorted(os.listdir(out)) == ["summary.json"]
 
 
+def test_g2chart_trust_columns_and_their_maxima(tmp_path):
+    cfg = _write_config(tmp_path, {
+        "model": {"n_emitters": 2, "limit": "dicke", "n_max": 10},
+        "grid": {"g_min": 0.3, "g_max": 0.3, "g_steps": 1,
+                 "T_min": 0.2, "T_max": 0.3, "T_steps": 2}})
+    out = tmp_path / "run"
+    assert main(["g2chart", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = _read_rows(out / "g2chart.csv")
+    metrics = json.loads((out / "summary.json").read_text())["metrics"]
+    for name in ("stationary_residual", "cutoff_tail"):
+        column = [float(row[name]) for row in rows]
+        assert metrics["max_" + name] == pytest.approx(max(column), rel=1e-11)
+    assert 0 <= metrics["max_stationary_residual"] <= 1e-9
+
+    # the tail at T = 0.3 is <n_max| rho |n_max> summed over the emitter
+    # configurations, from the dense state in the lab basis
+    system = solve_system(ModelParams(2, 0.3, 0.3, 0.3, n_max=10))
+    vectors = system.eig.vectors
+    rho = (vectors * system.stationary.populations) @ vectors.T
+    top = np.zeros((11, 11))
+    top[10, 10] = 1.0
+    expected = np.trace(np.kron(np.eye(4), top) @ rho)
+    assert expected > 1e-12
+    assert float(rows[1]["cutoff_tail"]) == pytest.approx(expected, rel=1e-9)
+
+
+def test_cutoff_tail_falls_as_the_cutoff_rises():
+    tails = [solve_system(ModelParams(2, 0.3, 0.3, 0.3, n_max=n)).cutoff_tail()
+             for n in (6, 10, 14)]
+    assert tails[0] > 1e3 * tails[1] > 1e6 * tails[2] > 0
+
+
 def test_spectrum_reports_dominant_peak(tmp_path):
     cfg = _write_config(tmp_path, {
         "model": {"n_emitters": 2, "limit": "dicke", "g": 0.5,
@@ -501,8 +535,9 @@ CONTRACTS = {
     "g2chart": (
         {"model": {"n_emitters": 1, "limit": "tc", "n_max": 8},
          "grid": _TINY_GRID},
-        ["g", "T", "g2_zero", "collision_count", "degenerate", "status"], 3,
-        ["nan", "0", "0"]),
+        ["g", "T", "g2_zero", "collision_count", "degenerate",
+         "stationary_residual", "cutoff_tail", "status"], 3,
+        ["nan", "0", "0", "nan", "nan"]),
     "qo-chart": (
         {"model": {"n_emitters": 1, "limit": "dicke"}, "grid": _TINY_GRID,
          "qo_n_max": 4},
@@ -575,3 +610,81 @@ def test_plot_script_reads_its_csv_and_saves_png(task_run):
     if task == "spectrum":
         # the axis follows the sampled band, 0..2 here
         ax.set_xlim.assert_called_once_with(0.0, 2.0)
+
+
+# Runs in a fresh interpreter, since this one has SciPy loaded already.
+# argv[1] is JSON: the (task, config) pairs to parse, then the (task,
+# config, output dir) runs; prints the loaded SciPy submodules after each.
+_LAZY_SCRIPT = """
+import json, sys
+from dressedlight import cli
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.startswith(("scipy.linalg", "scipy.sparse")))
+
+parse, runs = json.loads(sys.argv[1])
+report = {"import": loaded()}
+for task, cfg in parse:
+    cli.parse_config(cfg, task)
+report["parse_config"] = loaded()
+for task, cfg, out in runs:
+    report[task] = (cli.main([task, "--config", cfg, "--out", out]),
+                    loaded())
+print(json.dumps(report))
+"""
+
+
+def test_scipy_submodules_load_at_first_use(tmp_path):
+    # a g2chart or spectrum run uses numpy only; g2time reaches
+    # scipy.linalg and qo-chart scipy.sparse through their attribute paths
+    parse = [(task, _write_config(tmp_path, cfg, task + ".json"))
+             for task, (cfg, *_) in sorted(CONTRACTS.items())]
+    tiny = {"n_emitters": 1, "limit": "tc", "n_max": 4}
+    point = dict(tiny, g=0.3, temperature=0.1)
+    configs = {
+        "g2chart": {"model": tiny,
+                    "grid": dict(_TINY_GRID, T_min=0.05)},
+        "spectrum": {"model": point, "omega_grid": {"points": 20}},
+        "g2time": {"model": point, "t_grid": {"t_max": 10.0, "points": 3}},
+        "qo-chart": {"model": tiny, "grid": dict(_TINY_GRID, T_min=0.05),
+                     "qo_n_max": 4},
+    }
+    runs = [(task, _write_config(tmp_path, cfg, "run-%s.json" % task),
+             str(tmp_path / task)) for task, cfg in configs.items()]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_SCRIPT, json.dumps([parse, runs])],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().split("\n")[-1])
+    assert report["import"] == report["parse_config"] == []
+    assert report["g2chart"] == [0, []]
+    assert report["spectrum"] == [0, []]
+    code, modules = report["g2time"]
+    assert code == 0 and "scipy.linalg" in modules
+    code, modules = report["qo-chart"]
+    assert code == 0 and "scipy.sparse.linalg" in modules
+
+
+def test_no_source_module_imports_a_scipy_submodule():
+    # only the top-level package is imported; each call site names its
+    # submodule (scipy.linalg.eigh), which SciPy loads at first access
+    src = os.path.dirname(cli.__file__)
+    found = []
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        with open(path) as handle:
+            tree = ast.parse(handle.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += ["%s:%d %s" % (os.path.basename(path), node.lineno, name)
+                      for name in names
+                      if name.startswith("scipy.") or (
+                          name == "scipy"
+                          and isinstance(node, ast.ImportFrom))]
+    assert found == []

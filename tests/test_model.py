@@ -4,6 +4,7 @@ Oracle values are built by hand from the canonical ladder/Pauli algebra so
 they do not depend on the code under test.
 """
 
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -18,6 +19,7 @@ from dressedlight import (
     build_hamiltonian,
     build_operators,
 )
+from dressedlight import model
 from dressedlight.model import DEFAULT_MAX_DIM
 
 
@@ -264,11 +266,30 @@ def test_dimension_limit():
         build_operators(ModelParams(3, 0.1, 0.0, 0.1, n_max=9999))
     # just over the limit; the guard raises before any allocation
     over = ModelParams(1, 0.1, 0.0, 0.1, n_max=DEFAULT_MAX_DIM // 2)
-    assert over.dim == DEFAULT_MAX_DIM + 2
+    assert over.dim > DEFAULT_MAX_DIM
     with pytest.raises(DimensionLimitError):
         build_operators(over)
     with pytest.raises(DimensionLimitError):
         build_hamiltonian(over)
+
+
+@pytest.mark.parametrize("pages,page_size,limit", [
+    (15625, 4096, 1000),      # 64 * 1000^2 bytes exactly
+    (15624, 4096, 999),       # one page less
+    (2**21, 4096, 11585),     # 8 GiB
+    (2**22, 4096, 16384),     # 16 GiB
+])
+def test_dimension_limit_follows_physical_memory(monkeypatch, pages,
+                                                 page_size, limit):
+    # LIVE_DENSE_ARRAYS float64 D x D arrays must fit: 64 D^2 <= memory.
+    # Computed from a faked os.sysconf; nothing of that size is allocated.
+    values = {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": page_size}
+    monkeypatch.setattr(os, "sysconf", values.__getitem__)
+    assert model._memory_dim_limit() == limit
+
+
+def test_default_dimension_limit_is_this_machines():
+    assert DEFAULT_MAX_DIM == model._memory_dim_limit()
 
 
 def test_operators_are_index_maps_without_dense_arrays():
