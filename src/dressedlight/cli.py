@@ -396,11 +396,15 @@ def _point(job):
         return None, _error_text(exc)
 
 
+def _trust_values(system):
+    # stationary_residual and cutoff_tail, last in every dressed grid row
+    return system.stationary.residual, system.cutoff_tail()
+
+
 def _g2_values(params, _resolved):
     system = solve_system(params)
     return (float(system.g2_zero()), system.collision_count,
-            int(system.eig.degenerate), system.stationary.residual,
-            system.cutoff_tail())
+            int(system.eig.degenerate)) + _trust_values(system)
 
 
 def _qo_values(params, resolved):
@@ -408,11 +412,13 @@ def _qo_values(params, resolved):
 
 
 def _compare_values(params, _resolved):
-    numeric = float(solve_system(params).g2_zero())
+    system = solve_system(params)
+    numeric = float(system.g2_zero())
     basic = tc_g2_approximation(params.g, params.temperature)
     refined = tc_g2_approximation(params.g, params.temperature, refined=True)
     rel = abs(float(refined) - numeric) / numeric
-    return (numeric, float(basic), float(refined), int(refined.trusted), rel)
+    return (numeric, float(basic), float(refined), int(refined.trusted),
+            rel) + _trust_values(system)
 
 
 def _eigen_rows(params, resolved):
@@ -423,11 +429,16 @@ def _eigen_rows(params, resolved):
             for k in range(keep)]
 
 
+def _trust_maxima(ok):
+    """Maxima of the trust columns over the points that solved."""
+    return {"max_stationary_residual": max((v[-2] for v in ok), default=None),
+            "max_cutoff_tail": max((v[-1] for v in ok), default=None)}
+
+
 def _g2_metrics(_resolved, ok):
-    return {"degenerate_points": int(sum(v[2] for v in ok)),
-            "collision_points": int(sum(1 for v in ok if v[1] > 0)),
-            "max_stationary_residual": max((v[3] for v in ok), default=None),
-            "max_cutoff_tail": max((v[4] for v in ok), default=None)}
+    return dict(_trust_maxima(ok),
+                degenerate_points=int(sum(v[2] for v in ok)),
+                collision_points=int(sum(1 for v in ok if v[1] > 0)))
 
 
 def _qo_metrics(resolved, _ok):
@@ -436,7 +447,8 @@ def _qo_metrics(resolved, _ok):
 
 def _compare_metrics(_resolved, ok):
     trusted_err = [v[4] for v in ok if v[3]]
-    return {"max_rel_err_trusted": max(trusted_err) if trusted_err else None}
+    return dict(_trust_maxima(ok),
+                max_rel_err_trusted=max(trusted_err, default=None))
 
 
 def run_grid(resolved):
@@ -494,6 +506,8 @@ def run_spectrum(resolved):
         "integrated_emission": float(system.integrated_emission()),
         "collision_count": system.collision_count,
         "degenerate": bool(system.eig.degenerate),
+        "stationary_residual": system.stationary.residual,
+        "cutoff_tail": system.cutoff_tail(),
         "peaks": peaks,
     }
     return ["omega", "spectrum"], zip(omega, spectrum.values), metrics
@@ -511,6 +525,7 @@ def run_g2time(resolved):
         "t_max": tg["t_max"],
         "relaxation_gap": result.relaxation_gap,
         "stationary_residual": system.stationary.residual,
+        "cutoff_tail": system.cutoff_tail(),
         "collision_count": system.collision_count,
     }
     return ["t", "g2"], zip(times, result.values), metrics
@@ -525,7 +540,8 @@ def run_converge(resolved):
 
     def peak_weights(system):
         # coincident-frequency peaks are summed first; their individual
-        # weights depend on the eigenvector gauge, the sums do not
+        # weights depend on the basis inside a degenerate level, the sums
+        # do not
         spec = system.spectrum(np.array([1.0]))
         centers, weights = cluster_weights(spec)
         keep = weights > 1e-3 * weights.sum()
@@ -692,8 +708,10 @@ ax.set_xlabel("temperature")
 ax.set_ylabel("coupling g")
 '''), grid=(
         _compare_values,
-        ("g2_numeric", "g2_basic", "g2_refined", "trusted", "rel_err_refined"),
-        (math.nan, math.nan, math.nan, 0, math.nan), _compare_metrics)),
+        ("g2_numeric", "g2_basic", "g2_refined", "trusted", "rel_err_refined",
+         "stationary_residual", "cutoff_tail"),
+        (math.nan, math.nan, math.nan, 0, math.nan, math.nan, math.nan),
+        _compare_metrics)),
     "converge": Task((MODEL, N_MAX_PAIR), run_converge, (
         "Regenerate the cutoff stability chart from __CSV__.", '''\
 labels = [r["metric"] for r in rows]

@@ -13,7 +13,8 @@ The lowering operators have at most one element per row and column, so
 each is held as an index map: a takes n to n-1 with amplitude sqrt(n),
 and sigma_minus_j clears bit j of e.  Every coupling is real in this
 basis, so the Hamiltonian is a real symmetric float64 matrix, scattered
-from the index maps; no D x D operator other than H is formed.
+from the sigma_minus_j maps with closed-form photon amplitudes; no D x D
+operator other than H is formed.
 """
 
 from __future__ import annotations
@@ -100,6 +101,9 @@ class ModelParams:
         for name in ("g", "g_prime", "temperature", "gamma", "x0",
                      "omega_c", "omega_x"):
             value = getattr(self, name)
+            # np.isfinite accepts a bool, which would be used as 0 or 1
+            if isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, not a bool")
             if value is not None and not np.isfinite(value):
                 raise ValueError(f"{name} must be finite")
         if self.g < 0 or self.g_prime < 0:
@@ -138,16 +142,6 @@ class IndexMap(NamedTuple):
     src: np.ndarray
     dst: np.ndarray
     amp: np.ndarray
-
-
-def _compose(outer, inner, dim):
-    """outer @ inner as an IndexMap; both act on a space of dimension dim."""
-    slot = np.full(dim, -1)
-    slot[outer.src] = np.arange(outer.src.size)
-    k = slot[inner.dst]
-    hit = k >= 0
-    k = k[hit]
-    return IndexMap(inner.src[hit], outer.dst[k], outer.amp[k] * inner.amp[hit])
 
 
 @dataclass(frozen=True)
@@ -196,8 +190,8 @@ def build_hamiltonian(params):
     H = omega_c a+ a  +  omega_x sum_j s+_j s-_j
         + g sum_j (a+ s-_j + a s+_j)  +  g' sum_j (a s-_j + a+ s+_j)
 
-    Returns a float64 (dim, dim) array scattered from the index maps of
-    build_operators.  Raises DimensionLimitError when 2^N (n_max+1)
+    Returns a float64 (dim, dim) array scattered from the sigma_minus_j
+    maps of build_operators.  Raises DimensionLimitError when 2^N (n_max+1)
     exceeds DEFAULT_MAX_DIM.
     """
     ops = build_operators(params)
@@ -208,11 +202,16 @@ def build_hamiltonian(params):
     # a+ a as the product of the amplitudes: sqrt(n)^2 may differ from n
     # in the last bit, and this is the value the operator product gives
     diag[a.src] = params.cavity_frequency * (a.amp * a.amp)
-    a_dag = a._replace(src=a.dst, dst=a.src)
     for sm in ops.sigma_minus:
         diag[sm.src] += params.emitter_frequency
-        for coupling, photon in ((params.g, a_dag), (params.g_prime, a)):
-            term = _compose(photon, sm, dim)
-            h[term.dst, term.src] = coupling * term.amp
-            h[term.src, term.dst] = coupling * term.amp
+        fock = sm.src % (params.n_max + 1)
+        # a+ s-_j moves n to n + 1 and a s-_j moves n to n - 1; either
+        # amplitude is the square root of the larger photon number
+        for coupling, step in ((params.g, 1), (params.g_prime, -1)):
+            moved = fock + step
+            keep = (moved >= 0) & (moved <= params.n_max)
+            src, dst = sm.src[keep], sm.dst[keep] + step
+            value = coupling * np.sqrt(np.maximum(fock, moved)[keep])
+            h[dst, src] = value
+            h[src, dst] = value
     return h

@@ -34,12 +34,12 @@ class DarkStateError(ValueError):
 def emission_operator(eig, a_eig):
     """Lowering part of the quadrature derivative, in the eigenbasis.
 
-    a_eig is A_X of the quadrature X = -i A_X in the eigenbasis,
-    group_transitions(eig, bath_lowering(ops)[0]); element (m, n) of the
-    result is (E_m - E_n) a_eig[m, n].  It is strictly upper triangular
-    in the energy ordering (rows below columns in energy); elements inside
-    a degenerate level group are excluded, so the operator annihilates
-    the ground level.
+    a_eig is the real antisymmetric A_X of the quadrature X = -i A_X in
+    the eigenbasis, group_transitions(eig, bath_lowering(ops)[0]); element
+    (m, n) of the real result is (E_m - E_n) a_eig[m, n].  It is strictly
+    upper triangular in the energy ordering (rows below columns in
+    energy); elements inside a degenerate level group are excluded, so
+    the operator annihilates the ground level.
     """
     e = eig.energies
     lower = eig.group_index[None, :] > eig.group_index[:, None]
@@ -62,7 +62,7 @@ class SpectrumResult:
 
 
 def _emission_pairs(rates, stat, xdot):
-    weights_full = np.abs(xdot) ** 2 * stat.populations[None, :]
+    weights_full = xdot * xdot * stat.populations[None, :]
     rows, cols = np.nonzero(weights_full)
     w = weights_full[rows, cols]
     total = float(w.sum())
@@ -141,10 +141,10 @@ def cluster_weights(spectrum):
     """Peak weights summed over coincident centers, sorted ascending.
 
     Transitions that share a frequency split their weight between peaks
-    in an eigenvector-gauge dependent way; only the per-center sum is
-    well defined.  Centers closer than PEAK_CLUSTER_TOL (gap_clusters)
-    are one frequency.  Returns (centers, weights) with one entry per
-    cluster: the mean center and the summed weight.
+    in a way that depends on the basis inside a degenerate level; only
+    the per-center sum is well defined.  Centers closer than
+    PEAK_CLUSTER_TOL (gap_clusters) are one frequency.  Returns (centers,
+    weights), one entry per cluster: mean center and summed weight.
     """
     index, centers = gap_clusters(spectrum.centers, PEAK_CLUSTER_TOL)
     return centers, np.bincount(index, weights=spectrum.weights)
@@ -156,7 +156,7 @@ def _emission_rate(stat, xdot, floor=None):
     With a floor this is the g2 denominator: below the floor the stationary
     state is dark and DarkStateError is raised.
     """
-    col_norms = (np.abs(xdot) ** 2).sum(axis=0)
+    col_norms = (xdot * xdot).sum(axis=0)
     rate = float(np.dot(stat.populations, col_norms))
     if floor is not None and rate < floor:
         raise DarkStateError(
@@ -174,7 +174,7 @@ def g2_zero(stat, xdot):
     """Equal-time degree-two coherence of the emitted field."""
     denominator = _emission_rate(stat, xdot, DENOMINATOR_FLOOR)
     y = xdot @ xdot
-    numerator = float(np.dot(stat.populations, (np.abs(y) ** 2).sum(axis=0)))
+    numerator = float(np.dot(stat.populations, (y * y).sum(axis=0)))
     return numerator / denominator**2
 
 

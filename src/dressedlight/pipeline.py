@@ -57,7 +57,7 @@ class SolvedSystem:
         """
         half = self.params.n_max + 1
         top = self.eig.vectors[np.arange(half - 1, self.params.dim, half)]
-        return float((np.abs(top) ** 2).sum(axis=0)
+        return float((top * top).sum(axis=0)
                      @ self.stationary.populations)
 
 

@@ -37,16 +37,14 @@ def gap_clusters(values, tol):
 
 @dataclass
 class EigenSystem:
-    """Sorted eigensystem with degenerate levels clustered.
+    """Sorted eigensystem of a real symmetric matrix, levels clustered.
 
-    energies are ascending; vectors[:, k] belongs to energies[k] with the
-    largest-magnitude component rotated to the positive real axis.
-    vectors has the dtype eigh returns for the input: float64 for a real
-    symmetric matrix such as the model Hamiltonian, complex otherwise.
-    Levels closer than LEVEL_TOL form one degenerate group: group_index[k]
-    is the group of state k (ascending from 0, so the members of group a
-    are the states with group_index == a) and group_energy[a] is the mean
-    energy of group a.
+    energies are ascending and vectors[:, k], float64, belongs to
+    energies[k], both as np.linalg.eigh returns them.  Outputs read the
+    vectors only through quadratic forms such as |<m|A|n>|^2, so the sign
+    of a vector changes no result.  Levels closer than LEVEL_TOL form one
+    degenerate group: group_index[k] is the group of state k (ascending
+    from 0) and group_energy[a] is the mean energy of group a.
     """
 
     energies: np.ndarray
@@ -61,10 +59,11 @@ class EigenSystem:
     def to_eigenbasis(self, lower):
         """Matrix elements <m|L|n> of a lab-frame model.IndexMap L.
 
-        One gather of the rows of vectors and one matrix product.
+        V^T L V as a real (D, D) array: one gather of the rows of vectors
+        and one matrix product.
         """
         v = self.vectors
-        return v[lower.dst].conj().T @ (lower.amp[:, None] * v[lower.src])
+        return v[lower.dst].T @ (lower.amp[:, None] * v[lower.src])
 
     def collision_omegas(self):
         """Frequencies w >= 0 shared by more than one pair of level groups.
@@ -88,62 +87,44 @@ class EigenSystem:
 
 
 def diagonalize(h):
-    """Diagonalize a Hermitian matrix and cluster degenerate levels.
+    """Diagonalize a real symmetric matrix and cluster degenerate levels.
 
     Parameters
     ----------
-    h : (D, D) array_like, D >= 1
-        Hermitian matrix; hermiticity is checked to 1e-12 relative.  A
-        real symmetric h (the float64 model Hamiltonian) takes the real
-        eigh path and gives float64 vectors, whose gauge fix reduces to
-        making the largest component positive.
+    h : (D, D) real array_like, D >= 1
+        Real symmetric matrix, such as the float64 model Hamiltonian;
+        symmetry is checked to 1e-12 relative.  Complex input raises
+        ValueError.
 
     Returns
     -------
     EigenSystem
-        The sorted levels split into groups wherever consecutive energies
-        differ by at least LEVEL_TOL; see EigenSystem for the fields.
+        The levels and float64 vectors of np.linalg.eigh, with levels
+        grouped by gap_clusters at LEVEL_TOL; see EigenSystem.
     """
     h = np.asarray(h)
-    # Both passes over D x D arrays go a block at a time, so neither
-    # allocates a D x D temporary.
+    if np.iscomplexobj(h):
+        raise ValueError("matrix must be real symmetric, got complex input")
+    # ||h - h^T||_F^2 over row blocks: no D x D temporary is allocated
     step = max(1, 2**16 // max(1, h.shape[0]))
-    # ||h - h^H||_F^2, summed over row blocks.
     skew = 0.0
     for start in range(0, h.shape[0], step):
-        block = h[start:start + step] - h[:, start:start + step].conj().T
-        skew += np.vdot(block, block).real
+        block = h[start:start + step] - h[:, start:start + step].T
+        skew += np.vdot(block, block)
     if np.sqrt(skew) > 1e-12 * np.linalg.norm(h):
         raise ValueError("matrix is not Hermitian")
     energies, vectors = np.linalg.eigh(h)
-    vectors = np.ascontiguousarray(vectors)
-
-    # Fixed gauge: rotate the largest-magnitude component of each unit
-    # vector onto the positive real axis (first index wins on ties),
-    # over blocks of columns.
-    for start in range(0, energies.size, step):
-        block = vectors[:, start:start + step]
-        pivot = block[np.argmax(np.abs(block), axis=0),
-                      np.arange(block.shape[1])]
-        block *= np.conj(pivot) / np.abs(pivot)
-
-    group_index, group_energy = gap_clusters(energies, LEVEL_TOL)
-    return EigenSystem(
-        energies=energies,
-        vectors=vectors,
-        group_index=group_index,
-        group_energy=group_energy,
-    )
+    return EigenSystem(energies, vectors, *gap_clusters(energies, LEVEL_TOL))
 
 
 def group_transitions(eig, lower):
     """A = L - L^T of a bath coupling S = -i A, in the eigenbasis.
 
     lower is the real model.IndexMap L; with M = eig.to_eigenbasis(L),
-    A = M - M^H (real antisymmetric for real eigenvectors).  The secular
-    grouping needs nothing else: the rates are evaluated at the group
-    energies of eig.  The pipeline calls this once per bath coupling,
-    and bench/spans.py times those calls under this name.
+    A = M - M^T, a real antisymmetric array.  The secular grouping needs
+    nothing else: the rates are evaluated at the group energies of eig.
+    The pipeline calls this once per bath coupling, and bench/spans.py
+    times those calls under this name.
     """
     m = eig.to_eigenbasis(lower)
-    return m - m.conj().T
+    return m - m.T

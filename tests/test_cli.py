@@ -517,36 +517,41 @@ _TINY_GRID = {"g_min": 0.1, "g_max": 0.2, "g_steps": 2,
 _TINY_POINT = {"n_emitters": 1, "limit": "tc", "g": 0.3, "temperature": 0.1,
                "n_max": 10}
 CONTRACTS = {
-    # task: (config, header, exit code, value fields of a failed row)
+    # task: (config, header, exit code, value fields of a failed row,
+    #        trust diagnostics in the summary metrics)
     "eigen": (
         {"model": {"n_emitters": 1, "limit": "tc", "n_max": 6},
          "grid": {"g_min": 0.1, "g_max": 0.3, "g_steps": 2}, "levels": 3},
-        ["g", "level", "energy", "group"], 0, None),
+        ["g", "level", "energy", "group"], 0, None, ()),
     "spectrum": (
         {"model": _TINY_POINT, "omega_grid": {"omega_max": 2.0, "points": 50}},
-        ["omega", "spectrum"], 0, None),
+        ["omega", "spectrum"], 0, None,
+        ("stationary_residual", "cutoff_tail")),
     "g2time": (
         {"model": _TINY_POINT, "t_grid": {"t_max": 100.0, "points": 5}},
-        ["t", "g2"], 0, None),
+        ["t", "g2"], 0, None, ("stationary_residual", "cutoff_tail")),
     "converge": (
         {"model": _TINY_POINT, "n_max_pair": [8, 10]},
         ["metric", "n_low", "n_high", "value_low", "value_high", "abs_diff",
-         "rel_diff"], 0, None),
+         "rel_diff"], 0, None, ()),
     "g2chart": (
         {"model": {"n_emitters": 1, "limit": "tc", "n_max": 8},
          "grid": _TINY_GRID},
         ["g", "T", "g2_zero", "collision_count", "degenerate",
          "stationary_residual", "cutoff_tail", "status"], 3,
-        ["nan", "0", "0", "nan", "nan"]),
+        ["nan", "0", "0", "nan", "nan"],
+        ("max_stationary_residual", "max_cutoff_tail")),
     "qo-chart": (
         {"model": {"n_emitters": 1, "limit": "dicke"}, "grid": _TINY_GRID,
          "qo_n_max": 4},
-        ["g", "T", "g2_zero", "status"], 3, ["nan"]),
+        ["g", "T", "g2_zero", "status"], 3, ["nan"], ()),
     "analytic-compare": (
         {"model": {"n_emitters": 1, "limit": "tc", "n_max": 8},
          "grid": _TINY_GRID},
         ["g", "T", "g2_numeric", "g2_basic", "g2_refined", "trusted",
-         "rel_err_refined", "status"], 3, ["nan", "nan", "nan", "0", "nan"]),
+         "rel_err_refined", "stationary_residual", "cutoff_tail", "status"],
+        3, ["nan", "nan", "nan", "0", "nan", "nan", "nan"],
+        ("max_stationary_residual", "max_cutoff_tail")),
 }
 
 
@@ -575,11 +580,21 @@ def task_run(request, tmp_path_factory):
 
 def test_task_csv_header_exit_code_and_failed_rows(task_run):
     task, out, code = task_run
-    _, header, exit_code, failed_fill = CONTRACTS[task]
+    _, header, exit_code, failed_fill, trust = CONTRACTS[task]
     assert code == exit_code
     got_header, rows = _read_rows(out / ("%s.csv" % task))
     assert got_header == header
     assert rows
+    # each tiny point that solved is converged and far from its cutoff;
+    # a grid's maximum is taken over its solved rows
+    metrics = json.loads((out / "summary.json").read_text())["metrics"]
+    for key in trust:
+        assert 0 <= metrics[key] <= 1e-9
+        column = key[len("max_"):]
+        if column in header:
+            solved = [float(row[column]) for row in rows
+                      if row["status"] == "0"]
+            assert metrics[key] == pytest.approx(max(solved), rel=1e-11)
     if failed_fill is None:
         return
     for row in rows:

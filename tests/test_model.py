@@ -95,6 +95,17 @@ def test_parameter_validation():
     with pytest.raises(ValueError, match="n_emitters must be an integer"):
         ModelParams(np.bool_(True), 0.1, 0.0, 0.1, n_max=5)
     assert ModelParams(np.int64(2), 0.1, 0.0, 0.1, n_max=np.int32(5)).dim == 24
+    # nor is it a coupling, a temperature, a rate or a frequency
+    base = dict(n_emitters=2, g=0.1, g_prime=0.0, temperature=0.1)
+    for field in ("g", "g_prime", "temperature", "gamma", "x0", "omega_c",
+                  "omega_x"):
+        for flag in (True, np.bool_(True), False):
+            with pytest.raises(ValueError, match=f"{field} must be a number"):
+                ModelParams(**dict(base, **{field: flag}))
+    with pytest.raises(ValueError, match="g must be a number"):
+        ModelParams(2, True, 0.0, 0.1)
+    p = ModelParams(2, np.float64(0.1), 0, np.float32(0.1), omega_c=1)
+    assert p.g_prime == 0 and p.cavity_frequency == 1
 
 
 @pytest.mark.parametrize("field", ["g", "g_prime", "temperature", "gamma",

@@ -1,4 +1,4 @@
-"""Eigen decomposition, phase gauge, and transition-frequency collisions."""
+"""Eigen decomposition, sign invariance and frequency collisions."""
 
 import tracemalloc
 
@@ -13,6 +13,7 @@ from dressedlight import (
     build_rate_table,
     diagonalize,
     group_transitions,
+    pipeline,
     solve_system,
     spectral,
 )
@@ -25,17 +26,16 @@ def _quadrature(ops):
     return -1j * (lower - lower.T)
 
 
-def _random_hermitian_with_spectrum(energies, seed):
+def _random_symmetric_with_spectrum(energies, seed):
     rng = np.random.default_rng(seed)
     n = len(energies)
-    q, _ = np.linalg.qr(rng.standard_normal((n, n))
-                        + 1j * rng.standard_normal((n, n)))
-    return q @ np.diag(energies) @ q.conj().T
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return q @ np.diag(energies) @ q.T
 
 
 def test_diagonalize_recovers_spectrum():
     energies = np.array([-1.5, 0.0, 0.3, 2.2, 7.1])
-    h = _random_hermitian_with_spectrum(energies, seed=11)
+    h = _random_symmetric_with_spectrum(energies, seed=11)
     eig = diagonalize(h)
     np.testing.assert_allclose(eig.energies, energies, atol=1e-12)
     # eigenvector property, column by column
@@ -45,6 +45,15 @@ def test_diagonalize_recovers_spectrum():
                                    atol=1e-12)
     assert not eig.degenerate
     assert eig.group_index.tolist() == [0, 1, 2, 3, 4]
+    # the model Hamiltonian gives float64 vectors that solve the eigen
+    # equation, and the same input gives the same vectors
+    p = ModelParams(2, 0.4, 0.4, 0.1, n_max=8)
+    h = build_hamiltonian(p)
+    eig = diagonalize(h)
+    assert eig.vectors.dtype == np.float64
+    np.testing.assert_allclose(h @ eig.vectors, eig.vectors * eig.energies,
+                               atol=1e-12)
+    np.testing.assert_array_equal(diagonalize(h.copy()).vectors, eig.vectors)
 
 
 def test_diagonalize_rejects_non_hermitian():
@@ -59,6 +68,16 @@ def test_diagonalize_rejects_non_hermitian():
         diagonalize(big)
 
 
+def test_diagonalize_rejects_complex_input():
+    h = _random_symmetric_with_spectrum([0.0, 0.4, 1.1, 3.0], seed=2)
+    with pytest.raises(ValueError, match="complex"):
+        diagonalize(h + 1e-3j * np.array([[0, 1, 0, 0], [-1, 0, 0, 0],
+                                          [0, 0, 0, 0], [0, 0, 0, 0]]))
+    # a complex dtype is refused even when every imaginary part is zero
+    with pytest.raises(ValueError, match="complex"):
+        diagonalize(h.astype(complex))
+
+
 def _traced_peak(fn):
     """Peak bytes tracemalloc sees allocated during fn()."""
     tracemalloc.start()
@@ -70,9 +89,8 @@ def _traced_peak(fn):
 
 
 def test_diagonalize_allocates_no_dense_temporary():
-    # the hermiticity check and the gauge fix go over blocks: beyond what
-    # eigh itself allocates, diagonalize holds less than a quarter of
-    # one D x D array
+    # the symmetry check goes over blocks: beyond what eigh itself
+    # allocates, diagonalize holds less than a quarter of one D x D array
     n = 1000
     h = np.random.default_rng(5).standard_normal((n, n))
     h += h.T
@@ -81,33 +99,9 @@ def test_diagonalize_allocates_no_dense_temporary():
     assert extra < 0.25 * n * n * 8
 
 
-def test_phase_gauge_largest_component_real_positive():
-    h = _random_hermitian_with_spectrum([0.0, 0.4, 1.1, 3.0], seed=2)
-    eig = diagonalize(h)
-    for k in range(4):
-        v = eig.vectors[:, k]
-        idx = np.argmax(np.abs(v))
-        assert abs(v[idx].imag) < 1e-14
-        assert v[idx].real > 0
-    # the gauge makes the decomposition reproducible across equivalent inputs
-    again = diagonalize(h.copy())
-    np.testing.assert_allclose(eig.vectors, again.vectors, atol=0)
-
-
-def test_real_hamiltonian_gives_real_vectors_in_the_gauge():
-    p = ModelParams(2, 0.4, 0.4, 0.1, n_max=8)
-    h = build_hamiltonian(p)
-    eig = diagonalize(h)
-    assert eig.vectors.dtype == np.float64
-    idx = np.argmax(np.abs(eig.vectors), axis=0)
-    assert np.all(eig.vectors[idx, np.arange(p.dim)] > 0)
-    np.testing.assert_allclose(h @ eig.vectors, eig.vectors * eig.energies,
-                               atol=1e-12)
-
-
 def test_degenerate_grouping():
     energies = [0.0, 1.0, 1.0 + 1e-12, 2.0, 2.0 + 5e-13, 2.0 + 9e-13]
-    h = _random_hermitian_with_spectrum(energies, seed=5)
+    h = _random_symmetric_with_spectrum(energies, seed=5)
     eig = diagonalize(h)
     assert eig.degenerate
     assert eig.group_index.tolist() == [0, 1, 1, 2, 2, 2]
@@ -232,3 +226,43 @@ def test_group_transitions_matches_dense_projection(n_emitters, g_prime,
         lower = dense(lower, p.dim)
         np.testing.assert_allclose(coupling, v.T @ (lower - lower.T) @ v,
                                    rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams(2, 0.4, 0.4, 0.1, n_max=8),
+    ModelParams(4, 0.3, 0.0, 0.1, n_max=5),
+    ModelParams(3, 0.35, 0.35, 0.15, n_max=6),
+    ModelParams(1, 0.3, 0.0, 0.1, n_max=8),
+    ModelParams(2, 0.3, 0.0, 0.1, n_max=6, omega_c=1.1, omega_x=0.95),
+], ids=["dicke-n2", "tc-n4", "dicke-n3", "tc-n1", "tc-n2-detuned"])
+def test_outputs_invariant_under_eigenvector_signs(monkeypatch, params):
+    # every output reads the eigenvectors through quadratic forms, so
+    # flipping the sign of any column changes no bit of any of them
+    omega = np.linspace(0.0, 3.0, 300)
+    times = np.linspace(0.0, 50.0 / params.gamma, 20)
+
+    def outputs():
+        system = solve_system(params)
+        spectrum = system.spectrum(omega)
+        return (system.g2_zero(), system.integrated_emission(),
+                system.cutoff_tail(), system.collision_count,
+                system.rates.generator, system.rates.z, spectrum.values,
+                spectrum.centers, spectrum.weights, spectrum.half_widths,
+                system.g2_time(times).values)
+
+    reference = outputs()
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        flipped = []
+
+        def diagonalize_flipped(h):
+            eig = spectral.diagonalize(h)
+            flip = rng.random(eig.energies.size) < 0.5
+            eig.vectors[:, flip] *= -1.0
+            flipped.append(flip.sum())
+            return eig
+
+        monkeypatch.setattr(pipeline, "diagonalize", diagonalize_flipped)
+        for got, want in zip(outputs(), reference):
+            np.testing.assert_array_equal(got, want)
+        assert flipped[0] > 0
