@@ -9,7 +9,7 @@ writes three artifacts into the output directory:
 
 Tasks
 -----
-eigen             dressed energies versus coupling (fixed temperature)
+eigen             dressed energies versus coupling (at T = 0)
 spectrum          emission spectrum S(omega) at one parameter point
 g2chart           g2(0) over a (g, T) grid at fixed emitter number
 g2time            g2(t) curve at one parameter point
@@ -87,10 +87,9 @@ class ConfigError(Exception):
 # absent field.
 
 REQUIRED = "required"
-# g and temperature: fixed-point tasks must give them; the sweep tasks
-# take SWEPT_DEFAULT when they are absent and vary g per point anyway
+# g and temperature: fixed-point tasks must give them; sweep tasks set
+# them per point, so for those they are config errors and echo as null
 SWEPT = "swept"
-SWEPT_DEFAULT = 0.1
 
 
 class Block(NamedTuple):
@@ -122,16 +121,15 @@ def _read_fields(block, path, fields, task, issues):
                 _path(path, field.key), field, task, issues)
             continue
         key, kind, default, minimum, positive = field
-        required = default is REQUIRED or (
-            default is SWEPT and task.fixed_point)
-        if default is SWEPT:
-            default = SWEPT_DEFAULT
-        elif required:
-            default = None
-        values[key] = default
+        swept = default is SWEPT
+        required = default is REQUIRED or (swept and task.fixed_point)
+        values[key] = None if required or swept else default
         if key not in block:
             if required:
                 issues.append((_path(path, key), "missing required field"))
+            continue
+        if swept and not task.fixed_point:
+            issues.append((_path(path, key), "sweep tasks set it per point"))
             continue
         value, message = block[key], None
         if kind not in (int, float):
@@ -189,7 +187,7 @@ def _resolve_limit(model, block, task, issues):
         limit = "dicke" if model["g_prime"] == model["g"] else "custom"
     elif limit is None:
         issues.append(("model.limit", "missing required field"))
-    else:
+    elif task.fixed_point:  # sweep tasks set it per point
         model["g_prime"] = model["g"] if limit == "dicke" else 0.0
     model["limit"] = limit
     return model
@@ -259,7 +257,7 @@ MODEL = Block("model", (
     ("omega_c", float, None, None, True),
     ("omega_x", float, None, None, True),
     ("limit", object, None, None, False),
-    ("g_prime", float, 0.0, 0.0, False),
+    ("g_prime", float, None, 0.0, False),
 ), True, _resolve_limit)
 SINGLE_TC_MODEL = MODEL._replace(check=_single_tc_model)
 # a swept axis runs from <axis>_min to <axis>_max in <axis>_steps points
@@ -474,9 +472,9 @@ def run_grid(resolved):
 
 def run_eigen(resolved):
     g_axis = _axis(*resolved["grid"]["g"])
-    temperature = resolved["model"]["temperature"]
+    # the energies do not depend on the temperature
     results = _map_points(
-        _point, [(_eigen_rows, resolved, g, temperature) for g in g_axis],
+        _point, [(_eigen_rows, resolved, g, 0.0) for g in g_axis],
         resolved["workers"])
     rows = [row for block, error in results if error is None for row in block]
     failures = [{"g": float(g), "error": error}

@@ -27,9 +27,9 @@ from typing import NamedTuple
 import numpy as np
 
 # D x D float64 arrays one dense solve holds at once: H, the eigenvectors,
-# the transformed couplings and their products; ROADMAP.md (item 4, the
-# transition lists) counts about 8.
-LIVE_DENSE_ARRAYS = 8
+# the transformed couplings and their products.  solve_system plus g2(0)
+# peaks at about 8.15 of them (tracemalloc, D = 404 to 976).
+LIVE_DENSE_ARRAYS = 9
 
 
 def _memory_dim_limit():

@@ -77,6 +77,8 @@ def solve_system(params):
     """
     ops = build_operators(params)
     eig = diagonalize(build_hamiltonian(params))
+    # counted first, so its temporaries do not stack on the couplings
+    collision_count = eig.collision_omegas().size
     couplings = (group_transitions(eig, lower)
                  for lower in bath_lowering(ops))
     # bath_lowering lists the cavity first: A_X in the eigenbasis
@@ -93,5 +95,5 @@ def solve_system(params):
         rates=rates,
         stationary=stat,
         xdot=xdot,
-        collision_count=eig.collision_omegas().size,
+        collision_count=collision_count,
     )

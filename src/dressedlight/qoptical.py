@@ -3,9 +3,13 @@
 Instead of splitting the coupling operators by dressed transition
 frequency, this variant keeps only their bare rotating components
 (the photon and emitter lowering operators) and evaluates all bath
-rates at the resonance frequency.  Its stationary state follows from
-the null space of the vectorized generator and generally differs from
-the dressed-basis result once the coupling is strong.
+rates at the resonance frequency.  The master equation is in Lindblad
+form, d rho/dt = -i (H_eff rho - rho H_eff+) + sum_j r_j S_j rho S_j^T:
+one real jump S_j per coupling and rate (the lowering map L at the
+emission rate chi(+1), L^T at the absorption rate chi(-1)) and one
+effective Hamiltonian H_eff = H - (i/2) sum_j r_j S_j^T S_j.  Its
+stationary state is the null space of the vectorized generator and
+generally differs from the dressed-basis result at strong coupling.
 
 The null-space problem is solved only on the trace block: the unknowns
 of the weakly connected components of the generator's sparsity graph
@@ -39,46 +43,41 @@ class DegenerateSteadyStateError(RuntimeError):
     """The generator has more than one stationary state."""
 
 
-def _csr(lower, dim):
-    """The model.IndexMap lower as a (dim, dim) CSR matrix."""
-    return scipy.sparse.csr_matrix((lower.amp, (lower.dst, lower.src)),
-                                   shape=(dim, dim))
-
-
-def _dissipator(op_sparse):
-    """chi (S rho S+ - {S+ S, rho}/2) in column-stacked vectorization."""
-    dim = op_sparse.shape[0]
-    eye = scipy.sparse.identity(dim, format="csr")
-    sdag_s = (op_sparse.conj().T @ op_sparse).tocsr()
-    return (
-        scipy.sparse.kron(op_sparse.conj(), op_sparse)
-        - 0.5 * scipy.sparse.kron(eye, sdag_s)
-        - 0.5 * scipy.sparse.kron(sdag_s.T, eye)
-    )
-
-
 def qo_liouvillian(params):
-    """Sparse vectorized generator (CSR); ValueError above MAX_QO_DIM."""
+    """Sparse vectorized generator (CSR); ValueError above MAX_QO_DIM.
+
+    L = -i (I (x) H_eff - conj(H_eff) (x) I) + sum_j r_j S_j (x) S_j on
+    the column-stacked rho.  The absorption jumps L^T enter only when
+    chi(-1) > 0.  S_j^T S_j is diagonal, amp^2 on the states S_j lowers,
+    since S_j has at most one element per row and column.
+    """
     if params.dim > MAX_QO_DIM:
         raise ValueError(
             f"dimension {params.dim} too large for the comparison solver "
             f"(limit {MAX_QO_DIM}); lower n_max"
         )
-    ops = build_operators(params)
-    h_s = scipy.sparse.csr_matrix(build_hamiltonian(params))
-    eye = scipy.sparse.identity(params.dim, format="csr")
-    liouv = -1j * (scipy.sparse.kron(eye, h_s)
-                   - scipy.sparse.kron(h_s.T, eye))
+    dim = params.dim
     # every coupling sees the Ohmic density at the resonance frequency; the
     # bare rotating component of S = -i (L - L^T) is -i L, and its phase
-    # cancels in the dissipator
+    # cancels in the jump term
     rate_down, rate_up = thermal_rate(
         np.array([1.0, -1.0]), params.temperature, params.gamma)
-    for lower in bath_lowering(ops):
-        lower = _csr(lower, params.dim)
-        liouv = liouv + rate_down * _dissipator(lower)
-        if rate_up > 0:
-            liouv = liouv + rate_up * _dissipator(lower.T)
+    lowering = bath_lowering(build_operators(params))
+    jumps = [(rate_down, s) for s in lowering]
+    if rate_up > 0:
+        jumps += [(rate_up, s._replace(src=s.dst, dst=s.src))
+                  for s in lowering]
+    loss = np.zeros(dim)  # diagonal of sum_j r_j S_j^T S_j
+    for rate, s in jumps:
+        loss[s.src] += rate * (s.amp * s.amp)
+    h_eff = scipy.sparse.csr_matrix(
+        build_hamiltonian(params) - 0.5j * np.diag(loss))
+    eye = scipy.sparse.identity(dim, format="csr")
+    liouv = -1j * (scipy.sparse.kron(eye, h_eff)
+                   - scipy.sparse.kron(h_eff.conj(), eye))
+    for rate, s in jumps:
+        s = scipy.sparse.csr_matrix((s.amp, (s.dst, s.src)), shape=(dim, dim))
+        liouv = liouv + rate * scipy.sparse.kron(s, s)
     return liouv.tocsr()
 
 
@@ -213,15 +212,15 @@ def qo_stationary_state(params):
 def qo_g2_zero(params):
     """Equal-time degree-two coherence in the comparison stationary state.
 
-    This is the photon-number statistic <a+ a+ a a> / <a+ a>^2; a
-    stationary <a+ a> below DENOMINATOR_FLOOR raises DarkStateError.
+    This is the photon-number statistic <a+ a+ a a> / <a+ a>^2, read off
+    the Fock diagonal of rho; a stationary <a+ a> below DENOMINATOR_FLOOR
+    raises DarkStateError.
     """
-    rho = qo_stationary_state(params).rho
-    lower = _csr(build_operators(params).a, params.dim)
-    raise_op = lower.T
-    denominator = float(np.trace(rho @ raise_op @ lower).real)
+    populations = np.diagonal(qo_stationary_state(params).rho).real
+    photons = np.arange(params.dim) % (params.n_max + 1)
+    denominator = float(photons @ populations)
     if denominator < DENOMINATOR_FLOOR:
         raise DarkStateError(
             f"stationary emission {denominator:.3e} below floor")
-    numerator = float(np.trace(rho @ raise_op @ raise_op @ lower @ lower).real)
+    numerator = float((photons * (photons - 1)) @ populations)
     return numerator / denominator**2

@@ -204,6 +204,33 @@ def test_limit_and_g_prime_are_exclusive(tmp_path, capsys):
                  "--out", str(tmp_path / "run")]) == 2
 
 
+@pytest.mark.parametrize("task,keys", [
+    ("g2chart", ("g", "temperature")),
+    ("qo-chart", ("g",)),
+    ("eigen", ("temperature",)),
+])
+def test_sweep_tasks_reject_a_fixed_coupling_or_temperature(tmp_path, capsys,
+                                                           task, keys):
+    # a sweep sets g and T per point (eigen at T = 0), so a model value
+    # would be read by no point
+    payload = json.loads(json.dumps(CONTRACTS[task][0]))
+    payload["model"].update(dict.fromkeys(keys, 0.2))
+    cfg = _write_config(tmp_path, payload)
+    assert main([task, "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    for key in keys:
+        assert "config error: model.%s: sweep tasks set" % key in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_sweep_summary_echoes_no_fixed_coupling_or_temperature(tmp_path):
+    cfg = _write_config(tmp_path, _chart_config())
+    out = tmp_path / "run"
+    assert main(["g2chart", "--config", cfg, "--out", str(out)]) == 0
+    model = json.loads((out / "summary.json").read_text())["config"]["model"]
+    assert model["g"] is model["g_prime"] is model["temperature"] is None
+
+
 def test_invalid_json_and_missing_file_are_config_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -703,3 +730,31 @@ def test_no_source_module_imports_a_scipy_submodule():
                           name == "scipy"
                           and isinstance(node, ast.ImportFrom))]
     assert found == []
+
+
+def test_every_module_level_import_is_used():
+    # an import that only a deleted function read, or that is kept only so
+    # that an outside lookup of the name resolves, is dead code
+    src = os.path.dirname(cli.__file__)
+    unused = []
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        if os.path.basename(path) == "__init__.py":
+            continue
+        with open(path) as handle:
+            tree = ast.parse(handle.read(), path)
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += ["%s:%d %s" % (os.path.basename(path), line, name)
+                   for name, line in sorted(imported.items())
+                   if name not in used]
+    assert unused == []

@@ -18,6 +18,7 @@ from dressedlight import (
     bath_lowering,
     build_hamiltonian,
     build_operators,
+    solve_system,
 )
 from dressedlight import model
 from dressedlight.model import DEFAULT_MAX_DIM
@@ -285,14 +286,14 @@ def test_dimension_limit():
 
 
 @pytest.mark.parametrize("pages,page_size,limit", [
-    (15625, 4096, 1000),      # 64 * 1000^2 bytes exactly
-    (15624, 4096, 999),       # one page less
-    (2**21, 4096, 11585),     # 8 GiB
-    (2**22, 4096, 16384),     # 16 GiB
+    (72000, 1000, 1000),      # 72 * 1000^2 bytes exactly
+    (71999, 1000, 999),       # one page less
+    (2**21, 4096, 10922),     # 8 GiB
+    (2**22, 4096, 15446),     # 16 GiB
 ])
 def test_dimension_limit_follows_physical_memory(monkeypatch, pages,
                                                  page_size, limit):
-    # LIVE_DENSE_ARRAYS float64 D x D arrays must fit: 64 D^2 <= memory.
+    # LIVE_DENSE_ARRAYS float64 D x D arrays must fit: 72 D^2 <= memory.
     # Computed from a faked os.sysconf; nothing of that size is allocated.
     values = {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": page_size}
     monkeypatch.setattr(os, "sysconf", values.__getitem__)
@@ -301,6 +302,22 @@ def test_dimension_limit_follows_physical_memory(monkeypatch, pages,
 
 def test_default_dimension_limit_is_this_machines():
     assert DEFAULT_MAX_DIM == model._memory_dim_limit()
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams(2, 0.5, 0.5, 0.07, n_max=100),
+    ModelParams(4, 0.3, 0.0, 0.1, n_max=60),
+], ids=["dicke-n2-D404", "tc-n4-D976"])
+def test_solve_stays_below_the_live_dense_arrays(params):
+    # the dimension limit assumes at most LIVE_DENSE_ARRAYS D x D float64
+    # arrays at once; a solve and its g2(0) must keep to that
+    tracemalloc.start()
+    try:
+        solve_system(params).g2_zero()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < model.LIVE_DENSE_ARRAYS * params.dim**2 * 8
 
 
 def test_operators_are_index_maps_without_dense_arrays():

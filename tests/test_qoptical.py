@@ -296,11 +296,20 @@ def test_non_finite_second_pinned_solve_is_a_degenerate_steady_state():
         _solve_with_trace_row(sp.csr_matrix(liouv), 2)
 
 
+def _three_term_dissipator(s):
+    """S rho S+ - {S+ S, rho}/2 for a real S, column-stacked."""
+    eye = sp.identity(s.shape[0], format="csr")
+    sds = (s.T @ s).tocsr()
+    return sp.kron(s, s) - 0.5 * sp.kron(eye, sds) - 0.5 * sp.kron(sds.T, eye)
+
+
 @pytest.mark.parametrize("g_prime", [0.0, 0.35], ids=["tc", "dicke"])
 @pytest.mark.parametrize("n_emitters", [1, 2])
 def test_liouvillian_matches_dense_operator_assembly(n_emitters, g_prime):
-    # the CSR operators built from the index maps are the ones a dense
-    # operator gives, so the generator is identical element for element
+    # the effective-Hamiltonian form has the sparsity pattern of the
+    # textbook sum of H and one three-term dissipator per coupling and
+    # rate, built here from dense operators; only the summation order of
+    # the values differs
     p = ModelParams(n_emitters, 0.35, g_prime, 0.2, n_max=5)
     liouv = qo_liouvillian(p)
     dim = p.dim
@@ -311,9 +320,44 @@ def test_liouvillian_matches_dense_operator_assembly(n_emitters, g_prime):
                                       p.gamma)
     for lower in bath_lowering(build_operators(p)):
         lower = sp.csr_matrix(dense(lower, dim))
-        ref = ref + rate_down * qoptical._dissipator(lower)
-        ref = ref + rate_up * qoptical._dissipator(lower.T)
+        ref = ref + rate_down * _three_term_dissipator(lower)
+        ref = ref + rate_up * _three_term_dissipator(lower.T)
     ref = ref.tocsr()
-    for field in ("data", "indices", "indptr"):
+    for field in ("indices", "indptr"):
         np.testing.assert_array_equal(getattr(liouv, field),
                                       getattr(ref, field))
+    scale = np.max(np.abs(ref.data))
+    assert np.max(np.abs(liouv.data - ref.data)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams(1, 0.5, 0.5, 0.1, n_max=12),
+    ModelParams(2, 0.4, 0.0, 0.15, n_max=10),
+    ModelParams(2, 0.3, 0.3, 0.12, n_max=10, omega_c=1.1, omega_x=0.95),
+], ids=["dicke-n1", "tc-n2", "detuned-n2"])
+def test_g2_zero_matches_operator_traces(params):
+    # the Fock diagonal gives tr(rho a+ a+ a a) / tr(rho a+ a)^2
+    rho = qo_stationary_state(params).rho
+    a = dense(build_operators(params).a, params.dim)
+    number = np.trace(rho @ a.T @ a).real
+    pairs = np.trace(rho @ a.T @ a.T @ a @ a).real
+    assert qo_g2_zero(params) == pytest.approx(pairs / number**2, rel=1e-13)
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.1])
+@pytest.mark.parametrize("n_emitters", [1, 2])
+def test_liouvillian_makes_one_kron_per_jump(monkeypatch, n_emitters,
+                                             temperature):
+    # two for H_eff and one per jump: N + 1 emission jumps, and as many
+    # absorption jumps when T > 0
+    calls = []
+    kron = sp.kron
+
+    def counting_kron(*args, **kwargs):
+        calls.append(1)
+        return kron(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "kron", counting_kron)
+    qo_liouvillian(ModelParams(n_emitters, 0.3, 0.3, temperature, n_max=4))
+    jumps = (n_emitters + 1) * (2 if temperature > 0 else 1)
+    assert len(calls) == 2 + jumps
