@@ -48,12 +48,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, qoptical
 from .analytic import tc_g2_approximation
 from .model import ModelParams, build_hamiltonian
 from .observables import cluster_weights
 from .pipeline import solve_system
-from .qoptical import MAX_QO_DIM, qo_g2_zero
+from .qoptical import MAX_QO_DIM, MAX_QO_UNKNOWNS, qo_admits, qo_g2_zero
 from .spectral import diagonalize
 
 EXIT_OK = 0
@@ -321,10 +321,11 @@ def parse_config(path, task, workers_override=None, out_override=None):
     resolved["output_dir"] = out_dir
     qo_n_max, model = resolved.get("qo_n_max"), resolved["model"]
     if qo_n_max is not None and model and model["n_emitters"] is not None:
-        # 2^64 exceeds the limit already; min() keeps the shift small
-        if (qo_n_max + 1) << min(model["n_emitters"], 64) > MAX_QO_DIM:
+        if not qo_admits(model["n_emitters"], qo_n_max):
             issues.append(("qo_n_max", "the comparison solver needs "
-                           "2^n_emitters (qo_n_max + 1) <= %d" % MAX_QO_DIM))
+                           "C(n_emitters + 3, 3) (qo_n_max + 1)^2 <= %d and "
+                           "2^n_emitters (qo_n_max + 1) <= %d"
+                           % (MAX_QO_UNKNOWNS, MAX_QO_DIM)))
     elsewhere = {field[0] for other in TASKS.values() for field in other.blocks}
     for key in sorted(set(cfg) - {field[0] for field in fields}):
         issues.append((key, "not read by the %s task" % task
@@ -406,7 +407,11 @@ def _g2_values(params, _resolved):
 
 
 def _qo_values(params, resolved):
-    return (float(qo_g2_zero(replace(params, n_max=resolved["qo_n_max"]))),)
+    params = replace(params, n_max=resolved["qo_n_max"])
+    # looked up on the module, where bench/spans.py puts its timing wrapper
+    state = qoptical.qo_stationary_state(params)
+    return (float(qo_g2_zero(params, state)), state.residual,
+            state.cutoff_tail)
 
 
 def _compare_values(params, _resolved):
@@ -439,8 +444,8 @@ def _g2_metrics(_resolved, ok):
                 collision_points=int(sum(1 for v in ok if v[1] > 0)))
 
 
-def _qo_metrics(resolved, _ok):
-    return {"qo_n_max": resolved["qo_n_max"]}
+def _qo_metrics(resolved, ok):
+    return dict(_trust_maxima(ok), qo_n_max=resolved["qo_n_max"])
 
 
 def _compare_metrics(_resolved, ok):
@@ -688,7 +693,8 @@ ax.set_ylabel("$g^{(2)}(t)$")
 '''), fixed_point=True),
     "qo-chart": Task(
         (MODEL, GT_GRID, QO_N_MAX), run_grid, _PLOT_CHART,
-        grid=(_qo_values, ("g2_zero",), (math.nan,), _qo_metrics)),
+        grid=(_qo_values, ("g2_zero", "stationary_residual", "cutoff_tail"),
+              (math.nan, math.nan, math.nan), _qo_metrics)),
     "analytic-compare": Task((SINGLE_TC_MODEL, GT_GRID), run_grid, (
         "Regenerate the closed-form versus numeric g2(0) comparison from "
         "__CSV__.",

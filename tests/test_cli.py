@@ -165,15 +165,33 @@ def test_model_block_mirrors_model_params():
 
 
 def test_qo_dimension_above_solver_limit_is_config_error(tmp_path, capsys):
-    # 2^4 (15 + 1) = 256 > MAX_QO_DIM: no grid point could be solved
+    # C(7, 3) 22^2 = 16940 symmetric-subspace unknowns > MAX_QO_UNKNOWNS:
+    # no grid point could be solved
     cfg = _write_config(tmp_path, {
         "model": {"n_emitters": 4, "limit": "dicke"},
         "grid": {"g_min": 0.1, "g_max": 0.2, "g_steps": 2,
-                 "T_min": 0.1, "T_max": 0.1, "T_steps": 1}})
+                 "T_min": 0.1, "T_max": 0.1, "T_steps": 1},
+        "qo_n_max": 21})
     assert main(["qo-chart", "--config", cfg,
                  "--out", str(tmp_path / "run")]) == 2
     assert "config error: qo_n_max: " in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_qo_chart_runs_three_emitters_at_the_default_cutoff(tmp_path):
+    # C(6, 3) 16^2 = 5120 unknowns: refused while the full 2^3 16 = 128
+    # dimensional space was the limit
+    cfg = _write_config(tmp_path, {
+        "model": {"n_emitters": 3, "limit": "dicke"},
+        "grid": {"g_min": 0.4, "g_max": 0.4, "g_steps": 1,
+                 "T_min": 0.1, "T_max": 0.1, "T_steps": 1}})
+    out = tmp_path / "run"
+    assert main(["qo-chart", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = _read_rows(out / "qo-chart.csv")
+    assert [row["status"] for row in rows] == ["0"]
+    assert float(rows[0]["stationary_residual"]) < 1e-12
+    metrics = json.loads((out / "summary.json").read_text())["metrics"]
+    assert metrics["qo_n_max"] == cli.DEFAULT_QO_NMAX
 
 
 def test_equal_grid_bounds_need_a_single_step(tmp_path, capsys):
@@ -570,8 +588,10 @@ CONTRACTS = {
         ("max_stationary_residual", "max_cutoff_tail")),
     "qo-chart": (
         {"model": {"n_emitters": 1, "limit": "dicke"}, "grid": _TINY_GRID,
-         "qo_n_max": 4},
-        ["g", "T", "g2_zero", "status"], 3, ["nan"], ()),
+         "qo_n_max": 8},
+        ["g", "T", "g2_zero", "stationary_residual", "cutoff_tail",
+         "status"], 3, ["nan", "nan", "nan"],
+        ("max_stationary_residual", "max_cutoff_tail")),
     "analytic-compare": (
         {"model": {"n_emitters": 1, "limit": "tc", "n_max": 8},
          "grid": _TINY_GRID},

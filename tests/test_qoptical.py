@@ -4,6 +4,8 @@ The thermal-ladder oracle is rebuilt in the tests from bit counts and Fock
 indices, independent of the operator machinery under test.
 """
 
+import itertools
+import math
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -28,9 +30,12 @@ from dressedlight import (
 )
 from dressedlight.qoptical import (
     MAX_QO_DIM,
+    MAX_QO_UNKNOWNS,
     DegenerateSteadyStateError,
+    _orbit_basis,
     _solve_with_trace_row,
     _trace_block,
+    qo_admits,
 )
 
 
@@ -74,6 +79,15 @@ def test_tc_stationary_matches_thermal_ladder():
         state = qo_stationary_state(p)
         oracle = _thermal_ladder(n_emitters, 8, 0.2)
         assert trace_distance(state.rho, oracle) < 1e-6
+
+
+def test_cutoff_tail_is_the_top_fock_population():
+    # the thermal ladder at a high temperature puts weight on n = n_max
+    p = ModelParams(2, 0.4, 0.0, 0.5, n_max=4)
+    oracle = np.diagonal(_thermal_ladder(2, 4, 0.5))
+    assert oracle[4::5].sum() > 1e-4
+    assert qo_stationary_state(p).cutoff_tail == pytest.approx(
+        oracle[4::5].sum(), rel=1e-9)
 
 
 def test_tc_stationary_independent_of_coupling():
@@ -156,11 +170,31 @@ def test_dark_stationary_state_raises_dark_state_error():
                                     qo_g2_zero])
 def test_dimension_above_limit_raises(solver):
     # the solvers take the cutoff of the params they are given, never a
-    # smaller one of their own
-    p = ModelParams(1, 0.3, 0.3, 0.1, n_max=MAX_QO_DIM // 2)
-    assert p.dim > MAX_QO_DIM
+    # smaller one of their own; N=4, n_max=21 has C(7, 3) 22^2 = 16940
+    # symmetric-subspace unknowns
+    p = ModelParams(4, 0.3, 0.3, 0.1, n_max=21)
+    assert qo_admits(4, 20) and not qo_admits(4, 21)
     with pytest.raises(ValueError, match="too large"):
         solver(p)
+
+
+def test_size_limits():
+    # every cutoff admitted by the old full-dimension limit of 128 stays
+    # admitted, N=3 and N=4 run at the default cutoff of 15, and the
+    # reduced-unknowns limit binds up to N=4
+    for n_emitters in range(1, 8):
+        for n_max in range(2, 128 >> n_emitters):
+            assert qo_admits(n_emitters, n_max)
+    assert qo_admits(1, 63) and not qo_admits(1, 64)
+    assert qo_admits(3, 15) and qo_admits(4, 15) and qo_admits(4, 20)
+    assert math.comb(7, 3) * 21**2 <= MAX_QO_UNKNOWNS
+    assert (20 + 1) << 4 <= MAX_QO_DIM
+    # from N=5 on the full dimension binds: N=5, n_max=16 has 16184
+    # symmetric-subspace unknowns but 2^5 17 = 544 states
+    assert math.comb(8, 3) * 17**2 <= MAX_QO_UNKNOWNS
+    assert qo_admits(5, 15) and not qo_admits(5, 16)
+    # a huge emitter number is refused without building 2^N or C(N+3, 3)
+    assert not qo_admits(10**30, 2)
 
 
 def test_g2_never_subpoissonian_with_counter_rotation():
@@ -176,6 +210,11 @@ def test_cutoff_convergence_estimate():
     assert qo_convergence_estimate(p) < 1e-4
 
 
+def _unit_trace(dim):
+    """Population unknowns rho_kk of a column-stacked dim x dim state, unit weights."""
+    return np.arange(dim) * (dim + 1), np.ones(dim)
+
+
 def test_singular_pinned_system_is_a_degenerate_steady_state():
     # no dissipation: every diagonal state of H = diag(0, 1) is stationary,
     # so the trace-pinned system is exactly singular
@@ -183,7 +222,7 @@ def test_singular_pinned_system_is_a_degenerate_steady_state():
     eye = sp.identity(2, format="csr")
     liouv = (-1j * (sp.kron(eye, h) - sp.kron(h.T, eye))).tocsr()
     with pytest.raises(DegenerateSteadyStateError):
-        _solve_with_trace_row(liouv, 2)
+        _solve_with_trace_row(liouv, *_unit_trace(2))
 
 
 def test_pinned_solves_that_disagree_are_a_degenerate_steady_state(monkeypatch):
@@ -195,6 +234,9 @@ def test_pinned_solves_that_disagree_are_a_degenerate_steady_state(monkeypatch):
     liouv = sp.csr_matrix(
         (v @ np.diag([0.0, 0.0, -1.0, -2.0]) @ np.linalg.inv(v)).astype(complex))
     monkeypatch.setattr(qoptical, "qo_liouvillian", lambda params: liouv)
+    # the identity as the orbit basis: the projected generator is liouv
+    monkeypatch.setattr(qoptical, "_orbit_basis", lambda params: (
+        sp.identity(4, format="csr"), *_unit_trace(2)))
     with pytest.raises(DegenerateSteadyStateError, match="disagree"):
         qo_stationary_state(SimpleNamespace(temperature=0.1, dim=2))
 
@@ -238,20 +280,91 @@ def test_trace_block_solve_matches_full_space_solve(params, n_max):
         1e-12 * np.max(np.abs(reference))
     liouv = qo_liouvillian(params)
     dim = params.dim
-    dropped = np.setdiff1d(np.arange(dim**2), _trace_block(liouv, dim))
+    dropped = np.setdiff1d(np.arange(dim**2),
+                           _trace_block(liouv, _unit_trace(dim)[0]))
     assert dropped.size > 0
     assert np.all(state.rho.reshape(-1, order="F")[dropped] == 0.0)
 
 
+def _projected(params):
+    """Full generator L, orbit basis P, P^T L P, populations and weights."""
+    liouv = qo_liouvillian(params)
+    basis, populations, weights = _orbit_basis(params)
+    return (liouv, basis, (basis.T @ (liouv @ basis)).tocsr(), populations,
+            weights)
+
+
 @pytest.mark.parametrize("n_emitters, g_prime, size", [
-    (1, 0.4, 512), (1, 0.0, 62), (2, 0.4, 2048), (2, 0.0, 244)])
+    (1, 0.4, 512), (1, 0.0, 62), (2, 0.4, 1280), (2, 0.0, 152)])
 def test_trace_block_sizes(n_emitters, g_prime, size):
-    # dicke keeps the parity block, tc the equal-excitation block
+    # dicke keeps the parity block, tc the equal-excitation block, of the
+    # C(N+3, 3) 16^2 symmetric-subspace unknowns (4^N 16^2 in full)
     p = ModelParams(n_emitters, 0.4, g_prime, 0.1, n_max=15)
-    liouv = qo_liouvillian(p)
-    dim = p.dim
-    assert dim**2 == (4096 if n_emitters == 2 else 1024)
-    assert _trace_block(liouv, dim).size == size
+    _, _, reduced, populations, _ = _projected(p)
+    assert reduced.shape[0] == (2560 if n_emitters == 2 else 1024)
+    assert _trace_block(reduced, populations).size == size
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams(2, 0.4, 0.0, 0.1, n_max=6),
+    ModelParams(2, 0.4, 0.4, 0.1, n_max=6),
+    ModelParams(3, 0.3, 0.0, 0.15, n_max=5),
+    ModelParams(3, 0.3, 0.3, 0.15, n_max=5),
+    ModelParams(3, 0.3, 0.3, 0.12, n_max=5, omega_c=1.1, omega_x=0.95),
+], ids=["tc-n2", "dicke-n2", "tc-n3", "dicke-n3", "detuned-n3"])
+def test_orbit_basis_spans_an_invariant_subspace(params):
+    # P is orthonormal and L maps its span to itself: L P = P (P^T L P)
+    liouv, basis, reduced, populations, weights = _projected(params)
+    n_orbits = math.comb(params.n_emitters + 3, 3) * (params.n_max + 1)**2
+    assert basis.shape == (params.dim**2, n_orbits)
+    assert abs(basis.T @ basis - sp.identity(n_orbits)).max() <= 1e-13
+    assert abs(liouv @ basis - basis @ reduced).max() <= \
+        1e-13 * abs(liouv).max()
+    # the population orbits are the columns that hold every rho_kk, and
+    # the trace of P y is their weighted sum
+    diag = _unit_trace(params.dim)[0]
+    assert np.array_equal(np.unique(basis[diag].indices), populations)
+    y = np.random.default_rng(20).standard_normal(n_orbits)
+    assert np.sum((basis @ y)[diag]) == pytest.approx(weights @ y[populations],
+                                                      rel=1e-13)
+
+
+@pytest.mark.parametrize("n_emitters", range(1, 9))
+def test_orbits_are_the_pair_count_multisets(n_emitters):
+    # one orbit per count of emitters in each of the four (row bit,
+    # column bit) pairs, times (n_row, n_col); orbit sizes are the
+    # multinomials N! / (c00! c01! c10! c11!)
+    basis, populations, weights = _orbit_basis(
+        ModelParams(n_emitters, 0.3, 0.3, 0.1, n_max=2))
+    sizes = sorted(
+        math.factorial(n_emitters) // math.prod(map(math.factorial, counts))
+        for counts in itertools.product(range(n_emitters + 1), repeat=4)
+        if sum(counts) == n_emitters)
+    assert basis.shape[1] == len(sizes) * 9
+    members = np.diff(basis.tocsc().indptr)
+    assert sorted(members[::9]) == sizes
+    np.testing.assert_allclose(basis.data, 1 / np.sqrt(members[basis.indices]),
+                               rtol=1e-15)
+    assert populations.size == 3 * (n_emitters + 1)
+    np.testing.assert_allclose(weights, np.sqrt(members[populations]),
+                               rtol=1e-15)
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams(1, 0.5, 0.5, 0.1, n_max=6),
+    ModelParams(1, 0.5, 0.0, 0.1, n_max=6),
+    ModelParams(2, 0.4, 0.4, 0.08, n_max=4),
+    ModelParams(2, 0.4, 0.0, 0.08, n_max=4),
+    ModelParams(2, 0.3, 0.3, 0.12, n_max=4, omega_c=1.1, omega_x=0.95),
+], ids=["dicke-n1", "tc-n1", "dicke-n2", "tc-n2", "detuned-n2"])
+def test_full_generator_has_one_stationary_direction(params):
+    # the reduced solve sees neither the dropped components nor the
+    # complement of the symmetric subspace; the dense full generator has
+    # a one-dimensional null space, so neither holds a second stationary
+    # state (second-smallest singular value ~1e-3 of the largest)
+    values = np.linalg.svd(qo_liouvillian(params).toarray(), compute_uv=False)
+    assert values[-1] <= 1e-14 * values[0]
+    assert values[-2] >= 1e-4 * values[0]
 
 
 def _decay_liouvillian(dim, jumps):
@@ -271,9 +384,10 @@ def test_decoupled_trace_blocks_are_a_degenerate_steady_state():
     # two decaying two-level blocks on four levels: each keeps its own
     # trace, so every mixture of their ground states is stationary
     liouv = sp.csr_matrix(_decay_liouvillian(4, [(0, 1), (2, 3)]))
-    np.testing.assert_array_equal(_trace_block(liouv, 4), [0, 5, 10, 15])
+    np.testing.assert_array_equal(_trace_block(liouv, _unit_trace(4)[0]),
+                                  [0, 5, 10, 15])
     with pytest.raises(DegenerateSteadyStateError):
-        _solve_with_trace_row(liouv, 4)
+        _solve_with_trace_row(liouv, *_unit_trace(4))
 
 
 def test_singular_second_pinned_system_is_a_degenerate_steady_state():
@@ -282,7 +396,7 @@ def test_singular_second_pinned_system_is_a_degenerate_steady_state():
     # capacitance is singular
     liouv = sp.csr_matrix(np.diag([0.0, -1.0, -1.0, -1.0]).astype(complex))
     with pytest.raises(DegenerateSteadyStateError, match="disagree"):
-        _solve_with_trace_row(liouv, 2)
+        _solve_with_trace_row(liouv, *_unit_trace(2))
 
 
 def test_non_finite_second_pinned_solve_is_a_degenerate_steady_state():
@@ -290,10 +404,11 @@ def test_non_finite_second_pinned_solve_is_a_degenerate_steady_state():
     # system finite, since the trace replaces that equation, but makes
     # the second pinned solve NaN; NaN must not pass the agreement check
     liouv = _decay_liouvillian(2, [(0, 1)])
-    assert np.all(np.isfinite(_solve_with_trace_row(sp.csr_matrix(liouv), 2)))
+    assert np.all(np.isfinite(
+        _solve_with_trace_row(sp.csr_matrix(liouv), *_unit_trace(2))))
     liouv[0, 0] = np.nan
     with pytest.raises(DegenerateSteadyStateError, match="disagree"):
-        _solve_with_trace_row(sp.csr_matrix(liouv), 2)
+        _solve_with_trace_row(sp.csr_matrix(liouv), *_unit_trace(2))
 
 
 def _three_term_dissipator(s):
