@@ -41,11 +41,7 @@ from .observables import (
     spectrum_sum_rule,
 )
 from .pipeline import SolvedSystem, solve_system
-from .qoptical import (
-    qo_g2_zero,
-    qo_liouvillian,
-    qo_stationary_state,
-)
+from .qoptical import qo_g2_zero, qo_liouvillian, qo_stationary_state
 from .spectral import EigenSystem, diagonalize, group_transitions
 
 __version__ = "0.1.0"

@@ -50,10 +50,10 @@ import numpy as np
 
 from . import __version__, qoptical
 from .analytic import tc_g2_approximation
-from .model import ModelParams, build_hamiltonian
+from .model import ModelParams, build_hamiltonian, build_operators
 from .observables import cluster_weights
 from .pipeline import solve_system
-from .qoptical import MAX_QO_DIM, MAX_QO_UNKNOWNS, qo_admits, qo_g2_zero
+from .qoptical import qo_admits, qo_g2_zero, qo_limits
 from .spectral import diagonalize
 
 EXIT_OK = 0
@@ -323,9 +323,7 @@ def parse_config(path, task, workers_override=None, out_override=None):
     if qo_n_max is not None and model and model["n_emitters"] is not None:
         if not qo_admits(model["n_emitters"], qo_n_max):
             issues.append(("qo_n_max", "the comparison solver needs "
-                           "C(n_emitters + 3, 3) (qo_n_max + 1)^2 <= %d and "
-                           "2^n_emitters (qo_n_max + 1) <= %d"
-                           % (MAX_QO_UNKNOWNS, MAX_QO_DIM)))
+                           + qo_limits()))
     elsewhere = {field[0] for other in TASKS.values() for field in other.blocks}
     for key in sorted(set(cfg) - {field[0] for field in fields}):
         issues.append((key, "not read by the %s task" % task
@@ -426,7 +424,7 @@ def _compare_values(params, _resolved):
 
 def _eigen_rows(params, resolved):
     # energies only; skips the dissipative half of the pipeline
-    eig = diagonalize(build_hamiltonian(params))
+    eig = diagonalize(build_hamiltonian(build_operators(params)))
     keep = min(resolved["levels"], eig.energies.size)
     return [(params.g, k, float(eig.energies[k]), int(eig.group_index[k]))
             for k in range(keep)]

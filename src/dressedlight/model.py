@@ -184,17 +184,18 @@ def build_operators(params):
     )
 
 
-def build_hamiltonian(params):
+def build_hamiltonian(ops):
     """Hamiltonian of the coupled system as a dense real symmetric matrix.
 
     H = omega_c a+ a  +  omega_x sum_j s+_j s-_j
         + g sum_j (a+ s-_j + a s+_j)  +  g' sum_j (a s-_j + a+ s+_j)
 
     Returns a float64 (dim, dim) array scattered from the sigma_minus_j
-    maps of build_operators.  Raises DimensionLimitError when 2^N (n_max+1)
-    exceeds DEFAULT_MAX_DIM.
+    maps of the OperatorSet ops; a ModelParams has its maps built.
     """
-    ops = build_operators(params)
+    if isinstance(ops, ModelParams):
+        ops = build_operators(ops)
+    params = ops.params
     dim = params.dim
     h = np.zeros((dim, dim))
     diag = h.reshape(-1)[:: dim + 1]

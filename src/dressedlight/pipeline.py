@@ -76,7 +76,7 @@ def solve_system(params):
     SolvedSystem
     """
     ops = build_operators(params)
-    eig = diagonalize(build_hamiltonian(params))
+    eig = diagonalize(build_hamiltonian(ops))
     # counted first, so its temporaries do not stack on the couplings
     collision_count = eig.collision_omegas().size
     couplings = (group_transitions(eig, lower)

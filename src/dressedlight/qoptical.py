@@ -1,58 +1,49 @@
 """Comparison solver: master equation with bare lowering operators.
 
-Instead of splitting the coupling operators by dressed transition
-frequency, this variant keeps only their bare rotating components
-(the photon and emitter lowering operators) and evaluates all bath
-rates at the resonance frequency.  The master equation is in Lindblad
-form, d rho/dt = -i (H_eff rho - rho H_eff+) + sum_j r_j S_j rho S_j^T:
-one real jump S_j per coupling and rate (the lowering map L at the
-emission rate chi(+1), L^T at the absorption rate chi(-1)) and one
-effective Hamiltonian H_eff = H - (i/2) sum_j r_j S_j^T S_j.  Its
-stationary state is the null space of the vectorized generator and
-generally differs from the dressed-basis result at strong coupling.
+This variant keeps only the bare rotating components of the couplings
+(the photon and emitter lowering operators) and evaluates every bath
+rate at the resonance frequency.  The master equation is in Lindblad
+form, d rho/dt = -i (H_eff rho - rho H_eff+) + sum_j r_j S_j rho S_j^T,
+with one real jump S_j per coupling and rate (the lowering map L at
+chi(+1), L^T at chi(-1)) and H_eff = H - (i/2) sum_j r_j S_j^T S_j.
 
-The generator L commutes with every permutation of the emitters: H is
-collective, and each emitter has its own jumps at the same rates.  So
-the unique stationary state lies in the permutation-symmetric subspace,
-which L maps to itself.  Its orthonormal orbit basis P has one column
-per orbit of the column-stacked index of rho under the permutations,
-the orbit's indicator divided by sqrt(|orbit|).  An orbit is fixed by
-the multiset of per-emitter (row bit, column bit) pairs and by the
-photon numbers (n_row, n_col): C(N+3, 3) (n_max+1)^2 unknowns instead
-of 4^N (n_max+1)^2.  The state is rho = P y with y in the null space of
-the projected generator P^T L P, and tr(P y) is the sum of
-sqrt(|orbit|) y over the population orbits: these trace weights form
-the trace row.
+The generator L commutes with every permutation of the emitters, so the
+unique stationary state is symmetric.  An orbit of entries
+rho[(e_r, n_r), (e_c, n_c)] is fixed by the counts (k00, k01, k10, k11)
+of emitters with each (row bit, column bit) and by (n_r, n_c): C(N+3, 3)
+(n_max+1)^2 orbits instead of 4^N (n_max+1)^2 entries.  The generator is
+built as P^T L P on the orthonormal orbit basis P (each orbit's
+indicator over sqrt(|o|)), with neither L nor P formed: every term acts
+on the mode, or on one emitter and the mode, with the amplitudes of the
+one-emitter model.  A term that moves an emitter from pair class x to y
+weighs k_x sqrt(|o| / |o'|) = sqrt(k_x (k_y + 1)), one that keeps the
+class k_x, a mode term 1.  As L P = P (P^T L P), rho = P y holds
+y_o / sqrt(|o|) on orbit o, its trace is the sum of sqrt(|o|) y_o over
+the population orbits, and max|L rho| = max_o |(P^T L P y)_o| / sqrt(|o|).
 
-The null-space problem is solved only on the trace block: the unknowns
-of the weakly connected components of the projected generator's
-sparsity graph that hold a population orbit (the parity block for the
-Dicke coupling, the excitation-number block without counter-rotating
-terms).  The other components are decoupled and see no trace
-constraint, so for a unique stationary state they are zero.  One sparse
-LU of the trace block with the trace in its first population equation
-gives the state; the same LU with a rank-2 Woodbury update gives the
-state pinned on the last population equation, and the two must agree.
+Only the trace block is solved: the weakly connected components of the
+generator's sparsity graph that hold a population (the parity block for
+the Dicke coupling, the excitation-number block without counter-rotating
+terms); a unique stationary state is zero on the others.  The state is
+pinned by the trace on the first population equation, and again on the
+last by a rank-2 Woodbury update of the same LU; the two must agree.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy
 
+from . import model
 from .dissipation import bath_lowering, thermal_rate
-from .model import build_hamiltonian, build_operators
+from .model import IndexMap, build_hamiltonian, build_operators
 from .observables import DENOMINATOR_FLOOR, DarkStateError
 
 # Largest number of symmetric-subspace unknowns C(N+3, 3) (n_max+1)^2
 MAX_QO_UNKNOWNS = 16384
-# Largest Hilbert dimension 2^N (n_max+1) of the full generator, which is
-# still built (P and the residual come from it).  Its stored entries grow
-# like 4^N N (n_max+1)^2: 6.3 M at N=5, n_max=15 (D=512), 0.46 GB peak.
-MAX_QO_DIM = 512
 # Iterative-refinement sweeps after the sparse LU solve of the stationary
 # state.
 REFINE_SWEEPS = 2
@@ -65,91 +56,111 @@ class DegenerateSteadyStateError(RuntimeError):
 def qo_admits(n_emitters, n_max):
     """Whether the comparison solver takes N emitters at cutoff n_max.
 
-    The symmetric-subspace solve has C(N+3, 3) (n_max+1)^2 unknowns, at
-    most MAX_QO_UNKNOWNS, and the full generator it is projected from
-    acts on a Hilbert dimension 2^N (n_max+1) of at most MAX_QO_DIM.  N
-    is capped at 64, past both limits, so a huge N builds no huge
-    integer.
+    At most MAX_QO_UNKNOWNS orbit unknowns C(N+3, 3) (n_max+1)^2, and a
+    dense rho of side 2^N (n_max+1) <= model.DEFAULT_MAX_DIM, read at call
+    time.  N is capped at 64, past both, so it builds no huge integer.
     """
     n_emitters = min(n_emitters, 64)
     return (math.comb(n_emitters + 3, 3) * (n_max + 1) ** 2
             <= MAX_QO_UNKNOWNS
-            and (n_max + 1) << n_emitters <= MAX_QO_DIM)
+            and (n_max + 1) << n_emitters <= model.DEFAULT_MAX_DIM)
 
 
-def qo_liouvillian(params):
-    """Sparse vectorized generator (CSR); ValueError unless `qo_admits`.
+def qo_limits():
+    """The two size limits of `qo_admits`, as text for error messages."""
+    return (f"C(N+3, 3) (n_max+1)^2 <= {MAX_QO_UNKNOWNS} symmetric-subspace "
+            f"unknowns and dimension 2^N (n_max+1) <= {model.DEFAULT_MAX_DIM}")
 
-    L = -i (I (x) H_eff - conj(H_eff) (x) I) + sum_j r_j S_j (x) S_j on
-    the column-stacked rho.  The absorption jumps L^T enter only when
-    chi(-1) > 0.  S_j^T S_j is diagonal, amp^2 on the states S_j lowers,
-    since S_j has at most one element per row and column.
+
+def _emitter_orbits(n):
+    """(2^N, 2^N) emitter labels of the configuration pairs (row, column).
+
+    Also returns each label's pair counts (k00, k01, k10, k11) and size.
+    Labels ascend with the key (k10 (N+1) + k01) (N+1) + k11, N = n, so
+    the N+1 population labels (k01 = k10 = 0) come first, by excited count.
     """
-    if not qo_admits(params.n_emitters, params.n_max):
-        raise ValueError(
-            f"N={params.n_emitters}, n_max={params.n_max} too large for the "
-            f"comparison solver ({MAX_QO_UNKNOWNS} symmetric-subspace "
-            f"unknowns, dimension {MAX_QO_DIM}); lower n_max"
-        )
-    dim = params.dim
-    # every coupling sees the Ohmic density at the resonance frequency; the
-    # bare rotating component of S = -i (L - L^T) is -i L, and its phase
-    # cancels in the jump term
-    rate_down, rate_up = thermal_rate(
-        np.array([1.0, -1.0]), params.temperature, params.gamma)
-    lowering = bath_lowering(build_operators(params))
-    jumps = [(rate_down, s) for s in lowering]
-    if rate_up > 0:
-        jumps += [(rate_up, s._replace(src=s.dst, dst=s.src))
-                  for s in lowering]
-    loss = np.zeros(dim)  # diagonal of sum_j r_j S_j^T S_j
-    for rate, s in jumps:
-        loss[s.src] += rate * (s.amp * s.amp)
-    h_eff = scipy.sparse.csr_matrix(
-        build_hamiltonian(params) - 0.5j * np.diag(loss))
-    eye = scipy.sparse.identity(dim, format="csr")
-    liouv = -1j * (scipy.sparse.kron(eye, h_eff)
-                   - scipy.sparse.kron(h_eff.conj(), eye))
-    for rate, s in jumps:
-        s = scipy.sparse.csr_matrix((s.amp, (s.dst, s.src)), shape=(dim, dim))
-        liouv = liouv + rate * scipy.sparse.kron(s, s)
-    return liouv.tocsr()
-
-
-def _orbit_basis(params):
-    """Orbit basis P (CSR), population orbits and their trace weights.
-
-    Column o of P is the indicator of orbit o of the column-stacked
-    index r + c D of rho, divided by sqrt(|o|).  The emitter part of an
-    orbit is the number of emitters whose (row bit, column bit) is
-    (1, 0), (0, 1) and (1, 1); the population orbits, with none of the
-    first two, take the first N + 1 emitter labels, ordered by the
-    number of excited emitters.  Orbit label = emitter label (n_max+1)^2
-    + n_row (n_max+1) + n_col.  Returns P, the ascending labels of the
-    population orbits and their weights sqrt(|o|), so that tr(P y) is
-    the weighted sum of y over them.
-    """
-    n, half = params.n_emitters, params.n_max + 1
     conf = np.arange(2**n)
     # bitwise_count returns uint8, too narrow for the key at N >= 6
     excited = np.bitwise_count(conf).astype(int)
     both = np.bitwise_count(conf[:, None] & conf[None, :]).astype(int)
     key = ((excited[:, None] - both) * (n + 1)
            + excited[None, :] - both) * (n + 1) + both
-    _, emitter, size = np.unique(key.ravel(), return_inverse=True,
-                                 return_counts=True)
-    fock = np.arange(half)
-    label = (emitter.reshape(conf.size, 1, conf.size, 1) * half**2
-             + fock[:, None, None] * half + fock)
-    # axes (c_conf, n_col, r_conf, n_row) flatten to the index r + c D
-    label = label.transpose(2, 3, 0, 1).ravel()
-    basis = scipy.sparse.csr_matrix(
-        (1.0 / np.sqrt(size[label // half**2]),
-         (np.arange(label.size), label)),
-        shape=(label.size, size.size * half**2))
-    populations = (np.arange(n + 1)[:, None] * half**2
-                   + fock * (half + 1)).ravel()
-    return basis, populations, np.repeat(np.sqrt(size[:n + 1]), half)
+    keys, label, size = np.unique(key.ravel(), return_inverse=True,
+                                  return_counts=True)
+    k10, k01, k11 = np.unravel_index(keys, (n + 1,) * 3)  # key digits
+    counts = np.stack([n - k10 - k01 - k11, k01, k10, k11], axis=1)
+    return label.reshape(key.shape), counts, size
+
+
+def _entries(h, jumps):
+    """Flat entries r, c, r', c', value of a Lindblad generator on rho.
+
+    The generator of the dense real h and the (rate, S) jumps takes
+    rho[r, c] to rho[r', c'] with the value; entries may repeat.
+    """
+    # S^T S is diagonal, amp^2 on the states S lowers
+    h_eff = h - 0.5j * np.diag(sum(np.bincount(s.src, rate * (s.amp * s.amp),
+                                               len(h)) for rate, s in jumps))
+    dst, src = np.nonzero(h_eff)
+    ham = IndexMap(src, dst, h_eff[dst, src])
+    eye = IndexMap(np.arange(len(h)), np.arange(len(h)), np.ones(len(h)))
+    parts = []
+    for value, rows, cols in ([(-1j, ham, eye),
+                               (1j, eye, ham._replace(amp=ham.amp.conj()))]
+                              + [(rate, s, s) for rate, s in jumps]):
+        pair = (rows.src[:, None], cols.src, rows.dst[:, None], cols.dst,
+                value * rows.amp[:, None] * cols.amp)
+        shape = (rows.src.size, cols.src.size)
+        parts.append([np.broadcast_to(a, shape).ravel() for a in pair])
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+def qo_liouvillian(params):
+    """Generator on the orbit basis (CSR); ValueError unless `qo_admits`.
+
+    P^T L P for L on the column-stacked rho; unknown = emitter label
+    (`_emitter_orbits`) (n_max+1)^2 + n_r (n_max+1) + n_c.
+    """
+    if not qo_admits(params.n_emitters, params.n_max):
+        raise ValueError(
+            f"N={params.n_emitters}, n_max={params.n_max} too large for the "
+            f"comparison solver ({qo_limits()}); lower n_max")
+    n, half = params.n_emitters, params.n_max + 1
+    # every coupling sees the Ohmic density at the resonance frequency; S =
+    # -i (L - L^T) keeps its rotating part -i L, whose phase cancels
+    rate_down, rate_up = thermal_rate(
+        np.array([1.0, -1.0]), params.temperature, params.gamma)
+    ops = build_operators(replace(params, n_emitters=1))
+    # mode, then emitter; at chi(-1) = 0 the L^T entries are 0, and dropped
+    jumps = [(rate_down, s) for s in bath_lowering(ops)]
+    jumps += [(rate_up, s._replace(src=s.dst, dst=s.src)) for _, s in jumps]
+    h = build_hamiltonian(ops)
+    h_mode = np.diagonal(h)[:half]
+    # the emitter part of H on the index b (n_max+1) + n, and its mode
+    # part, the diagonal on the ground emitter, on n
+    emitter = _entries(h - np.diag(np.tile(h_mode, 2)), jumps[1::2])
+    mode = _entries(np.diag(h_mode), [
+        (rate, IndexMap(*(a[s.src < half] for a in s)))
+        for rate, s in jumps[::2]])
+    r, c, r_to, c_to, value = (np.concatenate(p) for p in zip(emitter, mode))
+    # pair class 2 b_r + b_c before and after; the mode is a fifth class
+    # that every label holds once
+    x, y = 2 * (r // half) + c // half, 2 * (r_to // half) + c_to // half
+    x[emitter[0].size:] = y[emitter[0].size:] = 4
+    _, counts, _ = _emitter_orbits(n)
+    counts = np.column_stack([counts, np.ones(len(counts), dtype=int)])
+    label, e = np.nonzero(counts[:, x])
+    k_x, k_y = counts[label, x[e]], counts[label, y[e]]
+    step = np.array([0, n + 1, (n + 1)**2, 1, 0])  # key change per count
+    keys = counts @ step
+    moved = np.searchsorted(keys, keys[label] + step[y[e]] - step[x[e]])
+    liouv = scipy.sparse.csr_matrix(
+        (value[e] * np.where(x[e] == y[e], k_x, np.sqrt(k_x * (k_y + 1))),
+         (moved * half**2 + r_to[e] % half * half + c_to[e] % half,
+          label * half**2 + r[e] % half * half + c[e] % half)),
+        shape=(len(counts) * half**2,) * 2)
+    liouv.eliminate_zeros()
+    return liouv
 
 
 def _trace_block(liouv, populations):
@@ -177,18 +188,15 @@ def _solve_with_trace_row(liouv, populations, weights):
     """Replace the first population equation by the trace and solve.
 
     `populations` are the ascending unknowns that hold populations and
-    `weights` their coefficients in the trace.  Only the trace block
-    (`_trace_block`) is factored; the returned vector is zero elsewhere.
-    REFINE_SWEEPS iterative-refinement sweeps recover the small
-    populations, which otherwise carry the absolute noise of the
-    factorization.  A singular system means the generator has more than
-    one stationary state and raises DegenerateSteadyStateError.  So does
-    a disagreement with the solve pinned on the last population equation
-    instead: that system is the factored one plus U V^T with U =
-    [e_first, e_last], solved from the same LU by the Woodbury identity.
-    A non-finite second solution or a singular 2x2 capacitance
-    I + V^T A^-1 U (the second system is singular) counts as a
-    disagreement.
+    `weights` their trace coefficients.  Only the trace block is factored;
+    the result is zero elsewhere.  REFINE_SWEEPS refinement sweeps recover
+    the small populations from the absolute noise of the factorization.
+    DegenerateSteadyStateError (more than one stationary state) is raised
+    when the system is singular or the solve pinned on the last
+    population equation disagrees: that system is the factored one plus
+    U V^T with U = [e_first, e_last], solved from the same LU by the
+    Woodbury identity.  A non-finite second solution or a singular 2x2
+    capacitance I + V^T A^-1 U counts as a disagreement.
     """
     keep = _trace_block(liouv, populations)
     block = liouv[keep][:, keep]
@@ -245,9 +253,8 @@ def _solve_with_trace_row(liouv, populations, weights):
 class QoStationary:
     """Stationary state of the comparison generator.
 
-    residual is max|L rho| over the whole generator, before the state is
-    hermitized and normalized; cutoff_tail is the population of the top
-    Fock state n = n_max.
+    residual is max|L rho| over the whole generator, before rho is
+    hermitized and normalized; cutoff_tail is the population of n = n_max.
     """
 
     rho: np.ndarray
@@ -259,28 +266,26 @@ class QoStationary:
 def qo_stationary_state(params):
     """Stationary density matrix of the bare-operator master equation.
 
-    Solves the null-space problem of the projected generator P^T L P on
-    its trace block with a trace constraint, maps the solution back as
-    rho = P y, hermitizes and renormalizes, and verifies positivity.
-    The unknowns outside the trace block are decoupled from every
-    population; a unique stationary state is zero there, because a
-    nonzero stationary part would be a second stationary direction.  The
-    same LU also gives the solve with a different pinned equation, which
-    guards against a degenerate stationary manifold that reaches the
-    populations; a second stationary direction confined to the dropped
+    Solves the orbit-space generator with a trace row, gathers rho = P y
+    through the emitter-pair labels, hermitizes, renormalizes and checks
+    positivity.  A second stationary direction confined to the dropped
     coherences (as for dephasing by sigma_x) or outside the symmetric
-    subspace is not seen.  The residual max|L rho| is taken over the
-    whole, unreduced generator, so it shows that rho is stationary in
-    the full space.
+    subspace is not seen.  The residual max_o |(P^T L P y)_o| / sqrt(|o|)
+    is max|L rho| over the whole generator.
     """
     if params.temperature <= 0:
         raise ValueError("the comparison solver needs temperature > 0")
     liouv = qo_liouvillian(params)
-    basis, populations, weights = _orbit_basis(params)
-    reduced = (basis.T @ (liouv @ basis)).tocsr()
-    vec = basis @ _solve_with_trace_row(reduced, populations, weights)
-    residual = float(np.max(np.abs(liouv @ vec)))
-    rho = vec.reshape((params.dim, params.dim), order="F")
+    n, half = params.n_emitters, params.n_max + 1
+    label, _, size = _emitter_orbits(n)
+    norm = np.repeat(np.sqrt(size), half**2)  # sqrt(|o|) of every unknown
+    populations = (np.arange(n + 1)[:, None] * half**2
+                   + np.arange(half) * (half + 1)).ravel()
+    y = _solve_with_trace_row(liouv, populations, norm[populations])
+    residual = float(np.max(np.abs(liouv @ y) / norm))
+    # axes (r_conf, c_conf, n_r, n_c) to (r_conf, n_r, c_conf, n_c)
+    rho = (y / norm).reshape(-1, half, half)[label].transpose(0, 2, 1, 3)
+    rho = rho.reshape(params.dim, params.dim)
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
     eigs = np.linalg.eigvalsh(rho)

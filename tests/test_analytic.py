@@ -6,6 +6,7 @@ import pytest
 from dressedlight import (
     ModelParams,
     build_hamiltonian,
+    build_operators,
     jc_energies,
     jc_ladder,
     scaling_energies,
@@ -68,7 +69,8 @@ def test_tc_n2_sectors():
 
 def test_tc_n2_matches_full_diagonalization():
     g = 0.25
-    h = build_hamiltonian(ModelParams(2, g, 0.0, 0.1, n_max=10))
+    h = build_hamiltonian(
+        build_operators(ModelParams(2, g, 0.0, 0.1, n_max=10)))
     energies = np.linalg.eigvalsh(h)
     for n in (1, 2, 3):
         _contains(energies, tc_energies_n2(n, g))
@@ -98,7 +100,8 @@ def test_scaling_energies_forms():
 def test_scaling_energies_match_full_diagonalization():
     for n_emitters in (1, 2, 3):
         g = 0.3
-        h = build_hamiltonian(ModelParams(n_emitters, g, 0.0, 0.1, n_max=8))
+        h = build_hamiltonian(build_operators(
+            ModelParams(n_emitters, g, 0.0, 0.1, n_max=8)))
         energies = np.linalg.eigvalsh(h)
         first, second = scaling_energies(n_emitters, g)
         _contains(energies, first)

@@ -14,8 +14,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from dressedlight import ModelParams, cli, solve_system
+from dressedlight import ModelParams, cli, model, solve_system
 from dressedlight.cli import OUTPUT_ENV_VAR, build_parser, main
+from dressedlight.qoptical import MAX_QO_UNKNOWNS
 
 FLOAT_FIELD = re.compile(r"-?\d\.\d{12}e[+-]\d{2,3}$")
 
@@ -164,18 +165,26 @@ def test_model_block_mirrors_model_params():
     assert fields == {field.name for field in dataclasses.fields(ModelParams)}
 
 
-def test_qo_dimension_above_solver_limit_is_config_error(tmp_path, capsys):
-    # C(7, 3) 22^2 = 16940 symmetric-subspace unknowns > MAX_QO_UNKNOWNS:
+def test_qo_dimension_above_solver_limit_is_config_error(tmp_path, capsys,
+                                                        monkeypatch):
+    # C(7, 3) 22^2 = 16940 symmetric-subspace unknowns > MAX_QO_UNKNOWNS,
+    # then a dimension 2^2 31 = 124 above a lowered model.DEFAULT_MAX_DIM:
     # no grid point could be solved
-    cfg = _write_config(tmp_path, {
-        "model": {"n_emitters": 4, "limit": "dicke"},
-        "grid": {"g_min": 0.1, "g_max": 0.2, "g_steps": 2,
-                 "T_min": 0.1, "T_max": 0.1, "T_steps": 1},
-        "qo_n_max": 21})
-    assert main(["qo-chart", "--config", cfg,
-                 "--out", str(tmp_path / "run")]) == 2
-    assert "config error: qo_n_max: " in capsys.readouterr().err
-    assert not (tmp_path / "run").exists()
+    for n_emitters, qo_n_max, max_dim in ((4, 21, model.DEFAULT_MAX_DIM),
+                                          (2, 30, 123)):
+        monkeypatch.setattr(model, "DEFAULT_MAX_DIM", max_dim)
+        cfg = _write_config(tmp_path, {
+            "model": {"n_emitters": n_emitters, "limit": "dicke"},
+            "grid": {"g_min": 0.1, "g_max": 0.2, "g_steps": 2,
+                     "T_min": 0.1, "T_max": 0.1, "T_steps": 1},
+            "qo_n_max": qo_n_max})
+        assert main(["qo-chart", "--config", cfg,
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: qo_n_max: " in err
+        assert f"<= {MAX_QO_UNKNOWNS} " in err
+        assert f"2^N (n_max+1) <= {max_dim}\n" in err
+        assert not (tmp_path / "run").exists()
 
 
 def test_qo_chart_runs_three_emitters_at_the_default_cutoff(tmp_path):

@@ -185,7 +185,7 @@ def _gain(rates):
 def _brute_force_gain(params, temperature):
     """Independent rate table: plain eigh + nested loops over level pairs."""
     ops = build_operators(params)
-    h = build_hamiltonian(params)
+    h = build_hamiltonian(ops)
     energies, vectors = np.linalg.eigh(h)
     dim = params.dim
     gain = np.zeros((dim, dim))

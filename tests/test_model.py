@@ -20,7 +20,7 @@ from dressedlight import (
     build_operators,
     solve_system,
 )
-from dressedlight import model
+from dressedlight import model, pipeline
 from dressedlight.model import DEFAULT_MAX_DIM
 
 
@@ -214,7 +214,7 @@ def test_hamiltonian_single_emitter_by_hand():
     # N=1, n_max=2: basis |e,n> with index 3e+n, written out element by element
     g, gp, w = 0.23, 0.11, 1.0
     p = ModelParams(1, g, gp, 0.1, n_max=2)
-    h = build_hamiltonian(p)
+    h = build_hamiltonian(build_operators(p))
     expect = np.zeros((6, 6), dtype=complex)
     for e in (0, 1):
         for n in range(3):
@@ -235,16 +235,17 @@ def test_hamiltonian_hermitian_and_number_conservation():
     for _ in range(5):
         g, gp = rng.uniform(0, 0.8, 2)
         p = ModelParams(2, g, gp, 0.1, n_max=5)
-        h = build_hamiltonian(p)
+        h = build_hamiltonian(build_operators(p))
         np.testing.assert_allclose(h, h.conj().T, atol=1e-14)
     # total excitation number is conserved exactly without counter-rotation
     p_tc = ModelParams(2, 0.5, 0.0, 0.1, n_max=5)
-    n_total = _total_number(build_operators(p_tc))
-    h_tc = build_hamiltonian(p_tc)
+    ops_tc = build_operators(p_tc)
+    n_total = _total_number(ops_tc)
+    h_tc = build_hamiltonian(ops_tc)
     np.testing.assert_allclose(h_tc @ n_total, n_total @ h_tc,
                                atol=1e-13)
     p_d = ModelParams(2, 0.5, 0.5, 0.1, n_max=5)
-    h_d = build_hamiltonian(p_d)
+    h_d = build_hamiltonian(build_operators(p_d))
     assert np.abs(h_d @ n_total - n_total @ h_d).max() > 0.1
 
 
@@ -252,14 +253,14 @@ def test_hamiltonian_hermitian_and_number_conservation():
 @pytest.mark.parametrize("g_prime", [0.0, 0.37], ids=["tc", "dicke"])
 def test_hamiltonian_equals_operator_products_exactly(n_emitters, g_prime):
     p = ModelParams(n_emitters, 0.37, g_prime, 0.1, n_max=9)
-    h = build_hamiltonian(p)
+    h = build_hamiltonian(build_operators(p))
     assert h.dtype == np.float64
     assert np.array_equal(h, _reference_hamiltonian(p))
 
 
 def test_hamiltonian_with_detuning_equals_operator_products_exactly():
     p = ModelParams(3, 0.21, 0.13, 0.1, n_max=7, omega_c=1.3, omega_x=0.9)
-    h = build_hamiltonian(p)
+    h = build_hamiltonian(build_operators(p))
     assert h.dtype == np.float64
     assert np.array_equal(h, _reference_hamiltonian(p))
 
@@ -267,7 +268,7 @@ def test_hamiltonian_with_detuning_equals_operator_products_exactly():
 def test_real_hamiltonian_energies_match_complex_eigh():
     for p in (ModelParams(2, 0.5, 0.5, 0.1, n_max=20),
               ModelParams(3, 0.3, 0.0, 0.1, n_max=12)):
-        h = build_hamiltonian(p)
+        h = build_hamiltonian(build_operators(p))
         complex_energies = np.linalg.eigvalsh(h.astype(complex))
         np.testing.assert_allclose(np.linalg.eigvalsh(h), complex_energies,
                                    rtol=0, atol=1e-12)
@@ -298,6 +299,24 @@ def test_dimension_limit_follows_physical_memory(monkeypatch, pages,
     values = {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": page_size}
     monkeypatch.setattr(os, "sysconf", values.__getitem__)
     assert model._memory_dim_limit() == limit
+
+
+def test_solve_builds_the_index_maps_once(monkeypatch):
+    # H and the bath couplings come from one OperatorSet; H built from it
+    # is bit for bit the H built from the params
+    calls = []
+    build = model.build_operators
+
+    def counted(params):
+        calls.append(params)
+        return build(params)
+
+    monkeypatch.setattr(model, "build_operators", counted)
+    monkeypatch.setattr(pipeline, "build_operators", counted)
+    p = ModelParams(3, 0.3, 0.2, 0.1, n_max=6)
+    solve_system(p)
+    assert calls == [p]
+    assert np.array_equal(build_hamiltonian(build(p)), build_hamiltonian(p))
 
 
 def test_default_dimension_limit_is_this_machines():

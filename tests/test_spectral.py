@@ -48,7 +48,7 @@ def test_diagonalize_recovers_spectrum():
     # the model Hamiltonian gives float64 vectors that solve the eigen
     # equation, and the same input gives the same vectors
     p = ModelParams(2, 0.4, 0.4, 0.1, n_max=8)
-    h = build_hamiltonian(p)
+    h = build_hamiltonian(build_operators(p))
     eig = diagonalize(h)
     assert eig.vectors.dtype == np.float64
     np.testing.assert_allclose(h @ eig.vectors, eig.vectors * eig.energies,
@@ -126,7 +126,7 @@ def test_to_eigenbasis_matches_direct_projection():
     for p in (ModelParams(1, 0.3, 0.1, 0.1, n_max=4),
               ModelParams(1, 0.25, 0.25, 0.15, n_max=4)):
         ops = build_operators(p)
-        eig = diagonalize(build_hamiltonian(p))
+        eig = diagonalize(build_hamiltonian(ops))
         v = eig.vectors
         for lower in bath_lowering(ops):
             np.testing.assert_allclose(eig.to_eigenbasis(lower),
@@ -142,7 +142,7 @@ def test_to_eigenbasis_matches_direct_projection():
 def test_harmonic_ladder_collisions_flagged():
     # uncoupled cavity: all upward transitions share the same frequency
     p = ModelParams(1, 0.0, 0.0, 0.1, n_max=5)
-    eig = diagonalize(build_hamiltonian(p))
+    eig = diagonalize(build_hamiltonian(build_operators(p)))
     collisions = eig.collision_omegas()
     assert collisions.size > 0
     assert 1.0 in np.round(collisions, 12)
@@ -175,7 +175,7 @@ def _loop_collisions(eig, delta_omega):
     (ModelParams(1, 0.3, 0.0, 0.1, n_max=4), 0),  # JC ladder: none
 ], ids=["dicke-n2", "tc-n2-degenerate", "harmonic-ladder", "jc-n1"])
 def test_vectorized_grouping_matches_loop_reference(params, n_collisions):
-    eig = diagonalize(build_hamiltonian(params))
+    eig = diagonalize(build_hamiltonian(build_operators(params)))
     collisions = eig.collision_omegas()
     assert collisions.size == n_collisions
     reference = _loop_collisions(eig, spectral.LEVEL_TOL)
@@ -217,9 +217,10 @@ def test_group_transitions_matches_dense_projection(n_emitters, g_prime,
     # for every bath coupling, including the x0-scaled cavity
     extra = dict(omega_c=1.1, omega_x=0.95) if detuned else {}
     p = ModelParams(n_emitters, 0.31, g_prime, 0.1, n_max=7, x0=1.3, **extra)
-    eig = diagonalize(build_hamiltonian(p))
+    ops = build_operators(p)
+    eig = diagonalize(build_hamiltonian(ops))
     v = eig.vectors
-    for lower in bath_lowering(build_operators(p)):
+    for lower in bath_lowering(ops):
         coupling = group_transitions(eig, lower)
         assert coupling.dtype == np.float64
         np.testing.assert_array_equal(coupling, -coupling.T)
