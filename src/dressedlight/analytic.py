@@ -110,10 +110,11 @@ class G2Approximation:
 def tc_g2_approximation(g, temperature, refined=False):
     """Low-temperature estimate of g2(0) for one emitter, rotating coupling.
 
-    The basic variant keeps the lowest decay sequence through each of
-    the first two sectors; the refined variant adds the sequences
-    through the upper one- and two-excitation levels.  Valid well below
-    the crossing coupling 1 / (1 + sqrt(2)).
+    Sums the decay sequences from the thermally weighted one- and
+    two-excitation doublets to the ground state.  The basic variant
+    takes only the lower doublet of each sector as populated; the
+    refined variant adds the upper ones.  Valid well below the crossing
+    coupling 1 / (1 + sqrt(2)).
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
@@ -122,33 +123,21 @@ def tc_g2_approximation(g, temperature, refined=False):
     beta = 1.0 / temperature
     r2 = sqrt(2.0)
 
-    if not refined:
-        denominator = 0.5 * (1.0 - g) ** 2 * exp(-beta * (1.0 - g))
-        numerator = (
-            (3.0 + sqrt(8.0)) / 8.0 * (1.0 - (r2 - 1.0) * g) ** 2 * (1.0 - g) ** 2
-            + 0.25
-            * (1.0 - (r2 - 1.0) * g)
-            * (1.0 - g**2)
-            * (1.0 - (r2 + 1.0) * g)
-            + (3.0 - sqrt(8.0)) / 8.0 * (1.0 - (r2 + 1.0) * g) ** 2 * (1.0 + g) ** 2
-        ) * exp(-beta * (2.0 - r2 * g))
-    else:
-        # Doublets |n, s> = (|n, g> + s |n-1, e>) / sqrt(2) at energies
-        # n + s sqrt(n) g; a has <0|a|1 s> = 1 / sqrt(2) and
-        # <1 s1|a|2 s2> = (sqrt(2) + s1 s2) / 2, and each emission
-        # element carries the transition frequency.
-        signs = (-1.0, +1.0)
-        e_one = {s: 1.0 + s * g for s in signs}
-        e_two = {s: 2.0 + s * r2 * g for s in signs}
-        denominator = sum(0.5 * e_one[s] ** 2 * exp(-beta * e_one[s])
-                          for s in signs)
-        numerator = 0.0
-        for s2 in signs:
-            amplitude = sum(
-                e_one[s1] / r2 * (e_two[s2] - e_one[s1]) * (r2 + s1 * s2) / 2.0
-                for s1 in signs
-            )
-            numerator += amplitude**2 * exp(-beta * e_two[s2])
+    # Doublets |n, s> = (|n, g> + s |n-1, e>) / sqrt(2) at energies
+    # n + s sqrt(n) g; a has <0|a|1 s> = 1 / sqrt(2) and
+    # <1 s1|a|2 s2> = (sqrt(2) + s1 s2) / 2, and each emission
+    # element carries the transition frequency.
+    signs = (-1.0, +1.0)
+    populated = signs if refined else (-1.0,)
+    e_one = {s: 1.0 + s * g for s in signs}
+    e_two = {s: 2.0 + s * r2 * g for s in signs}
+    denominator = sum(0.5 * e_one[s] ** 2 * exp(-beta * e_one[s])
+                      for s in populated)
+    # each two-excitation doublet decays through both one-excitation ones
+    numerator = sum(
+        sum(e_one[s1] / r2 * (e_two[s2] - e_one[s1]) * (r2 + s1 * s2) / 2.0
+            for s1 in signs) ** 2 * exp(-beta * e_two[s2])
+        for s2 in populated)
 
     crossing = 1.0 / (1.0 + r2)
     return G2Approximation(

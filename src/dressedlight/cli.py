@@ -170,6 +170,11 @@ def _read_block(block, path, spec, task, issues):
     return values
 
 
+def _g_prime(limit, g):
+    """g_prime of a limit: g for "dicke", 0 for "tc"."""
+    return g if limit == "dicke" else 0.0
+
+
 def _resolve_limit(model, block, task, issues):
     """Set g_prime from limit, or the limit label from g_prime."""
     limit = model["limit"]
@@ -188,7 +193,7 @@ def _resolve_limit(model, block, task, issues):
     elif limit is None:
         issues.append(("model.limit", "missing required field"))
     elif task.fixed_point:  # sweep tasks set it per point
-        model["g_prime"] = model["g"] if limit == "dicke" else 0.0
+        model["g_prime"] = _g_prime(limit, model["g"])
     model["limit"] = limit
     return model
 
@@ -386,30 +391,40 @@ def _point(job):
     """
     value, resolved, g, temperature = job
     kwargs = dict(resolved["model"], g=g, temperature=temperature,
-                  g_prime=(g if resolved["limit"] == "dicke" else 0.0))
+                  g_prime=_g_prime(resolved["limit"], g))
     try:
         return value(ModelParams(**kwargs), resolved), None
     except Exception as exc:  # recorded per point, sweep continues
         return None, _error_text(exc)
 
 
-def _trust_values(system):
-    # stationary_residual and cutoff_tail, last in every dressed grid row
-    return system.stationary.residual, system.cutoff_tail()
+class Trust(NamedTuple):
+    """Diagnostics that say whether a solved point can be trusted.
+
+    run_grid writes them last before status in every grid row (the
+    defaults on a failed row) and their maxima as max_<field> metrics.
+    """
+
+    stationary_residual: float = math.nan
+    cutoff_tail: float = math.nan
+
+
+def _trust(system):
+    return Trust(system.stationary.residual, system.cutoff_tail())
 
 
 def _g2_values(params, _resolved):
     system = solve_system(params)
     return (float(system.g2_zero()), system.collision_count,
-            int(system.eig.degenerate)) + _trust_values(system)
+            int(system.eig.degenerate)), _trust(system)
 
 
 def _qo_values(params, resolved):
     params = replace(params, n_max=resolved["qo_n_max"])
     # looked up on the module, where bench/spans.py puts its timing wrapper
     state = qoptical.qo_stationary_state(params)
-    return (float(qo_g2_zero(params, state)), state.residual,
-            state.cutoff_tail)
+    return ((float(qo_g2_zero(params, state)),),
+            Trust(state.residual, state.cutoff_tail))
 
 
 def _compare_values(params, _resolved):
@@ -419,7 +434,7 @@ def _compare_values(params, _resolved):
     refined = tc_g2_approximation(params.g, params.temperature, refined=True)
     rel = abs(float(refined) - numeric) / numeric
     return (numeric, float(basic), float(refined), int(refined.trusted),
-            rel) + _trust_values(system)
+            rel), _trust(system)
 
 
 def _eigen_rows(params, resolved):
@@ -430,26 +445,18 @@ def _eigen_rows(params, resolved):
             for k in range(keep)]
 
 
-def _trust_maxima(ok):
-    """Maxima of the trust columns over the points that solved."""
-    return {"max_stationary_residual": max((v[-2] for v in ok), default=None),
-            "max_cutoff_tail": max((v[-1] for v in ok), default=None)}
-
-
 def _g2_metrics(_resolved, ok):
-    return dict(_trust_maxima(ok),
-                degenerate_points=int(sum(v[2] for v in ok)),
+    return dict(degenerate_points=int(sum(v[2] for v in ok)),
                 collision_points=int(sum(1 for v in ok if v[1] > 0)))
 
 
-def _qo_metrics(resolved, ok):
-    return dict(_trust_maxima(ok), qo_n_max=resolved["qo_n_max"])
+def _qo_metrics(resolved, _ok):
+    return dict(qo_n_max=resolved["qo_n_max"])
 
 
 def _compare_metrics(_resolved, ok):
     trusted_err = [v[4] for v in ok if v[3]]
-    return dict(_trust_maxima(ok),
-                max_rel_err_trusted=max(trusted_err, default=None))
+    return dict(max_rel_err_trusted=max(trusted_err, default=None))
 
 
 def run_grid(resolved):
@@ -459,18 +466,23 @@ def run_grid(resolved):
     grid = resolved["grid"]
     points = [(g, t) for g in _axis(*grid["g"]) for t in _axis(*grid["T"])]
     jobs = [(value, resolved, g, t) for g, t in points]
-    rows, ok, failures = [], [], []
-    for (g, t), (values, error) in zip(
+    rows, ok, trusts, failures = [], [], [], []
+    for (g, t), (result, error) in zip(
             points, _map_points(_point, jobs, resolved["workers"])):
         if error is None:
+            values, trust = result
             ok.append(values)
-            rows.append((g, t) + values + (0,))
+            trusts.append(trust)
+            rows.append((g, t) + values + trust + (0,))
         else:
             failures.append({"g": g, "T": t, "error": error})
-            rows.append((g, t) + failed_fill + (1,))
+            rows.append((g, t) + failed_fill + Trust() + (1,))
     metrics = dict(task_metrics(resolved, ok), n_points=len(points),
                    n_failed=len(failures), failures=failures)
-    return ("g", "T") + columns + ("status",), rows, metrics
+    for name in Trust._fields:
+        metrics["max_" + name] = max((getattr(v, name) for v in trusts),
+                                     default=None)
+    return ("g", "T") + columns + Trust._fields + ("status",), rows, metrics
 
 
 def run_eigen(resolved):
@@ -488,8 +500,7 @@ def run_eigen(resolved):
 
 
 def run_spectrum(resolved):
-    params = ModelParams(**resolved["model"])
-    system = solve_system(params)
+    system = solve_system(ModelParams(**resolved["model"]))
     og = resolved["omega_grid"]
     omega = np.linspace(og["omega_min"], og["omega_max"], og["points"])
     spectrum = system.spectrum(omega)
@@ -507,16 +518,14 @@ def run_spectrum(resolved):
         "integrated_emission": float(system.integrated_emission()),
         "collision_count": system.collision_count,
         "degenerate": bool(system.eig.degenerate),
-        "stationary_residual": system.stationary.residual,
-        "cutoff_tail": system.cutoff_tail(),
         "peaks": peaks,
+        **_trust(system)._asdict(),
     }
     return ["omega", "spectrum"], zip(omega, spectrum.values), metrics
 
 
 def run_g2time(resolved):
-    params = ModelParams(**resolved["model"])
-    system = solve_system(params)
+    system = solve_system(ModelParams(**resolved["model"]))
     tg = resolved["t_grid"]
     times = np.linspace(0.0, tg["t_max"], tg["points"])
     result = system.g2_time(times)
@@ -525,9 +534,8 @@ def run_g2time(resolved):
         "g2_final": float(result.values[-1]),
         "t_max": tg["t_max"],
         "relaxation_gap": result.relaxation_gap,
-        "stationary_residual": system.stationary.residual,
-        "cutoff_tail": system.cutoff_tail(),
         "collision_count": system.collision_count,
+        **_trust(system)._asdict(),
     }
     return ["t", "g2"], zip(times, result.values), metrics
 
@@ -634,8 +642,8 @@ class Task(NamedTuple):
     output_dir, model first; runner(resolved) returns (CSV header, rows,
     metrics); plot is the docstring and body of its plot script.  A
     fixed-point task solves the one point its model block gives.  grid is
-    (value function, columns, failed-row values, metrics) for a task run by
-    run_grid.
+    (value function returning (values, Trust), columns, failed-row values,
+    metrics) for a task run by run_grid, which adds the Trust columns.
     """
 
     blocks: tuple
@@ -674,9 +682,8 @@ ax.set_ylabel("emission spectrum")
 '''), fixed_point=True),
     "g2chart": Task(
         (MODEL, GT_GRID), run_grid, _PLOT_CHART,
-        grid=(_g2_values, ("g2_zero", "collision_count", "degenerate",
-                           "stationary_residual", "cutoff_tail"),
-              (math.nan, 0, 0, math.nan, math.nan), _g2_metrics)),
+        grid=(_g2_values, ("g2_zero", "collision_count", "degenerate"),
+              (math.nan, 0, 0), _g2_metrics)),
     "g2time": Task((MODEL, T_GRID), run_g2time, (
         "Regenerate the g2(t) curve from __CSV__ (reference line at 1).",
         '''\
@@ -691,8 +698,7 @@ ax.set_ylabel("$g^{(2)}(t)$")
 '''), fixed_point=True),
     "qo-chart": Task(
         (MODEL, GT_GRID, QO_N_MAX), run_grid, _PLOT_CHART,
-        grid=(_qo_values, ("g2_zero", "stationary_residual", "cutoff_tail"),
-              (math.nan, math.nan, math.nan), _qo_metrics)),
+        grid=(_qo_values, ("g2_zero",), (math.nan,), _qo_metrics)),
     "analytic-compare": Task((SINGLE_TC_MODEL, GT_GRID), run_grid, (
         "Regenerate the closed-form versus numeric g2(0) comparison from "
         "__CSV__.",
@@ -710,10 +716,8 @@ ax.set_xlabel("temperature")
 ax.set_ylabel("coupling g")
 '''), grid=(
         _compare_values,
-        ("g2_numeric", "g2_basic", "g2_refined", "trusted", "rel_err_refined",
-         "stationary_residual", "cutoff_tail"),
-        (math.nan, math.nan, math.nan, 0, math.nan, math.nan, math.nan),
-        _compare_metrics)),
+        ("g2_numeric", "g2_basic", "g2_refined", "trusted", "rel_err_refined"),
+        (math.nan, math.nan, math.nan, 0, math.nan), _compare_metrics)),
     "converge": Task((MODEL, N_MAX_PAIR), run_converge, (
         "Regenerate the cutoff stability chart from __CSV__.", '''\
 labels = [r["metric"] for r in rows]

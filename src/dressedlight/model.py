@@ -51,6 +51,14 @@ class DimensionLimitError(ValueError):
     """Requested Hilbert-space dimension exceeds the configured limit."""
 
 
+def dimension_fits(n_emitters, n_max):
+    """Whether 2^N (n_max+1) <= DEFAULT_MAX_DIM, the limit read when called.
+
+    N is capped at 64, past any memory-derived limit: no 2^N is built.
+    """
+    return (n_max + 1) << min(n_emitters, 64) <= DEFAULT_MAX_DIM
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical configuration of the coupled emitter-cavity system.
@@ -163,10 +171,10 @@ def build_operators(params):
 
     Raises DimensionLimitError when 2^N (n_max+1) exceeds DEFAULT_MAX_DIM.
     """
-    if params.dim > DEFAULT_MAX_DIM:
+    if not dimension_fits(params.n_emitters, params.n_max):
         raise DimensionLimitError(
-            f"dimension {params.dim} exceeds the limit {DEFAULT_MAX_DIM}; "
-            "reduce n_max or n_emitters"
+            f"dimension 2^{params.n_emitters} * {params.n_max + 1} exceeds "
+            f"the limit {DEFAULT_MAX_DIM}; reduce n_max or n_emitters"
         )
     half = params.n_max + 1
     config, fock = np.divmod(np.arange(params.dim), half)

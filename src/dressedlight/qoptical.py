@@ -56,14 +56,12 @@ class DegenerateSteadyStateError(RuntimeError):
 def qo_admits(n_emitters, n_max):
     """Whether the comparison solver takes N emitters at cutoff n_max.
 
-    At most MAX_QO_UNKNOWNS orbit unknowns C(N+3, 3) (n_max+1)^2, and a
-    dense rho of side 2^N (n_max+1) <= model.DEFAULT_MAX_DIM, read at call
-    time.  N is capped at 64, past both, so it builds no huge integer.
+    A dense rho the model's `dimension_fits` admits, and at most
+    MAX_QO_UNKNOWNS orbit unknowns C(N+3, 3) (n_max+1)^2.
     """
-    n_emitters = min(n_emitters, 64)
-    return (math.comb(n_emitters + 3, 3) * (n_max + 1) ** 2
-            <= MAX_QO_UNKNOWNS
-            and (n_max + 1) << n_emitters <= model.DEFAULT_MAX_DIM)
+    return (model.dimension_fits(n_emitters, n_max)
+            and math.comb(n_emitters + 3, 3) * (n_max + 1) ** 2
+            <= MAX_QO_UNKNOWNS)
 
 
 def qo_limits():

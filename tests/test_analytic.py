@@ -135,6 +135,14 @@ def test_refined_value_frozen():
     assert value == pytest.approx(0.9376858109329984, abs=1e-12)
 
 
+def test_basic_value_frozen():
+    # regression pin for the basic estimate, the lower-doublet sequences
+    assert tc_g2_approximation(0.3, 0.1).value == pytest.approx(
+        0.9525834844827454, abs=1e-12)
+    assert tc_g2_approximation(0.2, 0.05).value == pytest.approx(
+        0.48229593941897697, abs=1e-12)
+
+
 def test_basic_variant_near_numeric_at_validated_point():
     numeric = solve_system(ModelParams(1, 0.3, 0.0, 0.05, n_max=40)).g2_zero()
     basic = float(tc_g2_approximation(0.3, 0.05))

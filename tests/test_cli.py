@@ -346,6 +346,22 @@ def test_dark_ground_state_column_fails_partially(tmp_path, capsys):
     assert "failed" in capsys.readouterr().err
 
 
+def test_dimension_limit_fails_grid_points_at_any_emitter_number(tmp_path):
+    # 2^15000 3 has 4516 digits: each point fails with the dimension
+    # limit, not with Python's limit on formatting a long integer
+    cfg = _write_config(tmp_path, {
+        "model": {"n_emitters": 15000, "limit": "tc", "n_max": 2},
+        "grid": {"g_min": 0.1, "g_max": 0.2, "g_steps": 2,
+                 "T_min": 0.1, "T_max": 0.1, "T_steps": 1}})
+    out = tmp_path / "run"
+    assert main(["g2chart", "--config", cfg, "--out", str(out)]) == 3
+    failures = json.loads((out / "summary.json").read_text())[
+        "metrics"]["failures"]
+    assert len(failures) == 2
+    for failure in failures:
+        assert failure["error"].startswith("DimensionLimitError: ")
+
+
 @pytest.mark.parametrize("task,payload", [
     # T = 0 with one emitter: the stationary state cannot emit
     ("g2time", {"model": {"n_emitters": 1, "limit": "tc", "g": 0.3,

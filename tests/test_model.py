@@ -286,6 +286,15 @@ def test_dimension_limit():
         build_hamiltonian(over)
 
 
+@pytest.mark.parametrize("n_emitters", [15000, 10**7])
+def test_dimension_limit_holds_for_any_emitter_number(n_emitters):
+    # 2^N (n_max+1) has over 4300 digits from about N = 14,280 on, past what
+    # Python formats as a decimal string; the check builds no such integer
+    with pytest.raises(DimensionLimitError) as info:
+        build_operators(ModelParams(n_emitters, 0.1, 0.0, 0.1, n_max=2))
+    assert len(str(info.value)) < 200
+
+
 @pytest.mark.parametrize("pages,page_size,limit", [
     (72000, 1000, 1000),      # 72 * 1000^2 bytes exactly
     (71999, 1000, 999),       # one page less

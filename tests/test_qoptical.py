@@ -282,6 +282,25 @@ def test_size_limits(monkeypatch):
     assert not qo_admits(10**30, 2)
 
 
+@pytest.mark.parametrize("n_emitters,max_dim", [(1, 40), (2, 123), (3, 200)])
+def test_dense_and_comparison_solvers_share_one_dimension_check(
+        monkeypatch, n_emitters, max_dim):
+    # under a lowered model.DEFAULT_MAX_DIM both refuse from the first
+    # cutoff with 2^N (n_max+1) > max_dim on; the unknowns limit binds
+    # only above that cutoff here
+    monkeypatch.setattr(model, "DEFAULT_MAX_DIM", max_dim)
+    for n_max in range(2, (max_dim >> n_emitters) + 3):
+        try:
+            build_operators(ModelParams(n_emitters, 0.1, 0.0, 0.1,
+                                        n_max=n_max))
+        except model.DimensionLimitError:
+            built = False
+        else:
+            built = True
+        assert built == qo_admits(n_emitters, n_max) == (
+            (n_max + 1) << n_emitters <= max_dim)
+
+
 def test_g2_never_subpoissonian_with_counter_rotation():
     # the bare-operator equation misses the antibunching entirely
     for g, temperature in ((0.2, 0.05), (0.5, 0.07), (0.8, 0.1)):
