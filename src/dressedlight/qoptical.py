@@ -27,6 +27,9 @@ the Dicke coupling, the excitation-number block without counter-rotating
 terms); a unique stationary state is zero on the others.  The state is
 pinned by the trace on the first population equation, and again on the
 last by a rank-2 Woodbury update of the same LU; the two must agree.
+A solve makes no NumPy BLAS call (the positivity check is SciPy's
+eigvalsh, the Woodbury update elementwise), so NumPy's OpenBLAS pool
+never wakes to compete with the one SuperLU runs on.
 """
 
 from __future__ import annotations
@@ -222,13 +225,17 @@ def _solve_with_trace_row(liouv, populations, weights):
                                     shape=(1, n))
     vt = scipy.sparse.vstack([block[first] - trace, trace - block[last]],
                              format="csr")
-    try:
-        cap_inv = np.linalg.inv(np.eye(2) + vt @ z)
-    except np.linalg.LinAlgError:  # second system singular: fail the check
-        cap_inv = np.full((2, 2), np.nan)
+    cap = np.eye(2) + vt @ z
+    det = cap[0, 0] * cap[1, 1] - cap[0, 1] * cap[1, 0]
+    # a singular or non-finite capacitance gives a NaN inverse (no warning)
+    cap_inv = (np.array([[cap[1, 1], -cap[0, 1]], [-cap[1, 0], cap[0, 0]]])
+               / det if np.isfinite(det) and det != 0
+               else np.full((2, 2), np.nan))
 
     def woodbury(y):
-        return y - z @ (cap_inv @ (vt @ y))
+        # elementwise: z @ c is an n x 2 gemv, threaded on NumPy's BLAS
+        c = (cap_inv * (vt @ y)).sum(axis=1)
+        return y - z[:, 0] * c[0] - z[:, 1] * c[1]
 
     def matvec(v):
         y = a @ v
@@ -286,7 +293,7 @@ def qo_stationary_state(params):
     rho = rho.reshape(params.dim, params.dim)
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
-    eigs = np.linalg.eigvalsh(rho)
+    eigs = scipy.linalg.eigvalsh(rho)
     if eigs.min() < -1e-8:
         raise RuntimeError(f"stationary state not positive: min eig {eigs.min():.3e}")
     top = np.diagonal(rho)[params.n_max::params.n_max + 1]

@@ -777,6 +777,28 @@ def test_no_source_module_imports_a_scipy_submodule():
     assert found == []
 
 
+def test_comparison_solver_has_no_numpy_linalg_call():
+    # one BLAS pool per comparison solve: SuperLU runs on SciPy's OpenBLAS,
+    # and a NumPy BLAS call would wake NumPy's separate pool, whose spinning
+    # worker competes with SuperLU's for the cores
+    path = os.path.join(os.path.dirname(cli.__file__), "qoptical.py")
+    with open(path) as handle:
+        tree = ast.parse(handle.read(), path)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "linalg" \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in ("np", "numpy"):
+            found.append("%d %s.linalg" % (node.lineno, node.value.id))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom):
+                names = ["%s.%s" % (node.module, name) for name in names]
+            found += ["%d %s" % (node.lineno, name) for name in names
+                      if name.startswith("numpy.linalg")]
+    assert found == []
+
+
 def test_every_module_level_import_is_used():
     # an import that only a deleted function read, or that is kept only so
     # that an outside lookup of the name resolves, is dead code

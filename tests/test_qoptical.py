@@ -378,6 +378,9 @@ def test_trace_block_solve_matches_full_space_solve(params, n_max):
     reference = _full_space_stationary(params)
     assert np.max(np.abs(state.rho - reference)) <= \
         1e-12 * np.max(np.abs(reference))
+    # the positivity check runs on SciPy's LAPACK; NumPy's gives the same
+    assert abs(state.min_eigenvalue
+               - np.linalg.eigvalsh(state.rho).min()) <= 1e-14
     liouv = _full_liouvillian(params)
     dim = params.dim
     dropped = np.setdiff1d(np.arange(dim**2),
