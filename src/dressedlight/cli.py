@@ -24,26 +24,27 @@ written, failed rows carry status=1 and nan values) or when the solve of a
 fixed-point task (spectrum, g2time, converge) failed (no CSV or plot script
 is written, and summary.json records the error).
 
-Each task is one ``Task`` record in ``TASKS``: the config blocks it
-reads, its runner, its plot script and, for the (g, T) grid tasks run by
-``run_grid``, the value function, columns, failed-row values and metrics.
-Each config field is declared once, in the field table of its block, and
-read by ``_read_fields``; a key outside the tables a task reads is a config
-error.  Every grid point, eigen's included, is evaluated by ``_point``,
-which records an exception as a failed point; ``main`` records the
-exception of a fixed-point task the same way.  Grid rows are emitted in
-fixed (g outer, T inner) order regardless of the worker count, so repeated
-runs produce byte-identical CSV files.
+Each task is one ``Task`` record in ``TASKS``: the field tables it reads
+(its model table is ``MODEL`` less the fields it never reads), its runner,
+its plot script and, for the (g, T) grid tasks run by ``run_grid``, the
+value function, columns, failed-row values and metrics.  ``_read_fields``
+reads them; a key outside them is "not read by" the task when another
+task's table for the same object holds it, else unknown, and either is a
+config error.  Every grid point, eigen's included, is evaluated by
+``_point``, which records an exception as a failed point; ``main`` records
+the exception of a fixed-point task the same way.  Grid rows are emitted
+in fixed (g outer, T inner) order regardless of the worker count, so
+repeated runs produce byte-identical CSV files.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -83,18 +84,15 @@ class ConfigError(Exception):
 # positive) in the field table of its block, or as a Block for a nested
 # object.  kind is int or float (checked by _read_fields), object (passed
 # on raw to the check of its block), or a function returning the error
-# message for a bad value.  default is REQUIRED, SWEPT, or the value of an
-# absent field.
+# message for a bad value.  default is REQUIRED or the value of an absent
+# field.
 
 REQUIRED = "required"
-# g and temperature: fixed-point tasks must give them; sweep tasks set
-# them per point, so for those they are config errors and echo as null
-SWEPT = "swept"
 
 
 class Block(NamedTuple):
-    """A config object at key with its field table; check(values, block,
-    task, issues) checks the values read and returns them resolved."""
+    """A config object at key with its field table; check(values, issues)
+    checks the values read and returns them resolved."""
 
     key: str
     fields: tuple
@@ -107,11 +105,13 @@ def _path(path, key):
 
 
 def _read_fields(block, path, fields, task, issues):
-    """Read ``fields`` from the config object ``block`` at ``path``.
+    """Read the ``fields`` that ``task`` reads in ``block``, at ``path``.
 
     Returns {key: value}.  An absent or rejected field takes its default
-    (None when required); a rejected or missing required one adds a
-    (JSON path, message) issue.
+    (None when required).  A rejected or missing required field adds a
+    (JSON path, message) issue, and so does each key outside ``fields``:
+    "not read by" the task when another task's table for the object at
+    ``path`` ("" is the root) holds it, "unknown field" otherwise.
     """
     values = {}
     for field in fields:
@@ -121,15 +121,11 @@ def _read_fields(block, path, fields, task, issues):
                 _path(path, field.key), field, task, issues)
             continue
         key, kind, default, minimum, positive = field
-        swept = default is SWEPT
-        required = default is REQUIRED or (swept and task.fixed_point)
-        values[key] = None if required or swept else default
+        required = default is REQUIRED
+        values[key] = None if required else default
         if key not in block:
             if required:
                 issues.append((_path(path, key), "missing required field"))
-            continue
-        if swept and not task.fixed_point:
-            issues.append((_path(path, key), "sweep tasks set it per point"))
             continue
         value, message = block[key], None
         if kind not in (int, float):
@@ -154,6 +150,14 @@ def _read_fields(block, path, fields, task, issues):
             values[key] = value
         else:
             issues.append((_path(path, key), message))
+    tables = [other.blocks + TOP_FIELDS for other in TASKS.values()]
+    if path:
+        tables = [field.fields for table in tables for field in table
+                  if isinstance(field, Block) and field.key == path]
+    elsewhere = {field[0] for table in tables for field in table}
+    for key in sorted(set(block) - {field[0] for field in fields}):
+        issues.append((_path(path, key), "not read by the %s task" % task
+                       if key in elsewhere else "unknown field"))
     return values
 
 
@@ -163,11 +167,7 @@ def _read_block(block, path, spec, task, issues):
                        else "expected an object"))
         return None
     values = _read_fields(block, path, spec.fields, task, issues)
-    if spec.check is not None:
-        values = spec.check(values, block, task, issues)
-    for key in sorted(set(block) - {field[0] for field in spec.fields}):
-        issues.append((_path(path, key), "unknown field"))
-    return values
+    return values if spec.check is None else spec.check(values, issues)
 
 
 def _g_prime(limit, g):
@@ -175,32 +175,27 @@ def _g_prime(limit, g):
     return g if limit == "dicke" else 0.0
 
 
-def _resolve_limit(model, block, task, issues):
+def _resolve_limit(model, issues):
     """Set g_prime from limit, or the limit label from g_prime."""
-    limit = model["limit"]
-    has_gp = "g_prime" in block
-    if limit is not None and has_gp:
+    limit, g_prime = model["limit"], model.get("g_prime")
+    if limit is None and g_prime is None:
+        issues.append(("model.limit", "missing required field"))
+    elif limit is not None and g_prime is not None:
         issues.append(("model.limit",
                        "give either 'limit' or 'g_prime', not both"))
-    if limit is not None and limit not in ("dicke", "tc"):
+    elif g_prime is not None:
+        limit = "dicke" if g_prime == model["g"] else "custom"
+    elif limit not in ("dicke", "tc"):
         issues.append(("model.limit", "must be 'dicke' or 'tc'"))
-        limit = None
-    if has_gp:
-        if not task.fixed_point:
-            issues.append(("model.g_prime",
-                           "sweep tasks vary g; use 'limit' instead"))
-        limit = "dicke" if model["g_prime"] == model["g"] else "custom"
-    elif limit is None:
-        issues.append(("model.limit", "missing required field"))
-    elif task.fixed_point:  # sweep tasks set it per point
+    elif "g" in model:  # a fixed point; a sweep sets g_prime per point
         model["g_prime"] = _g_prime(limit, model["g"])
     model["limit"] = limit
     return model
 
 
-def _single_tc_model(model, block, task, issues):
+def _single_tc_model(model, issues):
     # the closed forms describe one emitter without counter-rotating terms
-    model = _resolve_limit(model, block, task, issues)
+    model = _resolve_limit(model, issues)
     if model["n_emitters"] not in (None, 1):
         issues.append(("model.n_emitters",
                        "analytic-compare is defined for a single emitter"))
@@ -210,7 +205,7 @@ def _single_tc_model(model, block, task, issues):
     return model
 
 
-def _grid_axes(values, _block, _task, issues):
+def _grid_axes(values, issues):
     """{axis: (lo, hi, steps)}; equal bounds are allowed for one step only."""
     spec = {}
     for axis in [key[:-len("_min")] for key in values if key.endswith("_min")]:
@@ -230,13 +225,7 @@ def _grid_axes(values, _block, _task, issues):
     return spec
 
 
-def _axis(lo, hi, steps):
-    if steps == 1:
-        return np.array([lo])
-    return np.linspace(lo, hi, steps)
-
-
-def _omega_band(values, _block, _task, issues):
+def _omega_band(values, issues):
     if values["omega_max"] <= values["omega_min"]:
         issues.append(("omega_grid.omega_max",
                        "must be > omega_grid.omega_min"))
@@ -252,19 +241,28 @@ def _cutoff_pair(value):
     return None
 
 
+# every ModelParams field and limit; the optional fields default as there
+_PARAMS = {f.name: f.default for f in dataclasses.fields(ModelParams)}
 MODEL = Block("model", (
     ("n_emitters", int, REQUIRED, 1, False),
-    ("g", float, SWEPT, 0.0, False),
-    ("temperature", float, SWEPT, 0.0, False),
-    ("n_max", int, 100, 2, False),
-    ("gamma", float, 1e-2, None, True),
-    ("x0", float, 1.0, None, True),
-    ("omega_c", float, None, None, True),
-    ("omega_x", float, None, None, True),
+    ("g", float, REQUIRED, 0.0, False),
+    ("temperature", float, REQUIRED, 0.0, False),
+    ("n_max", int, _PARAMS["n_max"], 2, False),
+    ("gamma", float, _PARAMS["gamma"], None, True),
+    ("x0", float, _PARAMS["x0"], None, True),
+    ("omega_c", float, _PARAMS["omega_c"], None, True),
+    ("omega_x", float, _PARAMS["omega_x"], None, True),
     ("limit", object, None, None, False),
     ("g_prime", float, None, 0.0, False),
 ), True, _resolve_limit)
-SINGLE_TC_MODEL = MODEL._replace(check=_single_tc_model)
+PER_POINT = ("g", "temperature", "g_prime")  # a sweep sets them per point
+
+
+def _model_without(keys, check=_resolve_limit):
+    return MODEL._replace(check=check, fields=tuple(
+        field for field in MODEL.fields if field[0] not in keys))
+
+
 # a swept axis runs from <axis>_min to <axis>_max in <axis>_steps points
 G_AXIS = (("g_min", float, REQUIRED, 0.01, False),
           ("g_max", float, REQUIRED, None, True),
@@ -290,7 +288,8 @@ N_MAX_PAIR = ("n_max_pair", _cutoff_pair, [100, 120], None, False)
 # read by every task, after the blocks of its record
 TOP_FIELDS = (
     ("workers", int, 1, 1, False),
-    ("output_dir", object, None, None, False),
+    ("output_dir", lambda value: None if isinstance(value, str)
+     else "expected a string", None, None, False),
 )
 
 
@@ -311,28 +310,19 @@ def parse_config(path, task, workers_override=None, out_override=None):
         raise ConfigError([("<root>", "config must be a JSON object")])
 
     issues = []
-    fields = TASKS[task].blocks + TOP_FIELDS
-    resolved = _read_fields(cfg, "", fields, TASKS[task], issues)
+    resolved = _read_fields(cfg, "", TASKS[task].blocks + TOP_FIELDS, task,
+                            issues)
     if workers_override is not None:
         resolved["workers"] = workers_override
-    out_dir = out_override
-    if out_dir is None:
-        out_dir = resolved["output_dir"]
-        if out_dir is not None and not isinstance(out_dir, str):
-            issues.append(("output_dir", "expected a string"))
-            out_dir = None
-    if out_dir is None:
-        out_dir = os.environ.get(OUTPUT_ENV_VAR, "out")
-    resolved["output_dir"] = out_dir
+    if out_override is not None:
+        resolved["output_dir"] = out_override
+    elif resolved["output_dir"] is None:
+        resolved["output_dir"] = os.environ.get(OUTPUT_ENV_VAR, "out")
     qo_n_max, model = resolved.get("qo_n_max"), resolved["model"]
     if qo_n_max is not None and model and model["n_emitters"] is not None:
         if not qo_admits(model["n_emitters"], qo_n_max):
             issues.append(("qo_n_max", "the comparison solver needs "
                            + qo_limits()))
-    elsewhere = {field[0] for other in TASKS.values() for field in other.blocks}
-    for key in sorted(set(cfg) - {field[0] for field in fields}):
-        issues.append((key, "not read by the %s task" % task
-                       if key in elsewhere else "unknown field"))
 
     if issues:
         raise ConfigError(issues)
@@ -420,7 +410,7 @@ def _g2_values(params, _resolved):
 
 
 def _qo_values(params, resolved):
-    params = replace(params, n_max=resolved["qo_n_max"])
+    params = dataclasses.replace(params, n_max=resolved["qo_n_max"])
     # looked up on the module, where bench/spans.py puts its timing wrapper
     state = qoptical.qo_stationary_state(params)
     return ((float(qo_g2_zero(params, state)),),
@@ -464,7 +454,8 @@ def run_grid(resolved):
     task = resolved["task"]
     value, columns, failed_fill, task_metrics = TASKS[task].grid
     grid = resolved["grid"]
-    points = [(g, t) for g in _axis(*grid["g"]) for t in _axis(*grid["T"])]
+    points = [(g, t) for g in np.linspace(*grid["g"])
+              for t in np.linspace(*grid["T"])]
     jobs = [(value, resolved, g, t) for g, t in points]
     rows, ok, trusts, failures = [], [], [], []
     for (g, t), (result, error) in zip(
@@ -486,7 +477,7 @@ def run_grid(resolved):
 
 
 def run_eigen(resolved):
-    g_axis = _axis(*resolved["grid"]["g"])
+    g_axis = np.linspace(*resolved["grid"]["g"])
     # the energies do not depend on the temperature
     results = _map_points(
         _point, [(_eigen_rows, resolved, g, 0.0) for g in g_axis],
@@ -639,22 +630,25 @@ class Task(NamedTuple):
     """One simulate task.
 
     blocks are the top-level fields it reads besides workers and
-    output_dir, model first; runner(resolved) returns (CSV header, rows,
-    metrics); plot is the docstring and body of its plot script.  A
-    fixed-point task solves the one point its model block gives.  grid is
-    (value function returning (values, Trust), columns, failed-row values,
-    metrics) for a task run by run_grid, which adds the Trust columns.
+    output_dir, model first, each Block with exactly the fields it reads
+    there; runner(resolved) returns (CSV header, rows, metrics); plot is
+    the docstring and body of its plot script.  A fixed-point task, one
+    whose model table holds g, solves the one point its model block gives.
+    grid is (value function returning (values, Trust), columns, failed-row
+    values, metrics) for a task run by run_grid, which adds the Trust
+    columns.
     """
 
     blocks: tuple
     runner: Callable
     plot: tuple
-    fixed_point: bool = False
     grid: tuple = None
 
 
 TASKS = {
-    "eigen": Task((MODEL, G_GRID, LEVELS), run_eigen, (
+    # eigen builds H only, at T = 0
+    "eigen": Task((_model_without(PER_POINT + ("gamma", "x0")), G_GRID,
+                   LEVELS), run_eigen, (
         "Regenerate the dressed energy levels versus coupling from __CSV__.",
         '''\
 g = np.array([float(r["g"]) for r in rows])
@@ -679,9 +673,9 @@ ax.set_xlim(omega.min(), omega.max())
 ax.set_ylim(bottom=0.0)
 ax.set_xlabel("frequency")
 ax.set_ylabel("emission spectrum")
-'''), fixed_point=True),
+''')),
     "g2chart": Task(
-        (MODEL, GT_GRID), run_grid, _PLOT_CHART,
+        (_model_without(PER_POINT), GT_GRID), run_grid, _PLOT_CHART,
         grid=(_g2_values, ("g2_zero", "collision_count", "degenerate"),
               (math.nan, 0, 0), _g2_metrics)),
     "g2time": Task((MODEL, T_GRID), run_g2time, (
@@ -695,11 +689,14 @@ ax.plot(t, g2, lw=1.2)
 ax.axhline(1.0, color="0.4", lw=0.8, ls="--")
 ax.set_xlabel("delay t")
 ax.set_ylabel("$g^{(2)}(t)$")
-'''), fixed_point=True),
+''')),
+    # the comparison solver's cutoff is qo_n_max
     "qo-chart": Task(
-        (MODEL, GT_GRID, QO_N_MAX), run_grid, _PLOT_CHART,
+        (_model_without(PER_POINT + ("n_max",)), GT_GRID, QO_N_MAX), run_grid,
+        _PLOT_CHART,
         grid=(_qo_values, ("g2_zero",), (math.nan,), _qo_metrics)),
-    "analytic-compare": Task((SINGLE_TC_MODEL, GT_GRID), run_grid, (
+    "analytic-compare": Task(
+        (_model_without(PER_POINT, _single_tc_model), GT_GRID), run_grid, (
         "Regenerate the closed-form versus numeric g2(0) comparison from "
         "__CSV__.",
         '''\
@@ -718,7 +715,8 @@ ax.set_ylabel("coupling g")
         _compare_values,
         ("g2_numeric", "g2_basic", "g2_refined", "trusted", "rel_err_refined"),
         (math.nan, math.nan, math.nan, 0, math.nan), _compare_metrics)),
-    "converge": Task((MODEL, N_MAX_PAIR), run_converge, (
+    # the two cutoffs are n_max_pair
+    "converge": Task((_model_without(("n_max",)), N_MAX_PAIR), run_converge, (
         "Regenerate the cutoff stability chart from __CSV__.", '''\
 labels = [r["metric"] for r in rows]
 diffs = np.array([max(float(r["rel_diff"]), 1e-18) for r in rows])
@@ -728,7 +726,7 @@ ax.bar(range(len(labels)), diffs)
 ax.set_yscale("log")
 ax.set_xticks(range(len(labels)), labels, rotation=20, ha="right")
 ax.set_ylabel("relative change")
-'''), fixed_point=True),
+''')),
 }
 
 
@@ -773,7 +771,8 @@ def main(argv=None):
     try:
         header, rows, metrics = record.runner(resolved)
     except Exception as exc:
-        if not record.fixed_point:
+        # a sweep records a failed point in its rows
+        if "g" not in {field[0] for field in record.blocks[0].fields}:
             raise
         # the task's one point failed: recorded like a failed grid point
         error = _error_text(exc)

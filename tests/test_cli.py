@@ -149,6 +149,69 @@ def test_unknown_keys_and_unread_blocks_are_config_errors(tmp_path, capsys,
     assert not (tmp_path / "run").exists()
 
 
+_POINT_NO_CUTOFF = {"n_emitters": 1, "limit": "tc", "g": 0.3,
+                    "temperature": 0.1}
+
+
+@pytest.mark.parametrize("task,payload,line", [
+    ("g2chart", _chart_config(model={"limit": "tc"}),
+     "model.n_emitters: missing required field"),
+    ("g2chart", _chart_config(model={"n_emitters": 1, "limit": "tc",
+                                     "gamma": 0}),
+     "model.gamma: must be > 0"),
+    ("g2chart", _chart_config(grid={"g_min": 0.001, "g_max": 0.3,
+                                    "g_steps": 3, "T_min": 0.1,
+                                    "T_max": 0.2, "T_steps": 2}),
+     "grid.g_min: must be >= 0.01"),
+    ("g2chart", _chart_config(model={"n_emitters": 1, "limit": "foo"}),
+     "model.limit: must be 'dicke' or 'tc'"),
+    ("spectrum", {"model": {"n_emitters": 1, "g": 0.3, "temperature": 0.1}},
+     "model.limit: missing required field"),
+    ("analytic-compare", _chart_config(model={"n_emitters": 1,
+                                              "limit": "dicke"}),
+     "model.limit: analytic-compare is defined in the tc limit"),
+    ("g2chart", _chart_config(grid={"g_min": 0.3, "g_max": 0.1,
+                                    "g_steps": 3, "T_min": 0.1,
+                                    "T_max": 0.2, "T_steps": 2}),
+     "grid.g_max: must be >= grid.g_min"),
+    ("spectrum", {"model": _POINT_NO_CUTOFF,
+                  "omega_grid": {"omega_min": 2.0, "omega_max": 2.0}},
+     "omega_grid.omega_max: must be > omega_grid.omega_min"),
+    ("converge", {"model": _POINT_NO_CUTOFF, "n_max_pair": [5, 3]},
+     "n_max_pair: expected [n_low, n_high] with 2 <= n_low < n_high"),
+    ("converge", {"model": _POINT_NO_CUTOFF, "n_max_pair": [1, 4]},
+     "n_max_pair: expected [n_low, n_high] with 2 <= n_low < n_high"),
+    ("converge", {"model": _POINT_NO_CUTOFF, "n_max_pair": [2, True]},
+     "n_max_pair: expected [n_low, n_high] with 2 <= n_low < n_high"),
+    ("g2chart", [_chart_config()], "<root>: config must be a JSON object"),
+    ("g2chart", _chart_config(output_dir=3), "output_dir: expected a string"),
+], ids=["missing-n-emitters", "zero-gamma", "g-min-below-floor",
+        "unknown-limit", "no-limit-or-g-prime", "compare-dicke",
+        "g-max-below-g-min", "empty-omega-band", "cutoff-pair-descending",
+        "cutoff-pair-below-two", "cutoff-pair-bool", "root-list",
+        "output-dir-number"])
+def test_invalid_values_are_config_errors(tmp_path, capsys, monkeypatch,
+                                          task, payload, line):
+    # no --out flag, so a config output_dir is read; the environment
+    # variable keeps any output inside tmp_path
+    monkeypatch.setenv(OUTPUT_ENV_VAR, str(tmp_path / "run"))
+    cfg = _write_config(tmp_path, payload)
+    assert main([task, "--config", cfg]) == 2
+    assert "config error: %s" % line in capsys.readouterr().err.splitlines()
+    assert not (tmp_path / "run").exists()
+
+
+def test_malformed_output_dir_is_config_error_under_the_out_flag(tmp_path,
+                                                                capsys):
+    # like a malformed workers field under --workers
+    cfg = _write_config(tmp_path, _chart_config(output_dir=3))
+    assert main(["g2chart", "--config", cfg,
+                 "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: output_dir: expected a string"]
+    assert not (tmp_path / "run").exists()
+
+
 def test_eigen_groups_levels_like_the_solve():
     # the eigen task and the solve share one level tolerance; three
     # emitters without counter-rotating terms have degenerate levels
@@ -160,9 +223,15 @@ def test_eigen_groups_levels_like_the_solve():
 
 
 def test_model_block_mirrors_model_params():
-    # every physical knob is settable from a config, and only those
-    fields = {field[0] for field in cli.MODEL.fields} - {"limit"}
-    assert fields == {field.name for field in dataclasses.fields(ModelParams)}
+    # every physical knob is settable from a config, and only those; an
+    # optional one defaults as in ModelParams, and g_prime may come from
+    # the limit
+    defaults = {field.name: cli.REQUIRED
+                if field.default is dataclasses.MISSING else field.default
+                for field in dataclasses.fields(ModelParams)}
+    defaults["g_prime"] = None
+    assert {field[0]: field[2] for field in cli.MODEL.fields
+            if field[0] != "limit"} == defaults
 
 
 def test_qo_dimension_above_solver_limit_is_config_error(tmp_path, capsys,
@@ -246,7 +315,8 @@ def test_sweep_tasks_reject_a_fixed_coupling_or_temperature(tmp_path, capsys,
     assert main([task, "--config", cfg, "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     for key in keys:
-        assert "config error: model.%s: sweep tasks set" % key in err
+        assert "config error: model.%s: not read by the %s task" % (
+            key, task) in err
     assert not (tmp_path / "run").exists()
 
 
@@ -255,7 +325,32 @@ def test_sweep_summary_echoes_no_fixed_coupling_or_temperature(tmp_path):
     out = tmp_path / "run"
     assert main(["g2chart", "--config", cfg, "--out", str(out)]) == 0
     model = json.loads((out / "summary.json").read_text())["config"]["model"]
-    assert model["g"] is model["g_prime"] is model["temperature"] is None
+    assert not {"g", "g_prime", "temperature"} & set(model)
+
+
+@pytest.mark.parametrize("task,path", [
+    ("eigen", "model.gamma"),
+    ("eigen", "model.x0"),
+    ("qo-chart", "model.n_max"),
+    ("converge", "model.n_max"),
+    ("eigen", "model.g_prime"),
+    ("g2chart", "model.g_prime"),
+    ("qo-chart", "model.g_prime"),
+    ("analytic-compare", "model.g_prime"),
+    ("eigen", "grid.T_min"),
+])
+def test_fields_another_task_reads_are_config_errors(tmp_path, capsys, task,
+                                                     path):
+    # eigen builds H only, at T = 0; qo-chart takes its cutoff from
+    # qo_n_max, converge from n_max_pair; a sweep sets g_prime per point
+    payload = json.loads(json.dumps(CONTRACTS[task][0]))
+    block, key = path.split(".")
+    payload[block][key] = 0.2
+    cfg = _write_config(tmp_path, payload)
+    assert main([task, "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: %s: not read by the %s task" % (path, task)]
+    assert not (tmp_path / "run").exists()
 
 
 def test_invalid_json_and_missing_file_are_config_errors(tmp_path, capsys):
@@ -601,7 +696,7 @@ CONTRACTS = {
         {"model": _TINY_POINT, "t_grid": {"t_max": 100.0, "points": 5}},
         ["t", "g2"], 0, None, ("stationary_residual", "cutoff_tail")),
     "converge": (
-        {"model": _TINY_POINT, "n_max_pair": [8, 10]},
+        {"model": _POINT_NO_CUTOFF, "n_max_pair": [8, 10]},
         ["metric", "n_low", "n_high", "value_low", "value_high", "abs_diff",
          "rel_diff"], 0, None, ()),
     "g2chart": (
@@ -734,7 +829,8 @@ def test_scipy_submodules_load_at_first_use(tmp_path):
                     "grid": dict(_TINY_GRID, T_min=0.05)},
         "spectrum": {"model": point, "omega_grid": {"points": 20}},
         "g2time": {"model": point, "t_grid": {"t_max": 10.0, "points": 3}},
-        "qo-chart": {"model": tiny, "grid": dict(_TINY_GRID, T_min=0.05),
+        "qo-chart": {"model": {"n_emitters": 1, "limit": "tc"},
+                     "grid": dict(_TINY_GRID, T_min=0.05),
                      "qo_n_max": 4},
     }
     runs = [(task, _write_config(tmp_path, cfg, "run-%s.json" % task),
