@@ -27,14 +27,17 @@ is written, and summary.json records the error).
 Each task is one ``Task`` record in ``TASKS``: the field tables it reads
 (its model table is ``MODEL`` less the fields it never reads), its runner,
 its plot script and, for the (g, T) grid tasks run by ``run_grid``, the
-value function, columns, failed-row values and metrics.  ``_read_fields``
-reads them; a key outside them is "not read by" the task when another
-task's table for the same object holds it, else unknown, and either is a
-config error.  Every grid point, eigen's included, is evaluated by
-``_point``, which records an exception as a failed point; ``main`` records
-the exception of a fixed-point task the same way.  Grid rows are emitted
-in fixed (g outer, T inner) order regardless of the worker count, so
-repeated runs produce byte-identical CSV files.
+value function, columns, failed-row values and metrics.  ``MODEL`` is read
+off the ``ModelParams`` fields, each with its kind, range and default,
+with ``limit`` in place of g_prime.  ``_read_fields`` reads the tables and
+checks every number with ``model.check_value``, as ``ModelParams`` does; a
+key outside them is "not read by" the task when another task's table for
+the same object holds it, else unknown, and either is a config error.
+Every grid point, eigen's included, is evaluated by ``_point``, which
+records an exception as a failed point; ``main`` records the exception of
+a fixed-point task the same way.  Grid rows are emitted in fixed (g outer,
+T inner) order regardless of the worker count, so repeated runs produce
+byte-identical CSV files.
 """
 
 import argparse
@@ -51,7 +54,8 @@ import numpy as np
 
 from . import __version__, qoptical
 from .analytic import tc_g2_approximation
-from .model import ModelParams, build_hamiltonian, build_operators
+from .model import (ModelParams, build_hamiltonian, build_operators,
+                    check_value)
 from .observables import cluster_weights
 from .pipeline import solve_system
 from .qoptical import qo_admits, qo_g2_zero, qo_limits
@@ -82,10 +86,10 @@ class ConfigError(Exception):
 #
 # Each config field is declared once, as (key, kind, default, minimum,
 # positive) in the field table of its block, or as a Block for a nested
-# object.  kind is int or float (checked by _read_fields), object (passed
-# on raw to the check of its block), or a function returning the error
-# message for a bad value.  default is REQUIRED or the value of an absent
-# field.
+# object.  kind is int or float (checked by model.check_value) or a
+# function returning the error message for a bad value.  default is
+# REQUIRED or the value of an absent field; null is read as absent where
+# the default is None.  The model fields are read from ModelParams.
 
 REQUIRED = "required"
 
@@ -128,24 +132,15 @@ def _read_fields(block, path, fields, task, issues):
                 issues.append((_path(path, key), "missing required field"))
             continue
         value, message = block[key], None
-        if kind not in (int, float):
-            message = None if kind is object else kind(value)
-        elif isinstance(value, bool) or not isinstance(
-                value, (int, float) if kind is float else int):
-            message = "expected %s, got %s" % (
-                "a number" if kind is float else "an integer",
-                type(value).__name__)
-        else:
+        if value is None and default is None:
+            pass  # read as absent
+        elif kind in (int, float):
             try:
-                value = kind(value)
-            except OverflowError:  # an integer too large for a float
-                value = math.inf
-            if kind is float and not math.isfinite(value):
-                message = "must be finite"
-            elif positive and value <= 0:
-                message = "must be > 0"
-            elif minimum is not None and value < minimum:
-                message = "must be >= %g" % minimum
+                value = check_value(value, kind, minimum, positive)
+            except ValueError as exc:
+                message = str(exc)
+        else:
+            message = kind(value)
         if message is None:
             values[key] = value
         else:
@@ -175,27 +170,15 @@ def _g_prime(limit, g):
     return g if limit == "dicke" else 0.0
 
 
-def _resolve_limit(model, issues):
-    """Set g_prime from limit, or the limit label from g_prime."""
-    limit, g_prime = model["limit"], model.get("g_prime")
-    if limit is None and g_prime is None:
-        issues.append(("model.limit", "missing required field"))
-    elif limit is not None and g_prime is not None:
-        issues.append(("model.limit",
-                       "give either 'limit' or 'g_prime', not both"))
-    elif g_prime is not None:
-        limit = "dicke" if g_prime == model["g"] else "custom"
-    elif limit not in ("dicke", "tc"):
-        issues.append(("model.limit", "must be 'dicke' or 'tc'"))
-    elif "g" in model:  # a fixed point; a sweep sets g_prime per point
-        model["g_prime"] = _g_prime(limit, model["g"])
-    model["limit"] = limit
+def _resolve_limit(model, _issues):
+    """Set g_prime at a fixed point; a sweep sets it per point."""
+    if "g" in model:
+        model["g_prime"] = _g_prime(model["limit"], model["g"])
     return model
 
 
 def _single_tc_model(model, issues):
     # the closed forms describe one emitter without counter-rotating terms
-    model = _resolve_limit(model, issues)
     if model["n_emitters"] not in (None, 1):
         issues.append(("model.n_emitters",
                        "analytic-compare is defined for a single emitter"))
@@ -241,21 +224,18 @@ def _cutoff_pair(value):
     return None
 
 
-# every ModelParams field and limit; the optional fields default as there
-_PARAMS = {f.name: f.default for f in dataclasses.fields(ModelParams)}
-MODEL = Block("model", (
-    ("n_emitters", int, REQUIRED, 1, False),
-    ("g", float, REQUIRED, 0.0, False),
-    ("temperature", float, REQUIRED, 0.0, False),
-    ("n_max", int, _PARAMS["n_max"], 2, False),
-    ("gamma", float, _PARAMS["gamma"], None, True),
-    ("x0", float, _PARAMS["x0"], None, True),
-    ("omega_c", float, _PARAMS["omega_c"], None, True),
-    ("omega_x", float, _PARAMS["omega_x"], None, True),
-    ("limit", object, None, None, False),
-    ("g_prime", float, None, 0.0, False),
-), True, _resolve_limit)
-PER_POINT = ("g", "temperature", "g_prime")  # a sweep sets them per point
+# every ModelParams field with its rule and default but g_prime, which
+# the limit sets: "dicke" for g_prime = g, "tc" for g_prime = 0
+MODEL = Block("model", tuple(
+    (spec.name, kind,
+     REQUIRED if spec.default is dataclasses.MISSING else spec.default,
+     minimum, positive)
+    for spec in dataclasses.fields(ModelParams) if spec.name != "g_prime"
+    for kind, minimum, positive in [spec.metadata["rule"]]
+) + (("limit", lambda value: None if value in ("dicke", "tc")
+      else "must be 'dicke' or 'tc'", REQUIRED, None, False),),
+    True, _resolve_limit)
+PER_POINT = ("g", "temperature")  # a sweep sets them (and g_prime) per point
 
 
 def _model_without(keys, check=_resolve_limit):

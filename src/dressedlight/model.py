@@ -20,8 +20,9 @@ operator other than H is formed.
 from __future__ import annotations
 
 import math
+import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -59,22 +60,55 @@ def dimension_fits(n_emitters, n_max):
     return (n_max + 1) << min(n_emitters, 64) <= DEFAULT_MAX_DIM
 
 
+def check_value(value, kind, minimum=None, positive=False):
+    """Return value as kind (int or float), or raise ValueError saying why.
+
+    A bool is never a count or a number, and a complex is not a Real.  A
+    float must be finite (an int too large for one is not).
+    """
+    if isinstance(value, (bool, np.bool_)) or not isinstance(
+            value, numbers.Integral if kind is int else numbers.Real):
+        raise ValueError("must be %s, not %s" % (
+            "an integer" if kind is int else "a number",
+            type(value).__name__))
+    try:
+        value = kind(value)
+    except OverflowError:  # an integer too large for a float
+        value = math.inf
+    if kind is float and not math.isfinite(value):
+        raise ValueError("must be finite")
+    if positive and value <= 0:
+        raise ValueError("must be > 0")
+    if minimum is not None and value < minimum:
+        raise ValueError("must be >= %g" % minimum)
+    return value
+
+
+def _rule(kind, minimum=None, positive=False, **default):
+    """A ModelParams field checked by check_value(value, *rule)."""
+    return field(metadata={"rule": (kind, minimum, positive)}, **default)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical configuration of the coupled emitter-cavity system.
 
+    Each field carries its rule (kind, minimum, positive), which
+    __post_init__ applies with check_value; None passes only where it is
+    the default.
+
     Parameters
     ----------
     n_emitters : int
-        Number of two-level emitters, >= 1.
+        Number of two-level emitters.
     g : float
-        Co-rotating coupling strength (units of omega0), >= 0.
+        Co-rotating coupling strength (units of omega0).
     g_prime : float
         Counter-rotating coupling strength.  g_prime = 0 keeps only the
         excitation-conserving terms; g_prime = g gives the full
         position-position coupling.
     temperature : float
-        Bath temperature, >= 0.
+        Bath temperature.
     n_max : int
         Fock-space cutoff; the mode keeps photon numbers 0..n_max.
     x0 : float
@@ -88,44 +122,25 @@ class ModelParams:
         Default None means resonant: frequency 1, the unit omega0.
     """
 
-    n_emitters: int
-    g: float
-    g_prime: float
-    temperature: float
-    n_max: int = 100
-    x0: float = 1.0
-    gamma: float = 1e-2
-    omega_c: float | None = None
-    omega_x: float | None = None
+    n_emitters: int = _rule(int, 1)
+    g: float = _rule(float, 0.0)
+    g_prime: float = _rule(float, 0.0)
+    temperature: float = _rule(float, 0.0)
+    n_max: int = _rule(int, 2, default=100)
+    x0: float = _rule(float, positive=True, default=1.0)
+    gamma: float = _rule(float, positive=True, default=1e-2)
+    omega_c: float | None = _rule(float, positive=True, default=None)
+    omega_x: float | None = _rule(float, positive=True, default=None)
 
     def __post_init__(self):
-        for name, low in (("n_emitters", 1), ("n_max", 2)):
-            value = getattr(self, name)
-            # bool is an int subclass, but it is never a count
-            if (isinstance(value, bool)
-                    or not isinstance(value, (int, np.integer))
-                    or value < low):
-                raise ValueError(f"{name} must be an integer >= {low}")
-        for name in ("g", "g_prime", "temperature", "gamma", "x0",
-                     "omega_c", "omega_x"):
-            value = getattr(self, name)
-            # np.isfinite accepts a bool, which would be used as 0 or 1
-            if isinstance(value, (bool, np.bool_)):
-                raise ValueError(f"{name} must be a number, not a bool")
-            if value is not None and not np.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-        if self.g < 0 or self.g_prime < 0:
-            raise ValueError("coupling strengths must be non-negative")
-        if self.temperature < 0:
-            raise ValueError("temperature must be non-negative")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.x0 <= 0:
-            raise ValueError("x0 must be positive")
-        for name in ("omega_c", "omega_x"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive when given")
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if value is None and spec.default is None:
+                continue
+            try:
+                check_value(value, *spec.metadata["rule"])
+            except ValueError as exc:
+                raise ValueError("%s %s" % (spec.name, exc)) from None
 
     @property
     def cavity_frequency(self):

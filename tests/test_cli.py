@@ -222,16 +222,47 @@ def test_eigen_groups_levels_like_the_solve():
     assert groups[-1] + 1 < params.dim
 
 
-def test_model_block_mirrors_model_params():
-    # every physical knob is settable from a config, and only those; an
-    # optional one defaults as in ModelParams, and g_prime may come from
-    # the limit
-    defaults = {field.name: cli.REQUIRED
-                if field.default is dataclasses.MISSING else field.default
-                for field in dataclasses.fields(ModelParams)}
-    defaults["g_prime"] = None
-    assert {field[0]: field[2] for field in cli.MODEL.fields
-            if field[0] != "limit"} == defaults
+# per config model field: a value just outside its range and the boundary
+# value that is accepted
+_MODEL_BOUNDS = {
+    "n_emitters": (0, 1), "n_max": (1, 2),
+    "g": (-5e-324, 0.0), "temperature": (-5e-324, 0.0),
+    "x0": (0, 5e-324), "gamma": (0, 5e-324),
+    "omega_c": (0, 5e-324), "omega_x": (0, 5e-324),
+}
+
+
+def _read_model_value(tmp_path, name, value):
+    """(ModelParams message, parse_config issues), None where accepted."""
+    point = {"n_emitters": 1, "g": 0.3, "temperature": 0.1, name: value}
+    try:
+        ModelParams(**dict(point, g_prime=0.0))
+        library = None
+    except ValueError as exc:
+        library = str(exc)
+    cfg = _write_config(tmp_path, {"model": dict(point, limit="tc")})
+    try:
+        cli.parse_config(cfg, "spectrum")
+        issues = None
+    except cli.ConfigError as exc:
+        issues = exc.issues
+    return library, issues
+
+
+def test_model_params_and_the_config_accept_alike(tmp_path):
+    # the library and the config reader take the same model values, and a
+    # rejection names the field in both
+    assert set(_MODEL_BOUNDS) == {field.name for field in
+                                  dataclasses.fields(ModelParams)} - {"g_prime"}
+    for name, (outside, boundary) in _MODEL_BOUNDS.items():
+        for value in (True, "0.3", None, 10**400, outside, boundary):
+            library, issues = _read_model_value(tmp_path, name, value)
+            assert (library is None) == (issues is None), (name, value)
+            if library is not None:
+                assert library.startswith(name + " "), library
+                assert [path for path, _ in issues] == ["model." + name]
+        assert _read_model_value(tmp_path, name, outside)[0] is not None
+        assert _read_model_value(tmp_path, name, boundary) == (None, None)
 
 
 def test_qo_dimension_above_solver_limit_is_config_error(tmp_path, capsys,
@@ -292,12 +323,33 @@ def test_equal_grid_bounds_need_a_single_step(tmp_path, capsys):
     assert len({(r["g"], r["T"]) for r in rows}) == len(rows) == 2
 
 
-def test_limit_and_g_prime_are_exclusive(tmp_path, capsys):
-    broken = _chart_config()
-    broken["model"]["g_prime"] = 0.0
-    cfg = _write_config(tmp_path, broken)
-    assert main(["g2chart", "--config", cfg,
-                 "--out", str(tmp_path / "run")]) == 2
+@pytest.mark.parametrize("task", sorted(cli.TASKS))
+def test_g_prime_is_an_unknown_field(tmp_path, capsys, task):
+    # limit is the one config spelling of g_prime; the library takes any
+    payload = json.loads(json.dumps(CONTRACTS[task][0]))
+    payload["model"]["g_prime"] = 0.0
+    cfg = _write_config(tmp_path, payload)
+    assert main([task, "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: model.g_prime: unknown field"]
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("task", ["g2chart", "spectrum"])
+@pytest.mark.parametrize("limit,line", [
+    (None, "model.limit: missing required field"),
+    ("foo", "model.limit: must be 'dicke' or 'tc'"),
+], ids=["missing", "unknown"])
+def test_limit_is_required_and_dicke_or_tc(tmp_path, capsys, task, limit,
+                                           line):
+    payload = json.loads(json.dumps(CONTRACTS[task][0]))
+    del payload["model"]["limit"]
+    if limit is not None:
+        payload["model"]["limit"] = limit
+    cfg = _write_config(tmp_path, payload)
+    assert main([task, "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.splitlines() == ["config error: " + line]
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("task,keys", [
@@ -333,16 +385,12 @@ def test_sweep_summary_echoes_no_fixed_coupling_or_temperature(tmp_path):
     ("eigen", "model.x0"),
     ("qo-chart", "model.n_max"),
     ("converge", "model.n_max"),
-    ("eigen", "model.g_prime"),
-    ("g2chart", "model.g_prime"),
-    ("qo-chart", "model.g_prime"),
-    ("analytic-compare", "model.g_prime"),
     ("eigen", "grid.T_min"),
 ])
 def test_fields_another_task_reads_are_config_errors(tmp_path, capsys, task,
                                                      path):
     # eigen builds H only, at T = 0; qo-chart takes its cutoff from
-    # qo_n_max, converge from n_max_pair; a sweep sets g_prime per point
+    # qo_n_max, converge from n_max_pair
     payload = json.loads(json.dumps(CONTRACTS[task][0]))
     block, key = path.split(".")
     payload[block][key] = 0.2

@@ -107,6 +107,13 @@ def test_parameter_validation():
         ModelParams(2, True, 0.0, 0.1)
     p = ModelParams(2, np.float64(0.1), 0, np.float32(0.1), omega_c=1)
     assert p.g_prime == 0 and p.cavity_frequency == 1
+    # a complex (its imaginary part would be dropped), None, a string or
+    # an int past the float range is refused by name too
+    for field, value in (("g", np.complex128(0.3 + 0.1j)), ("g", 0.3 + 0j),
+                         ("gamma", None), ("g", "0.3"),
+                         ("omega_c", 10**400)):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            ModelParams(**dict(base, **{field: value}))
 
 
 @pytest.mark.parametrize("field", ["g", "g_prime", "temperature", "gamma",
