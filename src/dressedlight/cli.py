@@ -35,8 +35,8 @@ key outside them is "not read by" the task when another task's table for
 the same object holds it, else unknown, and either is a config error.
 Every grid point, eigen's included, is evaluated by ``_point``, which
 records an exception as a failed point; ``main`` records the exception of
-a fixed-point task the same way.  Grid rows are emitted in fixed (g outer,
-T inner) order regardless of the worker count, so repeated runs produce
+a fixed-point task the same way.  Grid points run one after another in
+this process, in fixed (g outer, T inner) order, so repeated runs produce
 byte-identical CSV files.
 """
 
@@ -47,7 +47,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -265,15 +264,17 @@ T_GRID = Block("t_grid", (
 LEVELS = ("levels", int, 12, 1, False)
 QO_N_MAX = ("qo_n_max", int, DEFAULT_QO_NMAX, 2, False)
 N_MAX_PAIR = ("n_max_pair", _cutoff_pair, [100, 120], None, False)
-# read by every task, after the blocks of its record
+# read by every task, after the blocks of its record; workers is kept,
+# one-valued, because the bench configs still write "workers": 1
 TOP_FIELDS = (
-    ("workers", int, 1, 1, False),
+    ("workers", lambda value: None if type(value) is int and value == 1
+     else "must be 1; every point runs in this process", 1, None, False),
     ("output_dir", lambda value: None if isinstance(value, str)
      else "expected a string", None, None, False),
 )
 
 
-def parse_config(path, task, workers_override=None, out_override=None):
+def parse_config(path, task, out_override=None):
     """Read and validate the JSON config for ``task``.
 
     Returns a resolved plain dict ready for the task runners.  Raises
@@ -292,8 +293,6 @@ def parse_config(path, task, workers_override=None, out_override=None):
     issues = []
     resolved = _read_fields(cfg, "", TASKS[task].blocks + TOP_FIELDS, task,
                             issues)
-    if workers_override is not None:
-        resolved["workers"] = workers_override
     if out_override is not None:
         resolved["output_dir"] = out_override
     elif resolved["output_dir"] is None:
@@ -332,19 +331,6 @@ def _csv_text(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def _map_points(worker, jobs, n_workers):
-    """Run ``worker`` over ``jobs`` preserving input order.
-
-    The pool gets at most one process per job and per CPU.
-    """
-    n_workers = min(n_workers, len(jobs), os.cpu_count() or 1)
-    if n_workers <= 1:
-        return [worker(job) for job in jobs]
-    chunk = max(1, len(jobs) // (4 * n_workers))
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(worker, jobs, chunksize=chunk))
-
-
 # ---------------------------------------------------------------------------
 # grid points and their runners
 
@@ -353,13 +339,12 @@ def _error_text(exc):
     return "%s: %s" % (type(exc).__name__, exc)
 
 
-def _point(job):
-    """Evaluate one grid point; top level so it pickles for the pool.
+def _point(value, resolved, g, temperature):
+    """Evaluate ``value`` at one grid point.
 
     Returns (values, None) on success and (None, "Type: message") when the
     point raised, so one bad point does not stop the sweep.
     """
-    value, resolved, g, temperature = job
     kwargs = dict(resolved["model"], g=g, temperature=temperature,
                   g_prime=_g_prime(resolved["limit"], g))
     try:
@@ -436,10 +421,9 @@ def run_grid(resolved):
     grid = resolved["grid"]
     points = [(g, t) for g in np.linspace(*grid["g"])
               for t in np.linspace(*grid["T"])]
-    jobs = [(value, resolved, g, t) for g, t in points]
     rows, ok, trusts, failures = [], [], [], []
-    for (g, t), (result, error) in zip(
-            points, _map_points(_point, jobs, resolved["workers"])):
+    for g, t in points:
+        result, error = _point(value, resolved, g, t)
         if error is None:
             values, trust = result
             ok.append(values)
@@ -459,9 +443,7 @@ def run_grid(resolved):
 def run_eigen(resolved):
     g_axis = np.linspace(*resolved["grid"]["g"])
     # the energies do not depend on the temperature
-    results = _map_points(
-        _point, [(_eigen_rows, resolved, g, 0.0) for g in g_axis],
-        resolved["workers"])
+    results = [_point(_eigen_rows, resolved, g, 0.0) for g in g_axis]
     rows = [row for block, error in results if error is None for row in block]
     failures = [{"g": float(g), "error": error}
                 for g, (_, error) in zip(g_axis, results) if error is not None]
@@ -609,9 +591,10 @@ def _plot_script(task):
 class Task(NamedTuple):
     """One simulate task.
 
-    blocks are the top-level fields it reads besides workers and
-    output_dir, model first, each Block with exactly the fields it reads
-    there; runner(resolved) returns (CSV header, rows, metrics); plot is
+    blocks are the top-level fields it reads besides output_dir and
+    workers (a one-valued row the bench configs still write), model
+    first, each Block with exactly the fields it reads there;
+    runner(resolved) returns (CSV header, rows, metrics); plot is
     the docstring and body of its plot script.  A fixed-point task, one
     whose model table holds g, solves the one point its model block gives.
     grid is (value function returning (values, Trust), columns, failed-row
@@ -723,20 +706,13 @@ def build_parser():
     parser.add_argument("--out", default=None,
                         help="output directory (overrides config and %s)"
                         % OUTPUT_ENV_VAR)
-    parser.add_argument("--workers", type=int, default=None,
-                        help="parallel workers for grid tasks (default 1)")
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.workers is not None and args.workers < 1:
-        print("config error: --workers: must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
     try:
-        resolved = parse_config(args.config, args.task,
-                                workers_override=args.workers,
-                                out_override=args.out)
+        resolved = parse_config(args.config, args.task, out_override=args.out)
     except ConfigError as exc:
         for path, message in exc.issues:
             print("config error: %s: %s" % (path, message), file=sys.stderr)

@@ -60,6 +60,7 @@ def test_g2chart_writes_csv_summary_and_plot(tmp_path):
 
     summary = json.loads((out / "summary.json").read_text())
     assert summary["task"] == "g2chart"
+    assert summary["config"]["workers"] == 1
     assert summary["metrics"]["n_points"] == 6
     assert summary["metrics"]["n_failed"] == 0
     assert "g2chart.csv" in summary["files"]
@@ -87,16 +88,6 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     assert main(["g2chart", "--config", cfg, "--out", str(out2)]) == 0
     assert (out1 / "g2chart.csv").read_bytes() == \
         (out2 / "g2chart.csv").read_bytes()
-
-
-def test_worker_count_does_not_change_output(tmp_path):
-    cfg = _write_config(tmp_path, _chart_config())
-    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-    assert main(["g2chart", "--config", cfg, "--out", str(serial)]) == 0
-    assert main(["g2chart", "--config", cfg, "--out", str(parallel),
-                 "--workers", "2"]) == 0
-    assert (serial / "g2chart.csv").read_bytes() == \
-        (parallel / "g2chart.csv").read_bytes()
 
 
 def test_missing_model_block_is_config_error(tmp_path, capsys):
@@ -203,7 +194,7 @@ def test_invalid_values_are_config_errors(tmp_path, capsys, monkeypatch,
 
 def test_malformed_output_dir_is_config_error_under_the_out_flag(tmp_path,
                                                                 capsys):
-    # like a malformed workers field under --workers
+    # a bad config value is an error even where a flag overrides it
     cfg = _write_config(tmp_path, _chart_config(output_dir=3))
     assert main(["g2chart", "--config", cfg,
                  "--out", str(tmp_path / "run")]) == 2
@@ -424,45 +415,33 @@ def test_integer_too_large_for_a_float_is_config_error(tmp_path, capsys,
     assert not (tmp_path / "run").exists()
 
 
-def test_nonpositive_workers_flag_rejected(tmp_path, capsys):
+@pytest.mark.parametrize("task", ["g2chart", "spectrum"])
+@pytest.mark.parametrize("workers", [2, 0, True, 1.0, "1"],
+                         ids=["two", "zero", "true", "float", "string"])
+def test_workers_must_be_one(tmp_path, capsys, task, workers):
+    # every point runs in the simulate process; the key is kept, one-valued,
+    # because the bench configs still write "workers": 1
+    cfg = _write_config(tmp_path, dict(CONTRACTS[task][0], workers=workers))
+    assert main([task, "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: workers: must be 1; every point runs in this process"]
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("task", sorted(cli.TASKS))
+def test_workers_one_is_accepted_by_every_task(tmp_path, task):
+    cfg = _write_config(tmp_path, dict(CONTRACTS[task][0], workers=1))
+    assert cli.parse_config(cfg, task)["workers"] == 1
+
+
+def test_workers_flag_is_gone(tmp_path, capsys):
     cfg = _write_config(tmp_path, _chart_config())
-    assert main(["g2chart", "--config", cfg, "--out", str(tmp_path / "run"),
-                 "--workers", "0"]) == 2
-
-
-@pytest.mark.parametrize("n_jobs,n_workers,cpus,pool_size", [
-    (3, 1000, 8, 3),      # no more processes than jobs
-    (10, 1000, 4, 4),     # nor than CPUs
-    (10, 2, 4, 2),
-    (10, 1000, None, None),   # unknown CPU count runs serially
-    (1, 1000, 8, None),
-    (10, 1, 8, None),
-])
-def test_worker_count_is_capped(monkeypatch, n_jobs, n_workers, cpus,
-                                pool_size):
-    # the fake pool records its size and maps in this process, so no
-    # process is started whatever the count
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    jobs = list(range(n_jobs))
-    assert cli._map_points(lambda j: j * j, jobs, n_workers) == \
-        [j * j for j in jobs]
-    assert sizes == ([] if pool_size is None else [pool_size])
+    with pytest.raises(SystemExit) as exc:
+        main(["g2chart", "--config", cfg, "--out", str(tmp_path / "run"),
+              "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_dark_ground_state_column_fails_partially(tmp_path, capsys):
@@ -844,17 +823,18 @@ def test_plot_script_reads_its_csv_and_saves_png(task_run):
 
 # Runs in a fresh interpreter, since this one has SciPy loaded already.
 # argv[1] is JSON: the (task, config) pairs to parse, then the (task,
-# config, output dir) runs; prints the loaded SciPy submodules after each.
+# config, output dir) runs; prints the loaded SciPy submodules after each,
+# and the process pool modules loaded by the import.
 _LAZY_SCRIPT = """
 import json, sys
 from dressedlight import cli
 
-def loaded():
-    return sorted(m for m in sys.modules
-                  if m.startswith(("scipy.linalg", "scipy.sparse")))
+def loaded(prefixes=("scipy.linalg", "scipy.sparse")):
+    return sorted(m for m in sys.modules if m.startswith(prefixes))
 
 parse, runs = json.loads(sys.argv[1])
-report = {"import": loaded()}
+report = {"import": loaded(),
+          "pool": loaded(("concurrent", "multiprocessing"))}
 for task, cfg in parse:
     cli.parse_config(cfg, task)
 report["parse_config"] = loaded()
@@ -867,7 +847,8 @@ print(json.dumps(report))
 
 def test_scipy_submodules_load_at_first_use(tmp_path):
     # a g2chart or spectrum run uses numpy only; g2time reaches
-    # scipy.linalg and qo-chart scipy.sparse through their attribute paths
+    # scipy.linalg and qo-chart scipy.sparse through their attribute paths.
+    # Grid points run in this process, so no process pool module loads.
     parse = [(task, _write_config(tmp_path, cfg, task + ".json"))
              for task, (cfg, *_) in sorted(CONTRACTS.items())]
     tiny = {"n_emitters": 1, "limit": "tc", "n_max": 4}
@@ -889,7 +870,7 @@ def test_scipy_submodules_load_at_first_use(tmp_path):
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().split("\n")[-1])
-    assert report["import"] == report["parse_config"] == []
+    assert report["import"] == report["parse_config"] == report["pool"] == []
     assert report["g2chart"] == [0, []]
     assert report["spectrum"] == [0, []]
     code, modules = report["g2time"]
