@@ -29,7 +29,7 @@ import numpy as np
 
 # D x D float64 arrays one dense solve holds at once: H, the eigenvectors,
 # the transformed couplings and their products.  solve_system plus g2(0)
-# peaks at about 8.15 of them (tracemalloc, D = 404 to 976).
+# peaks at about 7.15 of them (tracemalloc, D = 404 and 976).
 LIVE_DENSE_ARRAYS = 9
 
 

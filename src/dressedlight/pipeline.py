@@ -10,15 +10,16 @@ from . import observables
 from .dissipation import bath_lowering, build_rate_table
 from .dynamics import stationary_state
 from .model import build_hamiltonian, build_operators
-from .spectral import diagonalize, group_transitions
+from .spectral import diagonalize, group_transitions, total_spin_gauge
 
 
 @dataclass
 class SolvedSystem:
     """All stages of one parameter point, ready for observables.
 
-    eig holds the levels, eigenvectors and degenerate groups (its
-    degenerate flag says whether any group has more than one level);
+    eig holds the levels, eigenvectors, blocks and degenerate groups (its
+    degenerate flag says whether any group has more than one level), the
+    vectors of each group rotated onto total-spin eigenvectors;
     rates and stationary hold the Pauli rates and Boltzmann populations
     over those levels, and xdot the emission operator in the eigenbasis.
     collision_count is the number of transition frequencies shared by
@@ -53,7 +54,8 @@ class SolvedSystem:
 
         sum_m p_m sum_{i: fock(i) = n_max} |V[i, m]|^2, where V holds the
         eigenvectors; a tail that is not small says the cutoff truncates
-        the state.
+        the state.  V is exactly zero outside the block of each level, so
+        the tail is the physical one, not eigh round-off.
         """
         half = self.params.n_max + 1
         top = self.eig.vectors[np.arange(half - 1, self.params.dim, half)]
@@ -64,7 +66,10 @@ class SolvedSystem:
 def solve_system(params):
     """Run the full dressed-basis pipeline for one parameter point.
 
-    Levels and transition frequencies are clustered within
+    H is diagonalized block by block (spectral.diagonalize), and inside
+    each degenerate level the basis is fixed to eigenvectors of the total
+    spin J^2 (spectral.total_spin_gauge) before any coupling is
+    transformed.  Levels and transition frequencies are clustered within
     spectral.LEVEL_TOL = 1e-9 omega0.
 
     Parameters
@@ -76,16 +81,17 @@ def solve_system(params):
     SolvedSystem
     """
     ops = build_operators(params)
-    eig = diagonalize(build_hamiltonian(ops))
+    eig = total_spin_gauge(diagonalize(build_hamiltonian(ops)),
+                           ops.sigma_minus)
     # counted first, so its temporaries do not stack on the couplings
     collision_count = eig.collision_omegas().size
-    couplings = (group_transitions(eig, lower)
-                 for lower in bath_lowering(ops))
     # bath_lowering lists the cavity first: A_X in the eigenbasis
-    a_eigen = next(couplings)
+    cavity, *emitters = bath_lowering(ops)
+    a_eigen = group_transitions(eig, cavity)
     weight = a_eigen * a_eigen
-    for coupling in couplings:
-        weight += coupling * coupling
+    for lower in emitters:
+        # one coupling at a time, freed once it is summed in
+        weight += np.square(group_transitions(eig, lower))
     rates = build_rate_table(eig, weight, params.temperature, params.gamma)
     stat = stationary_state(eig, rates)
     xdot = observables.emission_operator(eig, a_eigen)

@@ -10,6 +10,12 @@ matrix elements in the eigenbasis.  Distinct level pairs whose
 frequencies coincide within LEVEL_TOL (collisions) are where the
 secular equations of motion are not reliable; they depend only on the
 group energies and are counted once per eigensystem as a diagnostic.
+
+The Hamiltonian falls into blocks that do not couple (the excitation
+sectors without counter-rotating terms, the two parities with them;
+Tavis & Cummings, Phys. Rev. 170, 379 (1968)).  diagonalize finds them
+in the nonzero pattern and runs one eigh per block, and every transform
+is one small product per pair of blocks an operator connects.
 """
 
 from __future__ import annotations
@@ -35,22 +41,55 @@ def gap_clusters(values, tol):
     return index, np.bincount(index, weights=values) / np.bincount(index)
 
 
+def _join(label, rows, cols):
+    """Join the components of label along the edges rows[k] -- cols[k].
+
+    label[i] is a vertex of the component of i, at most i, and a root
+    (label[r] == r) stands for its component.  Returns the joined labels,
+    every entry pointing straight at its component's least vertex.
+    """
+    while True:
+        ends = label[rows], label[cols]
+        if np.array_equal(*ends):
+            return label
+        low = np.minimum(*ends)
+        for end in ends:
+            np.minimum.at(label, end, low)
+        jumped = label[label]
+        while not np.array_equal(jumped, label):
+            label, jumped = jumped, jumped[jumped]
+
+
+def _members(labels, count=0):
+    """Indices carrying each label 0, 1, ... (at least count labels)."""
+    order = np.argsort(labels, kind="stable")
+    return np.split(order,
+                    np.cumsum(np.bincount(labels, minlength=count))[:-1])
+
+
 @dataclass
 class EigenSystem:
     """Sorted eigensystem of a real symmetric matrix, levels clustered.
 
     energies are ascending and vectors[:, k], float64, belongs to
-    energies[k], both as np.linalg.eigh returns them.  Outputs read the
-    vectors only through quadratic forms such as |<m|A|n>|^2, so the sign
-    of a vector changes no result.  Levels closer than LEVEL_TOL form one
-    degenerate group: group_index[k] is the group of state k (ascending
-    from 0) and group_energy[a] is the mean energy of group a.
+    energies[k].  Outputs read the vectors only through quadratic forms
+    such as |<m|A|n>|^2, so the sign of a vector changes no result.
+    Levels closer than LEVEL_TOL form one degenerate group: group_index[k]
+    is the group of level k (ascending from 0) and group_energy[a] is the
+    mean energy of group a.
+
+    block[i] is the block of basis state i and level_block[k] that of
+    level k: vectors[i, k] is exactly 0 unless block[i] == level_block[k].
+    Blocks are numbered from 0, and every degenerate group lies in one
+    block, so any rotation inside a group keeps them.
     """
 
     energies: np.ndarray
     vectors: np.ndarray
     group_index: np.ndarray
     group_energy: np.ndarray
+    block: np.ndarray
+    level_block: np.ndarray
 
     @property
     def degenerate(self):
@@ -59,11 +98,23 @@ class EigenSystem:
     def to_eigenbasis(self, lower):
         """Matrix elements <m|L|n> of a lab-frame model.IndexMap L.
 
-        V^T L V as a real (D, D) array: one gather of the rows of vectors
-        and one matrix product.
+        V^T L V as a real (D, D) array.  The map's elements are sorted by
+        the pair (block of dst, block of src); each pair gives one product
+        over the levels of its two blocks, written into the zero array.
         """
         v = self.vectors
-        return v[lower.dst].T @ (lower.amp[:, None] * v[lower.src])
+        out = np.zeros_like(v)
+        levels = _members(self.level_block)
+        count = len(levels)
+        pairs, index = np.unique(
+            self.block[lower.dst] * count + self.block[lower.src],
+            return_inverse=True)
+        for pair, sel in zip(pairs, _members(index)):
+            rows, cols = (levels[b] for b in divmod(pair, count))
+            out[np.ix_(rows, cols)] = (
+                v[np.ix_(lower.dst[sel], rows)].T
+                @ (lower.amp[sel, None] * v[np.ix_(lower.src[sel], cols)]))
+        return out
 
     def collision_omegas(self):
         """Frequencies w >= 0 shared by more than one pair of level groups.
@@ -99,8 +150,12 @@ def diagonalize(h):
     Returns
     -------
     EigenSystem
-        The levels and float64 vectors of np.linalg.eigh, with levels
-        grouped by gap_clusters at LEVEL_TOL; see EigenSystem.
+        The levels and float64 vectors, with levels grouped by
+        gap_clusters at LEVEL_TOL; see EigenSystem.  The blocks are the
+        connected components of the nonzero pattern of h, merged wherever
+        a degenerate group spans several.  A single block is one
+        np.linalg.eigh of h; otherwise each block's eigh fills its rows
+        and its levels' columns of the zero vectors array.
     """
     h = np.asarray(h)
     if np.iscomplexobj(h):
@@ -109,12 +164,92 @@ def diagonalize(h):
     step = max(1, 2**16 // max(1, h.shape[0]))
     skew = 0.0
     for start in range(0, h.shape[0], step):
-        block = h[start:start + step] - h[:, start:start + step].T
-        skew += np.vdot(block, block)
+        part = h[start:start + step] - h[:, start:start + step].T
+        skew += np.vdot(part, part)
     if np.sqrt(skew) > 1e-12 * np.linalg.norm(h):
         raise ValueError("matrix is not Hermitian")
-    energies, vectors = np.linalg.eigh(h)
-    return EigenSystem(energies, vectors, *gap_clusters(energies, LEVEL_TOL))
+    dim = h.shape[0]
+    # the pattern of the lower triangle, which eigh reads, over row blocks
+    label = np.arange(dim)
+    step = max(1, 2**15 // dim)
+    for start in range(0, dim, step):
+        rows, cols = np.nonzero(h[start:start + step, :start + step])
+        label = _join(label, rows + start, cols)
+    block = np.unique(label, return_inverse=True)[1]
+    if block.max() == 0:
+        energies, vectors = np.linalg.eigh(h)
+        level_block = block
+    else:
+        states = _members(block)
+        parts = [np.linalg.eigh(h[np.ix_(rows, rows)]) for rows in states]
+        energies = np.concatenate([e for e, _ in parts])
+        order = np.argsort(energies, kind="stable")
+        column = np.empty(dim, dtype=int)
+        column[order] = np.arange(dim)
+        vectors = np.zeros((dim, dim))
+        start = 0
+        for rows, (_, v) in zip(states, parts):
+            vectors[np.ix_(rows, column[start:start + rows.size])] = v
+            start += rows.size
+        energies = energies[order]
+        level_block = block[np.concatenate(states)][order]
+    group_index, group_energy = gap_clusters(energies, LEVEL_TOL)
+    # merge the blocks that share a degenerate group
+    pair = np.flatnonzero((np.diff(group_index) == 0)
+                          & (np.diff(level_block) != 0))
+    if pair.size:
+        merged = _join(np.arange(block.max() + 1), level_block[pair],
+                       level_block[pair + 1])
+        merged = np.unique(merged, return_inverse=True)[1]
+        block, level_block = merged[block], merged[level_block]
+    return EigenSystem(energies, vectors, group_index, group_energy,
+                       block, level_block)
+
+
+def total_spin_gauge(eig, sigma_minus):
+    """Rotate eig.vectors inside each degenerate group onto J^2 eigenvectors.
+
+    J^2 = J+ J- + Jz^2 - Jz, with J- the sum of the sigma_minus index
+    maps and Jz half the excited count minus the unexcited one.  It
+    commutes with the Hamiltonian, whose emitters share one frequency and
+    one coupling, so the rotated vectors are still eigenvectors and J^2
+    keeps every block.  Where levels of different total spin j coincide
+    this fixes the basis, on which the secular rates depend; inside copies
+    of one j the basis stays free, and every output is invariant under it
+    to round-off.  Per block, the group is restricted to the block's
+    states and J^2 to (J- V)^T (J- V) + V^T (Jz^2 - Jz) V: no D x D
+    operator is formed.  Returns eig, rotated in place.
+    """
+    v = eig.vectors
+    dim = v.shape[0]
+    jz = sum(np.bincount(sm.src, minlength=dim) for sm in sigma_minus)
+    jz = jz - len(sigma_minus) / 2
+    diagonal = jz * jz - jz
+    src, dst, amp = (np.concatenate(parts) for parts in zip(*sigma_minus))
+    states = _members(eig.block)
+    # position of every state inside its block
+    where = np.empty(dim, dtype=int)
+    for rows in states:
+        where[rows] = np.arange(rows.size)
+    sizes = np.bincount(eig.group_index)
+    degenerate = sizes[eig.group_index] > 1
+    elements = _members(eig.block[src], len(states))
+    for rows, levels, sel in zip(states, _members(eig.level_block), elements):
+        cols = levels[degenerate[levels]]
+        if not cols.size:
+            continue
+        group = v[np.ix_(rows, cols)]
+        image, at = np.unique(dst[sel], return_inverse=True)
+        lowered = np.zeros((image.size, cols.size))
+        np.add.at(lowered, at, amp[sel, None] * group[where[src[sel]]])
+        spin = (lowered.T @ lowered
+                + group.T @ (diagonal[rows, None] * group))
+        rotation = np.zeros_like(spin)
+        bounds = np.r_[0, np.cumsum(sizes[np.unique(eig.group_index[cols])])]
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            rotation[a:b, a:b] = np.linalg.eigh(spin[a:b, a:b])[1]
+        v[np.ix_(rows, cols)] = group @ rotation
+    return eig
 
 
 def group_transitions(eig, lower):

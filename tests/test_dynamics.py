@@ -309,19 +309,19 @@ def test_g2_time_matches_dense_expm_with_underflowing_weights(g_prime):
 
 
 def test_g2_time_is_real_across_time_chunks():
-    # 500 delays times the stored coherence pairs exceed the 4e6 elements
+    # 1000 delays times the stored coherence pairs exceed the 4e6 elements
     # RegressionEvolver.curve evaluates at once, so the curve is built in
     # at least two chunks; sampled delays straddle the first boundary
     system = solve_system(ModelParams(2, 0.5, 0.5, 0.07, n_max=40))
     xdot = system.xdot
     rho_c = (xdot * system.stationary.populations[None, :]) @ xdot.T
     pairs = np.count_nonzero(np.triu(xdot.T @ xdot * rho_c, 1))
-    times = np.linspace(0.0, 500.0, 500)
+    times = np.linspace(0.0, 500.0, 1000)
     chunk = int(4e6 // pairs)
     assert chunk < times.size
     values = system.g2_time(times).values
     assert values.dtype == np.float64
-    sample = np.unique(np.r_[0:times.size:25, chunk - 1, chunk,
+    sample = np.unique(np.r_[0:times.size:50, chunk - 1, chunk,
                              times.size - 1])
     np.testing.assert_allclose(
         values[sample], _dense_g2_reference(system, times[sample]),

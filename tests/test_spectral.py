@@ -1,4 +1,4 @@
-"""Eigen decomposition, sign invariance and frequency collisions."""
+"""Eigen decomposition by blocks, gauge and sign invariance, collisions."""
 
 import tracemalloc
 
@@ -11,11 +11,14 @@ from dressedlight import (
     build_hamiltonian,
     build_operators,
     build_rate_table,
+    cluster_weights,
     diagonalize,
     group_transitions,
+    observables,
     pipeline,
     solve_system,
     spectral,
+    thermal_rate,
 )
 from dressedlight.dissipation import bath_lowering
 
@@ -267,3 +270,113 @@ def test_outputs_invariant_under_eigenvector_signs(monkeypatch, params):
         for got, want in zip(outputs(), reference):
             np.testing.assert_array_equal(got, want)
         assert flipped[0] > 0
+
+
+@pytest.mark.parametrize("detuned", [False, True], ids=["resonant", "detuned"])
+@pytest.mark.parametrize("g_prime", [0.0, 0.31], ids=["tc", "dicke"])
+@pytest.mark.parametrize("n_emitters", [1, 2, 3, 4])
+def test_block_eigh_matches_dense_eigh(n_emitters, g_prime, detuned):
+    # one eigh per block gives the levels of one dense eigh, eigenvectors
+    # that solve H V = V E, and columns exactly zero outside their block;
+    # g = 0 leaves H diagonal, and its blocks join along degenerate levels
+    extra = dict(omega_c=1.1, omega_x=0.95) if detuned else {}
+    for g in (0.31, 0.0):
+        p = ModelParams(n_emitters, g, g_prime * (g > 0), 0.1, n_max=7,
+                        **extra)
+        h = build_hamiltonian(p)
+        eig = diagonalize(h)
+        scale = np.abs(eig.energies).max()
+        np.testing.assert_allclose(eig.energies, np.linalg.eigh(h)[0],
+                                   rtol=1e-12, atol=1e-12 * scale)
+        v = eig.vectors
+        np.testing.assert_allclose(h @ v, v * eig.energies,
+                                   rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(v.T @ v, np.eye(p.dim), atol=1e-12)
+        assert np.all(v[eig.block[:, None] != eig.level_block] == 0)
+        # every degenerate group lies in one block
+        assert np.all(np.diff(eig.level_block)[np.diff(eig.group_index) == 0]
+                      == 0)
+
+
+def test_blocks_are_the_conserved_sectors():
+    # without counter-rotating terms the blocks are the excitation sectors
+    # n + #excited, 0..n_max + N; with them, the two parities
+    p = ModelParams(4, 0.3, 0.0, 0.1, n_max=60)
+    eig = diagonalize(build_hamiltonian(p))
+    config, fock = np.divmod(np.arange(p.dim), p.n_max + 1)
+    excitation = fock + np.array([bin(c).count("1") for c in config])
+    assert eig.block.max() + 1 == 65
+    np.testing.assert_array_equal(eig.block, excitation)
+    for n_emitters in (1, 2, 3, 4):
+        p = ModelParams(n_emitters, 0.3, 0.3, 0.1, n_max=10)
+        eig = diagonalize(build_hamiltonian(p))
+        assert eig.block.max() + 1 == 2
+    # a random symmetric matrix is one block
+    eig = diagonalize(_random_symmetric_with_spectrum([0.0, 1.0, 2.0], 3))
+    assert eig.block.tolist() == eig.level_block.tolist() == [0, 0, 0]
+
+
+def _rotate_degenerate_groups(eig, rng):
+    """Rotate the vectors of every degenerate group by a random orthogonal."""
+    sizes = np.bincount(eig.group_index)
+    for stop, size in zip(np.cumsum(sizes), sizes):
+        if size > 1:
+            q, _ = np.linalg.qr(rng.standard_normal((size, size)))
+            eig.vectors[:, stop - size:stop] = (
+                eig.vectors[:, stop - size:stop] @ q)
+    return eig
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams(2, 0.3, 0.0, 0.1, n_max=40),
+    ModelParams(4, 0.3, 0.0, 0.1, n_max=30),
+], ids=["tc-n2-cross-j", "tc-n4-same-j-copies"])
+def test_outputs_invariant_under_rotations_inside_degenerate_levels(
+        monkeypatch, params):
+    # tc N=2 has an antisymmetric (j = 0) level beside a symmetric (j = 1)
+    # one; tc N=4 adds three copies of j = 1 and two of j = 0.  The total
+    # spin gauge undoes any rotation inside a degenerate level: every
+    # output stays put, and the loss operator
+    # Gamma_mm' = sum_n chi(E_m - E_n) sum_c A_c[n, m] A_c[n, m'] is
+    # diagonal inside each group, with 2 Re z on its diagonal.  Inside
+    # copies of one j the split of a peak between pairs stays free, so the
+    # spectrum keeps every pair: the weight floor would drop a basis-
+    # dependent set of the tiniest ones
+    monkeypatch.setattr(observables, "WEIGHT_FLOOR", 0.0)
+    omega = np.linspace(0.0, 3.0, 3000)
+    times = np.linspace(0.0, 50.0 / params.gamma, 60)
+
+    def outputs():
+        system = solve_system(params)
+        spectrum = system.spectrum(omega)
+        return system, [
+            system.g2_zero(), system.integrated_emission(),
+            *cluster_weights(spectrum), system.g2_time(times).values,
+            spectrum.values, np.sort(system.rates.z.real)]
+
+    system, reference = outputs()
+    eig = system.eig
+    sizes = np.bincount(eig.group_index)
+    assert sizes.max() > 1
+    chi = thermal_rate(eig.group_energy[eig.group_index][None, :]
+                       - eig.group_energy[eig.group_index][:, None],
+                       params.temperature, params.gamma)
+    couplings = [group_transitions(eig, lower)
+                 for lower in bath_lowering(build_operators(params))]
+    for stop, size in zip(np.cumsum(sizes), sizes):
+        cols = slice(stop - size, stop)
+        gamma = sum(a[:, cols].T @ (chi[:, [stop - 1]] * a[:, cols])
+                    for a in couplings)
+        off = gamma - np.diag(np.diag(gamma))
+        assert np.abs(off).max() <= 1e-12 * np.abs(gamma).max()
+        np.testing.assert_allclose(np.diag(gamma),
+                                   2 * system.rates.z.real[cols], rtol=1e-12)
+
+    rng = np.random.default_rng(29)
+    monkeypatch.setattr(pipeline, "diagonalize", lambda h: (
+        _rotate_degenerate_groups(spectral.diagonalize(h), rng)))
+    for _ in range(2):
+        for got, want in zip(outputs()[1], reference):
+            got, want = np.atleast_1d(got), np.atleast_1d(want)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
