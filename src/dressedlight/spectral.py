@@ -160,21 +160,20 @@ def diagonalize(h):
     h = np.asarray(h)
     if np.iscomplexobj(h):
         raise ValueError("matrix must be real symmetric, got complex input")
-    # ||h - h^T||_F^2 over row blocks: no D x D temporary is allocated
-    step = max(1, 2**16 // max(1, h.shape[0]))
+    dim = h.shape[0]
+    # ||h - h^T||_F^2 and the components of the nonzero pattern of the
+    # lower triangle, which eigh reads, over row chunks: no D x D temporary
     skew = 0.0
-    for start in range(0, h.shape[0], step):
-        part = h[start:start + step] - h[:, start:start + step].T
+    label = np.arange(dim)
+    step = max(1, 2**15 // max(1, dim))
+    for start in range(0, dim, step):
+        chunk = h[start:start + step]
+        part = chunk - h[:, start:start + step].T
         skew += np.vdot(part, part)
+        rows, cols = np.nonzero(chunk[:, :start + step])
+        label = _join(label, rows + start, cols)
     if np.sqrt(skew) > 1e-12 * np.linalg.norm(h):
         raise ValueError("matrix is not Hermitian")
-    dim = h.shape[0]
-    # the pattern of the lower triangle, which eigh reads, over row blocks
-    label = np.arange(dim)
-    step = max(1, 2**15 // dim)
-    for start in range(0, dim, step):
-        rows, cols = np.nonzero(h[start:start + step, :start + step])
-        label = _join(label, rows + start, cols)
     block = np.unique(label, return_inverse=True)[1]
     if block.max() == 0:
         energies, vectors = np.linalg.eigh(h)
@@ -184,8 +183,7 @@ def diagonalize(h):
         parts = [np.linalg.eigh(h[np.ix_(rows, rows)]) for rows in states]
         energies = np.concatenate([e for e, _ in parts])
         order = np.argsort(energies, kind="stable")
-        column = np.empty(dim, dtype=int)
-        column[order] = np.arange(dim)
+        column = np.argsort(order)
         vectors = np.zeros((dim, dim))
         start = 0
         for rows, (_, v) in zip(states, parts):
@@ -227,10 +225,6 @@ def total_spin_gauge(eig, sigma_minus):
     diagonal = jz * jz - jz
     src, dst, amp = (np.concatenate(parts) for parts in zip(*sigma_minus))
     states = _members(eig.block)
-    # position of every state inside its block
-    where = np.empty(dim, dtype=int)
-    for rows in states:
-        where[rows] = np.arange(rows.size)
     sizes = np.bincount(eig.group_index)
     degenerate = sizes[eig.group_index] > 1
     elements = _members(eig.block[src], len(states))
@@ -241,11 +235,13 @@ def total_spin_gauge(eig, sigma_minus):
         group = v[np.ix_(rows, cols)]
         image, at = np.unique(dst[sel], return_inverse=True)
         lowered = np.zeros((image.size, cols.size))
-        np.add.at(lowered, at, amp[sel, None] * group[where[src[sel]]])
+        np.add.at(lowered, at, amp[sel, None] * v[np.ix_(src[sel], cols)])
         spin = (lowered.T @ lowered
                 + group.T @ (diagonal[rows, None] * group))
         rotation = np.zeros_like(spin)
-        bounds = np.r_[0, np.cumsum(sizes[np.unique(eig.group_index[cols])])]
+        # not a bare np.unique: on NumPy 2 it imports numpy.ma (~12 ms)
+        bounds = np.r_[0, np.flatnonzero(np.diff(eig.group_index[cols])) + 1,
+                       cols.size]
         for a, b in zip(bounds[:-1], bounds[1:]):
             rotation[a:b, a:b] = np.linalg.eigh(spin[a:b, a:b])[1]
         v[np.ix_(rows, cols)] = group @ rotation
