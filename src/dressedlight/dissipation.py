@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spectral import BlockPairs
+
 # exp(-x) counts as exactly 0 from x = EXP_UNDERFLOW on (subnormal at 708)
 EXP_UNDERFLOW = 700.0
 
@@ -67,16 +69,18 @@ def thermal_rate(omega, temperature, gamma):
 class RateTable:
     """Decay constants and population rates of the bath couplings.
 
-    generator is the Pauli generator acting on population column vectors:
-    off the diagonal, generator[n, k] is the population rate from state k
-    into state n (summed over the couplings), and its columns sum to
-    zero.  z[n] is half the total loss rate of state n plus i times its
-    energy.  gamma is the Ohmic damping the rates were evaluated with.
+    generator is the Pauli generator acting on population column vectors,
+    as spectral.BlockPairs: pair (b, c) holds the population rates from
+    the levels of block c into those of block b (summed over the
+    couplings), zero on the diagonal, and generator.diagonal is minus the
+    total loss rate of each level, so the columns sum to zero.  z[n] is
+    half the total loss rate of state n plus i times its energy.  gamma is
+    the Ohmic damping the rates were evaluated with.
     """
 
     temperature: float
     z: np.ndarray
-    generator: np.ndarray
+    generator: BlockPairs
     gamma: float
 
 
@@ -88,12 +92,12 @@ def build_rate_table(eig, weight, temperature, gamma):
     secular grouping of the transitions.  Frequency collisions are a
     property of eig alone (EigenSystem.collision_omegas) and do not enter
     the rates.  All couplings share the bath, so thermal_rate is
-    evaluated once.
+    evaluated once, on the frequencies of every pair of weight.
 
     Parameters
     ----------
     eig : EigenSystem
-    weight : (D, D) float64 array
+    weight : spectral.BlockPairs
         sum_c |<m|A_c|n>|^2 over the couplings S_c = -i A_c, with A_c in
         the eigenbasis of eig (spectral.group_transitions of each L of
         bath_lowering).
@@ -106,16 +110,24 @@ def build_rate_table(eig, weight, temperature, gamma):
     RateTable
     """
     ge = eig.group_energy[eig.group_index]
-    # pair_omega[m, n] = E_n - E_m from group energies, exactly 0 inside
-    # a degenerate group.
-    pair_omega = ge[None, :] - ge[:, None]
-
-    # generator[n, k]: rate k -> n needs chi at E_k - E_n = pair_omega[n, k]
-    generator = thermal_rate(pair_omega, temperature, gamma)
-    generator *= weight
-    np.fill_diagonal(generator, 0.0)
-    loss = generator.sum(axis=0)  # total rate out of each state
-    np.fill_diagonal(generator, -loss)
+    levels = weight.levels
+    # gain[n, k]: rate k -> n needs chi at E_k - E_n, from group energies,
+    # exactly 0 inside a degenerate group
+    gain = thermal_rate(np.concatenate(
+        [(ge[levels[c]] - ge[levels[b], None]).ravel() for b, c in weight]),
+        temperature, gamma)
+    generator = BlockPairs(levels)
+    loss = np.zeros(ge.size)  # total rate out of each state
+    start = 0
+    for (b, c), w in weight.items():
+        rate = gain[start:start + w.size].reshape(w.shape)
+        start += w.size
+        rate *= w
+        if b == c:
+            np.fill_diagonal(rate, 0.0)
+        loss[levels[c]] += rate.sum(axis=0)
+        generator[b, c] = rate
+    generator.diagonal = -loss
     z = 0.5 * loss + 1j * eig.energies
 
     return RateTable(

@@ -18,6 +18,7 @@ import numpy as np
 import scipy
 
 from .dissipation import EXP_UNDERFLOW
+from .spectral import BlockPairs
 
 # Allowed detailed-balance violation max|G_nk p_k - G_kn p_n|, relative to
 # max|G_nk p_k|.  Rates use group energies and weights level energies, so
@@ -50,8 +51,8 @@ def stationary_state(eig, rates):
     """Boltzmann distribution over the dressed levels.
 
     Verifies that the distribution is annihilated by the Pauli generator
-    and records the residual; a residual above RESIDUAL_TOL raises, since
-    it indicates inconsistent rates.
+    (G p formed pair by pair) and records the residual; a residual above
+    RESIDUAL_TOL raises, since it indicates inconsistent rates.
     """
     energies = eig.energies
     if rates.temperature == 0:
@@ -86,6 +87,9 @@ class DiagonalPropagator:
     eigh K = U diag(mu) U^T gives, for every t,
     exp(G t) = D^(1/2) U diag(exp(mu t)) U^T D^(-1/2).
 
+    generator is RateTable.generator, spectral.BlockPairs with the
+    diagonal: balance is checked pair by pair against the transposed pair,
+    and K, dense over the populated levels, is scattered from the pairs.
     Levels whose Boltzmann weight underflows to zero are left out of K;
     the couplings dropped with them carry weight ~exp(-700).  Start
     vectors with weight on such levels are rejected.  At T = 0 the
@@ -98,25 +102,33 @@ class DiagonalPropagator:
             raise ValueError(
                 "T = 0 rates have no detailed-balance symmetrization"
             )
-        g = np.asarray(generator, dtype=float)
         p = stationary.populations
-        # over row blocks of 2^16 elements: no D x D temporary
-        violation = scale = 0.0
-        step = max(1, 2**16 // p.size)
-        for start in range(0, p.size, step):
-            flux = g[start:start + step] * p
-            back = g[:, start:start + step].T * p[start:start + step, None]
-            violation = max(violation, np.abs(flux - back).max())
+        blocks = generator.levels
+        # pair by pair against the transposed pair: no D x D array
+        violation = 0.0
+        scale = np.abs(generator.diagonal * p).max()
+        for (b, c), g in generator.items():
+            flux = g * p[blocks[c]]
             scale = max(scale, np.abs(flux).max())
+            if (c, b) in generator:
+                flux -= generator[c, b].T * p[blocks[b], None]
+            violation = max(violation, np.abs(flux).max())
         if violation > BALANCE_TOL * scale:
             raise ValueError(
                 f"generator violates detailed balance by {violation:.3e}"
             )
         self._dropped = p == 0
         self.levels = np.flatnonzero(~self._dropped)
-        sub = g[np.ix_(self.levels, self.levels)]
-        k = np.sqrt(sub * sub.T)
-        np.fill_diagonal(k, np.diag(sub))
+        # K over the populated levels, scattered from the pairs
+        at = np.cumsum(~self._dropped) - 1
+        k = np.zeros((self.levels.size, self.levels.size))
+        for (b, c), g in generator.items():
+            if (c, b) in generator:
+                rows, cols = (~self._dropped[blocks[b]],
+                              ~self._dropped[blocks[c]])
+                k[np.ix_(at[blocks[b][rows]], at[blocks[c][cols]])] = (
+                    np.sqrt(g * generator[c, b].T)[np.ix_(rows, cols)])
+        np.fill_diagonal(k, generator.diagonal[self.levels])
         self.eigenvalues, u = scipy.linalg.eigh(k)
         self._p = p[self.levels]
         # D^(1/2) U; U^T D^(-1/2) is its transpose times D^(-1)
@@ -144,31 +156,50 @@ class DiagonalPropagator:
         return np.exp(np.multiply.outer(times, self.eigenvalues)) @ u
 
 
+def _diagonal(pairs, dim):
+    """The diagonal of BlockPairs that have no diagonal array, (dim,)."""
+    out = np.zeros(dim)
+    for b, levels in enumerate(pairs.levels):
+        if (b, b) in pairs:
+            out[levels] = np.diag(pairs[b, b])
+    return out
+
+
+def _coherences(rho, observable):
+    """Elements m < n of observable^T * rho plus its transpose.
+
+    Returns (rows, cols, coefficients) of the nonzero ones: the coefficient
+    of (m, n) is observable[n, m] rho[m, n] + observable[m, n] rho[n, m].
+    """
+    levels = rho.levels
+    upper = BlockPairs(levels)
+    for (b, c), r in rho.items():
+        if (c, b) in observable:
+            term = observable[c, b].T * r
+            upper.add((b, c), term * (levels[b][:, None] < levels[c]))
+            upper.add((c, b), term.T * (levels[c][:, None] < levels[b]))
+    return upper.elements()
+
+
 class RegressionEvolver:
     """Two-time expectation values through the quantum regression rule.
 
-    rho and observable are real dense (D, D) arrays in the eigenbasis of
-    the rates.  The evolver keeps what it needs to evaluate
-    Re Tr[observable * Phi_t(rho)] for a batch of times, where Phi_t
-    propagates the diagonal of rho through the rate equation and each
-    off-diagonal element (m, n) through exp(-(z_m + conj(z_n)) t).  For
-    real rho and observable the (m, n) and (n, m) terms sum to a real
-    coefficient times exp(-gamma t) cos(omega t), with
-    gamma = Re z_m + Re z_n and omega = Im z_m - Im z_n, so only the
-    pairs m < n are stored.
+    rho and observable are real spectral.BlockPairs on the same levels, in
+    the eigenbasis of the rates.  The evolver keeps what it needs to
+    evaluate Re Tr[observable * Phi_t(rho)] for a batch of times, where
+    Phi_t propagates the diagonal of rho through the rate equation and
+    each off-diagonal element (m, n) through exp(-(z_m + conj(z_n)) t).
+    Only the pairs of blocks where rho and the transposed observable both
+    have elements contribute.  For real rho and observable the (m, n) and
+    (n, m) terms sum to a real coefficient times exp(-gamma t)
+    cos(omega t), with gamma = Re z_m + Re z_n and
+    omega = Im z_m - Im z_n, so only the elements m < n are stored.
     """
 
     def __init__(self, rates, stationary, rho, observable):
-        rho = np.asarray(rho, dtype=float)
-        observable = np.asarray(observable, dtype=float)
-        self._obs_diag = np.diag(observable).copy()
-        self._rho_diag = np.diag(rho).copy()
-        coeff = observable.T * rho
-        coeff += coeff.T
-        coeff = np.triu(coeff, 1)
-        rows, cols = np.nonzero(coeff)
-        self._coeff = coeff[rows, cols]
-        del coeff  # freed before the propagator allocates its own D x D arrays
+        self._obs_diag = _diagonal(observable, rates.z.size)
+        self._rho_diag = _diagonal(rho, rates.z.size)
+        rows, cols, self._coeff = _coherences(rho, observable)
         self._rate = rates.z.real[rows] + rates.z.real[cols]
         self._omega = rates.z.imag[rows] - rates.z.imag[cols]
         self.propagator = DiagonalPropagator(rates.generator, stationary)

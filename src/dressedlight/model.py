@@ -27,9 +27,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-# D x D float64 arrays one dense solve holds at once: H, the eigenvectors,
-# the transformed couplings and their products.  solve_system plus g2(0)
-# peaks at about 7.15 of them (tracemalloc, D = 404 and 976).
+# D x D float64 arrays one solve may hold at once.  Only H and the
+# eigenvectors are D x D; the transformed couplings and their products are
+# blocks of level pairs (spectral.BlockPairs).  solve_system plus g2(0) and
+# the spectrum peaks at about 2.06 of them at tc D = 976 (H and V inside
+# diagonalize) and 5.16 at dicke D = 404 (the collision count's sort of
+# the group-energy differences), by tracemalloc.
 LIVE_DENSE_ARRAYS = 9
 
 

@@ -16,10 +16,11 @@ import numpy as np
 
 from .dissipation import thermal_rate
 from .dynamics import RegressionEvolver
-from .spectral import gap_clusters
+from .spectral import BlockPairs, gap_clusters
 
 DENOMINATOR_FLOOR = 1e-30
-# Peaks below this fraction of the total weight are dropped from spectra.
+# Peaks whose (group, group) weight sum is below this fraction of the
+# total weight are dropped from spectra.
 WEIGHT_FLOOR = 1e-12
 # Peak centers closer than this (absolute) are one frequency: split peaks
 # of one level pair sit up to twice a degenerate group's span apart, and a
@@ -36,14 +37,21 @@ def emission_operator(eig, a_eig):
 
     a_eig is the real antisymmetric A_X of the quadrature X = -i A_X in
     the eigenbasis, group_transitions(eig, bath_lowering(ops)[0]); element
-    (m, n) of the real result is (E_m - E_n) a_eig[m, n].  It is strictly
-    upper triangular in the energy ordering (rows below columns in
-    energy); elements inside a degenerate level group are excluded, so
-    the operator annihilates the ground level.
+    (m, n) of the real result is (E_m - E_n) a_eig[m, n] where the group
+    of m lies below that of n, and 0 elsewhere.  It is strictly upper
+    triangular in the energy ordering (rows below columns in energy);
+    elements inside a degenerate level group are excluded, so the
+    operator annihilates the ground level.  Returns spectral.BlockPairs,
+    pair by pair from a_eig, without the pairs this leaves zero.
     """
-    e = eig.energies
-    lower = eig.group_index[None, :] > eig.group_index[:, None]
-    return np.where(lower, (e[:, None] - e[None, :]) * a_eig, 0.0)
+    e, group, levels = eig.energies, eig.group_index, eig.levels
+    xdot = BlockPairs(levels)
+    for (b, c), a in a_eig.items():
+        rows, cols = levels[b], levels[c]
+        lower = group[rows, None] < group[cols]
+        if lower.any():
+            xdot[b, c] = (e[rows, None] - e[cols]) * lower * a
+    return xdot
 
 
 @dataclass
@@ -61,13 +69,19 @@ class SpectrumResult:
     values: np.ndarray
 
 
-def _emission_pairs(rates, stat, xdot):
-    weights_full = xdot * xdot * stat.populations[None, :]
-    rows, cols = np.nonzero(weights_full)
-    w = weights_full[rows, cols]
+def _emission_pairs(rates, stat, xdot, group_index):
+    p = stat.populations
+    rows, cols, w = BlockPairs(xdot.levels, {
+        (b, c): x * x * p[xdot.levels[c]] for (b, c), x in xdot.items()
+    }).elements()
     total = float(w.sum())
     if total > 0:
-        keep = w >= WEIGHT_FLOOR * total
+        # the split of a (group, group) weight between its level pairs
+        # depends on the basis inside degenerate levels; its sum does not
+        groups = group_index[-1] + 1
+        at = np.unique(group_index[rows] * groups + group_index[cols],
+                       return_inverse=True)[1]
+        keep = np.bincount(at, weights=w)[at] >= WEIGHT_FLOOR * total
         rows, cols, w = rows[keep], cols[keep], w[keep]
     z = rates.z
     centers = (z[cols] - z[rows]).imag
@@ -76,7 +90,7 @@ def _emission_pairs(rates, stat, xdot):
     return centers[order], half_widths[order], w[order]
 
 
-def emission_spectrum(rates, stat, omega_grid, xdot):
+def emission_spectrum(rates, stat, omega_grid, xdot, group_index):
     """Stationary emission spectrum sampled on a frequency grid.
 
     Parameters
@@ -85,21 +99,26 @@ def emission_spectrum(rates, stat, omega_grid, xdot):
         Rate table and stationary populations.
     omega_grid : array_like
         Frequencies at which to sample the curve.
-    xdot : (D, D) float64 array
-        Emission operator from emission_operator().  Peaks below
-        WEIGHT_FLOOR of the total weight are dropped.
+    xdot : spectral.BlockPairs
+        Emission operator from emission_operator().
+    group_index : (D,) int array
+        EigenSystem.group_index of the levels.  The peaks between two
+        level groups are dropped together when their summed weight is
+        below WEIGHT_FLOOR of the total weight.
 
     Returns
     -------
     SpectrumResult
     """
-    centers, half_widths, weights = _emission_pairs(rates, stat, xdot)
+    centers, half_widths, weights = _emission_pairs(rates, stat, xdot,
+                                                    group_index)
     if centers.size and np.any(half_widths <= 0):
         raise ValueError("non-positive linewidth; all decay rates must be > 0")
 
     omega_grid = np.asarray(omega_grid, dtype=float)
     values = np.zeros_like(omega_grid)
-    chunk = max(1, int(4e6 // max(1, centers.size)))
+    # about 2^16 (frequency, peak) elements at a time: 0.5 MB temporaries
+    chunk = max(1, 2**16 // max(1, centers.size))
     for start in range(0, omega_grid.size, chunk):
         sl = slice(start, start + chunk)
         d = omega_grid[sl, None] - centers[None, :]
@@ -150,14 +169,20 @@ def cluster_weights(spectrum):
     return centers, np.bincount(index, weights=spectrum.weights)
 
 
+def _expectation(stat, pairs):
+    """sum_n p_n sum_m pairs[m, n]^2 over the stationary populations p."""
+    p = stat.populations
+    return float(sum(p[pairs.levels[c]] @ (m * m).sum(axis=0)
+                     for (_, c), m in pairs.items()))
+
+
 def _emission_rate(stat, xdot, floor=None):
     """Stationary emission sum_n p_n sum_m |<m|Xdot|n>|^2.
 
     With a floor this is the g2 denominator: below the floor the stationary
     state is dark and DarkStateError is raised.
     """
-    col_norms = (xdot * xdot).sum(axis=0)
-    rate = float(np.dot(stat.populations, col_norms))
+    rate = _expectation(stat, xdot)
     if floor is not None and rate < floor:
         raise DarkStateError(
             f"stationary emission {rate:.3e} below floor {floor:.1e}"
@@ -173,9 +198,8 @@ def integrated_emission(stat, xdot):
 def g2_zero(stat, xdot):
     """Equal-time degree-two coherence of the emitted field."""
     denominator = _emission_rate(stat, xdot, DENOMINATOR_FLOOR)
-    y = xdot @ xdot
-    numerator = float(np.dot(stat.populations, (y * y).sum(axis=0)))
-    return numerator / denominator**2
+    # xdot @ xdot is one product per chained pair (b, c)(c, d) of blocks
+    return _expectation(stat, xdot @ xdot) / denominator**2
 
 
 @dataclass
@@ -196,19 +220,21 @@ def g2_time(rates, stat, t_grid, xdot):
     """Degree-two coherence g2(t) on a grid of delays.
 
     The conditional matrix Xdot- rho Xdot+ and the emission observable
-    Xdot+ Xdot- are passed to RegressionEvolver as real dense (D, D)
-    arrays; it propagates the diagonal with the rate equation and every
-    coherence pair with its decay factor, then closes with the
-    observable.  zero_value comes from g2_zero, which sums nonnegative
-    terms, rather than from the curve at t = 0, where the diagonal and
-    coherence terms cancel at antibunched points.
+    Xdot+ Xdot- are passed to RegressionEvolver as real block pairs; it
+    propagates the diagonal with the rate equation and every coherence
+    pair with its decay factor, then closes with the observable.
+    zero_value comes from g2_zero, which sums nonnegative terms, rather
+    than from the curve at t = 0, where the diagonal and coherence terms
+    cancel at antibunched points.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid < 0):
         raise ValueError("delays must be non-negative")
     denominator = _emission_rate(stat, xdot, DENOMINATOR_FLOOR)
-    evolver = RegressionEvolver(rates, stat,
-                                (xdot * stat.populations[None, :]) @ xdot.T,
+    p = stat.populations
+    weighted = BlockPairs(xdot.levels, {(b, c): x * p[xdot.levels[c]]
+                                        for (b, c), x in xdot.items()})
+    evolver = RegressionEvolver(rates, stat, weighted @ xdot.T,
                                 xdot.T @ xdot)
     return G2Result(
         values=evolver.curve(t_grid) / denominator**2,

@@ -10,7 +10,8 @@ from . import observables
 from .dissipation import bath_lowering, build_rate_table
 from .dynamics import stationary_state
 from .model import build_hamiltonian, build_operators
-from .spectral import diagonalize, group_transitions, total_spin_gauge
+from .spectral import (BlockPairs, diagonalize, group_transitions,
+                       total_spin_gauge)
 
 
 @dataclass
@@ -21,7 +22,8 @@ class SolvedSystem:
     degenerate flag says whether any group has more than one level), the
     vectors of each group rotated onto total-spin eigenvectors;
     rates and stationary hold the Pauli rates and Boltzmann populations
-    over those levels, and xdot the emission operator in the eigenbasis.
+    over those levels, and xdot the emission operator in the eigenbasis,
+    as spectral.BlockPairs.
     collision_count is the number of transition frequencies shared by
     distinct level pairs, within spectral.LEVEL_TOL.
     """
@@ -46,7 +48,8 @@ class SolvedSystem:
 
     def spectrum(self, omega_grid):
         return observables.emission_spectrum(
-            self.rates, self.stationary, omega_grid, self.xdot
+            self.rates, self.stationary, omega_grid, self.xdot,
+            self.eig.group_index
         )
 
     def cutoff_tail(self):
@@ -88,10 +91,11 @@ def solve_system(params):
     # bath_lowering lists the cavity first: A_X in the eigenbasis
     cavity, *emitters = bath_lowering(ops)
     a_eigen = group_transitions(eig, cavity)
-    weight = a_eigen * a_eigen
+    weight = BlockPairs(eig.levels, {key: a * a for key, a in a_eigen.items()})
     for lower in emitters:
-        # one coupling at a time, freed once it is summed in
-        weight += np.square(group_transitions(eig, lower))
+        # one coupling at a time, squared in place and summed pair by pair
+        for key, a in group_transitions(eig, lower).items():
+            weight.add(key, np.square(a, out=a))
     rates = build_rate_table(eig, weight, params.temperature, params.gamma)
     stat = stationary_state(eig, rates)
     xdot = observables.emission_operator(eig, a_eigen)

@@ -15,7 +15,9 @@ The Hamiltonian falls into blocks that do not couple (the excitation
 sectors without counter-rotating terms, the two parities with them;
 Tavis & Cummings, Phys. Rev. 170, 379 (1968)).  diagonalize finds them
 in the nonzero pattern and runs one eigh per block, and every transform
-is one small product per pair of blocks an operator connects.
+is one small product per pair of blocks an operator connects.  Every
+operator in the eigenbasis stays in that form (BlockPairs): a dense
+sub-block per pair of level blocks, and no D x D array.
 """
 
 from __future__ import annotations
@@ -67,6 +69,73 @@ def _members(labels, count=0):
                     np.cumsum(np.bincount(labels, minlength=count))[:-1])
 
 
+class BlockPairs(dict):
+    """A (D, D) operator in the eigenbasis, as dense blocks of level pairs.
+
+    self[b, c] holds the elements between the levels of block b (rows)
+    and those of block c (columns), levels[b] and levels[c]
+    (EigenSystem.levels); an absent pair is zero.  diagonal, when not
+    None, is a (D,) array added on the diagonal.
+    """
+
+    def __init__(self, levels, pairs=(), diagonal=None):
+        super().__init__(pairs)
+        self.levels = levels
+        self.diagonal = diagonal
+
+    @property
+    def T(self):
+        """The transpose, as views of the blocks."""
+        return BlockPairs(self.levels,
+                          {(c, b): m.T for (b, c), m in self.items()},
+                          self.diagonal)
+
+    def add(self, key, block):
+        """Add block to pair key; an absent pair becomes block itself."""
+        if key in self:
+            self[key] += block
+        else:
+            self[key] = block
+
+    def elements(self):
+        """(rows, cols, values) of the nonzero elements, by level index."""
+        parts = [(np.zeros(0, int), np.zeros(0, int), np.zeros(0))]
+        for (b, c), m in self.items():
+            i, j = np.nonzero(m)
+            parts.append((self.levels[b][i], self.levels[c][j], m[i, j]))
+        return tuple(np.concatenate(part) for part in zip(*parts))
+
+    def __matmul__(self, other):
+        """Product with a (D,) vector, or with pairs that have no diagonal.
+
+        Pairs multiply block by block: (b, c) with (c, d) adds to (b, d).
+        """
+        if isinstance(other, BlockPairs):
+            by_row = {}
+            for (c, d), m in other.items():
+                by_row.setdefault(c, []).append((d, m))
+            out = BlockPairs(self.levels)
+            for (b, c), m in self.items():
+                for d, n in by_row.get(c, ()):
+                    out.add((b, d), m @ n)
+            return out
+        out = (np.zeros(other.shape) if self.diagonal is None
+               else self.diagonal * other)
+        for (b, c), m in self.items():
+            out[self.levels[b]] += m @ other[self.levels[c]]
+        return out
+
+    def copy(self):
+        """The operator as a dense (D, D) ndarray, for array code."""
+        dim = sum(levels.size for levels in self.levels)
+        out = np.zeros((dim, dim))
+        for (b, c), m in self.items():
+            out[np.ix_(self.levels[b], self.levels[c])] = m
+        if self.diagonal is not None:
+            out[np.diag_indices(dim)] += self.diagonal
+        return out
+
+
 @dataclass
 class EigenSystem:
     """Sorted eigensystem of a real symmetric matrix, levels clustered.
@@ -90,6 +159,7 @@ class EigenSystem:
     group_energy: np.ndarray
     block: np.ndarray
     level_block: np.ndarray
+    levels: list
 
     @property
     def degenerate(self):
@@ -98,22 +168,23 @@ class EigenSystem:
     def to_eigenbasis(self, lower):
         """Matrix elements <m|L|n> of a lab-frame model.IndexMap L.
 
-        V^T L V as a real (D, D) array.  The map's elements are sorted by
-        the pair (block of dst, block of src); each pair gives one product
-        over the levels of its two blocks, written into the zero array.
+        V^T L V as real BlockPairs.  The map's elements are sorted by the
+        pair (block of dst, block of src); each pair gives one product over
+        the levels of its two blocks.
         """
         v = self.vectors
-        out = np.zeros_like(v)
-        levels = _members(self.level_block)
+        levels = self.levels
+        out = BlockPairs(levels)
         count = len(levels)
         pairs, index = np.unique(
             self.block[lower.dst] * count + self.block[lower.src],
             return_inverse=True)
-        for pair, sel in zip(pairs, _members(index)):
-            rows, cols = (levels[b] for b in divmod(pair, count))
-            out[np.ix_(rows, cols)] = (
-                v[np.ix_(lower.dst[sel], rows)].T
-                @ (lower.amp[sel, None] * v[np.ix_(lower.src[sel], cols)]))
+        for pair, sel in zip(pairs.tolist(), _members(index)):
+            b, c = divmod(pair, count)
+            out[b, c] = (
+                v[np.ix_(lower.dst[sel], levels[b])].T
+                @ (lower.amp[sel, None]
+                   * v[np.ix_(lower.src[sel], levels[c])]))
         return out
 
     def collision_omegas(self):
@@ -201,7 +272,7 @@ def diagonalize(h):
         merged = np.unique(merged, return_inverse=True)[1]
         block, level_block = merged[block], merged[level_block]
     return EigenSystem(energies, vectors, group_index, group_energy,
-                       block, level_block)
+                       block, level_block, _members(level_block))
 
 
 def total_spin_gauge(eig, sigma_minus):
@@ -228,7 +299,7 @@ def total_spin_gauge(eig, sigma_minus):
     sizes = np.bincount(eig.group_index)
     degenerate = sizes[eig.group_index] > 1
     elements = _members(eig.block[src], len(states))
-    for rows, levels, sel in zip(states, _members(eig.level_block), elements):
+    for rows, levels, sel in zip(states, eig.levels, elements):
         cols = levels[degenerate[levels]]
         if not cols.size:
             continue
@@ -252,10 +323,15 @@ def group_transitions(eig, lower):
     """A = L - L^T of a bath coupling S = -i A, in the eigenbasis.
 
     lower is the real model.IndexMap L; with M = eig.to_eigenbasis(L),
-    A = M - M^T, a real antisymmetric array.  The secular grouping needs
-    nothing else: the rates are evaluated at the group energies of eig.
-    The pipeline calls this once per bath coupling, and bench/spans.py
-    times those calls under this name.
+    A = M - M^T, real antisymmetric BlockPairs: pair (b, c) of A is
+    M[b, c] - M[c, b]^T, with either term left out where M lacks it.  The
+    blocks of M are reused for A.  The secular grouping needs nothing
+    else: the rates are evaluated at the group energies of eig.  The
+    pipeline calls this once per bath coupling, and bench/spans.py times
+    those calls under this name.
     """
-    m = eig.to_eigenbasis(lower)
-    return m - m.T
+    a = BlockPairs(eig.levels)
+    for (b, c), m in eig.to_eigenbasis(lower).items():
+        a.add((b, c), m)
+        a.add((c, b), -m.T)
+    return a

@@ -1,6 +1,9 @@
-"""Dense oracle for the index-mapped operators of dressedlight.model."""
+"""Dense oracle for the index-mapped operators and the block pairs of
+dressedlight."""
 
 import numpy as np
+
+from dressedlight.spectral import BlockPairs
 
 
 def dense(lower, dim):
@@ -8,3 +11,47 @@ def dense(lower, dim):
     out = np.zeros((dim, dim))
     out[lower.dst, lower.src] = lower.amp
     return out
+
+
+def scatter(pairs):
+    """BlockPairs as a dense float64 (D, D) array, its diagonal included."""
+    dim = sum(levels.size for levels in pairs.levels)
+    out = np.zeros((dim, dim))
+    for (b, c), block in pairs.items():
+        assert block.shape == (pairs.levels[b].size, pairs.levels[c].size)
+        out[np.ix_(pairs.levels[b], pairs.levels[c])] = block
+    if pairs.diagonal is not None:
+        out[np.diag_indices(dim)] += pairs.diagonal
+    return out
+
+
+def gather(array, levels=None, diagonal=None):
+    """A dense (D, D) array as BlockPairs on levels, every pair kept.
+
+    levels defaults to one block of all D levels; diagonal becomes the
+    BlockPairs diagonal as it is.
+    """
+    array = np.asarray(array, dtype=float)
+    if levels is None:
+        levels = [np.arange(array.shape[0])]
+    return BlockPairs(levels, {(b, c): array[np.ix_(rows, cols)]
+                               for b, rows in enumerate(levels)
+                               for c, cols in enumerate(levels)}, diagonal)
+
+
+def summed_squares(couplings):
+    """sum_c A_c**2 of BlockPairs, pair by pair in the order of couplings:
+    the order in which solve_system sums the coupling weight."""
+    weight = BlockPairs(couplings[0].levels)
+    for coupling in couplings:
+        for key, block in coupling.items():
+            weight[key] = (weight[key] + block * block if key in weight
+                           else block * block)
+    return weight
+
+
+def generator_pairs(generator):
+    """A dense Pauli generator as one-block BlockPairs with its diagonal."""
+    generator = np.asarray(generator, dtype=float)
+    return gather(generator - np.diag(np.diag(generator)),
+                  diagonal=np.diag(generator).copy())

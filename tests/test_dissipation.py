@@ -9,7 +9,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from dense_ops import dense
+from dense_ops import dense, scatter, summed_squares
 
 from dressedlight import (
     ModelParams,
@@ -76,9 +76,10 @@ def test_dressed_pipeline_is_real(g_prime, monkeypatch):
     assert system.eig.vectors.dtype == np.float64
     assert len(transforms) == 3
     for s_eigen in transforms:
-        assert s_eigen.dtype == np.float64
-    assert sum(s_eigen * s_eigen for s_eigen in transforms).dtype == np.float64
-    assert system.xdot.dtype == np.float64
+        assert all(block.dtype == np.float64 for block in s_eigen.values())
+    assert all(block.dtype == np.float64
+               for block in summed_squares(transforms).values())
+    assert all(block.dtype == np.float64 for block in system.xdot.values())
     a = dense(ops.a, p.dim)
     sigma_minus = [dense(sm, p.dim) for sm in ops.sigma_minus]
     hermitian = [-1j * p.x0 * (a - a.T)]
@@ -171,13 +172,13 @@ def _coupling_weight(system):
     """sum_c A_c**2 over the bath couplings S_c = -i A_c, in the eigenbasis,
     summed in the order the pipeline sums them."""
     ops = build_operators(system.params)
-    return sum(group_transitions(system.eig, lower) ** 2
-               for lower in bath_lowering(ops))
+    return summed_squares([group_transitions(system.eig, lower)
+                           for lower in bath_lowering(ops)])
 
 
 def _gain(rates):
     """Population rates k -> n: the generator off its diagonal."""
-    gain = rates.generator.copy()
+    gain = scatter(rates.generator)
     np.fill_diagonal(gain, 0.0)
     return gain
 
@@ -213,7 +214,7 @@ def test_rate_table_matches_brute_force(n_emitters, g, gp):
     np.testing.assert_allclose(system.eig.energies, energies, atol=1e-12)
     np.testing.assert_allclose(_gain(system.rates), gain, atol=1e-13)
     # generator = gain off the diagonal, columns summing to zero
-    gen = system.rates.generator
+    gen = scatter(system.rates.generator)
     np.testing.assert_allclose(gen.sum(axis=0), 0.0, atol=1e-15)
     off = gen - np.diag(np.diag(gen))
     np.testing.assert_allclose(off, gain, atol=1e-13)
@@ -240,7 +241,11 @@ def test_decay_constants_structure():
     np.testing.assert_allclose(z, system.rates.z, atol=0)
     # real part is half the total escape rate out of each level, imaginary
     # part the level energy
-    np.testing.assert_array_equal(z.real, 0.5 * _gain(table).sum(axis=0))
+    # summed pair by pair, in the order of the generator's pairs
+    loss = np.zeros(z.size)
+    for (_, c), gain in table.generator.items():
+        loss[table.generator.levels[c]] += gain.sum(axis=0)
+    np.testing.assert_array_equal(z.real, 0.5 * loss)
     np.testing.assert_array_equal(z.imag, system.eig.energies)
     assert np.all(z.real > 0)  # every level relaxes at T > 0
 
@@ -258,11 +263,12 @@ def test_zero_frequency_rate_inside_degenerate_group():
     assert degenerate_groups  # the model really has a degenerate pair
     cold = build_rate_table(eig, _coupling_weight(system), 0.0,
                             system.rates.gamma)
+    cold_generator = scatter(cold.generator)
     for members in degenerate_groups:
         for a in members:
             for b in members:
                 if a != b:
-                    assert cold.generator[a, b] == 0.0
+                    assert cold_generator[a, b] == 0.0
 
 
 def test_collision_count_is_counted_once_per_eigensystem(monkeypatch):
@@ -284,9 +290,11 @@ def test_collision_count_is_counted_once_per_eigensystem(monkeypatch):
     # the weight sums the squared real A = M - M^T of every coupling
     # S = -i A, M the eigenbasis elements of its lowering operator
     operators = [ops.a._replace(amp=p.x0 * ops.a.amp), *ops.sigma_minus]
-    elements = [system.eig.to_eigenbasis(op) for op in operators]
+    elements = [scatter(system.eig.to_eigenbasis(op)) for op in operators]
     weight = sum((m - m.T) ** 2 for m in elements)
-    np.testing.assert_array_equal(weight, _coupling_weight(system))
-    rebuilt = build_rate_table(system.eig, weight, p.temperature,
+    pairs = _coupling_weight(system)
+    np.testing.assert_array_equal(weight, scatter(pairs))
+    rebuilt = build_rate_table(system.eig, pairs, p.temperature,
                                system.rates.gamma)
-    np.testing.assert_array_equal(system.rates.generator, rebuilt.generator)
+    np.testing.assert_array_equal(scatter(system.rates.generator),
+                                  scatter(rebuilt.generator))

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from dense_ops import gather, generator_pairs, scatter
 from scipy.linalg import expm
 
 from dressedlight import (
@@ -33,7 +34,8 @@ def _synthetic_system(energies, temperature, seed=0):
     s = rng.standard_normal((n, n))
     s = s + s.T
     weight = (eig.vectors.T @ s @ eig.vectors) ** 2
-    return eig, build_rate_table(eig, weight, temperature, 0.01)
+    return eig, build_rate_table(eig, gather(weight, eig.levels),
+                                 temperature, 0.01)
 
 
 def _propagate(system, p0, t):
@@ -45,14 +47,15 @@ def _propagate(system, p0, t):
 
 def _regression(system, rho, observable, times):
     """Re Tr[observable Lambda_t(rho)] at every delay, as a float64 array."""
-    return RegressionEvolver(system.rates, system.stationary, rho,
-                             observable).curve(np.asarray(times, dtype=float))
+    return RegressionEvolver(system.rates, system.stationary, gather(rho),
+                             gather(observable)).curve(
+                                 np.asarray(times, dtype=float))
 
 
 def _dense_g2_reference(system, times):
     """g2(t) with the diagonal propagated by dense expm of the generator
     and every off-diagonal element by its decay factor."""
-    xdot = system.xdot
+    xdot = scatter(system.xdot)
     pop = system.stationary.populations
     rho_c = (xdot * pop[None, :]) @ xdot.conj().T
     observable = xdot.conj().T @ xdot
@@ -66,7 +69,7 @@ def _dense_g2_reference(system, times):
     out = []
     for t in times:
         diag = np.diag(observable) @ (
-            expm(system.rates.generator * t) @ np.diag(rho_c))
+            expm(scatter(system.rates.generator) * t) @ np.diag(rho_c))
         out.append((diag + np.exp(-zsum * t) @ coeff).real / denominator**2)
     return np.array(out)
 
@@ -119,7 +122,7 @@ def test_propagate_matches_expm():
     system = solve_system(p)
     rng = np.random.default_rng(4)
     p0 = _random_distribution(rng, p.dim)
-    gen = system.rates.generator
+    gen = scatter(system.rates.generator)
     for t in (0.0, 3.0, 40.0, 700.0):
         direct = expm(gen * t) @ p0
         np.testing.assert_allclose(_propagate(system, p0, t),
@@ -172,7 +175,8 @@ def test_two_level_closed_form_decay():
     # two levels at T > 0: the upper population relaxes exponentially to
     # its thermal value with the summed down and up rates
     eig, rates = _synthetic_system([0.0, 1.0], temperature=0.4, seed=3)
-    down, up = rates.generator[0, 1], rates.generator[1, 0]
+    generator = scatter(rates.generator)
+    down, up = generator[0, 1], generator[1, 0]
     assert down > up > 0
     stat = stationary_state(eig, rates)
     prop = DiagonalPropagator(rates.generator, stat)
@@ -194,19 +198,19 @@ def test_generator_without_detailed_balance_rejected():
     stat = StationaryState(populations=np.array([0.5, 0.3, 0.2]),
                            temperature=0.5, residual=0.0)
     with pytest.raises(ValueError, match="detailed balance"):
-        DiagonalPropagator(gen, stat)
-    # balanced on 300 levels but for one rate, from the last row block of
-    # the blocked check into its first column block
+        DiagonalPropagator(generator_pairs(gen), stat)
+    # balanced on 300 levels but for one rate, from the last level into
+    # the first
     n = 300
     rng = np.random.default_rng(3)
     p = _random_distribution(rng, n)
     s = rng.random((n, n))
     gen = (s + s.T) * np.sqrt(p[:, None] / p[None, :])
     stat = StationaryState(populations=p, temperature=0.5, residual=0.0)
-    DiagonalPropagator(gen, stat)
+    DiagonalPropagator(generator_pairs(gen), stat)
     gen[n - 1, 0] *= 1.5
     with pytest.raises(ValueError, match="detailed balance"):
-        DiagonalPropagator(gen, stat)
+        DiagonalPropagator(generator_pairs(gen), stat)
 
 
 def test_weighted_curve_matches_pointwise_propagation():
@@ -218,7 +222,8 @@ def test_weighted_curve_matches_pointwise_propagation():
     times = np.array([0.0, 1.7, 12.0, 300.0])
     prop = DiagonalPropagator(system.rates.generator, system.stationary)
     curve = prop.weighted_curve(weights, p0, times)
-    expect = [weights @ expm(system.rates.generator * t) @ p0 for t in times]
+    generator = scatter(system.rates.generator)
+    expect = [weights @ expm(generator * t) @ p0 for t in times]
     np.testing.assert_allclose(curve, expect, atol=1e-11)
 
 
@@ -250,7 +255,7 @@ def test_offdiagonal_factor_decay_and_phase():
 def test_regression_kernel_limits():
     p = ModelParams(1, 0.4, 0.0, 0.15, n_max=4)
     system = solve_system(p)
-    xdot = system.xdot
+    xdot = scatter(system.xdot)
     stat = system.stationary.populations
     rho_c = (xdot * stat[None, :]) @ xdot.conj().T
     observable = xdot.conj().T @ xdot
@@ -268,11 +273,11 @@ def test_regression_kernel_matches_brute_force():
     explicit loop over off-diagonal entries."""
     p = ModelParams(1, 0.35, 0.35, 0.2, n_max=3)
     system = solve_system(p)
-    xdot = system.xdot
+    xdot = scatter(system.xdot)
     stat = system.stationary.populations
     rho_c = (xdot * stat[None, :]) @ xdot.conj().T
     observable = xdot.conj().T @ xdot
-    gen = system.rates.generator
+    gen = scatter(system.rates.generator)
     z = system.rates.z
     for tau in (0.0, 2.5, 31.0):
         diag_part = np.diag(observable) @ (expm(gen * tau) @ np.diag(rho_c))
@@ -291,7 +296,7 @@ def test_regression_kernel_matches_brute_force():
 def test_relaxation_gap_matches_generator_spectrum():
     system = solve_system(ModelParams(2, 0.45, 0.45, 0.12, n_max=6))
     gap = system.g2_time(np.array([0.0])).relaxation_gap
-    decay = -np.linalg.eigvals(system.rates.generator).real
+    decay = -np.linalg.eigvals(scatter(system.rates.generator)).real
     assert gap == pytest.approx(decay[decay > 1e-10].min(), rel=1e-9)
 
 
@@ -313,7 +318,7 @@ def test_g2_time_is_real_across_time_chunks():
     # RegressionEvolver.curve evaluates at once, so the curve is built in
     # at least two chunks; sampled delays straddle the first boundary
     system = solve_system(ModelParams(2, 0.5, 0.5, 0.07, n_max=40))
-    xdot = system.xdot
+    xdot = scatter(system.xdot)
     rho_c = (xdot * system.stationary.populations[None, :]) @ xdot.T
     pairs = np.count_nonzero(np.triu(xdot.T @ xdot * rho_c, 1))
     times = np.linspace(0.0, 500.0, 1000)
@@ -335,8 +340,9 @@ def g2time_point():
 
 
 def test_g2_time_allocates_few_dense_arrays(g2time_point):
-    # D = 404: the conditional matrix, the observable and their coherence
-    # coefficients never stand at once beside the propagator's arrays
+    # D = 404: the conditional matrix and the observable are block pairs,
+    # one (D/2, D/2) block per parity, and their coherence coefficients
+    # are O(pairs) lists; measured 2.70 D x D arrays
     system = g2time_point
     dim = system.params.dim
     assert dim == 404
@@ -347,12 +353,12 @@ def test_g2_time_allocates_few_dense_arrays(g2time_point):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * dim * dim * 8
+    assert peak < 2.95 * dim * dim * 8
 
 
 def test_propagator_build_stays_below_two_dense_arrays(g2time_point):
-    # the detailed-balance check runs over row blocks, and only the 182
-    # populated levels of 404 enter the symmetric eigh
+    # the detailed-balance check runs pair by pair, and K holds only the
+    # 182 populated levels of 404; measured 0.96 D x D arrays
     system = g2time_point
     dim = system.params.dim
     tracemalloc.start()
@@ -362,7 +368,7 @@ def test_propagator_build_stays_below_two_dense_arrays(g2time_point):
     finally:
         tracemalloc.stop()
     assert np.count_nonzero(system.stationary.populations) == 182
-    assert peak < 2 * dim * dim * 8
+    assert peak < 1.05 * dim * dim * 8
 
 
 def test_zero_temperature_has_no_propagator():

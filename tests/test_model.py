@@ -339,20 +339,26 @@ def test_default_dimension_limit_is_this_machines():
     assert DEFAULT_MAX_DIM == model._memory_dim_limit()
 
 
-@pytest.mark.parametrize("params", [
-    ModelParams(2, 0.5, 0.5, 0.07, n_max=100),
-    ModelParams(4, 0.3, 0.0, 0.1, n_max=60),
+@pytest.mark.parametrize("params,dense_arrays", [
+    (ModelParams(2, 0.5, 0.5, 0.07, n_max=100), 5.6),
+    (ModelParams(4, 0.3, 0.0, 0.1, n_max=60), 2.5),
 ], ids=["dicke-n2-D404", "tc-n4-D976"])
-def test_solve_stays_below_the_live_dense_arrays(params):
+def test_solve_stays_below_the_live_dense_arrays(params, dense_arrays):
     # the dimension limit assumes at most LIVE_DENSE_ARRAYS D x D float64
-    # arrays at once; a solve and its g2(0) must keep to that
+    # arrays at once; a solve, its g2(0) and its spectrum must keep to
+    # that.  Downstream of the eigensystem every operator is block pairs:
+    # tc keeps below H and V inside diagonalize (2.06), dicke below the
+    # collision count's sort of the group-energy differences (5.16)
     tracemalloc.start()
     try:
-        solve_system(params).g2_zero()
+        system = solve_system(params)
+        system.g2_zero()
+        system.spectrum(np.linspace(0.0, 3.0, 2000))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < model.LIVE_DENSE_ARRAYS * params.dim**2 * 8
+    assert peak < dense_arrays * params.dim**2 * 8
 
 
 def test_operators_are_index_maps_without_dense_arrays():

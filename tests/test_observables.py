@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from dense_ops import dense
+from dense_ops import dense, scatter
 
 from dressedlight import (
     DarkStateError,
@@ -24,7 +24,7 @@ def test_emission_operator_bare_cavity():
     p = ModelParams(1, 0.0, 0.0, 0.1, n_max=6, x0=1.4)
     system = solve_system(p)
     u = system.eig.vectors
-    lab = u @ system.xdot @ u.conj().T
+    lab = u @ scatter(system.xdot) @ u.conj().T
     a = dense(build_operators(p).a, p.dim)
     np.testing.assert_allclose(lab, -p.x0 * a, atol=1e-12)
 
@@ -32,7 +32,7 @@ def test_emission_operator_bare_cavity():
 def test_emission_operator_structure():
     p = ModelParams(2, 0.45, 0.3, 0.1, n_max=4)
     system = solve_system(p)
-    xdot = system.xdot
+    xdot = scatter(system.xdot)
     group = system.eig.group_index
     # only energy-decreasing elements survive; in-group elements excluded
     for m in range(p.dim):
@@ -64,10 +64,11 @@ def test_emission_operator_uses_energy_groups():
                for a in range(eig.group_energy.size)]
     members = [m for m in members if len(m) > 1]
     assert members
+    xdot = scatter(system.xdot)
     for block in members:
         for a in block:
             for b in block:
-                assert system.xdot[a, b] == 0.0
+                assert xdot[a, b] == 0.0
 
 
 def test_spectrum_peaks_positive_and_curve_nonnegative():
@@ -125,7 +126,7 @@ def test_cluster_weights_sum_is_cutoff_stable():
 def test_integrated_emission_matches_direct_sum():
     p = ModelParams(1, 0.4, 0.4, 0.15, n_max=6)
     system = solve_system(p)
-    xdot = system.xdot
+    xdot = scatter(system.xdot)
     stat = system.stationary.populations
     direct = float(np.sum(np.abs(xdot) ** 2 * stat[None, :]))
     assert system.integrated_emission() == pytest.approx(direct, rel=1e-12)
@@ -153,7 +154,7 @@ def test_g2_zero_thermal_baseline():
 def test_g2_zero_matches_direct_sum():
     p = ModelParams(1, 0.35, 0.0, 0.12, n_max=8)
     system = solve_system(p)
-    xdot = system.xdot
+    xdot = scatter(system.xdot)
     stat = system.stationary.populations
     num = 0.0
     den = 0.0
@@ -228,7 +229,8 @@ def test_spectrum_weight_floor_drops_tiny_peaks():
     system = solve_system(p)
     spec = system.spectrum(np.linspace(0.0, 3.0, 50))
     # every nonzero |<m|Xdot|n>|^2 p_n is a candidate peak
-    candidates = np.abs(system.xdot) ** 2 * system.stationary.populations
+    candidates = (np.abs(scatter(system.xdot)) ** 2
+                  * system.stationary.populations)
     total = candidates[candidates != 0].sum()
     dropped = np.count_nonzero(candidates) - spec.weights.size
     assert dropped > 0

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_ops import dense
+from dense_ops import dense, scatter, summed_squares
 
 from dressedlight import (
     ModelParams,
@@ -14,7 +14,6 @@ from dressedlight import (
     cluster_weights,
     diagonalize,
     group_transitions,
-    observables,
     pipeline,
     solve_system,
     spectral,
@@ -132,11 +131,11 @@ def test_to_eigenbasis_matches_direct_projection():
         eig = diagonalize(build_hamiltonian(ops))
         v = eig.vectors
         for lower in bath_lowering(ops):
-            np.testing.assert_allclose(eig.to_eigenbasis(lower),
+            np.testing.assert_allclose(scatter(eig.to_eigenbasis(lower)),
                                        v.T @ dense(lower, p.dim) @ v,
                                        atol=1e-13)
         x = _quadrature(ops)
-        s = -1j * group_transitions(eig, bath_lowering(ops)[0])
+        s = -1j * scatter(group_transitions(eig, bath_lowering(ops)[0]))
         np.testing.assert_allclose(s, v.conj().T @ x @ v, atol=1e-14)
         # Hermitian operators stay Hermitian in the new basis
         np.testing.assert_allclose(s, s.conj().T, atol=1e-13)
@@ -205,10 +204,11 @@ def test_couplings_share_one_grouping(monkeypatch):
     couplings = [group_transitions(system.eig, lower)
                  for lower in bath_lowering(ops)]
     assert len(couplings) == 3
-    weight = sum(s_eigen**2 for s_eigen in couplings)
+    weight = summed_squares(couplings)
     rebuilt = build_rate_table(system.eig, weight, p.temperature,
                                system.rates.gamma)
-    np.testing.assert_array_equal(system.rates.generator, rebuilt.generator)
+    np.testing.assert_array_equal(scatter(system.rates.generator),
+                                  scatter(rebuilt.generator))
 
 
 @pytest.mark.parametrize("detuned", [False, True], ids=["resonant", "detuned"])
@@ -224,8 +224,9 @@ def test_group_transitions_matches_dense_projection(n_emitters, g_prime,
     eig = diagonalize(build_hamiltonian(ops))
     v = eig.vectors
     for lower in bath_lowering(ops):
-        coupling = group_transitions(eig, lower)
-        assert coupling.dtype == np.float64
+        coupling = scatter(group_transitions(eig, lower))
+        assert all(block.dtype == np.float64
+                   for block in group_transitions(eig, lower).values())
         np.testing.assert_array_equal(coupling, -coupling.T)
         lower = dense(lower, p.dim)
         np.testing.assert_allclose(coupling, v.T @ (lower - lower.T) @ v,
@@ -250,7 +251,8 @@ def test_outputs_invariant_under_eigenvector_signs(monkeypatch, params):
         spectrum = system.spectrum(omega)
         return (system.g2_zero(), system.integrated_emission(),
                 system.cutoff_tail(), system.collision_count,
-                system.rates.generator, system.rates.z, spectrum.values,
+                scatter(system.rates.generator), system.rates.z,
+                spectrum.values,
                 spectrum.centers, spectrum.weights, spectrum.half_widths,
                 system.g2_time(times).values)
 
@@ -339,10 +341,9 @@ def test_outputs_invariant_under_rotations_inside_degenerate_levels(
     # output stays put, and the loss operator
     # Gamma_mm' = sum_n chi(E_m - E_n) sum_c A_c[n, m] A_c[n, m'] is
     # diagonal inside each group, with 2 Re z on its diagonal.  Inside
-    # copies of one j the split of a peak between pairs stays free, so the
-    # spectrum keeps every pair: the weight floor would drop a basis-
-    # dependent set of the tiniest ones
-    monkeypatch.setattr(observables, "WEIGHT_FLOOR", 0.0)
+    # copies of one j the split of a peak between pairs stays free; the
+    # weight floor reads (group, group) sums, so it keeps or drops the
+    # pairs of a group pair together, whatever the basis
     omega = np.linspace(0.0, 3.0, 3000)
     times = np.linspace(0.0, 50.0 / params.gamma, 60)
 
@@ -361,7 +362,7 @@ def test_outputs_invariant_under_rotations_inside_degenerate_levels(
     chi = thermal_rate(eig.group_energy[eig.group_index][None, :]
                        - eig.group_energy[eig.group_index][:, None],
                        params.temperature, params.gamma)
-    couplings = [group_transitions(eig, lower)
+    couplings = [scatter(group_transitions(eig, lower))
                  for lower in bath_lowering(build_operators(params))]
     for stop, size in zip(np.cumsum(sizes), sizes):
         cols = slice(stop - size, stop)
