@@ -32,6 +32,8 @@ GAP_ZERO_TOL = 1e-12
 # Largest max|G p| accepted for the Boltzmann populations p; above it the
 # rates are inconsistent with the levels they were built from.
 RESIDUAL_TOL = 1e-9
+# (delay, pair) or (frequency, peak) elements evaluated at a time: 0.5 MB
+CHUNK_ELEMENTS = 2**16
 
 
 class DegenerateGroundError(ValueError):
@@ -209,11 +211,11 @@ class RegressionEvolver:
         times = np.asarray(times, dtype=float)
         out = self.propagator.weighted_curve(self._obs_diag, self._rho_diag,
                                              times)
-        # Chunk over times to bound the (times x pairs) temporaries.
-        max_chunk = max(1, int(4e6 // max(1, self._coeff.size)))
-        for start in range(0, times.size, max_chunk):
-            t = times[start:start + max_chunk, None]
-            out[start:start + max_chunk] += (
+        # at most CHUNK_ELEMENTS (time, pair) elements at a time
+        chunk = max(1, CHUNK_ELEMENTS // max(1, self._coeff.size))
+        for start in range(0, times.size, chunk):
+            t = times[start:start + chunk, None]
+            out[start:start + chunk] += (
                 np.exp(-t * self._rate) * np.cos(t * self._omega)
             ) @ self._coeff
         return out

@@ -12,9 +12,9 @@ e is the integer whose bit j gives the state of emitter j (1 = excited).
 The lowering operators have at most one element per row and column, so
 each is held as an index map: a takes n to n-1 with amplitude sqrt(n),
 and sigma_minus_j clears bit j of e.  Every coupling is real in this
-basis, so the Hamiltonian is a real symmetric float64 matrix, scattered
-from the sigma_minus_j maps with closed-form photon amplitudes; no D x D
-operator other than H is formed.
+basis, so the Hamiltonian is real symmetric, held as its diagonal and an
+index map of its off-diagonal elements, written from the sigma_minus_j
+maps with closed-form photon amplitudes; no D x D operator is formed.
 """
 
 from __future__ import annotations
@@ -27,12 +27,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-# D x D float64 arrays one solve may hold at once.  Only H and the
-# eigenvectors are D x D; the transformed couplings and their products are
-# blocks of level pairs (spectral.BlockPairs).  solve_system plus g2(0) and
-# the spectrum peaks at about 2.06 of them at tc D = 976 (H and V inside
-# diagonalize) and 5.16 at dicke D = 404 (the collision count's sort of
-# the group-energy differences), by tracemalloc.
+# D x D float64 arrays one solve may hold at once.  Only the eigenvectors
+# are D x D; H is its diagonal and couplings, and the transformed couplings
+# and their products are blocks of level pairs (spectral.BlockPairs).
+# solve_system plus g2(0) and the spectrum peaks at about 1.82 of them at
+# tc D = 976 and 5.16 at dicke D = 404, both in the collision count's sort
+# of the group-energy differences, by tracemalloc.
 LIVE_DENSE_ARRAYS = 9
 
 
@@ -159,10 +159,11 @@ class ModelParams:
 
 
 class IndexMap(NamedTuple):
-    """Operator L with at most one element per row and column.
+    """Operator L as its elements: L[dst[k], src[k]] = amp[k].
 
-    L[dst[k], src[k]] = amp[k], zero elsewhere: O(D) data for an operator
-    on the D-dimensional product space.
+    A lowering map has at most one element per row and column, O(D) data
+    on the D-dimensional product space; H's couplings (build_hamiltonian)
+    do not, and each of theirs also stands for its transpose.
     """
 
     src: np.ndarray
@@ -211,34 +212,33 @@ def build_operators(params):
 
 
 def build_hamiltonian(ops):
-    """Hamiltonian of the coupled system as a dense real symmetric matrix.
+    """Hamiltonian of the coupled system, from its nonzero entries.
 
     H = omega_c a+ a  +  omega_x sum_j s+_j s-_j
         + g sum_j (a+ s-_j + a s+_j)  +  g' sum_j (a s-_j + a+ s+_j)
 
-    Returns a float64 (dim, dim) array scattered from the sigma_minus_j
-    maps of the OperatorSet ops; a ModelParams has its maps built.
+    Returns (diagonal, couplings): the (dim,) float64 diagonal and an
+    IndexMap of each off-diagonal element once, H[dst, src] = H[src, dst]
+    = amp.  ops is an OperatorSet, or a ModelParams whose maps are built.
     """
     if isinstance(ops, ModelParams):
         ops = build_operators(ops)
     params = ops.params
-    dim = params.dim
-    h = np.zeros((dim, dim))
-    diag = h.reshape(-1)[:: dim + 1]
+    diagonal = np.zeros(params.dim)
     a = ops.a
     # a+ a as the product of the amplitudes: sqrt(n)^2 may differ from n
     # in the last bit, and this is the value the operator product gives
-    diag[a.src] = params.cavity_frequency * (a.amp * a.amp)
+    diagonal[a.src] = params.cavity_frequency * (a.amp * a.amp)
+    parts = []
     for sm in ops.sigma_minus:
-        diag[sm.src] += params.emitter_frequency
+        diagonal[sm.src] += params.emitter_frequency
         fock = sm.src % (params.n_max + 1)
         # a+ s-_j moves n to n + 1 and a s-_j moves n to n - 1; either
         # amplitude is the square root of the larger photon number
         for coupling, step in ((params.g, 1), (params.g_prime, -1)):
             moved = fock + step
             keep = (moved >= 0) & (moved <= params.n_max)
-            src, dst = sm.src[keep], sm.dst[keep] + step
-            value = coupling * np.sqrt(np.maximum(fock, moved)[keep])
-            h[dst, src] = value
-            h[src, dst] = value
-    return h
+            parts.append(IndexMap(
+                sm.src[keep], sm.dst[keep] + step,
+                coupling * np.sqrt(np.maximum(fock, moved)[keep])))
+    return diagonal, IndexMap(*(np.concatenate(p) for p in zip(*parts)))

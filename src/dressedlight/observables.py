@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dissipation import thermal_rate
-from .dynamics import RegressionEvolver
+from .dynamics import CHUNK_ELEMENTS, RegressionEvolver
 from .spectral import BlockPairs, gap_clusters
 
 DENOMINATOR_FLOOR = 1e-30
@@ -117,8 +117,8 @@ def emission_spectrum(rates, stat, omega_grid, xdot, group_index):
 
     omega_grid = np.asarray(omega_grid, dtype=float)
     values = np.zeros_like(omega_grid)
-    # about 2^16 (frequency, peak) elements at a time: 0.5 MB temporaries
-    chunk = max(1, 2**16 // max(1, centers.size))
+    # at most CHUNK_ELEMENTS (frequency, peak) elements at a time
+    chunk = max(1, CHUNK_ELEMENTS // max(1, centers.size))
     for start in range(0, omega_grid.size, chunk):
         sl = slice(start, start + chunk)
         d = omega_grid[sl, None] - centers[None, :]

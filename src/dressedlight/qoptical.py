@@ -93,18 +93,24 @@ def _emitter_orbits(n):
     return label.reshape(key.shape), counts, size
 
 
-def _entries(h, jumps):
+def _entries(diagonal, couplings, jumps):
     """Flat entries r, c, r', c', value of a Lindblad generator on rho.
 
-    The generator of the dense real h and the (rate, S) jumps takes
-    rho[r, c] to rho[r', c'] with the value; entries may repeat.
+    The generator of H = diag(diagonal) + couplings + couplings^T and the
+    (rate, S) jumps takes rho[r, c] to rho[r', c'] with the value; entries
+    may repeat.
     """
+    dim = diagonal.size
     # S^T S is diagonal, amp^2 on the states S lowers
-    h_eff = h - 0.5j * np.diag(sum(np.bincount(s.src, rate * (s.amp * s.amp),
-                                               len(h)) for rate, s in jumps))
-    dst, src = np.nonzero(h_eff)
-    ham = IndexMap(src, dst, h_eff[dst, src])
-    eye = IndexMap(np.arange(len(h)), np.arange(len(h)), np.ones(len(h)))
+    h_eff = diagonal - 0.5j * sum(np.bincount(s.src, rate * (s.amp * s.amp),
+                                              dim) for rate, s in jumps)
+    eye = IndexMap(np.arange(dim), np.arange(dim), np.ones(dim))
+    # the nonzero elements of H_eff, in row-major order
+    ham = IndexMap(*(np.concatenate(p) for p in zip(
+        eye._replace(amp=h_eff), couplings,
+        couplings._replace(src=couplings.dst, dst=couplings.src))))
+    order = np.lexsort((ham.src, ham.dst))
+    ham = IndexMap(*(a[order[ham.amp[order] != 0]] for a in ham))
     parts = []
     for value, rows, cols in ([(-1j, ham, eye),
                                (1j, eye, ham._replace(amp=ham.amp.conj()))]
@@ -135,12 +141,12 @@ def qo_liouvillian(params):
     # mode, then emitter; at chi(-1) = 0 the L^T entries are 0, and dropped
     jumps = [(rate_down, s) for s in bath_lowering(ops)]
     jumps += [(rate_up, s._replace(src=s.dst, dst=s.src)) for _, s in jumps]
-    h = build_hamiltonian(ops)
-    h_mode = np.diagonal(h)[:half]
+    diagonal, couplings = build_hamiltonian(ops)
+    h_mode = diagonal[:half]
     # the emitter part of H on the index b (n_max+1) + n, and its mode
     # part, the diagonal on the ground emitter, on n
-    emitter = _entries(h - np.diag(np.tile(h_mode, 2)), jumps[1::2])
-    mode = _entries(np.diag(h_mode), [
+    emitter = _entries(diagonal - np.tile(h_mode, 2), couplings, jumps[1::2])
+    mode = _entries(h_mode, IndexMap(*(a[:0] for a in couplings)), [
         (rate, IndexMap(*(a[s.src < half] for a in s)))
         for rate, s in jumps[::2]])
     r, c, r_to, c_to, value = (np.concatenate(p) for p in zip(emitter, mode))

@@ -14,8 +14,9 @@ group energies and are counted once per eigensystem as a diagnostic.
 The Hamiltonian falls into blocks that do not couple (the excitation
 sectors without counter-rotating terms, the two parities with them;
 Tavis & Cummings, Phys. Rev. 170, 379 (1968)).  diagonalize finds them
-in the nonzero pattern and runs one eigh per block, and every transform
-is one small product per pair of blocks an operator connects.  Every
+in the nonzero couplings of H (model.build_hamiltonian) and runs one
+eigh per block, filled from its elements alone, and every transform is
+one small product per pair of blocks an operator connects.  Every
 operator in the eigenbasis stays in that form (BlockPairs): a dense
 sub-block per pair of level blocks, and no D x D array.
 """
@@ -147,10 +148,10 @@ class EigenSystem:
     is the group of level k (ascending from 0) and group_energy[a] is the
     mean energy of group a.
 
-    block[i] is the block of basis state i and level_block[k] that of
-    level k: vectors[i, k] is exactly 0 unless block[i] == level_block[k].
-    Blocks are numbered from 0, and every degenerate group lies in one
-    block, so any rotation inside a group keeps them.
+    block[i] is the block of basis state i and levels[b] the ascending
+    levels of block b: vectors[i, k] is exactly 0 unless k is in
+    levels[block[i]].  Blocks are numbered from 0, and every degenerate
+    group lies in one block, so any rotation inside a group keeps them.
     """
 
     energies: np.ndarray
@@ -158,7 +159,6 @@ class EigenSystem:
     group_index: np.ndarray
     group_energy: np.ndarray
     block: np.ndarray
-    level_block: np.ndarray
     levels: list
 
     @property
@@ -213,55 +213,47 @@ def diagonalize(h):
 
     Parameters
     ----------
-    h : (D, D) real array_like, D >= 1
-        Real symmetric matrix, such as the float64 model Hamiltonian;
-        symmetry is checked to 1e-12 relative.  Complex input raises
-        ValueError.
+    h : (diagonal, couplings)
+        The matrix as model.build_hamiltonian returns it: the float64
+        (D,) diagonal, D >= 1, and a model.IndexMap of the off-diagonal
+        elements, each also standing for its transpose, repeated ones
+        summed.  Complex input raises ValueError.
 
     Returns
     -------
     EigenSystem
         The levels and float64 vectors, with levels grouped by
         gap_clusters at LEVEL_TOL; see EigenSystem.  The blocks are the
-        connected components of the nonzero pattern of h, merged wherever
-        a degenerate group spans several.  A single block is one
-        np.linalg.eigh of h; otherwise each block's eigh fills its rows
-        and its levels' columns of the zero vectors array.
+        connected components of the nonzero couplings, merged wherever a
+        degenerate group spans several.  Each block's np.linalg.eigh, of
+        the lower triangle filled from its elements, fills its rows and
+        its levels' columns of the zero vectors array.
     """
-    h = np.asarray(h)
-    if np.iscomplexobj(h):
+    diagonal, couplings = h
+    if np.iscomplexobj(diagonal) or np.iscomplexobj(couplings.amp):
         raise ValueError("matrix must be real symmetric, got complex input")
-    dim = h.shape[0]
-    # ||h - h^T||_F^2 and the components of the nonzero pattern of the
-    # lower triangle, which eigh reads, over row chunks: no D x D temporary
-    skew = 0.0
-    label = np.arange(dim)
-    step = max(1, 2**15 // max(1, dim))
-    for start in range(0, dim, step):
-        chunk = h[start:start + step]
-        part = chunk - h[:, start:start + step].T
-        skew += np.vdot(part, part)
-        rows, cols = np.nonzero(chunk[:, :start + step])
-        label = _join(label, rows + start, cols)
-    if np.sqrt(skew) > 1e-12 * np.linalg.norm(h):
-        raise ValueError("matrix is not Hermitian")
-    block = np.unique(label, return_inverse=True)[1]
-    if block.max() == 0:
-        energies, vectors = np.linalg.eigh(h)
-        level_block = block
-    else:
-        states = _members(block)
-        parts = [np.linalg.eigh(h[np.ix_(rows, rows)]) for rows in states]
-        energies = np.concatenate([e for e, _ in parts])
-        order = np.argsort(energies, kind="stable")
-        column = np.argsort(order)
-        vectors = np.zeros((dim, dim))
-        start = 0
-        for rows, (_, v) in zip(states, parts):
-            vectors[np.ix_(rows, column[start:start + rows.size])] = v
-            start += rows.size
-        energies = energies[order]
-        level_block = block[np.concatenate(states)][order]
+    linked = couplings.amp != 0
+    cols, rows, values = (part[linked] for part in couplings)
+    block = np.unique(_join(np.arange(diagonal.size), rows, cols),
+                      return_inverse=True)[1]
+    states = _members(block)
+    parts = []
+    for members, sel in zip(states, _members(block[rows], len(states))):
+        # the lower triangle, which eigh reads, by position in the block
+        i, j = (np.searchsorted(members, end[sel]) for end in (rows, cols))
+        lower = np.diag(diagonal[members])
+        np.add.at(lower, (np.maximum(i, j), np.minimum(i, j)), values[sel])
+        parts.append(np.linalg.eigh(lower))
+    energies = np.concatenate([e for e, _ in parts])
+    order = np.argsort(energies, kind="stable")
+    column = np.argsort(order)
+    vectors = np.zeros((block.size, block.size))
+    start = 0
+    for members, (_, v) in zip(states, parts):
+        vectors[np.ix_(members, column[start:start + members.size])] = v
+        start += members.size
+    energies = energies[order]
+    level_block = block[np.concatenate(states)][order]
     group_index, group_energy = gap_clusters(energies, LEVEL_TOL)
     # merge the blocks that share a degenerate group
     pair = np.flatnonzero((np.diff(group_index) == 0)
@@ -272,7 +264,7 @@ def diagonalize(h):
         merged = np.unique(merged, return_inverse=True)[1]
         block, level_block = merged[block], merged[level_block]
     return EigenSystem(energies, vectors, group_index, group_energy,
-                       block, level_block, _members(level_block))
+                       block, _members(level_block))
 
 
 def total_spin_gauge(eig, sigma_minus):

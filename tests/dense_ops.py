@@ -3,6 +3,7 @@ dressedlight."""
 
 import numpy as np
 
+from dressedlight.model import IndexMap
 from dressedlight.spectral import BlockPairs
 
 
@@ -10,6 +11,38 @@ def dense(lower, dim):
     """The IndexMap lower as a dense float64 (dim, dim) array."""
     out = np.zeros((dim, dim))
     out[lower.dst, lower.src] = lower.amp
+    return out
+
+
+def dense_hamiltonian(h):
+    """H given as (diagonal, couplings) as a dense (D, D) array.
+
+    Each coupling adds its amplitude at (dst, src) and at (src, dst).
+    """
+    diagonal, couplings = h
+    out = np.diag(diagonal)
+    for rows, cols in ((couplings.dst, couplings.src),
+                       (couplings.src, couplings.dst)):
+        np.add.at(out, (rows, cols), couplings.amp)
+    return out
+
+
+def hamiltonian_entries(h):
+    """A dense symmetric (D, D) array as (diagonal, couplings).
+
+    The couplings are the nonzero elements below the diagonal, the
+    triangle eigh reads; the upper triangle is not read.
+    """
+    h = np.asarray(h)
+    dst, src = np.nonzero(np.tril(h, -1))
+    return np.diag(h).copy(), IndexMap(src, dst, h[dst, src])
+
+
+def level_block(eig):
+    """The block of every level of an EigenSystem, from its levels."""
+    out = np.zeros(eig.energies.size, dtype=int)
+    for b, levels in enumerate(eig.levels):
+        out[levels] = b
     return out
 
 

@@ -9,6 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from dense_ops import dense_hamiltonian
 
 from dressedlight import (
     ModelParams,
@@ -74,8 +75,8 @@ def _assert_in_spectrum(levels, values, tol=1e-10):
 def test_closed_form_ladders_match_full_diagonalization():
     for g in (0.1, 0.3, 0.5):
         for n_emitters in (1, 2, 3):
-            h = build_hamiltonian(
-                ModelParams(n_emitters, g, 0.0, 0.1, n_max=12))
+            h = dense_hamiltonian(build_hamiltonian(
+                ModelParams(n_emitters, g, 0.0, 0.1, n_max=12)))
             levels = np.linalg.eigvalsh(h)
             first, second = scaling_energies(n_emitters, g)
             _assert_in_spectrum(levels, first)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from dense_ops import dense_hamiltonian
 
 from dressedlight import (
     ModelParams,
@@ -69,8 +70,8 @@ def test_tc_n2_sectors():
 
 def test_tc_n2_matches_full_diagonalization():
     g = 0.25
-    h = build_hamiltonian(
-        build_operators(ModelParams(2, g, 0.0, 0.1, n_max=10)))
+    h = dense_hamiltonian(build_hamiltonian(
+        build_operators(ModelParams(2, g, 0.0, 0.1, n_max=10))))
     energies = np.linalg.eigvalsh(h)
     for n in (1, 2, 3):
         _contains(energies, tc_energies_n2(n, g))
@@ -100,8 +101,8 @@ def test_scaling_energies_forms():
 def test_scaling_energies_match_full_diagonalization():
     for n_emitters in (1, 2, 3):
         g = 0.3
-        h = build_hamiltonian(build_operators(
-            ModelParams(n_emitters, g, 0.0, 0.1, n_max=8)))
+        h = dense_hamiltonian(build_hamiltonian(build_operators(
+            ModelParams(n_emitters, g, 0.0, 0.1, n_max=8))))
         energies = np.linalg.eigvalsh(h)
         first, second = scaling_energies(n_emitters, g)
         _contains(energies, first)

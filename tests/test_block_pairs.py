@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from dense_ops import dense, scatter
+from dense_ops import dense, hamiltonian_entries, scatter
 
 from dressedlight import (
     ModelParams,
@@ -101,7 +101,8 @@ def test_single_block_pairs_match_dense_formulas(monkeypatch):
                        dst=rng.permutation(params.dim)[:20],
                        amp=rng.standard_normal(20))
               for _ in bath_lowering(pipeline.build_operators(params))]
-    monkeypatch.setattr(pipeline, "build_hamiltonian", lambda ops: h)
+    monkeypatch.setattr(pipeline, "build_hamiltonian",
+                        lambda ops: hamiltonian_entries(h))
     monkeypatch.setattr(pipeline, "bath_lowering", lambda ops: lowers)
     system = _assert_pairs_match_dense(monkeypatch, params)
     assert len(system.eig.levels) == 1

@@ -9,7 +9,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from dense_ops import dense, scatter, summed_squares
+from dense_ops import dense, dense_hamiltonian, scatter, summed_squares
 
 from dressedlight import (
     ModelParams,
@@ -186,7 +186,7 @@ def _gain(rates):
 def _brute_force_gain(params, temperature):
     """Independent rate table: plain eigh + nested loops over level pairs."""
     ops = build_operators(params)
-    h = build_hamiltonian(ops)
+    h = dense_hamiltonian(build_hamiltonian(ops))
     energies, vectors = np.linalg.eigh(h)
     dim = params.dim
     gain = np.zeros((dim, dim))

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_ops import gather, generator_pairs, scatter
+from dense_ops import gather, generator_pairs, hamiltonian_entries, scatter
 from scipy.linalg import expm
 
 from dressedlight import (
@@ -18,7 +18,7 @@ from dressedlight import (
     solve_system,
     stationary_state,
 )
-from dressedlight.dynamics import RegressionEvolver
+from dressedlight.dynamics import CHUNK_ELEMENTS, RegressionEvolver
 
 
 def _random_distribution(rng, n):
@@ -30,7 +30,8 @@ def _synthetic_system(energies, temperature, seed=0):
     """Rate table for a hand-picked spectrum with a dense coupling matrix."""
     rng = np.random.default_rng(seed)
     n = len(energies)
-    eig = diagonalize(np.diag(np.asarray(energies, dtype=float)))
+    diagonal = np.asarray(energies, dtype=float)
+    eig = diagonalize(hamiltonian_entries(np.diag(diagonal)))
     s = rng.standard_normal((n, n))
     s = s + s.T
     weight = (eig.vectors.T @ s @ eig.vectors) ** 2
@@ -314,16 +315,17 @@ def test_g2_time_matches_dense_expm_with_underflowing_weights(g_prime):
 
 
 def test_g2_time_is_real_across_time_chunks():
-    # 1000 delays times the stored coherence pairs exceed the 4e6 elements
-    # RegressionEvolver.curve evaluates at once, so the curve is built in
-    # at least two chunks; sampled delays straddle the first boundary
+    # 1000 delays times the stored coherence pairs exceed the
+    # CHUNK_ELEMENTS RegressionEvolver.curve evaluates at once, so the curve
+    # is built in at least two chunks; sampled delays straddle the first
+    # boundary
     system = solve_system(ModelParams(2, 0.5, 0.5, 0.07, n_max=40))
     xdot = scatter(system.xdot)
     rho_c = (xdot * system.stationary.populations[None, :]) @ xdot.T
     pairs = np.count_nonzero(np.triu(xdot.T @ xdot * rho_c, 1))
     times = np.linspace(0.0, 500.0, 1000)
-    chunk = int(4e6 // pairs)
-    assert chunk < times.size
+    chunk = CHUNK_ELEMENTS // pairs
+    assert 0 < chunk < times.size
     values = system.g2_time(times).values
     assert values.dtype == np.float64
     sample = np.unique(np.r_[0:times.size:50, chunk - 1, chunk,
@@ -354,6 +356,22 @@ def test_g2_time_allocates_few_dense_arrays(g2time_point):
     finally:
         tracemalloc.stop()
     assert peak < 2.95 * dim * dim * 8
+
+
+def test_g2_time_over_many_delays_stays_below_four_dense_arrays(
+        g2time_point):
+    # the (delay, pair) temporaries of the coherences are evaluated
+    # CHUNK_ELEMENTS at a time, so 500 delays cost no more than 10 do
+    system = g2time_point
+    dim = system.params.dim
+    times = np.linspace(0.0, 5000.0, 500)
+    tracemalloc.start()
+    try:
+        system.g2_time(times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * dim * dim * 8
 
 
 def test_propagator_build_stays_below_two_dense_arrays(g2time_point):

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from dense_ops import dense
+from dense_ops import dense, dense_hamiltonian
 
 from dressedlight import (
     DimensionLimitError,
@@ -221,7 +221,7 @@ def test_hamiltonian_single_emitter_by_hand():
     # N=1, n_max=2: basis |e,n> with index 3e+n, written out element by element
     g, gp, w = 0.23, 0.11, 1.0
     p = ModelParams(1, g, gp, 0.1, n_max=2)
-    h = build_hamiltonian(build_operators(p))
+    h = dense_hamiltonian(build_hamiltonian(build_operators(p)))
     expect = np.zeros((6, 6), dtype=complex)
     for e in (0, 1):
         for n in range(3):
@@ -242,17 +242,17 @@ def test_hamiltonian_hermitian_and_number_conservation():
     for _ in range(5):
         g, gp = rng.uniform(0, 0.8, 2)
         p = ModelParams(2, g, gp, 0.1, n_max=5)
-        h = build_hamiltonian(build_operators(p))
+        h = dense_hamiltonian(build_hamiltonian(build_operators(p)))
         np.testing.assert_allclose(h, h.conj().T, atol=1e-14)
     # total excitation number is conserved exactly without counter-rotation
     p_tc = ModelParams(2, 0.5, 0.0, 0.1, n_max=5)
     ops_tc = build_operators(p_tc)
     n_total = _total_number(ops_tc)
-    h_tc = build_hamiltonian(ops_tc)
+    h_tc = dense_hamiltonian(build_hamiltonian(ops_tc))
     np.testing.assert_allclose(h_tc @ n_total, n_total @ h_tc,
                                atol=1e-13)
     p_d = ModelParams(2, 0.5, 0.5, 0.1, n_max=5)
-    h_d = build_hamiltonian(build_operators(p_d))
+    h_d = dense_hamiltonian(build_hamiltonian(build_operators(p_d)))
     assert np.abs(h_d @ n_total - n_total @ h_d).max() > 0.1
 
 
@@ -260,22 +260,30 @@ def test_hamiltonian_hermitian_and_number_conservation():
 @pytest.mark.parametrize("g_prime", [0.0, 0.37], ids=["tc", "dicke"])
 def test_hamiltonian_equals_operator_products_exactly(n_emitters, g_prime):
     p = ModelParams(n_emitters, 0.37, g_prime, 0.1, n_max=9)
-    h = build_hamiltonian(build_operators(p))
-    assert h.dtype == np.float64
+    h = _checked_dense(build_hamiltonian(build_operators(p)))
     assert np.array_equal(h, _reference_hamiltonian(p))
 
 
 def test_hamiltonian_with_detuning_equals_operator_products_exactly():
     p = ModelParams(3, 0.21, 0.13, 0.1, n_max=7, omega_c=1.3, omega_x=0.9)
-    h = build_hamiltonian(build_operators(p))
-    assert h.dtype == np.float64
+    h = _checked_dense(build_hamiltonian(build_operators(p)))
     assert np.array_equal(h, _reference_hamiltonian(p))
+
+
+def _checked_dense(h):
+    """Dense H of float64 entries that hold each off-diagonal element once."""
+    diagonal, couplings = h
+    assert diagonal.dtype == couplings.amp.dtype == np.float64
+    assert np.all(couplings.src != couplings.dst)
+    pairs = np.sort(np.stack([couplings.src, couplings.dst]), axis=0)
+    assert np.unique(pairs, axis=1).shape[1] == couplings.src.size
+    return dense_hamiltonian(h)
 
 
 def test_real_hamiltonian_energies_match_complex_eigh():
     for p in (ModelParams(2, 0.5, 0.5, 0.1, n_max=20),
               ModelParams(3, 0.3, 0.0, 0.1, n_max=12)):
-        h = build_hamiltonian(build_operators(p))
+        h = dense_hamiltonian(build_hamiltonian(build_operators(p)))
         complex_energies = np.linalg.eigvalsh(h.astype(complex))
         np.testing.assert_allclose(np.linalg.eigvalsh(h), complex_energies,
                                    rtol=0, atol=1e-12)
@@ -332,7 +340,10 @@ def test_solve_builds_the_index_maps_once(monkeypatch):
     p = ModelParams(3, 0.3, 0.2, 0.1, n_max=6)
     solve_system(p)
     assert calls == [p]
-    assert np.array_equal(build_hamiltonian(build(p)), build_hamiltonian(p))
+    (diagonal, couplings), (expect, expect_couplings) = (
+        build_hamiltonian(build(p)), build_hamiltonian(p))
+    assert np.array_equal(diagonal, expect)
+    assert all(map(np.array_equal, couplings, expect_couplings))
 
 
 def test_default_dimension_limit_is_this_machines():
@@ -341,14 +352,15 @@ def test_default_dimension_limit_is_this_machines():
 
 @pytest.mark.parametrize("params,dense_arrays", [
     (ModelParams(2, 0.5, 0.5, 0.07, n_max=100), 5.6),
-    (ModelParams(4, 0.3, 0.0, 0.1, n_max=60), 2.5),
+    (ModelParams(4, 0.3, 0.0, 0.1, n_max=60), 2.0),
 ], ids=["dicke-n2-D404", "tc-n4-D976"])
 def test_solve_stays_below_the_live_dense_arrays(params, dense_arrays):
     # the dimension limit assumes at most LIVE_DENSE_ARRAYS D x D float64
     # arrays at once; a solve, its g2(0) and its spectrum must keep to
-    # that.  Downstream of the eigensystem every operator is block pairs:
-    # tc keeps below H and V inside diagonalize (2.06), dicke below the
-    # collision count's sort of the group-energy differences (5.16)
+    # that.  H is its diagonal and couplings, and downstream of the
+    # eigensystem every operator is block pairs: both peak in the
+    # collision count's sort of the group-energy differences, tc at 1.82
+    # and dicke at 5.16
     tracemalloc.start()
     try:
         system = solve_system(params)
@@ -359,6 +371,19 @@ def test_solve_stays_below_the_live_dense_arrays(params, dense_arrays):
         tracemalloc.stop()
     assert peak < model.LIVE_DENSE_ARRAYS * params.dim**2 * 8
     assert peak < dense_arrays * params.dim**2 * 8
+
+
+def test_hamiltonian_is_built_without_dense_arrays():
+    # H is its diagonal and one element per coupling: at tc N=4,
+    # n_max=60 building it allocates less than a tenth of a D x D array
+    ops = build_operators(ModelParams(4, 0.3, 0.0, 0.1, n_max=60))
+    tracemalloc.start()
+    try:
+        build_hamiltonian(ops)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * ops.params.dim**2 * 8
 
 
 def test_operators_are_index_maps_without_dense_arrays():

@@ -16,7 +16,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from dense_ops import dense
+from dense_ops import dense, dense_hamiltonian
 
 from dressedlight import (
     DarkStateError,
@@ -60,7 +60,8 @@ def _full_liouvillian(params):
     loss = np.zeros(dim)
     for rate, s in jumps:
         loss[s.src] += rate * (s.amp * s.amp)
-    h_eff = sp.csr_matrix(build_hamiltonian(ops) - 0.5j * np.diag(loss))
+    h_eff = sp.csr_matrix(dense_hamiltonian(build_hamiltonian(ops))
+                          - 0.5j * np.diag(loss))
     eye = sp.identity(dim, format="csr")
     liouv = -1j * (sp.kron(eye, h_eff) - sp.kron(h_eff.conj(), eye))
     for rate, s in jumps:
@@ -175,7 +176,7 @@ def test_tc_stationary_independent_of_coupling():
 def test_dicke_stationary_differs_from_dressed_thermal():
     p = ModelParams(1, 0.5, 0.5, 0.1, n_max=10)
     state = qo_stationary_state(p)
-    h = build_hamiltonian(build_operators(p))
+    h = dense_hamiltonian(build_hamiltonian(build_operators(p)))
     energies, vectors = np.linalg.eigh(h)
     boltz = np.exp(-(energies - energies[0]) / p.temperature)
     rho_dressed = (vectors * (boltz / boltz.sum())[None, :]) @ vectors.conj().T
@@ -545,7 +546,8 @@ def test_liouvillian_matches_dense_operator_assembly(n_emitters, g_prime):
     p = ModelParams(n_emitters, 0.35, g_prime, 0.2,
                     n_max=5 if n_emitters < 4 else 3)
     dim = p.dim
-    h_s = sp.csr_matrix(build_hamiltonian(build_operators(p)))
+    h_s = sp.csr_matrix(dense_hamiltonian(
+        build_hamiltonian(build_operators(p))))
     eye = sp.identity(dim, format="csr")
     ref = -1j * (sp.kron(eye, h_s) - sp.kron(h_s.T, eye))
     rate_down, rate_up = thermal_rate(np.array([1.0, -1.0]), p.temperature,

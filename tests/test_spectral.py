@@ -4,7 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_ops import dense, scatter, summed_squares
+from dense_ops import (dense, dense_hamiltonian, hamiltonian_entries,
+                       level_block, scatter, summed_squares)
 
 from dressedlight import (
     ModelParams,
@@ -38,7 +39,7 @@ def _random_symmetric_with_spectrum(energies, seed):
 def test_diagonalize_recovers_spectrum():
     energies = np.array([-1.5, 0.0, 0.3, 2.2, 7.1])
     h = _random_symmetric_with_spectrum(energies, seed=11)
-    eig = diagonalize(h)
+    eig = diagonalize(hamiltonian_entries(h))
     np.testing.assert_allclose(eig.energies, energies, atol=1e-12)
     # eigenvector property, column by column
     for k in range(5):
@@ -53,31 +54,25 @@ def test_diagonalize_recovers_spectrum():
     h = build_hamiltonian(build_operators(p))
     eig = diagonalize(h)
     assert eig.vectors.dtype == np.float64
-    np.testing.assert_allclose(h @ eig.vectors, eig.vectors * eig.energies,
-                               atol=1e-12)
-    np.testing.assert_array_equal(diagonalize(h.copy()).vectors, eig.vectors)
-
-
-def test_diagonalize_rejects_non_hermitian():
-    h = np.array([[0.0, 1.0], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        diagonalize(h)
-    # the check runs over row blocks; a defect in the last block, paired
-    # with a column of the first, is caught at the same bound
-    big = np.eye(700)
-    big[699, 3] = 1e-9
-    with pytest.raises(ValueError, match="not Hermitian"):
-        diagonalize(big)
+    np.testing.assert_allclose(dense_hamiltonian(h) @ eig.vectors,
+                               eig.vectors * eig.energies, atol=1e-12)
+    np.testing.assert_array_equal(
+        diagonalize(build_hamiltonian(build_operators(p))).vectors,
+        eig.vectors)
 
 
 def test_diagonalize_rejects_complex_input():
     h = _random_symmetric_with_spectrum([0.0, 0.4, 1.1, 3.0], seed=2)
+    diagonal, couplings = hamiltonian_entries(h)
     with pytest.raises(ValueError, match="complex"):
-        diagonalize(h + 1e-3j * np.array([[0, 1, 0, 0], [-1, 0, 0, 0],
-                                          [0, 0, 0, 0], [0, 0, 0, 0]]))
+        diagonalize((diagonal,
+                     couplings._replace(amp=couplings.amp + 1e-3j)))
     # a complex dtype is refused even when every imaginary part is zero
     with pytest.raises(ValueError, match="complex"):
-        diagonalize(h.astype(complex))
+        diagonalize((diagonal.astype(complex), couplings))
+    with pytest.raises(ValueError, match="complex"):
+        diagonalize((diagonal,
+                     couplings._replace(amp=couplings.amp.astype(complex))))
 
 
 def _traced_peak(fn):
@@ -90,21 +85,22 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_diagonalize_allocates_no_dense_temporary():
-    # the symmetry check goes over blocks: beyond what eigh itself
-    # allocates, diagonalize holds less than a quarter of one D x D array
-    n = 1000
-    h = np.random.default_rng(5).standard_normal((n, n))
-    h += h.T
-    extra = (_traced_peak(lambda: diagonalize(h))
-             - _traced_peak(lambda: np.linalg.eigh(h)))
-    assert extra < 0.25 * n * n * 8
+def test_diagonalize_holds_little_beyond_the_vectors():
+    # each block is filled from its elements alone: beside the D x D
+    # vectors, tc (65 blocks of at most 16 states) holds almost nothing,
+    # and dicke (two parities of D/2) its two blocks and their vectors
+    for params, dense_arrays in (
+            (ModelParams(4, 0.3, 0.0, 0.1, n_max=60), 1.15),
+            (ModelParams(2, 0.5, 0.5, 0.07, n_max=100), 2.1)):
+        h = build_hamiltonian(params)
+        peak = _traced_peak(lambda: diagonalize(h))
+        assert peak < dense_arrays * params.dim**2 * 8
 
 
 def test_degenerate_grouping():
     energies = [0.0, 1.0, 1.0 + 1e-12, 2.0, 2.0 + 5e-13, 2.0 + 9e-13]
     h = _random_symmetric_with_spectrum(energies, seed=5)
-    eig = diagonalize(h)
+    eig = diagonalize(hamiltonian_entries(h))
     assert eig.degenerate
     assert eig.group_index.tolist() == [0, 1, 1, 2, 2, 2]
     assert np.bincount(eig.group_index).tolist() == [1, 2, 3]
@@ -117,7 +113,7 @@ def test_degenerate_grouping():
 
 def test_group_energy_is_member_mean():
     energies = [-0.5, 1.0, 1.0 + 3e-10, 1.0 + 7e-10, 2.5]
-    eig = diagonalize(np.diag(energies))
+    eig = diagonalize(hamiltonian_entries(np.diag(energies)))
     assert eig.group_index.tolist() == [0, 1, 1, 1, 2]
     for a, energy in enumerate(eig.group_energy):
         assert energy == eig.energies[eig.group_index == a].mean()
@@ -287,6 +283,7 @@ def test_block_eigh_matches_dense_eigh(n_emitters, g_prime, detuned):
                         **extra)
         h = build_hamiltonian(p)
         eig = diagonalize(h)
+        h = dense_hamiltonian(h)
         scale = np.abs(eig.energies).max()
         np.testing.assert_allclose(eig.energies, np.linalg.eigh(h)[0],
                                    rtol=1e-12, atol=1e-12 * scale)
@@ -294,10 +291,10 @@ def test_block_eigh_matches_dense_eigh(n_emitters, g_prime, detuned):
         np.testing.assert_allclose(h @ v, v * eig.energies,
                                    rtol=0, atol=1e-12 * scale)
         np.testing.assert_allclose(v.T @ v, np.eye(p.dim), atol=1e-12)
-        assert np.all(v[eig.block[:, None] != eig.level_block] == 0)
+        levels = level_block(eig)
+        assert np.all(v[eig.block[:, None] != levels] == 0)
         # every degenerate group lies in one block
-        assert np.all(np.diff(eig.level_block)[np.diff(eig.group_index) == 0]
-                      == 0)
+        assert np.all(np.diff(levels)[np.diff(eig.group_index) == 0] == 0)
 
 
 def test_blocks_are_the_conserved_sectors():
@@ -314,8 +311,9 @@ def test_blocks_are_the_conserved_sectors():
         eig = diagonalize(build_hamiltonian(p))
         assert eig.block.max() + 1 == 2
     # a random symmetric matrix is one block
-    eig = diagonalize(_random_symmetric_with_spectrum([0.0, 1.0, 2.0], 3))
-    assert eig.block.tolist() == eig.level_block.tolist() == [0, 0, 0]
+    eig = diagonalize(hamiltonian_entries(
+        _random_symmetric_with_spectrum([0.0, 1.0, 2.0], 3)))
+    assert eig.block.tolist() == level_block(eig).tolist() == [0, 0, 0]
 
 
 def _rotate_degenerate_groups(eig, rng):
