@@ -27,12 +27,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-# D x D float64 arrays one solve may hold at once.  Only the eigenvectors
-# are D x D; H is its diagonal and couplings, and the transformed couplings
-# and their products are blocks of level pairs (spectral.BlockPairs).
-# solve_system plus g2(0) and the spectrum peaks at about 1.82 of them at
-# tc D = 976 and 5.16 at dicke D = 404, both in the collision count's sort
-# of the group-energy differences, by tracemalloc.
+# D x D float64 arrays one solve may hold at once; it keeps none.  H is
+# its diagonal and couplings, V one array per block (spectral.EigenSystem)
+# and every operator after eigh blocks of level pairs (spectral.BlockPairs).
+# solve_system, g2(0) and the spectrum peak at 0.84 of them at tc D = 976
+# and 4.66 at dicke D = 404 (tracemalloc), in the collision count's (G, G)
+# sort of group-energy differences, D x D where no level repeats (dicke).
 LIVE_DENSE_ARRAYS = 9
 
 

@@ -7,32 +7,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import observables
-from .dissipation import bath_lowering, build_rate_table
-from .dynamics import stationary_state
-from .model import build_hamiltonian, build_operators
-from .spectral import (BlockPairs, diagonalize, group_transitions,
-                       total_spin_gauge)
+from .dissipation import RateTable, bath_lowering, build_rate_table
+from .dynamics import StationaryState, stationary_state
+from .model import ModelParams, build_hamiltonian, build_operators
+from .spectral import (BlockPairs, EigenSystem, diagonalize,
+                       group_transitions, total_spin_gauge)
 
 
 @dataclass
 class SolvedSystem:
     """All stages of one parameter point, ready for observables.
 
-    eig holds the levels, eigenvectors, blocks and degenerate groups (its
-    degenerate flag says whether any group has more than one level), the
-    vectors of each group rotated onto total-spin eigenvectors;
-    rates and stationary hold the Pauli rates and Boltzmann populations
-    over those levels, and xdot the emission operator in the eigenbasis,
-    as spectral.BlockPairs.
-    collision_count is the number of transition frequencies shared by
-    distinct level pairs, within spectral.LEVEL_TOL.
+    eig holds the levels, their degenerate groups (its degenerate flag
+    says whether any group has more than one level) and the eigenvectors
+    by block, the vectors of each group rotated onto total-spin
+    eigenvectors; rates and stationary hold the Pauli rates and Boltzmann
+    populations over those levels, and xdot the emission operator in the
+    eigenbasis.  collision_count is the number of transition frequencies
+    shared by distinct level pairs, within spectral.LEVEL_TOL.
     """
 
-    params: object
-    eig: object
-    rates: object
-    stationary: object
-    xdot: np.ndarray
+    params: ModelParams
+    eig: EigenSystem
+    rates: RateTable
+    stationary: StationaryState
+    xdot: BlockPairs
     collision_count: int
 
     def integrated_emission(self):
@@ -55,15 +54,15 @@ class SolvedSystem:
     def cutoff_tail(self):
         """Stationary population of the top Fock state n = n_max.
 
-        sum_m p_m sum_{i: fock(i) = n_max} |V[i, m]|^2, where V holds the
-        eigenvectors; a tail that is not small says the cutoff truncates
-        the state.  V is exactly zero outside the block of each level, so
-        the tail is the physical one, not eigh round-off.
+        sum_m p_m sum_{i: fock(i) = n_max} |V[i, m]|^2, with V the
+        eigenvectors (spectral.EigenSystem.weight_on); a tail that is not
+        small says the cutoff truncates the state.  V is exactly zero
+        outside the block of each level, so the tail is the physical one,
+        not eigh round-off.
         """
         half = self.params.n_max + 1
-        top = self.eig.vectors[np.arange(half - 1, self.params.dim, half)]
-        return float((top * top).sum(axis=0)
-                     @ self.stationary.populations)
+        top = np.arange(half - 1, self.params.dim, half)
+        return float(self.eig.weight_on(top) @ self.stationary.populations)
 
 
 def solve_system(params):

@@ -15,10 +15,10 @@ The Hamiltonian falls into blocks that do not couple (the excitation
 sectors without counter-rotating terms, the two parities with them;
 Tavis & Cummings, Phys. Rev. 170, 379 (1968)).  diagonalize finds them
 in the nonzero couplings of H (model.build_hamiltonian) and runs one
-eigh per block, filled from its elements alone, and every transform is
-one small product per pair of blocks an operator connects.  Every
-operator in the eigenbasis stays in that form (BlockPairs): a dense
-sub-block per pair of level blocks, and no D x D array.
+eigh per block, filled from its elements alone.  The eigenvectors stay
+one array per block (EigenSystem), every transform is one small product
+per pair of blocks an operator connects, and every operator in the
+eigenbasis is a dense sub-block per pair of level blocks (BlockPairs).
 """
 
 from __future__ import annotations
@@ -126,65 +126,67 @@ class BlockPairs(dict):
             out[self.levels[b]] += m @ other[self.levels[c]]
         return out
 
-    def copy(self):
-        """The operator as a dense (D, D) ndarray, for array code."""
-        dim = sum(levels.size for levels in self.levels)
-        out = np.zeros((dim, dim))
-        for (b, c), m in self.items():
-            out[np.ix_(self.levels[b], self.levels[c])] = m
-        if self.diagonal is not None:
-            out[np.diag_indices(dim)] += self.diagonal
-        return out
-
 
 @dataclass
 class EigenSystem:
     """Sorted eigensystem of a real symmetric matrix, levels clustered.
 
-    energies are ascending and vectors[:, k], float64, belongs to
-    energies[k].  Outputs read the vectors only through quadratic forms
-    such as |<m|A|n>|^2, so the sign of a vector changes no result.
-    Levels closer than LEVEL_TOL form one degenerate group: group_index[k]
-    is the group of level k (ascending from 0) and group_energy[a] is the
-    mean energy of group a.
+    energies are ascending.  Levels closer than LEVEL_TOL form one
+    degenerate group: group_index[k] is the group of level k (ascending
+    from 0) and group_energy[a] is the mean energy of group a.
 
-    block[i] is the block of basis state i and levels[b] the ascending
-    levels of block b: vectors[i, k] is exactly 0 unless k is in
-    levels[block[i]].  Blocks are numbered from 0, and every degenerate
+    The eigenvectors V are held by block, and no (D, D) array is: states[b]
+    are the ascending basis states of block b and levels[b] its ascending
+    levels, and vectors[b], float64, is V[states[b]][:, levels[b]]; V is
+    exactly 0 elsewhere.  Blocks are numbered from 0, and every degenerate
     group lies in one block, so any rotation inside a group keeps them.
+    Outputs read V only through quadratic forms such as |<m|A|n>|^2, so
+    the sign of a vector changes no result.
     """
 
     energies: np.ndarray
-    vectors: np.ndarray
+    vectors: list
     group_index: np.ndarray
     group_energy: np.ndarray
-    block: np.ndarray
+    states: list
     levels: list
 
     @property
     def degenerate(self):
         return self.group_energy.size < self.energies.size
 
+    def _locate(self):
+        """(block, row): the block of every basis state and its row there."""
+        block, row = np.zeros((2, self.energies.size), dtype=int)
+        for b, states in enumerate(self.states):
+            block[states], row[states] = b, np.arange(states.size)
+        return block, row
+
     def to_eigenbasis(self, lower):
         """Matrix elements <m|L|n> of a lab-frame model.IndexMap L.
 
         V^T L V as real BlockPairs.  The map's elements are sorted by the
-        pair (block of dst, block of src); each pair gives one product over
-        the levels of its two blocks.
+        pair (block of dst, block of src); each pair gives one product of
+        the rows of the two blocks' vectors that the elements touch.
         """
         v = self.vectors
-        levels = self.levels
-        out = BlockPairs(levels)
-        count = len(levels)
-        pairs, index = np.unique(
-            self.block[lower.dst] * count + self.block[lower.src],
-            return_inverse=True)
+        block, row = self._locate()
+        out = BlockPairs(self.levels)
+        count = len(v)
+        pairs, index = np.unique(block[lower.dst] * count + block[lower.src],
+                                 return_inverse=True)
         for pair, sel in zip(pairs.tolist(), _members(index)):
             b, c = divmod(pair, count)
-            out[b, c] = (
-                v[np.ix_(lower.dst[sel], levels[b])].T
-                @ (lower.amp[sel, None]
-                   * v[np.ix_(lower.src[sel], levels[c])]))
+            out[b, c] = (v[b][row[lower.dst[sel]]].T
+                         @ (lower.amp[sel, None] * v[c][row[lower.src[sel]]]))
+        return out
+
+    def weight_on(self, states):
+        """sum_{i in states} |V[i, m]|^2 for every level m, a (D,) array."""
+        out = np.zeros(self.energies.size)
+        for v, rows, levels in zip(self.vectors, self.states, self.levels):
+            v = v[np.isin(rows, states)]
+            out[levels] = (v * v).sum(axis=0)
         return out
 
     def collision_omegas(self):
@@ -225,9 +227,9 @@ def diagonalize(h):
         The levels and float64 vectors, with levels grouped by
         gap_clusters at LEVEL_TOL; see EigenSystem.  The blocks are the
         connected components of the nonzero couplings, merged wherever a
-        degenerate group spans several.  Each block's np.linalg.eigh, of
-        the lower triangle filled from its elements, fills its rows and
-        its levels' columns of the zero vectors array.
+        degenerate group spans several.  Each component's np.linalg.eigh,
+        of the lower triangle filled from its elements, is placed into the
+        vectors of its block, rows and columns in ascending order.
     """
     diagonal, couplings = h
     if np.iscomplexobj(diagonal) or np.iscomplexobj(couplings.amp):
@@ -246,29 +248,28 @@ def diagonalize(h):
         parts.append(np.linalg.eigh(lower))
     energies = np.concatenate([e for e, _ in parts])
     order = np.argsort(energies, kind="stable")
-    column = np.argsort(order)
-    vectors = np.zeros((block.size, block.size))
-    start = 0
-    for members, (_, v) in zip(states, parts):
-        vectors[np.ix_(members, column[start:start + members.size])] = v
-        start += members.size
     energies = energies[order]
     level_block = block[np.concatenate(states)][order]
     group_index, group_energy = gap_clusters(energies, LEVEL_TOL)
     # merge the blocks that share a degenerate group
     pair = np.flatnonzero((np.diff(group_index) == 0)
                           & (np.diff(level_block) != 0))
-    if pair.size:
-        merged = _join(np.arange(block.max() + 1), level_block[pair],
-                       level_block[pair + 1])
-        merged = np.unique(merged, return_inverse=True)[1]
-        block, level_block = merged[block], merged[level_block]
-    return EigenSystem(energies, vectors, group_index, group_energy,
-                       block, _members(level_block))
+    merged = np.unique(_join(np.arange(len(parts)), level_block[pair],
+                             level_block[pair + 1]), return_inverse=True)[1]
+    states, levels = _members(merged[block]), _members(merged[level_block])
+    vectors = []
+    for rows, cols, joined in zip(states, levels, _members(merged)):
+        v = np.zeros((rows.size, cols.size))
+        for k in joined:
+            v[np.ix_(block[rows] == k, level_block[cols] == k)] = parts[k][1]
+            parts[k] = None
+        vectors.append(v)
+    return EigenSystem(energies, vectors, group_index, group_energy, states,
+                       levels)
 
 
 def total_spin_gauge(eig, sigma_minus):
-    """Rotate eig.vectors inside each degenerate group onto J^2 eigenvectors.
+    """Rotate the vectors inside each degenerate group onto J^2 eigenvectors.
 
     J^2 = J+ J- + Jz^2 - Jz, with J- the sum of the sigma_minus index
     maps and Jz half the excited count minus the unexcited one.  It
@@ -277,37 +278,37 @@ def total_spin_gauge(eig, sigma_minus):
     keeps every block.  Where levels of different total spin j coincide
     this fixes the basis, on which the secular rates depend; inside copies
     of one j the basis stays free, and every output is invariant under it
-    to round-off.  Per block, the group is restricted to the block's
-    states and J^2 to (J- V)^T (J- V) + V^T (Jz^2 - Jz) V: no D x D
-    operator is formed.  Returns eig, rotated in place.
+    to round-off.  Per block, J^2 on its degenerate levels is (J- V)^T
+    (J- V) + V^T (Jz^2 - Jz) V, J- V summed from the elements leaving the
+    block's states: no D x D operator is formed.  Returns eig, rotated.
     """
-    v = eig.vectors
-    dim = v.shape[0]
-    jz = sum(np.bincount(sm.src, minlength=dim) for sm in sigma_minus)
+    block, row = eig._locate()
+    jz = sum(np.bincount(sm.src, minlength=block.size) for sm in sigma_minus)
     jz = jz - len(sigma_minus) / 2
     diagonal = jz * jz - jz
     src, dst, amp = (np.concatenate(parts) for parts in zip(*sigma_minus))
-    states = _members(eig.block)
     sizes = np.bincount(eig.group_index)
     degenerate = sizes[eig.group_index] > 1
-    elements = _members(eig.block[src], len(states))
-    for rows, levels, sel in zip(states, eig.levels, elements):
-        cols = levels[degenerate[levels]]
+    elements = _members(block[src], len(eig.states))
+    for v, rows, levels, sel in zip(eig.vectors, eig.states, eig.levels,
+                                    elements):
+        cols = np.flatnonzero(degenerate[levels])
         if not cols.size:
             continue
-        group = v[np.ix_(rows, cols)]
+        # C order (v[:, cols] is F order): the products' round-off follows it
+        group = v.take(cols, axis=1)
         image, at = np.unique(dst[sel], return_inverse=True)
         lowered = np.zeros((image.size, cols.size))
-        np.add.at(lowered, at, amp[sel, None] * v[np.ix_(src[sel], cols)])
+        np.add.at(lowered, at, amp[sel, None] * group[row[src[sel]]])
         spin = (lowered.T @ lowered
                 + group.T @ (diagonal[rows, None] * group))
         rotation = np.zeros_like(spin)
         # not a bare np.unique: on NumPy 2 it imports numpy.ma (~12 ms)
-        bounds = np.r_[0, np.flatnonzero(np.diff(eig.group_index[cols])) + 1,
-                       cols.size]
+        index = eig.group_index[levels[cols]]
+        bounds = np.r_[0, np.flatnonzero(np.diff(index)) + 1, cols.size]
         for a, b in zip(bounds[:-1], bounds[1:]):
             rotation[a:b, a:b] = np.linalg.eigh(spin[a:b, a:b])[1]
-        v[np.ix_(rows, cols)] = group @ rotation
+        v[:, cols] = group @ rotation
     return eig
 
 

@@ -46,6 +46,27 @@ def level_block(eig):
     return out
 
 
+def dense_vectors(eig):
+    """The eigenvectors of an EigenSystem as one dense (D, D) array."""
+    dim = eig.energies.size
+    out = np.zeros((dim, dim))
+    for states, levels, block in zip(eig.states, eig.levels, eig.vectors):
+        assert block.shape == (states.size, levels.size)
+        out[np.ix_(states, levels)] = block
+    return out
+
+
+def state_block(eig):
+    """The block of every basis state of an EigenSystem, from its states,
+    which must hold each state once."""
+    dim = eig.energies.size
+    assert np.array_equal(np.sort(np.concatenate(eig.states)), np.arange(dim))
+    out = np.zeros(dim, dtype=int)
+    for b, states in enumerate(eig.states):
+        out[states] = b
+    return out
+
+
 def scatter(pairs):
     """BlockPairs as a dense float64 (D, D) array, its diagonal included."""
     dim = sum(levels.size for levels in pairs.levels)

@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from dense_ops import dense_hamiltonian
+from dense_ops import dense_hamiltonian, scatter
 
 from dressedlight import (
     ModelParams,
@@ -103,7 +103,7 @@ def test_random_thermal_configurations_satisfy_detailed_balance():
         boltz /= boltz.sum()
         assert np.abs(system.rates.generator @ boltz).max() < 1e-9
 
-        gain = system.rates.generator.copy()
+        gain = scatter(system.rates.generator)
         np.fill_diagonal(gain, 0.0)  # population rates k -> n
         flow = gain * boltz[None, :]
         scale = np.maximum(flow, flow.T)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from dense_ops import dense, hamiltonian_entries, scatter
+from dense_ops import dense, dense_vectors, hamiltonian_entries, scatter
 
 from dressedlight import (
     ModelParams,
@@ -21,7 +21,7 @@ def _dense_reference(system, lowers):
     """W, the generator, z, xdot, y = xdot xdot, rho and the observable of
     g2(t), from V^T L V of every coupling as dense arrays."""
     eig, p = system.eig, system.params
-    v = eig.vectors
+    v = dense_vectors(eig)
     couplings = []
     for lower in lowers:
         m = v.T @ dense(lower, p.dim) @ v

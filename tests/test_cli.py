@@ -13,6 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from dense_ops import dense_vectors
 
 from dressedlight import ModelParams, cli, model, solve_system
 from dressedlight.cli import OUTPUT_ENV_VAR, build_parser, main
@@ -533,7 +534,7 @@ def test_g2chart_trust_columns_and_their_maxima(tmp_path):
     # the tail at T = 0.3 is <n_max| rho |n_max> summed over the emitter
     # configurations, from the dense state in the lab basis
     system = solve_system(ModelParams(2, 0.3, 0.3, 0.3, n_max=10))
-    vectors = system.eig.vectors
+    vectors = dense_vectors(system.eig)
     rho = (vectors * system.stationary.populations) @ vectors.T
     top = np.zeros((11, 11))
     top[10, 10] = 1.0

@@ -57,7 +57,7 @@ def test_channel_operators():
 @pytest.mark.parametrize("g_prime", [0.0, 0.3], ids=["tc", "dicke"])
 def test_dressed_pipeline_is_real(g_prime, monkeypatch):
     # every coupling is S = -i A with A real antisymmetric, and the
-    # eigenvectors are real, so no complex D x D array is needed from the
+    # eigenvectors are real blocks, so no complex array is needed from the
     # operators to the emission operator
     transforms = []
 
@@ -73,7 +73,7 @@ def test_dressed_pipeline_is_real(g_prime, monkeypatch):
     assert all(op.amp.dtype == np.float64
                for op in (ops.a, *ops.sigma_minus))
     system = solve_system(p)
-    assert system.eig.vectors.dtype == np.float64
+    assert all(block.dtype == np.float64 for block in system.eig.vectors)
     assert len(transforms) == 3
     for s_eigen in transforms:
         assert all(block.dtype == np.float64 for block in s_eigen.values())
@@ -90,9 +90,9 @@ def test_dressed_pipeline_is_real(g_prime, monkeypatch):
 
 
 def test_rates_are_evaluated_once_per_solve(monkeypatch):
-    # every coupling sees the same bath, so the D x D rate arrays are
-    # evaluated once, however many emitters couple to it; the comparison
-    # solver takes its two resonance rates from the same function
+    # every coupling sees the same bath, so the rates of the level-block
+    # pairs are evaluated once, however many emitters couple to it; the
+    # comparison solver takes its two resonance rates from the same function
     calls = []
 
     def counted(*args):

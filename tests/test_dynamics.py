@@ -4,7 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_ops import gather, generator_pairs, hamiltonian_entries, scatter
+from dense_ops import (dense_vectors, gather, generator_pairs,
+                       hamiltonian_entries, scatter)
 from scipy.linalg import expm
 
 from dressedlight import (
@@ -34,7 +35,8 @@ def _synthetic_system(energies, temperature, seed=0):
     eig = diagonalize(hamiltonian_entries(np.diag(diagonal)))
     s = rng.standard_normal((n, n))
     s = s + s.T
-    weight = (eig.vectors.T @ s @ eig.vectors) ** 2
+    v = dense_vectors(eig)
+    weight = (v.T @ s @ v) ** 2
     return eig, build_rate_table(eig, gather(weight, eig.levels),
                                  temperature, 0.01)
 

@@ -351,16 +351,16 @@ def test_default_dimension_limit_is_this_machines():
 
 
 @pytest.mark.parametrize("params,dense_arrays", [
-    (ModelParams(2, 0.5, 0.5, 0.07, n_max=100), 5.6),
-    (ModelParams(4, 0.3, 0.0, 0.1, n_max=60), 2.0),
+    (ModelParams(2, 0.5, 0.5, 0.07, n_max=100), 5.0),
+    (ModelParams(4, 0.3, 0.0, 0.1, n_max=60), 1.0),
 ], ids=["dicke-n2-D404", "tc-n4-D976"])
 def test_solve_stays_below_the_live_dense_arrays(params, dense_arrays):
     # the dimension limit assumes at most LIVE_DENSE_ARRAYS D x D float64
     # arrays at once; a solve, its g2(0) and its spectrum must keep to
-    # that.  H is its diagonal and couplings, and downstream of the
-    # eigensystem every operator is block pairs: both peak in the
-    # collision count's sort of the group-energy differences, tc at 1.82
-    # and dicke at 5.16
+    # that.  H is its diagonal and couplings, the eigenvectors are one
+    # array per block, and every operator in the eigenbasis is block
+    # pairs: both peak in the collision count's sort of the group-energy
+    # differences, tc at 0.84 and dicke at 4.66
     tracemalloc.start()
     try:
         system = solve_system(params)

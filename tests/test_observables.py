@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from dense_ops import dense, scatter
+from dense_ops import dense, dense_vectors, scatter
 
 from dressedlight import (
     DarkStateError,
@@ -23,7 +23,7 @@ def test_emission_operator_bare_cavity():
     # cavity frequency is the unit)
     p = ModelParams(1, 0.0, 0.0, 0.1, n_max=6, x0=1.4)
     system = solve_system(p)
-    u = system.eig.vectors
+    u = dense_vectors(system.eig)
     lab = u @ scatter(system.xdot) @ u.conj().T
     a = dense(build_operators(p).a, p.dim)
     np.testing.assert_allclose(lab, -p.x0 * a, atol=1e-12)
@@ -46,7 +46,7 @@ def test_emission_operator_structure():
     # prefactor: element-wise ratio against the projected quadrature
     # the cavity quadrature X = -i A_X
     lower = dense(bath_lowering(build_operators(p))[0], p.dim)
-    u = system.eig.vectors
+    u = dense_vectors(system.eig)
     x_eig = u.conj().T @ (-1j * (lower - lower.T)) @ u
     e = system.eig.energies
     for m, n in zip(*np.nonzero(np.abs(xdot) > 1e-12)):

@@ -4,8 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_ops import (dense, dense_hamiltonian, hamiltonian_entries,
-                       level_block, scatter, summed_squares)
+from dense_ops import (dense, dense_hamiltonian, dense_vectors,
+                       hamiltonian_entries, level_block, scatter, state_block,
+                       summed_squares)
 
 from dressedlight import (
     ModelParams,
@@ -42,9 +43,9 @@ def test_diagonalize_recovers_spectrum():
     eig = diagonalize(hamiltonian_entries(h))
     np.testing.assert_allclose(eig.energies, energies, atol=1e-12)
     # eigenvector property, column by column
+    v = dense_vectors(eig)
     for k in range(5):
-        np.testing.assert_allclose(h @ eig.vectors[:, k],
-                                   energies[k] * eig.vectors[:, k],
+        np.testing.assert_allclose(h @ v[:, k], energies[k] * v[:, k],
                                    atol=1e-12)
     assert not eig.degenerate
     assert eig.group_index.tolist() == [0, 1, 2, 3, 4]
@@ -53,12 +54,13 @@ def test_diagonalize_recovers_spectrum():
     p = ModelParams(2, 0.4, 0.4, 0.1, n_max=8)
     h = build_hamiltonian(build_operators(p))
     eig = diagonalize(h)
-    assert eig.vectors.dtype == np.float64
-    np.testing.assert_allclose(dense_hamiltonian(h) @ eig.vectors,
-                               eig.vectors * eig.energies, atol=1e-12)
+    assert all(block.dtype == np.float64 for block in eig.vectors)
+    v = dense_vectors(eig)
+    np.testing.assert_allclose(dense_hamiltonian(h) @ v, v * eig.energies,
+                               atol=1e-12)
     np.testing.assert_array_equal(
-        diagonalize(build_hamiltonian(build_operators(p))).vectors,
-        eig.vectors)
+        dense_vectors(diagonalize(build_hamiltonian(build_operators(p)))),
+        v)
 
 
 def test_diagonalize_rejects_complex_input():
@@ -86,15 +88,59 @@ def _traced_peak(fn):
 
 
 def test_diagonalize_holds_little_beyond_the_vectors():
-    # each block is filled from its elements alone: beside the D x D
-    # vectors, tc (65 blocks of at most 16 states) holds almost nothing,
-    # and dicke (two parities of D/2) its two blocks and their vectors
+    # each block is filled from its elements alone and its vectors are
+    # kept as they are: tc (65 blocks of at most 16 states) holds almost
+    # nothing (0.04 D x D), and dicke (two parities of D/2) at most its
+    # two blocks, their vectors and eigh's copies (0.90 to 1.15)
     for params, dense_arrays in (
-            (ModelParams(4, 0.3, 0.0, 0.1, n_max=60), 1.15),
-            (ModelParams(2, 0.5, 0.5, 0.07, n_max=100), 2.1)):
+            (ModelParams(4, 0.3, 0.0, 0.1, n_max=60), 0.1),
+            (ModelParams(2, 0.5, 0.5, 0.07, n_max=100), 1.5)):
         h = build_hamiltonian(params)
         peak = _traced_peak(lambda: diagonalize(h))
         assert peak < dense_arrays * params.dim**2 * 8
+
+
+def _reachable_arrays(obj, seen=None):
+    """Every ndarray reachable from obj through containers and attributes."""
+    seen = {} if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen[id(obj)] = obj  # kept alive, so no id is reused
+    if isinstance(obj, np.ndarray):
+        yield obj
+        return
+    items = list(obj.items()) if isinstance(obj, dict) else []
+    items += list(obj) if isinstance(obj, (list, tuple)) else []
+    items += [vars(obj)] if hasattr(obj, "__dict__") else []
+    for item in items:
+        yield from _reachable_arrays(item, seen)
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams(4, 0.3, 0.0, 0.1, n_max=30),
+    ModelParams(2, 0.5, 0.5, 0.07, n_max=40),
+], ids=["tc-n4", "dicke-n2"])
+def test_no_dense_array_is_reachable_from_a_solve(params):
+    # the eigenvectors are one array per block and every eigenbasis
+    # operator is block pairs: the largest array a solve keeps is a tc
+    # excitation sector, or one of the two dicke parities of D/2 states
+    system = solve_system(params)
+    arrays = list(_reachable_arrays(system))
+    assert all(4 * array.size <= params.dim**2 for array in arrays)
+    assert any(array is system.eig.energies for array in arrays)
+    assert any(array is system.eig.vectors[0] for array in arrays)
+
+
+@pytest.mark.parametrize("g", [0.3, 0.0], ids=["coupled", "g0"])
+def test_weight_on_matches_the_dense_vectors(g):
+    # the weight of every level on a set of basis states, read block by
+    # block, is the sum of the squared rows of the dense V
+    p = ModelParams(3, g, 0.0, 0.1, n_max=6)
+    eig = diagonalize(build_hamiltonian(p))
+    v = dense_vectors(eig)
+    for states in (np.arange(6, p.dim, 7), np.array([0]), np.arange(p.dim)):
+        np.testing.assert_array_equal(eig.weight_on(states),
+                                      (v[states] ** 2).sum(axis=0))
 
 
 def test_degenerate_grouping():
@@ -125,7 +171,7 @@ def test_to_eigenbasis_matches_direct_projection():
               ModelParams(1, 0.25, 0.25, 0.15, n_max=4)):
         ops = build_operators(p)
         eig = diagonalize(build_hamiltonian(ops))
-        v = eig.vectors
+        v = dense_vectors(eig)
         for lower in bath_lowering(ops):
             np.testing.assert_allclose(scatter(eig.to_eigenbasis(lower)),
                                        v.T @ dense(lower, p.dim) @ v,
@@ -218,7 +264,7 @@ def test_group_transitions_matches_dense_projection(n_emitters, g_prime,
     p = ModelParams(n_emitters, 0.31, g_prime, 0.1, n_max=7, x0=1.3, **extra)
     ops = build_operators(p)
     eig = diagonalize(build_hamiltonian(ops))
-    v = eig.vectors
+    v = dense_vectors(eig)
     for lower in bath_lowering(ops):
         coupling = scatter(group_transitions(eig, lower))
         assert all(block.dtype == np.float64
@@ -260,7 +306,8 @@ def test_outputs_invariant_under_eigenvector_signs(monkeypatch, params):
         def diagonalize_flipped(h):
             eig = spectral.diagonalize(h)
             flip = rng.random(eig.energies.size) < 0.5
-            eig.vectors[:, flip] *= -1.0
+            for v, levels in zip(eig.vectors, eig.levels):
+                v[:, flip[levels]] *= -1.0
             flipped.append(flip.sum())
             return eig
 
@@ -276,7 +323,8 @@ def test_outputs_invariant_under_eigenvector_signs(monkeypatch, params):
 def test_block_eigh_matches_dense_eigh(n_emitters, g_prime, detuned):
     # one eigh per block gives the levels of one dense eigh, eigenvectors
     # that solve H V = V E, and columns exactly zero outside their block;
-    # g = 0 leaves H diagonal, and its blocks join along degenerate levels
+    # g = 0 leaves H diagonal, and its one-state blocks join along
+    # degenerate levels until each block is one group
     extra = dict(omega_c=1.1, omega_x=0.95) if detuned else {}
     for g in (0.31, 0.0):
         p = ModelParams(n_emitters, g, g_prime * (g > 0), 0.1, n_max=7,
@@ -287,14 +335,16 @@ def test_block_eigh_matches_dense_eigh(n_emitters, g_prime, detuned):
         scale = np.abs(eig.energies).max()
         np.testing.assert_allclose(eig.energies, np.linalg.eigh(h)[0],
                                    rtol=1e-12, atol=1e-12 * scale)
-        v = eig.vectors
+        v = dense_vectors(eig)
         np.testing.assert_allclose(h @ v, v * eig.energies,
                                    rtol=0, atol=1e-12 * scale)
         np.testing.assert_allclose(v.T @ v, np.eye(p.dim), atol=1e-12)
         levels = level_block(eig)
-        assert np.all(v[eig.block[:, None] != levels] == 0)
+        assert np.all(v[state_block(eig)[:, None] != levels] == 0)
         # every degenerate group lies in one block
         assert np.all(np.diff(levels)[np.diff(eig.group_index) == 0] == 0)
+        if g == 0:
+            assert len(eig.states) == eig.group_energy.size
 
 
 def test_blocks_are_the_conserved_sectors():
@@ -304,26 +354,30 @@ def test_blocks_are_the_conserved_sectors():
     eig = diagonalize(build_hamiltonian(p))
     config, fock = np.divmod(np.arange(p.dim), p.n_max + 1)
     excitation = fock + np.array([bin(c).count("1") for c in config])
-    assert eig.block.max() + 1 == 65
-    np.testing.assert_array_equal(eig.block, excitation)
+    assert len(eig.states) == 65
+    np.testing.assert_array_equal(state_block(eig), excitation)
     for n_emitters in (1, 2, 3, 4):
         p = ModelParams(n_emitters, 0.3, 0.3, 0.1, n_max=10)
         eig = diagonalize(build_hamiltonian(p))
-        assert eig.block.max() + 1 == 2
+        assert state_block(eig).max() + 1 == 2
     # a random symmetric matrix is one block
     eig = diagonalize(hamiltonian_entries(
         _random_symmetric_with_spectrum([0.0, 1.0, 2.0], 3)))
-    assert eig.block.tolist() == level_block(eig).tolist() == [0, 0, 0]
+    assert state_block(eig).tolist() == level_block(eig).tolist() == [0, 0, 0]
 
 
 def _rotate_degenerate_groups(eig, rng):
-    """Rotate the vectors of every degenerate group by a random orthogonal."""
+    """Rotate the vectors of every degenerate group by a random orthogonal,
+    inside the one block that holds the group."""
     sizes = np.bincount(eig.group_index)
+    blocks = level_block(eig)
     for stop, size in zip(np.cumsum(sizes), sizes):
         if size > 1:
             q, _ = np.linalg.qr(rng.standard_normal((size, size)))
-            eig.vectors[:, stop - size:stop] = (
-                eig.vectors[:, stop - size:stop] @ q)
+            v, levels = (part[blocks[stop - 1]]
+                         for part in (eig.vectors, eig.levels))
+            cols = eig.group_index[levels] == eig.group_index[stop - 1]
+            v[:, cols] = v[:, cols] @ q
     return eig
 
 
