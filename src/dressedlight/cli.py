@@ -487,6 +487,7 @@ def run_g2time(resolved):
         "g2_final": float(result.values[-1]),
         "t_max": tg["t_max"],
         "relaxation_gap": result.relaxation_gap,
+        "g2_truncation_bound": result.truncation_bound,
         "collision_count": system.collision_count,
         **_trust(system)._asdict(),
     }

@@ -207,37 +207,80 @@ class G2Result:
     """Delay dependence of the degree-two coherence.
 
     relaxation_gap is the slowest nonzero relaxation rate of the
-    population rate equation; g2(t) reaches its late-time value on the
-    scale 1 / relaxation_gap.
+    population rate equation that the conditional populations excite: the
+    smallest nonzero Ritz rate of the Lanczos run behind the curve
+    (dynamics.DiagonalPropagator.weighted_curve), converged to
+    dynamics.RITZ_TOL.  g2(t) reaches its late-time value on the scale
+    1 / relaxation_gap.  truncation_bound is the summed |coefficient| of
+    the coherence pairs dropped below dynamics.COHERENCE_FLOOR over the
+    squared denominator: no value moves by more than it.
     """
 
     values: np.ndarray
     zero_value: float
     relaxation_gap: float
+    truncation_bound: float
+
+
+def _regression_products(xdot, p):
+    """Blocks ((b, d), O[d, b]^T * rho[b, d]) of the g2 regression.
+
+    rho = Xdot P Xdot^T is the conditional matrix and O = Xdot^T Xdot the
+    emission observable, both real block pairs.  They are formed one row
+    block b of rho (and column block b of O) at a time and dropped as
+    each product is handed over, so neither exists whole.
+    """
+    levels = xdot.levels
+    by_row, by_col = {}, {}
+    for (b, c), x in xdot.items():
+        by_row.setdefault(b, []).append((c, x))
+        by_col.setdefault(c, []).append((b, x))
+    for b in sorted(by_row):
+        rho, observable = BlockPairs(levels), BlockPairs(levels)
+        for c, x in by_row[b]:
+            for d, y in by_col[c]:
+                rho.add((b, d), (x * p[levels[c]]) @ y.T)
+        for a, x in by_col.get(b, ()):
+            for d, y in by_row[a]:
+                observable.add((d, b), y.T @ x)
+        for key in list(rho):
+            r, o = rho.pop(key), observable.pop(key[::-1], None)
+            if o is not None:
+                r *= o.T
+                del o  # the caller then holds the product alone
+                yield key, r
 
 
 def g2_time(rates, stat, t_grid, xdot):
     """Degree-two coherence g2(t) on a grid of delays.
 
     The conditional matrix Xdot- rho Xdot+ and the emission observable
-    Xdot+ Xdot- are passed to RegressionEvolver as real block pairs; it
-    propagates the diagonal with the rate equation and every coherence
-    pair with its decay factor, then closes with the observable.
-    zero_value comes from g2_zero, which sums nonnegative terms, rather
-    than from the curve at t = 0, where the diagonal and coherence terms
-    cancel at antibunched points.
+    Xdot+ Xdot- reach RegressionEvolver as their diagonals and the blocks
+    of their elementwise product; it propagates the diagonal with the
+    rate equation and every coherence pair with its decay factor, then
+    closes with the observable.  zero_value comes from g2_zero, which
+    sums nonnegative terms, rather than from the curve at t = 0, where the
+    diagonal and coherence terms cancel at antibunched points.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid < 0):
         raise ValueError("delays must be non-negative")
     denominator = _emission_rate(stat, xdot, DENOMINATOR_FLOOR)
-    p = stat.populations
-    weighted = BlockPairs(xdot.levels, {(b, c): x * p[xdot.levels[c]]
-                                        for (b, c), x in xdot.items()})
-    evolver = RegressionEvolver(rates, stat, weighted @ xdot.T,
-                                xdot.T @ xdot)
+    # before the evolver, so that xdot @ xdot does not stack on its K
+    zero_value = g2_zero(stat, xdot)
+    p, levels = stat.populations, xdot.levels
+    rho_diagonal, observable_diagonal = np.zeros((2, p.size))
+    for (b, c), x in xdot.items():
+        rho_diagonal[levels[b]] += np.einsum("ij,ij,j->i", x, x,
+                                             p[levels[c]])
+        observable_diagonal[levels[c]] += np.einsum("ij,ij->j", x, x)
+    evolver = RegressionEvolver(rates, stat, rho_diagonal,
+                                observable_diagonal,
+                                _regression_products(xdot, p))
+    values, gap = evolver.curve(t_grid)
     return G2Result(
-        values=evolver.curve(t_grid) / denominator**2,
-        zero_value=g2_zero(stat, xdot),
-        relaxation_gap=evolver.propagator.relaxation_gap,
+        values=values / denominator**2,
+        zero_value=zero_value,
+        relaxation_gap=gap,
+        truncation_bound=evolver.dropped / denominator**2,
     )

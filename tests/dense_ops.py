@@ -1,7 +1,8 @@
-"""Dense oracle for the index-mapped operators and the block pairs of
-dressedlight."""
+"""Dense oracle for the index-mapped operators, the block pairs and the
+population propagator of dressedlight."""
 
 import numpy as np
+import scipy.linalg
 
 from dressedlight.model import IndexMap
 from dressedlight.spectral import BlockPairs
@@ -109,3 +110,54 @@ def generator_pairs(generator):
     generator = np.asarray(generator, dtype=float)
     return gather(generator - np.diag(np.diag(generator)),
                   diagonal=np.diag(generator).copy())
+
+
+def regression_products(rho, observable, levels):
+    """Dense rho and observable as the RegressionEvolver products: every
+    pair of level blocks, ((b, c), observable[c, b]^T * rho[b, c])."""
+    return [((b, c), observable[np.ix_(cols, rows)].T
+             * rho[np.ix_(rows, cols)])
+            for b, rows in enumerate(levels) for c, cols in enumerate(levels)]
+
+
+class DensePropagator:
+    """exp(G t) on population vectors from one dense symmetric eigh.
+
+    The propagator dressedlight used before its Lanczos form: with
+    D = diag(p), K = D^(-1/2) G D^(1/2), dense over the populated levels
+    and scattered from the generator pairs, and one eigh
+    K = U diag(mu) U^T gives exp(G t) = D^(1/2) U diag(exp(mu t))
+    U^T D^(-1/2) for every t.  No checks: a reference for balanced
+    generators at T > 0.
+    """
+
+    def __init__(self, generator, stationary):
+        p = stationary.populations
+        blocks = generator.levels
+        dropped = p == 0
+        self.levels = np.flatnonzero(~dropped)
+        at = np.cumsum(~dropped) - 1
+        k = np.zeros((self.levels.size, self.levels.size))
+        for (b, c), g in generator.items():
+            if (c, b) in generator:
+                rows, cols = ~dropped[blocks[b]], ~dropped[blocks[c]]
+                k[np.ix_(at[blocks[b][rows]], at[blocks[c][cols]])] = (
+                    np.sqrt(g * generator[c, b].T)[np.ix_(rows, cols)])
+        np.fill_diagonal(k, generator.diagonal[self.levels])
+        self.eigenvalues, u = scipy.linalg.eigh(k)
+        self._p = p[self.levels]
+        self._left = np.sqrt(self._p)[:, None] * u
+
+    @property
+    def relaxation_gap(self):
+        """Slowest nonzero relaxation rate, the smallest nonzero -mu."""
+        decay = -self.eigenvalues
+        return float(decay[decay > 1e-12 * np.abs(decay).max()].min())
+
+    def weighted_curve(self, weights, p0, times):
+        """sum_n weights[n] * (exp(G t) p0)[n] for every t."""
+        levels = self.levels
+        u = ((np.asarray(weights)[levels] @ self._left)
+             * (self._left.T @ (np.asarray(p0)[levels] / self._p)))
+        return np.exp(np.multiply.outer(np.asarray(times, dtype=float),
+                                        self.eigenvalues)) @ u

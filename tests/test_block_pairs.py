@@ -15,11 +15,13 @@ from dressedlight import (
 from dressedlight.dissipation import bath_lowering
 from dressedlight.dynamics import RegressionEvolver
 from dressedlight.model import IndexMap
+from dressedlight.spectral import BlockPairs
 
 
 def _dense_reference(system, lowers):
     """W, the generator, z, xdot, y = xdot xdot, rho and the observable of
-    g2(t), from V^T L V of every coupling as dense arrays."""
+    g2(t) and their elementwise product observable^T * rho, from V^T L V
+    of every coupling as dense arrays."""
     eig, p = system.eig, system.params
     v = dense_vectors(eig)
     couplings = []
@@ -40,7 +42,8 @@ def _dense_reference(system, lowers):
     return {"weight": weight, "generator": generator,
             "z": 0.5 * loss + 1j * e, "xdot": xdot, "y": xdot @ xdot,
             "rho": (xdot * pop[None, :]) @ xdot.T,
-            "observable": xdot.T @ xdot}
+            "observable": xdot.T @ xdot,
+            "products": (xdot.T @ xdot).T * ((xdot * pop[None, :]) @ xdot.T)}
 
 
 def _assert_pairs_match_dense(monkeypatch, params):
@@ -51,14 +54,22 @@ def _assert_pairs_match_dense(monkeypatch, params):
         return build_rate_table(eig, weight, *args)
 
     class Evolver(RegressionEvolver):
-        def __init__(self, rates, stationary, rho, observable):
-            seen["rho"], seen["observable"] = rho, observable
-            super().__init__(rates, stationary, rho, observable)
+        def __init__(self, rates, stationary, rho_diagonal,
+                     observable_diagonal, products):
+            # the evolver overwrites the product blocks: keep copies
+            products = list(products)
+            seen["products"] = BlockPairs(
+                rates.generator.levels,
+                {key: block.copy() for key, block in products})
+            seen["diagonals"] = rho_diagonal, observable_diagonal
+            super().__init__(rates, stationary, rho_diagonal,
+                             observable_diagonal, products)
 
     monkeypatch.setattr(pipeline, "build_rate_table", rate_table)
     monkeypatch.setattr(observables, "RegressionEvolver", Evolver)
     system = solve_system(params)
     system.g2_time(np.array([0.0, 1.0]))
+    rho_diagonal, observable_diagonal = seen.pop("diagonals")
     got = dict(seen, generator=system.rates.generator, xdot=system.xdot,
                y=system.xdot @ system.xdot)
     want = _dense_reference(system, pipeline.bath_lowering(
@@ -67,6 +78,10 @@ def _assert_pairs_match_dense(monkeypatch, params):
         scale = np.abs(want[name]).max()
         assert np.abs(scatter(pairs) - want[name]).max() <= 1e-12 * scale, \
             name
+    for name, diagonal in (("rho", rho_diagonal),
+                           ("observable", observable_diagonal)):
+        scale = np.abs(want[name]).max()
+        assert np.abs(diagonal - np.diag(want[name])).max() <= 1e-12 * scale
     np.testing.assert_allclose(system.rates.z, want["z"], rtol=1e-12)
     pop = system.stationary.populations
     numerator = pop @ (want["y"] ** 2).sum(axis=0)

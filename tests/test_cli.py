@@ -586,6 +586,8 @@ def test_g2time_curve_relaxes_to_thermal(tmp_path):
     # g2(t) has relaxed: t_max is many times the slowest relaxation time
     assert summary["metrics"]["relaxation_gap"] * 5000.0 > 10.0
     assert 0 <= summary["metrics"]["stationary_residual"] < 1e-9
+    # the coherence pairs dropped below the floor move g2 by at most this
+    assert 0 <= summary["metrics"]["g2_truncation_bound"] < 1e-12
 
 
 def test_eigen_rows_per_coupling_and_level(tmp_path):
@@ -848,8 +850,10 @@ print(json.dumps(report))
 
 def test_scipy_submodules_load_at_first_use(tmp_path):
     # a g2chart or spectrum run uses numpy only; g2time reaches
-    # scipy.linalg and qo-chart scipy.sparse through their attribute paths.
-    # Grid points run in this process, so no process pool module loads.
+    # scipy.sparse (the propagator's K), and qo-chart scipy.sparse.linalg,
+    # through their attribute paths.  g2time loads no scipy.linalg, and so
+    # no second OpenBLAS beside NumPy's.  Grid points run in this process,
+    # so no process pool module loads.
     parse = [(task, _write_config(tmp_path, cfg, task + ".json"))
              for task, (cfg, *_) in sorted(CONTRACTS.items())]
     tiny = {"n_emitters": 1, "limit": "tc", "n_max": 4}
@@ -875,7 +879,8 @@ def test_scipy_submodules_load_at_first_use(tmp_path):
     assert report["g2chart"] == [0, []]
     assert report["spectrum"] == [0, []]
     code, modules = report["g2time"]
-    assert code == 0 and "scipy.linalg" in modules
+    assert code == 0 and "scipy.sparse" in modules
+    assert not any(m.startswith("scipy.linalg") for m in modules)
     code, modules = report["qo-chart"]
     assert code == 0 and "scipy.sparse.linalg" in modules
 
@@ -922,6 +927,31 @@ def test_comparison_solver_has_no_numpy_linalg_call():
                 names = ["%s.%s" % (node.module, name) for name in names]
             found += ["%d %s" % (node.lineno, name) for name in names
                       if name.startswith("numpy.linalg")]
+    assert found == []
+
+
+def test_propagator_has_no_dense_eigensolver():
+    # the population propagator is Lanczos quadrature on a sparse K: no
+    # eigh of any kind and nothing from scipy.linalg in dynamics.py
+    path = os.path.join(os.path.dirname(cli.__file__), "dynamics.py")
+    with open(path) as handle:
+        tree = ast.parse(handle.read(), path)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "eigh" \
+                or isinstance(node, ast.Name) and node.id == "eigh":
+            found.append("%d eigh" % node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "linalg" \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id == "scipy":
+            found.append("%d scipy.linalg" % node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom):
+                names = ["%s.%s" % (node.module, name) for name in names]
+            found += ["%d %s" % (node.lineno, name) for name in names
+                      if name.startswith("scipy.linalg")
+                      or name.endswith(".eigh")]
     assert found == []
 
 

@@ -4,8 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_ops import (dense_vectors, gather, generator_pairs,
-                       hamiltonian_entries, scatter)
+from dense_ops import (DensePropagator, dense_vectors, gather,
+                       generator_pairs, hamiltonian_entries,
+                       regression_products, scatter)
 from scipy.linalg import expm
 
 from dressedlight import (
@@ -19,6 +20,7 @@ from dressedlight import (
     solve_system,
     stationary_state,
 )
+from dressedlight import dynamics
 from dressedlight.dynamics import CHUNK_ELEMENTS, RegressionEvolver
 
 
@@ -44,15 +46,18 @@ def _synthetic_system(energies, temperature, seed=0):
 def _propagate(system, p0, t):
     """Populations exp(G t) p0, one weighted curve per level."""
     prop = DiagonalPropagator(system.rates.generator, system.stationary)
-    return np.array([prop.weighted_curve(row, p0, [t])[0]
+    return np.array([prop.weighted_curve(row, p0, [t])[0][0]
                      for row in np.eye(p0.size)])
 
 
 def _regression(system, rho, observable, times):
     """Re Tr[observable Lambda_t(rho)] at every delay, as a float64 array."""
-    return RegressionEvolver(system.rates, system.stationary, gather(rho),
-                             gather(observable)).curve(
-                                 np.asarray(times, dtype=float))
+    rho, observable = np.asarray(rho, float), np.asarray(observable, float)
+    evolver = RegressionEvolver(
+        system.rates, system.stationary, np.diag(rho).copy(),
+        np.diag(observable).copy(),
+        regression_products(rho, observable, system.eig.levels))
+    return evolver.curve(np.asarray(times, dtype=float))[0]
 
 
 def _dense_g2_reference(system, times):
@@ -187,7 +192,7 @@ def test_two_level_closed_form_decay():
     assert stat.populations[1] == pytest.approx(p1_eq, rel=1e-12)
     p0 = np.array([0.0, 1.0])
     for t in (0.5, 5.0, 50.0):
-        upper = prop.weighted_curve(np.array([0.0, 1.0]), p0, [t])[0]
+        upper = prop.weighted_curve(np.array([0.0, 1.0]), p0, [t])[0][0]
         expect = p1_eq + (1.0 - p1_eq) * np.exp(-(down + up) * t)
         assert upper == pytest.approx(expect, rel=1e-12)
 
@@ -224,7 +229,7 @@ def test_weighted_curve_matches_pointwise_propagation():
     weights = rng.standard_normal(p.dim)
     times = np.array([0.0, 1.7, 12.0, 300.0])
     prop = DiagonalPropagator(system.rates.generator, system.stationary)
-    curve = prop.weighted_curve(weights, p0, times)
+    curve, _ = prop.weighted_curve(weights, p0, times)
     generator = scatter(system.rates.generator)
     expect = [weights @ expm(generator * t) @ p0 for t in times]
     np.testing.assert_allclose(curve, expect, atol=1e-11)
@@ -297,10 +302,18 @@ def test_regression_kernel_matches_brute_force():
 
 
 def test_relaxation_gap_matches_generator_spectrum():
-    system = solve_system(ModelParams(2, 0.45, 0.45, 0.12, n_max=6))
-    gap = system.g2_time(np.array([0.0])).relaxation_gap
-    decay = -np.linalg.eigvals(scatter(system.rates.generator)).real
-    assert gap == pytest.approx(decay[decay > 1e-10].min(), rel=1e-9)
+    # the smallest nonzero Ritz rate of the Lanczos run behind the curve
+    for params in (
+            ModelParams(2, 0.45, 0.45, 0.12, n_max=6),
+            # the g2time-dicke-n2 benchmark point at seed 0: 182 of 404
+            # levels populated
+            ModelParams(2, 0.5989, 0.5989, 0.0657, n_max=100),
+            # dicke N = 4: the slow mode sits at 1e-5 of the fastest rates
+            ModelParams(4, 0.5, 0.5, 0.3, n_max=20)):
+        system = solve_system(params)
+        gap = system.g2_time(np.array([0.0])).relaxation_gap
+        decay = -np.linalg.eigvals(scatter(system.rates.generator)).real
+        assert gap == pytest.approx(decay[decay > 1e-10].min(), rel=1e-9)
 
 
 @pytest.mark.parametrize("g_prime", [0.4, 0.0])
@@ -312,23 +325,85 @@ def test_g2_time_matches_dense_expm_with_underflowing_weights(g_prime):
     assert np.count_nonzero(system.stationary.populations == 0) > 100
     times = np.array([0.0, 3.0, 60.0, 900.0, 5000.0])
     got = system.g2_time(times).values
-    np.testing.assert_allclose(got, _dense_g2_reference(system, times),
-                               rtol=1e-9)
+    want = _dense_g2_reference(system, times)
+    np.testing.assert_allclose(got, want, rtol=1e-9)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_g2_time_is_real_across_time_chunks():
+@pytest.mark.parametrize("params, t_max", [
+    # the g2time-dicke-n2 benchmark point at seed 0
+    (ModelParams(2, 0.5989, 0.5989, 0.0657, n_max=100), 5000.0),
+    # tc at T = 0.5: every level populated
+    (ModelParams(2, 0.5, 0.0, 0.5, n_max=30), 500.0),
+], ids=["g2time-seed0", "tc-hot"])
+def test_g2_time_matches_dense_expm(params, t_max):
+    # the Lanczos curve and the floored coherence sum against expm of the
+    # dense generator and every coherence pair
+    system = solve_system(params)
+    times = np.linspace(0.0, t_max, 4)
+    got = system.g2_time(times).values
+    want = _dense_g2_reference(system, times)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_weighted_curve_over_many_delays_matches_expm():
+    # 500 delays from one Lanczos run; expm is the reference, since the
+    # eigh propagator it replaced is itself 4.7e-12 of the maximum off
+    # here (the Lanczos curve 3.2e-13)
+    system = solve_system(ModelParams(4, 0.5, 0.0, 0.5, n_max=10))
+    rng = np.random.default_rng(5)
+    p0 = _random_distribution(rng, system.params.dim)
+    weights = rng.random(system.params.dim)
+    times = np.linspace(0.0, 500.0, 500)
+    curve, gap = DiagonalPropagator(
+        system.rates.generator, system.stationary).weighted_curve(
+            weights, p0, times)
+    generator = scatter(system.rates.generator)
+    want = [weights @ expm(generator * t) @ p0 for t in times[::50]]
+    assert np.abs(curve[::50] - want).max() <= 1e-12 * np.abs(want).max()
+    dense = DensePropagator(system.rates.generator, system.stationary)
+    assert gap == pytest.approx(dense.relaxation_gap, rel=1e-9)
+
+
+@pytest.mark.parametrize("floor", [1e-6, 1e-3])
+def test_truncation_bound_covers_the_dropped_pairs(monkeypatch, floor):
+    # dicke N = 4 keeps 1,942 of 27,723 coherence pairs at the default
+    # floor; larger floors drop more, and the bound must still cover what
+    # they move
+    system = solve_system(ModelParams(4, 0.5, 0.5, 0.3, n_max=20))
+    times = np.linspace(0.0, 500.0, 50)
+    default = system.g2_time(times)
+    assert 0 < default.truncation_bound <= 1e-15
+    monkeypatch.setattr(dynamics, "COHERENCE_FLOOR", floor)
+    floored = system.g2_time(times)
+    monkeypatch.setattr(dynamics, "COHERENCE_FLOOR", 0.0)
+    exact = system.g2_time(times)
+    assert exact.truncation_bound == 0.0
+    moved = np.abs(floored.values - exact.values).max()
+    assert 0 < moved <= floored.truncation_bound
+    np.testing.assert_allclose(default.values, exact.values, rtol=0,
+                               atol=default.truncation_bound + 1e-14)
+
+
+def test_g2_time_is_real_across_time_chunks(monkeypatch):
     # 1000 delays times the stored coherence pairs exceed the
     # CHUNK_ELEMENTS RegressionEvolver.curve evaluates at once, so the curve
     # is built in at least two chunks; sampled delays straddle the first
-    # boundary
-    system = solve_system(ModelParams(2, 0.5, 0.5, 0.07, n_max=40))
-    xdot = scatter(system.xdot)
-    rho_c = (xdot * system.stationary.populations[None, :]) @ xdot.T
-    pairs = np.count_nonzero(np.triu(xdot.T @ xdot * rho_c, 1))
+    # boundary.  The pairs stored are those above the coherence floor.
+    stored = []
+    coherences = dynamics._coherences
+
+    def counted(*args):
+        out = coherences(*args)
+        stored.append(out[2].size)
+        return out
+
+    monkeypatch.setattr(dynamics, "_coherences", counted)
+    system = solve_system(ModelParams(2, 0.5, 0.5, 0.5, n_max=20))
     times = np.linspace(0.0, 500.0, 1000)
-    chunk = CHUNK_ELEMENTS // pairs
-    assert 0 < chunk < times.size
     values = system.g2_time(times).values
+    chunk = CHUNK_ELEMENTS // stored[0]
+    assert 0 < chunk < times.size
     assert values.dtype == np.float64
     sample = np.unique(np.r_[0:times.size:50, chunk - 1, chunk,
                              times.size - 1])
@@ -344,9 +419,10 @@ def g2time_point():
 
 
 def test_g2_time_allocates_few_dense_arrays(g2time_point):
-    # D = 404: the conditional matrix and the observable are block pairs,
-    # one (D/2, D/2) block per parity, and their coherence coefficients
-    # are O(pairs) lists; measured 2.70 D x D arrays
+    # D = 404: the conditional matrix and the observable are formed one
+    # (D/2, D/2) parity block at a time and meet only as their product,
+    # the coherences kept above the floor are 20 pairs, and K is sparse
+    # over the 182 populated levels; measured 0.81 D x D arrays
     system = g2time_point
     dim = system.params.dim
     assert dim == 404
@@ -357,13 +433,15 @@ def test_g2_time_allocates_few_dense_arrays(g2time_point):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.95 * dim * dim * 8
+    assert peak < 0.9 * dim * dim * 8
 
 
 def test_g2_time_over_many_delays_stays_below_four_dense_arrays(
         g2time_point):
     # the (delay, pair) temporaries of the coherences are evaluated
-    # CHUNK_ELEMENTS at a time, so 500 delays cost no more than 10 do
+    # CHUNK_ELEMENTS at a time and the Lanczos run holds one exponential
+    # per delay and Ritz value, so 500 delays cost no more than 10 do;
+    # measured 0.81 D x D arrays
     system = g2time_point
     dim = system.params.dim
     times = np.linspace(0.0, 5000.0, 500)
@@ -373,12 +451,30 @@ def test_g2_time_over_many_delays_stays_below_four_dense_arrays(
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * dim * dim * 8
+    assert peak < 0.9 * dim * dim * 8
+
+
+def test_g2_time_at_dicke_n4_stays_below_one_dense_array():
+    # every level populated, two parity blocks of D/2: K is half dense
+    # (0.75 D x D as float64 values and int32 columns), and the 650,438
+    # coherence pairs, of which the floor keeps 2,314, never exist as one
+    # list; measured 0.84 D x D arrays
+    system = solve_system(ModelParams(4, 0.5, 0.5, 0.3, n_max=100))
+    dim = system.params.dim
+    times = np.linspace(0.0, 500.0, 500)
+    tracemalloc.start()
+    try:
+        result = system.g2_time(times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.truncation_bound > 0
+    assert peak < dim * dim * 8
 
 
 def test_propagator_build_stays_below_two_dense_arrays(g2time_point):
-    # the detailed-balance check runs pair by pair, and K holds only the
-    # 182 populated levels of 404; measured 0.96 D x D arrays
+    # the detailed-balance check runs pair by pair, and the sparse K holds
+    # only the 182 populated levels of 404; measured 0.55 D x D arrays
     system = g2time_point
     dim = system.params.dim
     tracemalloc.start()
@@ -388,7 +484,7 @@ def test_propagator_build_stays_below_two_dense_arrays(g2time_point):
     finally:
         tracemalloc.stop()
     assert np.count_nonzero(system.stationary.populations) == 182
-    assert peak < 1.05 * dim * dim * 8
+    assert peak < 0.6 * dim * dim * 8
 
 
 def test_zero_temperature_has_no_propagator():
