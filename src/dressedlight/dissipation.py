@@ -53,14 +53,20 @@ def thermal_rate(omega, temperature, gamma):
         raise ValueError("temperature must be non-negative")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    w = np.asarray(omega, dtype=float)
+    # one copy of omega and, at T > 0, one denominator: the ufuncs run in
+    # place (a 0-d copy stays an array, where omega / T would be a scalar)
+    out = np.array(omega, dtype=float)
     if temperature == 0:
-        out = gamma * np.maximum(w, 0.0)
+        np.maximum(out, 0.0, out=out)
+        out *= gamma
     else:
-        x = w / temperature
-        out = np.divide(x, -np.expm1(-np.maximum(x, -EXP_UNDERFLOW)),
-                        out=np.ones_like(x), where=x != 0)
-        out[x <= -EXP_UNDERFLOW] = 0.0
+        out /= temperature
+        zero, frozen = out == 0, out <= -EXP_UNDERFLOW
+        d = np.maximum(out, -EXP_UNDERFLOW, out=np.empty_like(out))
+        np.negative(np.expm1(np.negative(d, out=d), out=d), out=d)
+        out[zero] = d[zero] = 1.0  # the omega -> 0 limit, gamma T
+        out /= d
+        out[frozen] = 0.0
         out *= gamma * temperature
     return out if out.ndim else float(out)
 
@@ -89,10 +95,11 @@ def build_rate_table(eig, weight, temperature, gamma):
 
     Every rate is evaluated at the difference of the group energies of
     eig, which is exactly 0 inside a degenerate level: this is the
-    secular grouping of the transitions.  Frequency collisions are a
-    property of eig alone (EigenSystem.collision_omegas) and do not enter
-    the rates.  All couplings share the bath, so thermal_rate is
-    evaluated once, on the frequencies of every pair of weight.
+    secular grouping of the transitions.  Frequency collisions
+    (spectral.count_collisions) do not enter the rates.  All couplings
+    share the bath, so thermal_rate is evaluated once, on the frequencies
+    of every pair of weight; with weight, the frequencies and their rates
+    are the peak of a solve where the blocks are large (dicke).
 
     Parameters
     ----------

@@ -30,9 +30,10 @@ import numpy as np
 # D x D float64 arrays one solve may hold at once; it keeps none.  H is
 # its diagonal and couplings, V one array per block (spectral.EigenSystem)
 # and every operator after eigh blocks of level pairs (spectral.BlockPairs).
-# solve_system, g2(0) and the spectrum peak at 0.84 of them at tc D = 976
-# and 4.66 at dicke D = 404 (tracemalloc), in the collision count's (G, G)
-# sort of group-energy differences, D x D where no level repeats (dicke).
+# solve_system, g2(0) and the spectrum peak at 0.32 of them at tc D = 976,
+# in the spectrum's fixed-size chunks, and at 3.42 at dicke D = 404, in
+# the rate table, whose pair arrays hold about D^2 / 2 elements each where
+# the two parity blocks are D / 2 wide (tracemalloc).
 LIVE_DENSE_ARRAYS = 9
 
 

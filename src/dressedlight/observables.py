@@ -16,12 +16,9 @@ import numpy as np
 
 from .dissipation import thermal_rate
 from .dynamics import CHUNK_ELEMENTS, RegressionEvolver
-from .spectral import BlockPairs, gap_clusters
+from .spectral import WEIGHT_FLOOR, BlockPairs, gap_clusters
 
 DENOMINATOR_FLOOR = 1e-30
-# Peaks whose (group, group) weight sum is below this fraction of the
-# total weight are dropped from spectra.
-WEIGHT_FLOOR = 1e-12
 # Peak centers closer than this (absolute) are one frequency: split peaks
 # of one level pair sit up to twice a degenerate group's span apart, and a
 # group is a chain of gaps below spectral.LEVEL_TOL = 1e-9.

@@ -10,8 +10,8 @@ from . import observables
 from .dissipation import RateTable, bath_lowering, build_rate_table
 from .dynamics import StationaryState, stationary_state
 from .model import ModelParams, build_hamiltonian, build_operators
-from .spectral import (BlockPairs, EigenSystem, diagonalize,
-                       group_transitions, total_spin_gauge)
+from .spectral import (BlockPairs, EigenSystem, count_collisions,
+                       diagonalize, group_transitions, total_spin_gauge)
 
 
 @dataclass
@@ -24,7 +24,8 @@ class SolvedSystem:
     eigenvectors; rates and stationary hold the Pauli rates and Boltzmann
     populations over those levels, and xdot the emission operator in the
     eigenbasis.  collision_count is the number of transition frequencies
-    shared by distinct level pairs, within spectral.LEVEL_TOL.
+    shared, within spectral.LEVEL_TOL, by distinct pairs of level groups
+    that carry coupling weight (spectral.count_collisions).
     """
 
     params: ModelParams
@@ -85,8 +86,6 @@ def solve_system(params):
     ops = build_operators(params)
     eig = total_spin_gauge(diagonalize(build_hamiltonian(ops)),
                            ops.sigma_minus)
-    # counted first, so its temporaries do not stack on the couplings
-    collision_count = eig.collision_omegas().size
     # bath_lowering lists the cavity first: A_X in the eigenbasis
     cavity, *emitters = bath_lowering(ops)
     a_eigen = group_transitions(eig, cavity)
@@ -95,6 +94,7 @@ def solve_system(params):
         # one coupling at a time, squared in place and summed pair by pair
         for key, a in group_transitions(eig, lower).items():
             weight.add(key, np.square(a, out=a))
+    collision_count = count_collisions(eig, weight)
     rates = build_rate_table(eig, weight, params.temperature, params.gamma)
     stat = stationary_state(eig, rates)
     xdot = observables.emission_operator(eig, a_eigen)

@@ -6,10 +6,11 @@ Levels are clustered into degenerate groups (spacing below LEVEL_TOL),
 and every rate is evaluated at the difference of the group energies, so
 the secular grouping is carried by those energies alone: elements inside
 a degenerate level sit at exactly w = 0, and an operator only needs its
-matrix elements in the eigenbasis.  Distinct level pairs whose
-frequencies coincide within LEVEL_TOL (collisions) are where the
-secular equations of motion are not reliable; they depend only on the
-group energies and are counted once per eigensystem as a diagnostic.
+matrix elements in the eigenbasis.  Distinct pairs of level groups
+that both carry coupling weight and whose frequencies coincide within
+LEVEL_TOL (collisions) are where the secular equations of motion are not
+reliable; count_collisions counts them once per solve, from the summed
+coupling weight, as a diagnostic.
 
 The Hamiltonian falls into blocks that do not couple (the excitation
 sectors without counter-rotating terms, the two parities with them;
@@ -31,6 +32,9 @@ import numpy as np
 # Levels, and transition frequencies, closer than this (in units of
 # omega0) are one degenerate level, or one frequency.
 LEVEL_TOL = 1e-9
+# Pairs of level groups whose summed weight is below this fraction of the
+# total carry none: spectra drop their peaks, and they make no collision.
+WEIGHT_FLOOR = 1e-12
 
 
 def gap_clusters(values, tol):
@@ -189,26 +193,6 @@ class EigenSystem:
             out[levels] = (v * v).sum(axis=0)
         return out
 
-    def collision_omegas(self):
-        """Frequencies w >= 0 shared by more than one pair of level groups.
-
-        The ordered group pairs (a, b) are sorted by E_b - E_a and split
-        wherever consecutive frequencies differ by at least LEVEL_TOL, the
-        tolerance the levels were grouped with.  Each cluster with more
-        than one pair at a positive mean frequency is a collision.  The
-        cluster nearest 0 is pinned at exactly 0; it holds the diagonal
-        pairs (a, a) and collides only beyond them.
-        """
-        ge = self.group_energy
-        index, omegas = gap_clusters(
-            np.sort((ge[None, :] - ge[:, None]).ravel()), LEVEL_TOL)
-        sizes = np.bincount(index)
-        collides = (sizes > 1) & (omegas > 0)
-        zero = int(np.argmin(np.abs(omegas)))
-        omegas[zero] = 0.0
-        collides[zero] = sizes[zero] > ge.size
-        return omegas[collides]
-
 
 def diagonalize(h):
     """Diagonalize a real symmetric matrix and cluster degenerate levels.
@@ -310,6 +294,37 @@ def total_spin_gauge(eig, sigma_minus):
             rotation[a:b, a:b] = np.linalg.eigh(spin[a:b, a:b])[1]
         v[:, cols] = group @ rotation
     return eig
+
+
+def count_collisions(eig, weight):
+    """Transition frequencies shared by pairs of level groups with weight.
+
+    weight is the summed coupling weight sum_c |<m|A_c|n>|^2 as BlockPairs
+    on the levels of eig.  Its elements are summed over the level pairs of
+    every group pair a < b, which makes the sum independent of the basis
+    inside a degenerate level.  The group pairs whose sum exceeds
+    WEIGHT_FLOOR of the sum over all of them are sorted by E_b - E_a and
+    split by gap_clusters at LEVEL_TOL, and every cluster of at least two
+    group pairs is a collision.  Each group lies in one block and its
+    levels are adjacent there, so a block pair is summed with one reduceat
+    per axis: nothing larger than a block pair is formed.  Returns the
+    number of collisions.
+    """
+    group, energy = eig.group_index, eig.group_energy
+    # the position of the first level of every group in each block
+    starts = [np.flatnonzero(np.diff(group[levels], prepend=-1))
+              for levels in weight.levels]
+    groups = [group[levels[s]] for levels, s in zip(weight.levels, starts)]
+    sums, omegas = [np.zeros(0)], [np.zeros(0)]
+    for (b, c), w in weight.items():
+        up = groups[b][:, None] < groups[c]
+        w = np.add.reduceat(np.add.reduceat(w, starts[b]), starts[c], axis=1)
+        sums.append(w[up])
+        omegas.append((energy[groups[c]] - energy[groups[b], None])[up])
+    sums, omegas = np.concatenate(sums), np.concatenate(omegas)
+    omegas = np.sort(omegas[sums > WEIGHT_FLOOR * sums.sum()])
+    index = gap_clusters(omegas, LEVEL_TOL)[0]
+    return int(np.count_nonzero(np.bincount(index) > 1))
 
 
 def group_transitions(eig, lower):

@@ -272,20 +272,20 @@ def test_zero_frequency_rate_inside_degenerate_group():
 
 
 def test_collision_count_is_counted_once_per_eigensystem(monkeypatch):
-    # collisions depend on the group energies alone: one count per
-    # eigensystem, not one per coupling, and one weight summed over them
+    # collisions depend on the group energies and the summed weight: one
+    # count per eigensystem, not one per coupling, from one weight summed
+    # over the couplings
     calls = []
-    original = spectral.EigenSystem.collision_omegas
+    original = spectral.count_collisions
 
-    def counted(self, *args):
+    def counted(*args):
         calls.append(args)
-        return original(self, *args)
+        return original(*args)
 
-    monkeypatch.setattr(spectral.EigenSystem, "collision_omegas", counted)
+    monkeypatch.setattr(pipeline, "count_collisions", counted)
     p = ModelParams(2, 0.0, 0.0, 0.1, n_max=5)
     system = solve_system(p)
     assert len(calls) == 1
-    assert system.collision_count == original(system.eig).size > 0
     ops = build_operators(p)
     # the weight sums the squared real A = M - M^T of every coupling
     # S = -i A, M the eigenbasis elements of its lowering operator
@@ -294,6 +294,8 @@ def test_collision_count_is_counted_once_per_eigensystem(monkeypatch):
     weight = sum((m - m.T) ** 2 for m in elements)
     pairs = _coupling_weight(system)
     np.testing.assert_array_equal(weight, scatter(pairs))
+    np.testing.assert_array_equal(scatter(calls[0][1]), weight)
+    assert system.collision_count == original(system.eig, pairs) > 0
     rebuilt = build_rate_table(system.eig, pairs, p.temperature,
                                system.rates.gamma)
     np.testing.assert_array_equal(scatter(system.rates.generator),

@@ -350,22 +350,28 @@ def test_default_dimension_limit_is_this_machines():
     assert DEFAULT_MAX_DIM == model._memory_dim_limit()
 
 
-@pytest.mark.parametrize("params,dense_arrays", [
-    (ModelParams(2, 0.5, 0.5, 0.07, n_max=100), 5.0),
-    (ModelParams(4, 0.3, 0.0, 0.1, n_max=60), 1.0),
-], ids=["dicke-n2-D404", "tc-n4-D976"])
-def test_solve_stays_below_the_live_dense_arrays(params, dense_arrays):
+@pytest.mark.parametrize("params,dense_arrays,spectrum", [
+    (ModelParams(2, 0.5, 0.5, 0.07, n_max=100), 3.5, True),
+    (ModelParams(4, 0.3, 0.0, 0.1, n_max=60), 0.35, True),
+    (ModelParams(4, 0.5, 0.0, 0.1, n_max=200), 0.1, False),
+], ids=["dicke-n2-D404", "tc-n4-D976", "tc-n4-D3216"])
+def test_solve_stays_below_the_live_dense_arrays(params, dense_arrays,
+                                                 spectrum):
     # the dimension limit assumes at most LIVE_DENSE_ARRAYS D x D float64
     # arrays at once; a solve, its g2(0) and its spectrum must keep to
     # that.  H is its diagonal and couplings, the eigenvectors are one
     # array per block, and every operator in the eigenbasis is block
-    # pairs: both peak in the collision count's sort of the group-energy
-    # differences, tc at 0.84 and dicke at 4.66
+    # pairs.  dicke peaks in the rate table at 3.42, where the summed
+    # weight, the pair frequencies and their rates are each about D^2 / 2
+    # elements; tc peaks at 0.32 in the spectrum's fixed-size chunks at
+    # D = 976, and at 0.065 in the rate table at D = 3216 without the
+    # spectrum
     tracemalloc.start()
     try:
         system = solve_system(params)
         system.g2_zero()
-        system.spectrum(np.linspace(0.0, 3.0, 2000))
+        if spectrum:
+            system.spectrum(np.linspace(0.0, 3.0, 2000))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -183,47 +183,53 @@ def test_to_eigenbasis_matches_direct_projection():
         np.testing.assert_allclose(s, s.conj().T, atol=1e-13)
 
 
+def _solve_with_weight(params):
+    """solve_system(params) and its summed coupling weight, rebuilt in the
+    order the pipeline sums it."""
+    system = solve_system(params)
+    weight = summed_squares([group_transitions(system.eig, lower) for lower
+                             in bath_lowering(build_operators(params))])
+    return system, weight
+
+
+def _loop_collisions(eig, weight):
+    """Reference collisions: the mean frequency of every cluster of two or
+    more weighted group pairs, found by loops over the dense W."""
+    w = scatter(weight)
+    ge = eig.group_energy
+    members = [np.flatnonzero(eig.group_index == a) for a in range(ge.size)]
+    pairs = [(w[np.ix_(members[a], members[b])].sum(), ge[b] - ge[a])
+             for a in range(ge.size) for b in range(a + 1, ge.size)]
+    total = sum(s for s, _ in pairs)
+    clusters = []
+    for omega in sorted(omega for s, omega in pairs
+                        if s > spectral.WEIGHT_FLOOR * total):
+        if clusters and omega - clusters[-1][-1] < spectral.LEVEL_TOL:
+            clusters[-1].append(omega)
+        else:
+            clusters.append([omega])
+    return np.array([np.mean(c) for c in clusters if len(c) > 1])
+
+
 def test_harmonic_ladder_collisions_flagged():
-    # uncoupled cavity: all upward transitions share the same frequency
-    p = ModelParams(1, 0.0, 0.0, 0.1, n_max=5)
-    eig = diagonalize(build_hamiltonian(build_operators(p)))
-    collisions = eig.collision_omegas()
-    assert collisions.size > 0
+    # uncoupled cavity: every weighted upward transition has frequency 1
+    system, weight = _solve_with_weight(ModelParams(1, 0.0, 0.0, 0.1, n_max=5))
+    collisions = _loop_collisions(system.eig, weight)
+    assert system.collision_count == collisions.size == 1
     assert 1.0 in np.round(collisions, 12)
 
 
-def _loop_collisions(eig, delta_omega):
-    """Reference collisions: one mean per frequency group, found by a loop."""
-    ge = eig.group_energy
-    sorted_omega = np.sort((ge[None, :] - ge[:, None]).ravel())
-    breaks = np.nonzero(np.diff(sorted_omega) >= delta_omega)[0]
-    starts = np.concatenate(([0], breaks + 1))
-    stops = np.concatenate((breaks + 1, [sorted_omega.size]))
-    omegas = np.array([sorted_omega[b:e].mean() for b, e in zip(starts, stops)])
-    zero_group = int(np.argmin(np.abs(omegas)))
-    collisions = []
-    for k, (b, e) in enumerate(zip(starts, stops)):
-        size = e - b
-        if k == zero_group:
-            if size > ge.size:
-                collisions.append(0.0)
-        elif size > 1 and omegas[k] > 0:
-            collisions.append(omegas[k])
-    return np.asarray(collisions)
-
-
 @pytest.mark.parametrize("params, n_collisions", [
-    (ModelParams(2, 0.4, 0.4, 0.1, n_max=6), 5),  # Dicke limit, g' = g
-    (ModelParams(2, 0.3, 0.0, 0.1, n_max=6), 46),  # TC: degenerate levels
-    (ModelParams(1, 0.0, 0.0, 0.1, n_max=5), 5),  # harmonic ladder
+    (ModelParams(2, 0.4, 0.4, 0.1, n_max=6), 1),  # Dicke limit, g' = g
+    (ModelParams(2, 0.3, 0.0, 0.1, n_max=6), 15),  # TC: degenerate levels
+    (ModelParams(1, 0.0, 0.0, 0.1, n_max=5), 1),  # harmonic ladder
     (ModelParams(1, 0.3, 0.0, 0.1, n_max=4), 0),  # JC ladder: none
 ], ids=["dicke-n2", "tc-n2-degenerate", "harmonic-ladder", "jc-n1"])
 def test_vectorized_grouping_matches_loop_reference(params, n_collisions):
-    eig = diagonalize(build_hamiltonian(build_operators(params)))
-    collisions = eig.collision_omegas()
-    assert collisions.size == n_collisions
-    reference = _loop_collisions(eig, spectral.LEVEL_TOL)
-    np.testing.assert_allclose(collisions, reference, rtol=1e-12, atol=0)
+    system, weight = _solve_with_weight(params)
+    assert system.collision_count == n_collisions
+    assert spectral.count_collisions(system.eig, weight) == n_collisions
+    assert _loop_collisions(system.eig, weight).size == n_collisions
 
 
 def test_couplings_share_one_grouping(monkeypatch):
@@ -231,13 +237,13 @@ def test_couplings_share_one_grouping(monkeypatch):
     # counted once per solve, and every coupling is projected onto the same
     # eigenbasis whose group energies the rate table reads
     calls = []
-    original = spectral.EigenSystem.collision_omegas
+    original = spectral.count_collisions
 
-    def counted(self, *args):
+    def counted(*args):
         calls.append(args)
-        return original(self, *args)
+        return original(*args)
 
-    monkeypatch.setattr(spectral.EigenSystem, "collision_omegas", counted)
+    monkeypatch.setattr(pipeline, "count_collisions", counted)
     p = ModelParams(2, 0.3, 0.3, 0.1, n_max=4)
     system = solve_system(p)
     assert len(calls) == 1
@@ -395,7 +401,8 @@ def test_outputs_invariant_under_rotations_inside_degenerate_levels(
     # diagonal inside each group, with 2 Re z on its diagonal.  Inside
     # copies of one j the split of a peak between pairs stays free; the
     # weight floor reads (group, group) sums, so it keeps or drops the
-    # pairs of a group pair together, whatever the basis
+    # pairs of a group pair together, whatever the basis, and so does the
+    # collision count (an integer, so the 1e-12 bound below is exact)
     omega = np.linspace(0.0, 3.0, 3000)
     times = np.linspace(0.0, 50.0 / params.gamma, 60)
 
@@ -403,6 +410,7 @@ def test_outputs_invariant_under_rotations_inside_degenerate_levels(
         system = solve_system(params)
         spectrum = system.spectrum(omega)
         return system, [
+            system.collision_count,
             system.g2_zero(), system.integrated_emission(),
             *cluster_weights(spectrum), system.g2_time(times).values,
             spectrum.values, np.sort(system.rates.z.real)]
